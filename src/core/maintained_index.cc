@@ -16,7 +16,7 @@ BasicMaintainedIndex<KeyT>::MakeVersion(
   if (spec.partitioned() && spec.OnMenu() &&
       spec.key_width() == static_cast<int>(sizeof(KeyT))) {
     // Owned build: each shard's keys in their own buffer, so a later
-    // RefreshWithBatch can reuse untouched shards by shared ownership.
+    // RefreshWithSortedBatch can reuse untouched shards by shared ownership.
     auto part = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys->data(),
                                                         keys->size());
     BasicAnyIndex<KeyT> index =
@@ -54,22 +54,20 @@ void BasicMaintainedIndex<KeyT>::ApplyBatch(
 }
 
 template <typename KeyT>
-void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
-    std::vector<KeyT> sorted_inserts, std::vector<KeyT> sorted_deletes) {
-  assert(ok());
+bool BasicMaintainedIndex<KeyT>::RecordBatch(
+    const std::vector<KeyT>& keys, const std::vector<KeyT>& sorted_inserts,
+    const std::vector<KeyT>& sorted_deletes) {
   assert(std::is_sorted(sorted_inserts.begin(), sorted_inserts.end()));
   assert(std::is_sorted(sorted_deletes.begin(), sorted_deletes.end()));
   ++stats_.batches;
-  if (sorted_inserts.empty() && sorted_deletes.empty()) return;
+  if (sorted_inserts.empty() && sorted_deletes.empty()) return false;
   stats_.keys_inserted += sorted_inserts.size();
   stats_.keys_deleted += sorted_deletes.size();
-  auto old = Snapshot();
   if (stats_collector_) {
     // Batch key span over full key range — both lists are sorted, so the
     // extremes are at the ends. Feeds the advisor's part:K touched-shards
     // estimate (a narrow span touches few shards).
     double span_fraction = 0.0;
-    const std::vector<KeyT>& keys = old->keys();
     if (!keys.empty() && keys.back() > keys.front()) {
       KeyT lo = !sorted_inserts.empty() ? sorted_inserts.front()
                                         : sorted_deletes.front();
@@ -85,6 +83,15 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
     stats_collector_->RecordUpdate(sorted_inserts.size(),
                                    sorted_deletes.size(), span_fraction);
   }
+  return true;
+}
+
+template <typename KeyT>
+void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
+    std::vector<KeyT> sorted_inserts, std::vector<KeyT> sorted_deletes) {
+  assert(ok());
+  auto old = Snapshot();
+  if (!RecordBatch(old->keys(), sorted_inserts, sorted_deletes)) return;
   std::shared_ptr<const Version> fresh;
   if (const BasicPartitionedIndex<KeyT>* part = old->partitioned()) {
     typename BasicPartitionedIndex<KeyT>::Refreshed refreshed =
@@ -121,6 +128,16 @@ void BasicMaintainedIndex<KeyT>::Rebuild(std::vector<KeyT> sorted_keys) {
                       std::make_shared<const std::vector<KeyT>>(
                           std::move(sorted_keys)),
                       ++sequence_));
+}
+
+template <typename KeyT>
+void BasicMaintainedIndex<KeyT>::RebuildWithSortedBatch(
+    std::vector<KeyT> sorted_base, std::vector<KeyT> sorted_inserts,
+    std::vector<KeyT> sorted_deletes) {
+  assert(std::is_sorted(sorted_base.begin(), sorted_base.end()));
+  RecordBatch(sorted_base, sorted_inserts, sorted_deletes);
+  Rebuild(workload::ApplySortedBatch<KeyT>(sorted_base, sorted_inserts,
+                                           sorted_deletes));
 }
 
 template <typename KeyT>

@@ -1,6 +1,7 @@
 #ifndef CSSIDX_CORE_MAINTAINED_INDEX_H_
 #define CSSIDX_CORE_MAINTAINED_INDEX_H_
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -40,8 +41,8 @@
 // For partitioned specs the full-rebuild cost is avoidable: the batch
 // routes through the fence table exactly like probes do, so only the
 // shards whose key range the batch touches are re-merged and rebuilt
-// (PartitionedIndex::RefreshWithBatch); every untouched shard's keys and
-// inner index carry over to the new version by shared ownership. Fences
+// (PartitionedIndex::RefreshWithSortedBatch); every untouched shard's keys
+// and inner index carry over to the new version by shared ownership. Fences
 // stay fixed across refreshes until equi-depth skew exceeds
 // kRebalanceSkew, which triggers one full rebuild with fresh cuts.
 //
@@ -87,6 +88,14 @@ class BasicMaintainedIndex {
 
     const BasicAnyIndex<KeyT>& index() const { return index_; }
     const std::vector<KeyT>& keys() const { return *keys_; }
+    /// First position whose key is >= k, for every spec on the menu:
+    /// ordered methods descend their structure; hash, which has no
+    /// ordered access, binary-searches this version's sorted key array.
+    size_t LowerBound(KeyT k) const {
+      if (index_.SupportsOrderedAccess()) return index_.LowerBound(k);
+      return static_cast<size_t>(
+          std::lower_bound(keys_->begin(), keys_->end(), k) - keys_->begin());
+    }
     /// Non-null only for partitioned specs.
     const BasicPartitionedIndex<KeyT>* partitioned() const {
       return part_.get();
@@ -148,6 +157,16 @@ class BasicMaintainedIndex {
   /// §2.2 batch lifecycle with a batch of "everything"). Publishes one
   /// fresh version (sequence +1) even when the keys are unchanged.
   void Rebuild(std::vector<KeyT> sorted_keys);
+
+  /// Writer: replace the dataset with `sorted_base` and apply one sorted
+  /// batch on top, as one full rebuild and one publish. For writers whose
+  /// batch invalidates the current keys themselves — a growing string
+  /// dictionary renumbers every ID, so the base is the current keys
+  /// relabelled. Counted (stats, probe-stats update rate) exactly like
+  /// an ApplySortedBatch of the same lists.
+  void RebuildWithSortedBatch(std::vector<KeyT> sorted_base,
+                              std::vector<KeyT> sorted_inserts,
+                              std::vector<KeyT> sorted_deletes);
 
   /// Writer: hot-swap the index onto a different spec — the advisor's
   /// apply path. Rebuilds the CURRENT keys (shared, no copy) under
@@ -232,6 +251,12 @@ class BasicMaintainedIndex {
   std::shared_ptr<const Version> MakeVersion(
       const IndexSpec& spec, std::shared_ptr<const std::vector<KeyT>> keys,
       uint64_t sequence) const;
+
+  /// Counts one batch against `keys` (the key array it applies to) in
+  /// stats_ and the probe-stats collector. False when the batch is empty.
+  bool RecordBatch(const std::vector<KeyT>& keys,
+                   const std::vector<KeyT>& sorted_inserts,
+                   const std::vector<KeyT>& sorted_deletes);
 
   void Publish(std::shared_ptr<const Version> fresh) {
     std::lock_guard<std::mutex> lock(current_mu_);

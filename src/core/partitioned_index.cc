@@ -5,6 +5,7 @@
 
 #include "core/builder.h"
 #include "util/thread_pool.h"
+#include "workload/batch_update.h"
 
 namespace cssidx {
 
@@ -94,17 +95,6 @@ BasicPartitionedIndex<KeyT>::BuildOwned(const IndexSpec& spec,
       std::shared_ptr<BasicPartitionedIndex>(new BasicPartitionedIndex());
   built->Init(spec, keys, n, /*own_keys=*/true);
   return built;
-}
-
-template <typename KeyT>
-typename BasicPartitionedIndex<KeyT>::Refreshed
-BasicPartitionedIndex<KeyT>::RefreshWithBatch(
-    const workload::BasicUpdateBatch<KeyT>& batch) const {
-  std::vector<KeyT> inserts = batch.inserts;
-  std::sort(inserts.begin(), inserts.end());
-  std::vector<KeyT> deletes = batch.deletes;
-  std::sort(deletes.begin(), deletes.end());
-  return RefreshWithSortedBatch(inserts, deletes);
 }
 
 template <typename KeyT>

@@ -9,7 +9,6 @@
 #include "core/any_index.h"
 #include "core/index.h"
 #include "core/index_spec.h"
-#include "workload/batch_update.h"
 
 // Range-partitioned composite index: the sorted key array is split into K
 // contiguous key-range shards (equi-depth fences drawn from the sorted
@@ -40,8 +39,8 @@
 // rebuild-on-batch model cheap. An update batch routes through the same
 // fence table as probes, so only the shards whose key range the batch
 // touches need re-merging and rebuilding; BuildOwned gives each shard its
-// own key buffer so RefreshWithBatch can share every untouched shard —
-// buffer and inner index — with the refreshed successor (see
+// own key buffer so RefreshWithSortedBatch can share every untouched
+// shard — buffer and inner index — with the refreshed successor (see
 // core/maintained_index.h for the snapshot lifecycle around this).
 
 namespace cssidx {
@@ -65,21 +64,22 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
 
   /// Maintained-path factory: same structure as the non-owning
   /// constructor, but every shard's keys are copied into a buffer the
-  /// index owns (a shared_ptr), so RefreshWithBatch can hand untouched
-  /// shards — buffer and inner index both — to its successor by shared
-  /// ownership. `keys` may be freed after the call.
+  /// index owns (a shared_ptr), so RefreshWithSortedBatch can hand
+  /// untouched shards — buffer and inner index both — to its successor by
+  /// shared ownership. `keys` may be freed after the call.
   static std::shared_ptr<const BasicPartitionedIndex> BuildOwned(
       const IndexSpec& spec, const KeyT* keys, size_t n);
 
   /// One shard-incremental maintenance step (the paper's batch model on
-  /// the fence structure), valid only for BuildOwned/RefreshWithBatch
-  /// products. The batch routes through the fence table exactly like
-  /// probes do; only the shards whose key range the batch touches are
-  /// re-merged (workload::ApplyBatch, shard-local) and rebuilt, and every
-  /// untouched shard is shared with the returned successor. Fences are
-  /// kept as-is unless the refresh leaves the largest shard more than
-  /// kRebalanceSkew times the equi-depth target, in which case the whole
-  /// structure is rebuilt with fresh equi-depth fences.
+  /// the fence structure), valid only for BuildOwned /
+  /// RefreshWithSortedBatch products. The batch routes through the fence
+  /// table exactly like probes do; only the shards whose key range the
+  /// batch touches are re-merged (workload::ApplySortedBatch, shard-local)
+  /// and rebuilt, and every untouched shard is shared with the returned
+  /// successor. Fences are kept as-is unless the refresh leaves the
+  /// largest shard more than kRebalanceSkew times the equi-depth target,
+  /// in which case the whole structure is rebuilt with fresh equi-depth
+  /// fences.
   struct Refreshed {
     std::shared_ptr<const BasicPartitionedIndex> index;
     /// The full merged key array, contiguous, for callers that publish a
@@ -88,10 +88,8 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
     size_t shards_rebuilt = 0;
     bool rebalanced = false;
   };
-  Refreshed RefreshWithBatch(
-      const workload::BasicUpdateBatch<KeyT>& batch) const;
-  /// RefreshWithBatch for callers that already hold SORTED lists (a
-  /// precondition, not checked): no copies, no re-sort.
+  /// `inserts` and `deletes` must be SORTED (a precondition, not
+  /// checked): the refresh neither copies nor re-sorts them.
   Refreshed RefreshWithSortedBatch(std::span<const KeyT> inserts,
                                    std::span<const KeyT> deletes) const;
 
@@ -138,7 +136,8 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// width. (The old single-width scheme fenced them at 2^32, a sentinel
   /// no uint32 probe could reach but every 64-bit key above 2^32 could.)
   std::span<const KeyT> fences() const { return fences_; }
-  /// True for BuildOwned/RefreshWithBatch products (the refreshable kind).
+  /// True for BuildOwned/RefreshWithSortedBatch products (the refreshable
+  /// kind).
   bool owns_shard_keys() const { return !owned_.empty(); }
 
  private:

@@ -107,4 +107,13 @@ size_t StringDomain::SpaceBytes() const {
   return bytes;
 }
 
+std::vector<uint32_t> TranslateIds(const StringDomain& from,
+                                   const StringDomain& to) {
+  std::vector<uint32_t> ids(from.size());
+  for (uint32_t i = 0; i < ids.size(); ++i) {
+    ids[i] = to.Encode(from.Decode(i)).value_or(kAbsentId);
+  }
+  return ids;
+}
+
 }  // namespace cssidx::domain

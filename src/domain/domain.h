@@ -22,6 +22,12 @@
 
 namespace cssidx::domain {
 
+/// The ID a probe uses for a value absent from a dictionary. Real IDs are
+/// dense from 0, so UINT32_MAX is unreachable short of a dictionary with
+/// 2^32 distinct values; probing it yields "absent"/count-0, which is
+/// exactly the semantics of a missing value.
+inline constexpr uint32_t kAbsentId = UINT32_MAX;
+
 /// Sorted dictionary over 32-bit values, with a CSS-tree directory for
 /// encode lookups.
 class IntDomain {
@@ -86,6 +92,14 @@ class StringDomain {
 
   std::vector<std::string> values_;  // sorted, distinct
 };
+
+/// Translates every ID of `from` into `to`'s ID space (kAbsentId where
+/// `to` lacks the value): entry i is the `to` ID of from.Decode(i). Two
+/// string columns carry two dictionaries, so equal values need not have
+/// equal IDs; a join translates once, O(|from| log |to|), then probes
+/// translated IDs.
+std::vector<uint32_t> TranslateIds(const StringDomain& from,
+                                   const StringDomain& to);
 
 }  // namespace cssidx::domain
 

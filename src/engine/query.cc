@@ -1,18 +1,12 @@
 #include "engine/query.h"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <stdexcept>
 
 namespace cssidx::engine {
-namespace {
 
-/// The ID used for a string predicate value absent from the column's
-/// dictionary. Real IDs are dense from 0, so this never matches a row.
-constexpr uint32_t kAbsentId = std::numeric_limits<uint32_t>::max();
-
-}  // namespace
+using domain::kAbsentId;
 
 std::vector<Rid> SelectEqual(const Table& table, const std::string& column,
                              uint32_t value) {
@@ -145,13 +139,8 @@ std::vector<JoinedPair> IndexedJoin(const Table& outer,
   }
   std::vector<uint32_t> translate;
   if (outer_str) {
-    const domain::StringDomain& outer_dom = outer.StringDomainOf(outer_column);
-    const domain::StringDomain& inner_dom = inner.StringDomainOf(inner_column);
-    translate.resize(outer_dom.size());
-    for (uint32_t i = 0; i < translate.size(); ++i) {
-      translate[i] =
-          inner_dom.Encode(outer_dom.Decode(i)).value_or(kAbsentId);
-    }
+    translate = domain::TranslateIds(outer.StringDomainOf(outer_column),
+                                     inner.StringDomainOf(inner_column));
   }
   // Batched probe loop: the outer column is fed to the inner index a block
   // at a time, each block probed in one EqualRangeBatch the facade shards

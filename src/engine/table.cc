@@ -229,12 +229,7 @@ void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,
 }
 
 size_t SortIndex::LowerBound(uint32_t v) const {
-  const AnyIndex& index = head_->index();
-  if (index.SupportsOrderedAccess()) return index.LowerBound(v);
-  // Hash can't serve positional queries; the sorted key list still can.
-  const std::vector<uint32_t>& keys = head_->keys();
-  return static_cast<size_t>(
-      std::lower_bound(keys.begin(), keys.end(), v) - keys.begin());
+  return head_->LowerBound(v);
 }
 
 void SortIndex::LowerBoundBatch(std::span<const uint32_t> keys,

@@ -1,36 +1,11 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
-#include "advisor/advisor.h"
-
 namespace cssidx::serve {
-namespace {
-
-/// LowerBound against one held snapshot: ordered methods descend their
-/// structure; hash falls back to binary search on the snapshot's sorted
-/// key array (the same fallback the engine's SortIndex uses), so RANGE
-/// works for every spec on the menu — at either key width.
-template <typename VersionT, typename KeyT>
-size_t SnapshotLowerBound(const VersionT& snap, KeyT k) {
-  if (snap.index().SupportsOrderedAccess()) return snap.index().LowerBound(k);
-  const auto& keys = snap.keys();
-  return static_cast<size_t>(
-      std::lower_bound(keys.begin(), keys.end(), k) - keys.begin());
-}
-
-/// The ID a string-table probe uses for a value absent from the domain
-/// dictionary. Real IDs are dense from 0, so UINT32_MAX is unreachable
-/// short of a dictionary with 2^32 distinct values; probing it yields
-/// "absent"/count-0, which is exactly the semantics of a missing value.
-constexpr uint32_t kAbsentId = std::numeric_limits<uint32_t>::max();
-
-constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
-
-}  // namespace
 
 Server::Server() : Server(Options()) {}
 
@@ -40,94 +15,61 @@ Server::Server(const Options& options)
 
 Server::~Server() { Stop(); }
 
-uint32_t Server::CreateTable(const std::string& name,
-                             std::vector<uint32_t> keys,
-                             const IndexSpec& spec) {
+template <typename KeyT>
+uint32_t Server::AddTable(
+    const std::string& name, const IndexSpec& spec, std::vector<KeyT> keys,
+    std::shared_ptr<const domain::StringDomain> dictionary) {
   if (started_) {
-    throw std::logic_error("CreateTable after Start: the table set is "
-                           "immutable once the server is running");
+    throw std::logic_error("table " + name + " created after Start: the "
+                           "table set is immutable once the server runs");
   }
   if (table_ids_.count(name) != 0) {
     throw std::invalid_argument("duplicate table name " + name);
   }
   std::sort(keys.begin(), keys.end());
-  auto index = std::make_unique<MaintainedIndex>(spec, std::move(keys));
-  if (!index->ok()) {
+  Keyed<KeyT> table;
+  table.index =
+      std::make_unique<BasicMaintainedIndex<KeyT>>(spec, std::move(keys));
+  if (!table.index->ok()) {
     throw std::invalid_argument("index spec off the menu: " +
                                 spec.ToString());
   }
-  if (options_.collect_stats) index->EnableStats();
-  const uint32_t id = static_cast<uint32_t>(tables_.size());
-  tables_.push_back(TableEntry{name, TableKind::kU32, std::move(index)});
+  if (options_.collect_stats) table.index->EnableStats();
+  if (dictionary) {
+    table.strings = std::make_unique<StringAdapter<KeyT>>();
+    table.strings->Publish(std::move(dictionary), *table.index);
+  }
+  const auto id = static_cast<uint32_t>(tables_.size());
+  tables_.push_back(std::move(table));
   table_ids_[name] = id;
   return id;
+}
+
+uint32_t Server::CreateTable(const std::string& name,
+                             std::vector<uint32_t> keys,
+                             const IndexSpec& spec) {
+  return AddTable(name, spec, std::move(keys), nullptr);
 }
 
 uint32_t Server::CreateTable64(const std::string& name,
                                std::vector<uint64_t> keys,
                                const IndexSpec& spec) {
-  if (started_) {
-    throw std::logic_error("CreateTable64 after Start: the table set is "
-                           "immutable once the server is running");
-  }
-  if (table_ids_.count(name) != 0) {
-    throw std::invalid_argument("duplicate table name " + name);
-  }
-  std::sort(keys.begin(), keys.end());
-  auto index = std::make_unique<MaintainedIndex64>(spec.WithKeyWidth(8),
-                                                   std::move(keys));
-  if (!index->ok()) {
-    throw std::invalid_argument("index spec off the menu: " +
-                                spec.ToString());
-  }
-  if (options_.collect_stats) index->EnableStats();
-  const uint32_t id = static_cast<uint32_t>(tables_.size());
-  TableEntry entry;
-  entry.name = name;
-  entry.kind = TableKind::kU64;
-  entry.index64 = std::move(index);
-  tables_.push_back(std::move(entry));
-  table_ids_[name] = id;
-  return id;
+  return AddTable(name, spec.WithKeyWidth(8), std::move(keys), nullptr);
 }
 
 uint32_t Server::CreateStringTable(const std::string& name,
                                    std::vector<std::string> values,
                                    const IndexSpec& spec) {
-  if (started_) {
-    throw std::logic_error("CreateStringTable after Start: the table set "
-                           "is immutable once the server is running");
-  }
-  if (table_ids_.count(name) != 0) {
-    throw std::invalid_argument("duplicate table name " + name);
-  }
   // The dictionary stores each distinct value once; the key column keeps
   // every occurrence, encoded (one domain lookup per cell — §2.1's load
   // path, and the workload CSS-trees were built for).
-  auto dom = std::make_shared<const domain::StringDomain>(
+  auto dictionary = std::make_shared<const domain::StringDomain>(
       domain::StringDomain::FromValues(values));
   std::vector<uint32_t> ids;
   ids.reserve(values.size());
-  for (const std::string& v : values) ids.push_back(*dom->Encode(v));
-  std::sort(ids.begin(), ids.end());
-  auto index =
-      std::make_unique<MaintainedIndex>(spec.WithKeyWidth(4), std::move(ids));
-  if (!index->ok()) {
-    throw std::invalid_argument("index spec off the menu: " +
-                                spec.ToString());
-  }
-  if (options_.collect_stats) index->EnableStats();
-  const uint32_t id = static_cast<uint32_t>(tables_.size());
-  TableEntry entry;
-  entry.name = name;
-  entry.kind = TableKind::kString;
-  entry.index = std::move(index);
-  entry.strings = std::make_unique<StringHead>();
-  entry.strings->current = std::make_shared<const StringVersion>(
-      StringVersion{dom, entry.index->Snapshot()});
-  tables_.push_back(std::move(entry));
-  table_ids_[name] = id;
-  return id;
+  for (const std::string& v : values) ids.push_back(*dictionary->Encode(v));
+  return AddTable(name, spec.WithKeyWidth(4), std::move(ids),
+                  std::move(dictionary));
 }
 
 void Server::Start() {
@@ -139,7 +81,6 @@ void Server::Start() {
 void Server::Stop() {
   queue_.Close();
   if (writer_.joinable()) writer_.join();
-  stopped_ = true;
 }
 
 Session Server::OpenSession() { return Session(this); }
@@ -151,52 +92,42 @@ ServerStats Server::writer_stats() const {
 
 std::shared_ptr<const MaintainedIndex::Version> Server::TableSnapshot(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  if (entry->kind == TableKind::kU64) {
+  const auto* table = std::get_if<Keyed<Key>>(&GetTable(name));
+  if (table == nullptr) {
     throw std::out_of_range("table " + name +
                             " holds 8-byte keys; use TableSnapshot64");
   }
-  if (entry->kind == TableKind::kString) {
-    return entry->strings->Snapshot()->ids;
-  }
-  return entry->index->Snapshot();
+  return table->Pin().first;
 }
 
 std::shared_ptr<const MaintainedIndex64::Version> Server::TableSnapshot64(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  if (entry->kind != TableKind::kU64) {
+  const auto* table = std::get_if<Keyed<Key64>>(&GetTable(name));
+  if (table == nullptr) {
     throw std::out_of_range("table " + name + " does not hold 8-byte keys");
   }
-  return entry->index64->Snapshot();
+  return table->Pin().first;
 }
 
 std::shared_ptr<const domain::StringDomain> Server::TableDomain(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  if (entry->kind != TableKind::kString) {
+  const auto* table = std::get_if<Keyed<Key>>(&GetTable(name));
+  if (table == nullptr || !table->strings) {
     throw std::out_of_range("table " + name + " is not a string table");
   }
-  return entry->strings->Snapshot()->domain;
+  return table->strings->Snapshot()->dictionary;
 }
 
 const MaintenanceStats& Server::TableMaintenanceStats(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  return entry->kind == TableKind::kU64 ? entry->index64->stats()
-                                        : entry->index->stats();
+  return std::visit([](const auto& t) -> auto& { return t.index->stats(); },
+                    GetTable(name));
 }
 
 WorkloadProfile Server::TableWorkloadProfile(const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  const std::shared_ptr<ProbeStatsCollector>& collector =
-      entry->kind == TableKind::kU64 ? entry->index64->stats_collector()
-                                     : entry->index->stats_collector();
+  const auto& collector = std::visit(
+      [](const auto& t) -> auto& { return t.index->stats_collector(); },
+      GetTable(name));
   if (!collector) {
     throw std::logic_error("stats not enabled for table " + name +
                            " (Server::Options::collect_stats)");
@@ -205,23 +136,74 @@ WorkloadProfile Server::TableWorkloadProfile(const std::string& name) const {
 }
 
 const IndexSpec& Server::TableSpec(const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  return entry->kind == TableKind::kU64 ? entry->index64->spec()
-                                        : entry->index->spec();
+  return std::visit([](const auto& t) -> auto& { return t.index->spec(); },
+                    GetTable(name));
 }
 
-const Server::TableEntry* Server::FindTable(const std::string& name) const {
+const Server::Table* Server::FindTable(const std::string& name) const {
   auto it = table_ids_.find(name);
   return it == table_ids_.end() ? nullptr : &tables_[it->second];
+}
+
+const Server::Table& Server::GetTable(const std::string& name) const {
+  const Table* table = FindTable(name);
+  if (table == nullptr) throw std::out_of_range("unknown table " + name);
+  return *table;
+}
+
+template <typename KeyT>
+void Server::StringAdapter<KeyT>::Apply(BasicMaintainedIndex<KeyT>& index,
+                                        const StringUpdateBatch& merged) {
+  std::shared_ptr<const domain::StringDomain> dictionary =
+      Snapshot()->dictionary;
+  // Inserts of values the dictionary has never seen force a dictionary
+  // rebuild (§2.1's batch-update model). Deletes never grow the domain: a
+  // value absent from the dictionary has no rows, so its delete is a
+  // no-op and is dropped at encode.
+  std::vector<std::string> fresh_values;
+  for (const std::string& v : merged.inserts) {
+    if (!dictionary->Encode(v)) fresh_values.push_back(v);
+  }
+  std::vector<uint32_t> remap;
+  if (!fresh_values.empty()) {
+    auto grown = std::make_shared<domain::StringDomain>(*dictionary);
+    remap = grown->AddBatch(fresh_values);
+    dictionary = std::move(grown);
+  }
+  std::vector<KeyT> inserts, deletes;
+  inserts.reserve(merged.inserts.size());
+  for (const std::string& v : merged.inserts) {
+    inserts.push_back(*dictionary->Encode(v));
+  }
+  for (const std::string& v : merged.deletes) {
+    if (auto id = dictionary->Encode(v)) deletes.push_back(*id);
+  }
+  std::sort(inserts.begin(), inserts.end());
+  std::sort(deletes.begin(), deletes.end());
+  if (fresh_values.empty()) {
+    // Every value already has an ID: apply like any integer batch
+    // (shard-incremental for part:K specs).
+    index.ApplySortedBatch(std::move(inserts), std::move(deletes));
+  } else {
+    // The remap is strictly increasing (the dictionary is
+    // order-preserving), so the relabelled snapshot keys are still sorted
+    // and feed straight into the sorted-batch merge; the ID index is
+    // rebuilt over the result — renumbering invalidates every shard
+    // anyway, so there is nothing incremental to salvage.
+    const VersionPtr<KeyT> snap = index.Snapshot();
+    std::vector<KeyT> relabelled;
+    relabelled.reserve(snap->keys().size());
+    for (KeyT id : snap->keys()) relabelled.push_back(remap[id]);
+    index.RebuildWithSortedBatch(std::move(relabelled), std::move(inserts),
+                                 std::move(deletes));
+  }
+  Publish(std::move(dictionary), index);
 }
 
 void Server::WriterLoop() {
   std::vector<QueuedUpdate> drained;
   while (queue_.DrainAll(&drained)) {
-    ServerStats delta;
-    ++delta.drain_cycles;
-    delta.batches_applied += drained.size();
+    ServerStats delta{.drain_cycles = 1, .batches_applied = drained.size()};
     // Group the backlog per table, preserving arrival order within and
     // across groups (first-appearance order), then coalesce each group
     // into ONE sorted batch: one version published per table per cycle,
@@ -233,156 +215,16 @@ void Server::WriterLoop() {
       if (fresh) order.push_back(update.table);
       it->second.push_back(std::move(update));
     }
-    for (uint32_t table : order) {
-      std::vector<QueuedUpdate>& updates = groups[table];
-      TableEntry& entry = tables_[table];
-      // Spec-swap requests ride the queue (so they serialize with writes)
-      // but never fold into a Coalesce group: pull them out, apply the
-      // cycle's data first, then the last requested swap — the swap sees
-      // every write that preceded it.
-      std::optional<IndexSpec> respec;
-      std::erase_if(updates, [&](const QueuedUpdate& u) {
-        if (u.respec) respec = u.respec_spec;
-        return u.respec;
-      });
-      if (updates.empty()) {
-        ApplyRespec(entry, table, respec, &delta);
-        continue;
-      }
-      switch (entry.kind) {
-        case TableKind::kU32: {
-          std::vector<workload::UpdateBatch> batches;
-          batches.reserve(updates.size());
-          for (QueuedUpdate& u : updates) batches.push_back(std::move(u.batch));
-          workload::UpdateBatch merged = Coalesce(batches);
-          std::sort(merged.inserts.begin(), merged.inserts.end());
-          delta.keys_inserted += merged.inserts.size();
-          delta.keys_deleted += merged.deletes.size();
-          const uint64_t before = entry.index->sequence();
-          entry.index->ApplySortedBatch(std::move(merged.inserts),
-                                        std::move(merged.deletes));
-          const uint64_t after = entry.index->sequence();
-          if (after != before) ++delta.groups_published;
-          if (options_.journal) {
-            AppliedGroup group;
-            group.table = table;
-            group.sequence = after;
-            group.batches = std::move(batches);
-            journal_.push_back(std::move(group));
-          }
-          break;
-        }
-        case TableKind::kU64: {
-          std::vector<workload::UpdateBatch64> batches;
-          batches.reserve(updates.size());
-          for (QueuedUpdate& u : updates) {
-            batches.push_back(std::move(u.batch64));
-          }
-          workload::UpdateBatch64 merged = Coalesce(batches);
-          std::sort(merged.inserts.begin(), merged.inserts.end());
-          delta.keys_inserted += merged.inserts.size();
-          delta.keys_deleted += merged.deletes.size();
-          const uint64_t before = entry.index64->sequence();
-          entry.index64->ApplySortedBatch(std::move(merged.inserts),
-                                          std::move(merged.deletes));
-          const uint64_t after = entry.index64->sequence();
-          if (after != before) ++delta.groups_published;
-          if (options_.journal) {
-            AppliedGroup group;
-            group.table = table;
-            group.sequence = after;
-            group.batches64 = std::move(batches);
-            journal_.push_back(std::move(group));
-          }
-          break;
-        }
-        case TableKind::kString: {
-          std::vector<StringUpdateBatch> batches;
-          batches.reserve(updates.size());
-          for (QueuedUpdate& u : updates) {
-            batches.push_back(std::move(u.strings));
-          }
-          StringUpdateBatch merged = Coalesce(batches);
-          delta.keys_inserted += merged.inserts.size();
-          delta.keys_deleted += merged.deletes.size();
-          const uint64_t before = entry.index->sequence();
-          std::shared_ptr<const StringVersion> head =
-              entry.strings->Snapshot();
-          std::shared_ptr<const domain::StringDomain> dom = head->domain;
-          // Inserts of values the dictionary has never seen force a
-          // dictionary rebuild (§2.1's batch-update model). Deletes never
-          // grow the domain: a value absent from the dictionary has no
-          // rows, so its delete is a no-op and is dropped at encode.
-          std::vector<std::string> fresh_values;
-          for (const std::string& v : merged.inserts) {
-            if (!dom->Encode(v)) fresh_values.push_back(v);
-          }
-          if (!fresh_values.empty()) {
-            // Grow a copy of the dictionary. The remap is strictly
-            // increasing (the dictionary is order-preserving), so the
-            // remapped snapshot keys are still sorted and feed straight
-            // into the sorted-batch merge; the ID index is rebuilt over
-            // the result — renumbering invalidates every shard anyway,
-            // so there is nothing incremental to salvage.
-            auto grown = std::make_shared<domain::StringDomain>(*dom);
-            const std::vector<uint32_t> remap =
-                grown->AddBatch(fresh_values);
-            std::shared_ptr<const MaintainedIndex::Version> snap =
-                entry.index->Snapshot();
-            std::vector<uint32_t> remapped;
-            remapped.reserve(snap->keys().size());
-            for (uint32_t id : snap->keys()) remapped.push_back(remap[id]);
-            std::vector<uint32_t> insert_ids, delete_ids;
-            insert_ids.reserve(merged.inserts.size());
-            for (const std::string& v : merged.inserts) {
-              insert_ids.push_back(*grown->Encode(v));
+    for (uint32_t id : order) {
+      std::visit(
+          [&]<typename KeyT>(Keyed<KeyT>& table) {
+            if (table.strings) {
+              ApplyGroup<std::string>(table, id, groups[id], &delta);
+            } else {
+              ApplyGroup<KeyT>(table, id, groups[id], &delta);
             }
-            for (const std::string& v : merged.deletes) {
-              if (std::optional<uint32_t> id = grown->Encode(v)) {
-                delete_ids.push_back(*id);
-              }
-            }
-            std::sort(insert_ids.begin(), insert_ids.end());
-            std::sort(delete_ids.begin(), delete_ids.end());
-            entry.index->Rebuild(
-                workload::ApplySortedBatch(remapped, insert_ids, delete_ids));
-            dom = std::move(grown);
-          } else {
-            // Every value already has an ID: encode and apply like any
-            // integer batch (shard-incremental for part:K specs).
-            std::vector<uint32_t> insert_ids, delete_ids;
-            insert_ids.reserve(merged.inserts.size());
-            for (const std::string& v : merged.inserts) {
-              insert_ids.push_back(*dom->Encode(v));
-            }
-            for (const std::string& v : merged.deletes) {
-              if (std::optional<uint32_t> id = dom->Encode(v)) {
-                delete_ids.push_back(*id);
-              }
-            }
-            std::sort(insert_ids.begin(), insert_ids.end());
-            std::sort(delete_ids.begin(), delete_ids.end());
-            entry.index->ApplySortedBatch(std::move(insert_ids),
-                                          std::move(delete_ids));
-          }
-          const uint64_t after = entry.index->sequence();
-          if (after != before) ++delta.groups_published;
-          // Publish the (dictionary, ID-index) pair atomically — readers
-          // must never translate against one generation and probe the
-          // other.
-          entry.strings->Publish(std::make_shared<const StringVersion>(
-              StringVersion{std::move(dom), entry.index->Snapshot()}));
-          if (options_.journal) {
-            AppliedGroup group;
-            group.table = table;
-            group.sequence = after;
-            group.string_batches = std::move(batches);
-            journal_.push_back(std::move(group));
-          }
-          break;
-        }
-      }
-      ApplyRespec(entry, table, respec, &delta);
+          },
+          tables_[id]);
     }
     drained.clear();
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -394,433 +236,53 @@ void Server::WriterLoop() {
   }
 }
 
-void Server::ApplyRespec(TableEntry& entry, uint32_t table,
-                         const std::optional<IndexSpec>& respec,
-                         ServerStats* delta) {
-  if (!respec) return;
-  bool swapped = false;
-  uint64_t after = 0;
-  switch (entry.kind) {
-    case TableKind::kU32:
-      swapped = entry.index->RebuildWithSpec(*respec);
-      after = entry.index->sequence();
-      break;
-    case TableKind::kU64:
-      swapped = entry.index64->RebuildWithSpec(*respec);
-      after = entry.index64->sequence();
-      break;
-    case TableKind::kString: {
-      // Respec the ID index; the dictionary is untouched (IDs don't
-      // renumber), but the (dictionary, index) pair must republish
-      // together so readers see the swap as one version step.
-      swapped = entry.index->RebuildWithSpec(*respec);
-      after = entry.index->sequence();
-      if (swapped) {
-        std::shared_ptr<const StringVersion> head = entry.strings->Snapshot();
-        entry.strings->Publish(std::make_shared<const StringVersion>(
-            StringVersion{head->domain, entry.index->Snapshot()}));
-      }
-      break;
+template <typename ValueT, typename KeyT>
+void Server::ApplyGroup(Keyed<KeyT>& table, uint32_t id,
+                        std::vector<QueuedUpdate>& updates,
+                        ServerStats* delta) {
+  // Spec-swap requests ride the queue (so they serialize with writes) but
+  // never fold into a Coalesce group: the cycle's data applies first, then
+  // the last requested swap — the swap sees every write that preceded it.
+  std::vector<workload::BasicUpdateBatch<ValueT>> batches;
+  batches.reserve(updates.size());
+  std::optional<IndexSpec> respec;
+  for (QueuedUpdate& u : updates) {
+    if (const IndexSpec* spec = std::get_if<IndexSpec>(&u.payload)) {
+      respec = *spec;
+    } else {
+      batches.push_back(
+          std::move(std::get<workload::BasicUpdateBatch<ValueT>>(u.payload)));
     }
   }
-  if (!swapped) return;
+  if (!batches.empty()) {
+    workload::BasicUpdateBatch<ValueT> merged = Coalesce(batches);
+    delta->keys_inserted += merged.inserts.size();
+    delta->keys_deleted += merged.deletes.size();
+    const uint64_t before = table.index->sequence();
+    if constexpr (std::is_same_v<ValueT, std::string>) {
+      table.strings->Apply(*table.index, merged);
+    } else {
+      std::sort(merged.inserts.begin(), merged.inserts.end());
+      table.index->ApplySortedBatch(std::move(merged.inserts),
+                                    std::move(merged.deletes));
+    }
+    const uint64_t after = table.index->sequence();
+    if (after != before) ++delta->groups_published;
+    if (options_.journal) {
+      journal_.push_back(AppliedGroup{id, after, std::move(batches)});
+    }
+  }
+  if (!respec || !table.index->RebuildWithSpec(*respec)) return;
+  // A string table's IDs don't renumber, but the (dictionary, index) pair
+  // republishes together so readers see the swap as one version step.
+  if (table.strings) {
+    table.strings->Publish(table.strings->Snapshot()->dictionary,
+                           *table.index);
+  }
   ++delta->groups_published;
   if (options_.journal) {
-    AppliedGroup group;
-    group.table = table;
-    group.sequence = after;
-    group.respec = true;
-    group.respec_spec = *respec;
-    journal_.push_back(std::move(group));
+    journal_.push_back(AppliedGroup{id, table.index->sequence(), *respec});
   }
-}
-
-StatementResult Session::Execute(std::string_view text) {
-  ++stats_.statements;
-  std::string error;
-  std::optional<Statement> stmt = ParseStatement(text, &error);
-  if (!stmt) {
-    ++stats_.parse_errors;
-    StatementResult result;
-    result.status = StatementStatus::kParseError;
-    result.error = std::move(error);
-    return result;
-  }
-  return ExecuteParsed(*stmt);
-}
-
-StatementResult Session::ExecuteParsed(const Statement& stmt) {
-  using TableKind = Server::TableKind;
-  StatementResult result;
-  const Server::TableEntry* table = server_->FindTable(stmt.table);
-  if (table == nullptr) {
-    result.status = StatementStatus::kUnknownTable;
-    result.error = "unknown table " + stmt.table;
-    return result;
-  }
-
-  // Key typing is checked here, at execute time, against the table the
-  // statement actually names — the grammar itself is width-agnostic.
-  // Each failure mode gets a distinct message: non-numeric key on an
-  // integer table vs. a numeric key past the table's width.
-  auto check_numeric = [&](size_t i, bool wide) {
-    if (!stmt.keys_numeric[i]) {
-      result.status = StatementStatus::kBadKey;
-      result.error = "bad key '" + stmt.key_tokens[i] + "': table '" +
-                     stmt.table + "' holds integer keys";
-      return false;
-    }
-    if (!wide && stmt.keys[i] > kMax32) {
-      result.status = StatementStatus::kBadKey;
-      result.error = "key '" + stmt.key_tokens[i] +
-                     "' out of range for 32-bit table '" + stmt.table +
-                     "' (max 4294967295)";
-      return false;
-    }
-    return true;
-  };
-  auto narrow32 = [&]() -> std::optional<std::vector<uint32_t>> {
-    std::vector<uint32_t> keys(stmt.keys.size());
-    for (size_t i = 0; i < stmt.keys.size(); ++i) {
-      if (!check_numeric(i, /*wide=*/false)) return std::nullopt;
-      keys[i] = static_cast<uint32_t>(stmt.keys[i]);
-    }
-    return keys;
-  };
-  auto check_wide = [&]() {
-    for (size_t i = 0; i < stmt.keys.size(); ++i) {
-      if (!check_numeric(i, /*wide=*/true)) return false;
-    }
-    return true;
-  };
-  // String tables probe on raw tokens translated through the dictionary;
-  // values it has never seen probe as kAbsentId (absent / count 0).
-  auto encode_ids = [&](const domain::StringDomain& dom) {
-    std::vector<uint32_t> ids(stmt.key_tokens.size());
-    for (size_t i = 0; i < stmt.key_tokens.size(); ++i) {
-      ids[i] = dom.Encode(stmt.key_tokens[i]).value_or(kAbsentId);
-    }
-    return ids;
-  };
-  auto bump_probes = [&](uint64_t n) {
-    stats_.probes += n;
-    server_->probes_served_.fetch_add(n, std::memory_order_relaxed);
-  };
-
-  switch (stmt.verb) {
-    case Verb::kFind: {
-      result.positions.resize(stmt.keys.size());
-      switch (table->kind) {
-        case TableKind::kU32: {
-          std::optional<std::vector<uint32_t>> keys = narrow32();
-          if (!keys) return result;
-          auto snap = table->index->Snapshot();
-          snap->index().FindBatch(*keys, result.positions);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kU64: {
-          if (!check_wide()) return result;
-          auto snap = table->index64->Snapshot();
-          snap->index().FindBatch(stmt.keys, result.positions);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kString: {
-          auto sv = table->strings->Snapshot();
-          const std::vector<uint32_t> ids = encode_ids(*sv->domain);
-          sv->ids->index().FindBatch(ids, result.positions);
-          result.version = sv->ids->sequence();
-          break;
-        }
-      }
-      bump_probes(stmt.keys.size());
-      return result;
-    }
-    case Verb::kCount: {
-      result.counts.resize(stmt.keys.size());
-      switch (table->kind) {
-        case TableKind::kU32: {
-          std::optional<std::vector<uint32_t>> keys = narrow32();
-          if (!keys) return result;
-          auto snap = table->index->Snapshot();
-          snap->index().CountEqualBatch(*keys, result.counts);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kU64: {
-          if (!check_wide()) return result;
-          auto snap = table->index64->Snapshot();
-          snap->index().CountEqualBatch(stmt.keys, result.counts);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kString: {
-          auto sv = table->strings->Snapshot();
-          const std::vector<uint32_t> ids = encode_ids(*sv->domain);
-          sv->ids->index().CountEqualBatch(ids, result.counts);
-          result.version = sv->ids->sequence();
-          break;
-        }
-      }
-      for (size_t c : result.counts) result.count += c;
-      bump_probes(stmt.keys.size());
-      return result;
-    }
-    case Verb::kRange: {
-      if (table->kind != TableKind::kString && !stmt.bounds_numeric) {
-        result.status = StatementStatus::kBadKey;
-        result.error = "bad bounds '" + stmt.lo_token + "' '" +
-                       stmt.hi_token + "': table '" + stmt.table +
-                       "' holds integer keys";
-        return result;
-      }
-      switch (table->kind) {
-        case TableKind::kU32: {
-          auto snap = table->index->Snapshot();
-          // [lo, hi) stays width-independent: a bound past the table's
-          // max key clamps to end-of-array instead of erroring, so
-          // "RANGE t 0 4294967296" covers a whole 32-bit table.
-          const size_t n = snap->keys().size();
-          if (stmt.hi > stmt.lo) {
-            result.range_begin =
-                stmt.lo > kMax32
-                    ? n
-                    : SnapshotLowerBound(*snap,
-                                         static_cast<uint32_t>(stmt.lo));
-            result.range_end =
-                stmt.hi > kMax32
-                    ? n
-                    : SnapshotLowerBound(*snap,
-                                         static_cast<uint32_t>(stmt.hi));
-            result.count = result.range_end - result.range_begin;
-          }
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kU64: {
-          auto snap = table->index64->Snapshot();
-          if (stmt.hi > stmt.lo) {
-            result.range_begin = SnapshotLowerBound(*snap, stmt.lo);
-            result.range_end = SnapshotLowerBound(*snap, stmt.hi);
-            result.count = result.range_end - result.range_begin;
-          }
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kString: {
-          // The ID image of a string range predicate (§2.1: IDs are
-          // order-preserving): [lo, hi) over values becomes
-          // [LowerBoundId(lo), LowerBoundId(hi)) over IDs.
-          auto sv = table->strings->Snapshot();
-          const uint32_t lo_id = sv->domain->LowerBoundId(stmt.lo_token);
-          const uint32_t hi_id = sv->domain->LowerBoundId(stmt.hi_token);
-          if (hi_id > lo_id) {
-            result.range_begin = SnapshotLowerBound(*sv->ids, lo_id);
-            result.range_end = SnapshotLowerBound(*sv->ids, hi_id);
-            result.count = result.range_end - result.range_begin;
-          }
-          result.version = sv->ids->sequence();
-          break;
-        }
-      }
-      bump_probes(2);
-      return result;
-    }
-    case Verb::kJoin: {
-      const Server::TableEntry* inner = server_->FindTable(stmt.table2);
-      if (inner == nullptr) {
-        result.status = StatementStatus::kUnknownTable;
-        result.error = "unknown table " + stmt.table2;
-        return result;
-      }
-      if (table->kind != inner->kind) {
-        result.status = StatementStatus::kBadKey;
-        result.error = "JOIN requires both tables to hold the same key "
-                       "type: '" +
-                       stmt.table + "' and '" + stmt.table2 + "' differ";
-        return result;
-      }
-      // Both sides pinned to one snapshot each; the outer's sorted keys
-      // stream through the inner's CountEqualBatch a block at a time, so
-      // the pair cardinality is consistent-as-of (version, version2).
-      constexpr size_t kBlock = 4096;
-      switch (table->kind) {
-        case TableKind::kU32: {
-          auto outer_snap = table->index->Snapshot();
-          auto inner_snap = inner->index->Snapshot();
-          const std::vector<uint32_t>& outer_keys = outer_snap->keys();
-          std::vector<size_t> counts(std::min(outer_keys.size(), kBlock));
-          for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-            const size_t len = std::min(outer_keys.size() - base, kBlock);
-            inner_snap->index().CountEqualBatch(
-                std::span<const uint32_t>(&outer_keys[base], len),
-                std::span<size_t>(counts.data(), len));
-            for (size_t i = 0; i < len; ++i) result.count += counts[i];
-          }
-          result.version = outer_snap->sequence();
-          result.version2 = inner_snap->sequence();
-          bump_probes(outer_keys.size());
-          break;
-        }
-        case TableKind::kU64: {
-          auto outer_snap = table->index64->Snapshot();
-          auto inner_snap = inner->index64->Snapshot();
-          const std::vector<uint64_t>& outer_keys = outer_snap->keys();
-          std::vector<size_t> counts(std::min(outer_keys.size(), kBlock));
-          for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-            const size_t len = std::min(outer_keys.size() - base, kBlock);
-            inner_snap->index().CountEqualBatch(
-                std::span<const uint64_t>(&outer_keys[base], len),
-                std::span<size_t>(counts.data(), len));
-            for (size_t i = 0; i < len; ++i) result.count += counts[i];
-          }
-          result.version = outer_snap->sequence();
-          result.version2 = inner_snap->sequence();
-          bump_probes(outer_keys.size());
-          break;
-        }
-        case TableKind::kString: {
-          // Two string tables have two dictionaries, so IDs don't line
-          // up. Translate once — outer ID -> value -> inner ID (absent
-          // values get kAbsentId, count 0) — then join on inner IDs.
-          auto outer_sv = table->strings->Snapshot();
-          auto inner_sv = inner->strings->Snapshot();
-          const domain::StringDomain& outer_dom = *outer_sv->domain;
-          const domain::StringDomain& inner_dom = *inner_sv->domain;
-          std::vector<uint32_t> translate(outer_dom.size());
-          for (uint32_t i = 0; i < translate.size(); ++i) {
-            translate[i] =
-                inner_dom.Encode(outer_dom.Decode(i)).value_or(kAbsentId);
-          }
-          const std::vector<uint32_t>& outer_keys = outer_sv->ids->keys();
-          std::vector<uint32_t> block(std::min(outer_keys.size(), kBlock));
-          std::vector<size_t> counts(block.size());
-          for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-            const size_t len = std::min(outer_keys.size() - base, kBlock);
-            for (size_t i = 0; i < len; ++i) {
-              block[i] = translate[outer_keys[base + i]];
-            }
-            inner_sv->ids->index().CountEqualBatch(
-                std::span<const uint32_t>(block.data(), len),
-                std::span<size_t>(counts.data(), len));
-            for (size_t i = 0; i < len; ++i) result.count += counts[i];
-          }
-          result.version = outer_sv->ids->sequence();
-          result.version2 = inner_sv->ids->sequence();
-          bump_probes(outer_keys.size());
-          break;
-        }
-      }
-      return result;
-    }
-    case Verb::kAdvise: {
-      // The profile lives on the table's collector (string tables advise
-      // on their ID index — same probes, same mix). Model-only here: the
-      // writer, not the session, pays any rebuild.
-      const std::shared_ptr<ProbeStatsCollector>& collector =
-          table->kind == TableKind::kU64 ? table->index64->stats_collector()
-                                         : table->index->stats_collector();
-      if (!collector) {
-        result.status = StatementStatus::kUnsupported;
-        result.error =
-            "ADVISE needs stats collection (Server::Options::collect_stats)";
-        return result;
-      }
-      advisor::AdvisorOptions opts;
-      opts.space_budget_bytes = server_->options_.advise_space_budget_bytes;
-      opts.key_width = table->kind == TableKind::kU64 ? 8 : 4;
-      size_t n = 0;
-      if (table->kind == TableKind::kU64) {
-        auto snap = table->index64->Snapshot();
-        n = snap->keys().size();
-        result.version = snap->sequence();
-      } else {
-        auto snap = table->index->Snapshot();
-        n = snap->keys().size();
-        result.version = snap->sequence();
-      }
-      advisor::Recommendation rec =
-          advisor::Advise(collector->Profile(), n, opts);
-      if (!rec.ok) {
-        result.status = StatementStatus::kUnsupported;
-        result.error = rec.error;
-        return result;
-      }
-      result.advice = rec.rationale;
-      result.recommended_spec = rec.spec.ToString();
-      if (!stmt.apply) return result;
-      if (!server_->options_.allow_spec_swap) {
-        result.status = StatementStatus::kUnsupported;
-        result.error = "ADVISE APPLY needs Server::Options::allow_spec_swap";
-        return result;
-      }
-      QueuedUpdate update;
-      update.table = static_cast<uint32_t>(table - server_->tables_.data());
-      update.respec = true;
-      update.respec_spec = rec.spec;
-      switch (server_->queue_.Push(std::move(update))) {
-        case UpdateQueue::PushResult::kOk:
-          ++stats_.writes_enqueued;
-          result.applied = true;
-          return result;
-        case UpdateQueue::PushResult::kRejected:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kRejected;
-          result.error = "queue full";
-          return result;
-        case UpdateQueue::PushResult::kClosed:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kClosed;
-          result.error = "server stopped";
-          return result;
-      }
-      return result;  // unreachable
-    }
-    case Verb::kInsert:
-    case Verb::kDelete: {
-      QueuedUpdate update;
-      update.table = static_cast<uint32_t>(table - server_->tables_.data());
-      const bool insert = stmt.verb == Verb::kInsert;
-      switch (table->kind) {
-        case TableKind::kU32: {
-          std::optional<std::vector<uint32_t>> keys = narrow32();
-          if (!keys) return result;
-          (insert ? update.batch.inserts : update.batch.deletes) =
-              std::move(*keys);
-          break;
-        }
-        case TableKind::kU64: {
-          if (!check_wide()) return result;
-          (insert ? update.batch64.inserts : update.batch64.deletes) =
-              stmt.keys;
-          break;
-        }
-        case TableKind::kString: {
-          (insert ? update.strings.inserts : update.strings.deletes) =
-              stmt.key_tokens;
-          break;
-        }
-      }
-      switch (server_->queue_.Push(std::move(update))) {
-        case UpdateQueue::PushResult::kOk:
-          ++stats_.writes_enqueued;
-          return result;
-        case UpdateQueue::PushResult::kRejected:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kRejected;
-          result.error = "queue full";
-          return result;
-        case UpdateQueue::PushResult::kClosed:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kClosed;
-          result.error = "server stopped";
-          return result;
-      }
-      return result;  // unreachable
-    }
-  }
-  return result;  // unreachable
 }
 
 }  // namespace cssidx::serve

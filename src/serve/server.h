@@ -10,6 +10,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/index_spec.h"
@@ -53,24 +55,23 @@ struct ServerStats {
   uint64_t keys_deleted = 0;      // delete keys applied (post-coalesce)
 };
 
-/// Journal entry (Options::journal): one coalesced application. After the
-/// group's publish, table `table` is at version `sequence`, and its state
-/// equals the initial keys plus every batch journaled for it so far,
-/// applied in order. Read only after Stop() — the join synchronizes.
-/// Exactly one of the three batch lists is populated, matching the
-/// table's key type.
+/// Journal entry (Options::journal): one publish. After it, table `table`
+/// is at version `sequence`, and its state equals the initial keys plus
+/// every batch journaled for it so far, applied in order.
+/// Read only after Stop() — the join synchronizes.
 struct AppliedGroup {
   uint32_t table = 0;
   uint64_t sequence = 0;
-  std::vector<workload::UpdateBatch> batches;      // 4-byte tables
-  std::vector<workload::UpdateBatch64> batches64;  // 8-byte tables
-  std::vector<StringUpdateBatch> string_batches;   // string tables
-  /// A spec hot-swap publish (ADVISE ... APPLY): no batch lists; the
-  /// table's keys are unchanged and its index was rebuilt onto
-  /// respec_spec. Differential replays skip these (state is invariant),
-  /// but they witness that exactly one publish happened per swap.
-  bool respec = false;
-  IndexSpec respec_spec;
+  /// What the publish applied: the coalesced batches in arrival order, in
+  /// the table's value type (4-byte keys, 8-byte keys, string values) —
+  /// or, for a spec hot-swap (ADVISE ... APPLY), the spec the unchanged
+  /// keys were rebuilt onto. Differential replays skip swaps (state is
+  /// invariant), but they witness that exactly one publish happened per
+  /// swap.
+  std::variant<std::vector<workload::UpdateBatch>,
+               std::vector<workload::UpdateBatch64>,
+               std::vector<StringUpdateBatch>, IndexSpec>
+      applied;
 };
 
 /// Result of one statement. `version` is the snapshot sequence the reads
@@ -165,13 +166,11 @@ class Server {
   Session OpenSession();
 
   // Introspection (tests, bench, example).
-  bool started() const { return started_; }
   QueueStats queue_stats() const { return queue_.stats(); }
   ServerStats writer_stats() const;
   uint64_t probes_served() const {
     return probes_served_.load(std::memory_order_relaxed);
   }
-  size_t queue_depth() const { return queue_.depth(); }
   /// The journal (Options::journal). Call only after Stop().
   const std::vector<AppliedGroup>& applied_groups() const { return journal_; }
   /// Current snapshot of a table's index (by name; throws if unknown or
@@ -199,61 +198,92 @@ class Server {
  private:
   friend class Session;
 
-  enum class TableKind { kU32, kU64, kString };
+  template <typename KeyT>
+  using VersionPtr =
+      std::shared_ptr<const typename BasicMaintainedIndex<KeyT>::Version>;
 
-  /// A string table's reader-facing state: the domain dictionary and the
-  /// ID-index version built against it, published TOGETHER. An insert of
-  /// a new value grows the domain, which renumbers IDs (order-preserving
-  /// dictionaries stay sorted), so a reader pairing an old dictionary
-  /// with a new index — or vice versa — would translate predicates into
-  /// the wrong ID space. One pointer load yields a coherent pair.
-  struct StringVersion {
-    std::shared_ptr<const domain::StringDomain> domain;
-    std::shared_ptr<const MaintainedIndex::Version> ids;
-  };
-
-  /// One mutex-guarded pointer slot, same discipline (and same TSan
-  /// rationale) as MaintainedIndex's version pointer.
-  struct StringHead {
+  /// A string table's dictionary adapter (§2.1), in front of its ID
+  /// index. A new value grows the dictionary, which renumbers IDs, so a
+  /// reader pairing an old dictionary with a new index (or vice versa)
+  /// would translate into the wrong ID space: the adapter publishes the
+  /// {dictionary, index version} pair behind one mutex-guarded pointer,
+  /// with the discipline (and TSan rationale) of MaintainedIndex's.
+  template <typename KeyT>
+  struct StringAdapter {
+    struct Pair {
+      std::shared_ptr<const domain::StringDomain> dictionary;
+      VersionPtr<KeyT> ids;
+    };
     mutable std::mutex mu;
-    std::shared_ptr<const StringVersion> current;
+    std::shared_ptr<const Pair> current;
 
-    std::shared_ptr<const StringVersion> Snapshot() const {
+    std::shared_ptr<const Pair> Snapshot() const {
       std::lock_guard<std::mutex> lock(mu);
       return current;
     }
-    void Publish(std::shared_ptr<const StringVersion> fresh) {
+    void Publish(std::shared_ptr<const domain::StringDomain> dictionary,
+                 const BasicMaintainedIndex<KeyT>& index) {
+      auto fresh = std::make_shared<const Pair>(
+          Pair{std::move(dictionary), index.Snapshot()});
       std::lock_guard<std::mutex> lock(mu);
       current = std::move(fresh);
     }
+    /// Writer: encodes one coalesced batch into IDs, growing the
+    /// dictionary first when inserts bring new values, applies it to
+    /// `index`, and publishes the pair.
+    void Apply(BasicMaintainedIndex<KeyT>& index,
+               const StringUpdateBatch& merged);
   };
 
-  struct TableEntry {
-    std::string name;
-    TableKind kind = TableKind::kU32;
-    std::unique_ptr<MaintainedIndex> index;      // kU32; kString: over IDs
-    std::unique_ptr<MaintainedIndex64> index64;  // kU64
-    std::unique_ptr<StringHead> strings;         // kString
+  /// A table whose key type is KeyT: its maintained index, plus the
+  /// dictionary adapter when it is a string table (KeyT = 4-byte IDs).
+  template <typename KeyT>
+  struct Keyed {
+    std::unique_ptr<BasicMaintainedIndex<KeyT>> index;
+    std::unique_ptr<StringAdapter<KeyT>> strings;
+
+    /// One statement's view of the table from one snapshot pointer copy:
+    /// the version its probes resolve against and, for a string table,
+    /// the dictionary published with it (the version pointer then
+    /// aliases the adapter's pair, keeping both alive).
+    std::pair<VersionPtr<KeyT>, const domain::StringDomain*> Pin() const {
+      if (!strings) return {index->Snapshot(), nullptr};
+      auto pair = strings->Snapshot();
+      const domain::StringDomain* dictionary = pair->dictionary.get();
+      const auto* version = pair->ids.get();
+      return {{std::move(pair), version}, dictionary};
+    }
   };
+
+  /// The key type is decided once, by CreateTable*.
+  using Table = std::variant<Keyed<Key>, Keyed<Key64>>;
+
+  /// Shared tail of the CreateTable* family: validates, builds, registers.
+  template <typename KeyT>
+  uint32_t AddTable(const std::string& name, const IndexSpec& spec,
+                    std::vector<KeyT> keys,
+                    std::shared_ptr<const domain::StringDomain> dictionary);
 
   /// nullptr when the name is unknown. Safe lock-free: tables_ is
   /// immutable after Start().
-  const TableEntry* FindTable(const std::string& name) const;
+  const Table* FindTable(const std::string& name) const;
+  /// FindTable that throws std::out_of_range for an unknown name.
+  const Table& GetTable(const std::string& name) const;
 
   void WriterLoop();
-  /// Writer thread: applies a pending spec swap to one table (no-op when
-  /// `respec` is empty or off-menu), publishing one fresh version and one
-  /// journal marker.
-  void ApplyRespec(TableEntry& entry, uint32_t table,
-                   const std::optional<IndexSpec>& respec, ServerStats* delta);
+  /// Writer thread: one table's share of a drain cycle. Its data batches
+  /// (of the table's value type) coalesce into one publish; then the last
+  /// spec swap requested, if on the menu, publishes once more.
+  template <typename ValueT, typename KeyT>
+  void ApplyGroup(Keyed<KeyT>& table, uint32_t id,
+                  std::vector<QueuedUpdate>& updates, ServerStats* delta);
 
   const Options options_;
   UpdateQueue queue_;
-  std::vector<TableEntry> tables_;
+  std::vector<Table> tables_;
   std::map<std::string, uint32_t> table_ids_;
   std::thread writer_;
   bool started_ = false;
-  bool stopped_ = false;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;
@@ -283,7 +313,16 @@ class Session {
   friend class Server;
   explicit Session(Server* server) : server_(server) {}
 
-  StatementResult ExecuteParsed(const Statement& stmt);
+  /// The verb executors, one template over the table's key type.
+  template <typename KeyT>
+  void ExecuteOn(const Statement& stmt, uint32_t id,
+                 const Server::Keyed<KeyT>& table, StatementResult& result);
+  /// Queues a write (or hot-swap); a refused push fails `result`.
+  void Enqueue(QueuedUpdate update, StatementResult& result);
+  void CountProbes(uint64_t n) {
+    stats_.probes += n;
+    server_->probes_served_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   Server* server_;
   SessionStats stats_;

@@ -22,10 +22,13 @@ UpdateQueue::PushResult UpdateQueue::Push(QueuedUpdate update) {
     if (closed_) return PushResult::kClosed;
   }
   ++stats_.enqueued_batches;
-  stats_.enqueued_keys +=
-      update.batch.inserts.size() + update.batch.deletes.size() +
-      update.batch64.inserts.size() + update.batch64.deletes.size() +
-      update.strings.inserts.size() + update.strings.deletes.size();
+  std::visit(
+      [&](const auto& batch) {
+        if constexpr (requires { batch.inserts; }) {
+          stats_.enqueued_keys += batch.inserts.size() + batch.deletes.size();
+        }
+      },
+      update.payload);
   queue_.push_back(std::move(update));
   stats_.depth_high_water = std::max(stats_.depth_high_water, queue_.size());
   not_empty_.notify_one();
@@ -55,11 +58,6 @@ void UpdateQueue::Close() {
 QueueStats UpdateQueue::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-size_t UpdateQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 }  // namespace cssidx::serve

@@ -7,8 +7,8 @@
 #include <deque>
 #include <iterator>
 #include <mutex>
-#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/index_spec.h"
@@ -48,23 +48,19 @@ struct QueueStats {
 /// lifecycle as the integer batches, values instead of keys.
 using StringUpdateBatch = workload::BasicUpdateBatch<std::string>;
 
-/// One queued write: an update batch destined for one table (the server's
-/// table id — the queue itself doesn't interpret it, it is the coalescing
-/// group key). Exactly one of the three batch members is populated,
-/// matching the destination table's key type; the queue moves whichever
-/// is there.
+/// One queued write, destined for one table (the server's table id — the
+/// queue itself doesn't interpret it, it is the coalescing group key).
+/// The payload is an update batch in the destination table's value type
+/// (4-byte keys, 8-byte keys, or string values), or a spec hot-swap
+/// request (ADVISE ... APPLY). A swap rides the same queue so it
+/// serializes with writes in arrival order, but is never folded into a
+/// Coalesce group — the writer splits these out and rebuilds through
+/// MaintainedIndex::RebuildWithSpec after the cycle's data batches.
 struct QueuedUpdate {
   uint32_t table = 0;
-  workload::UpdateBatch batch;      // 4-byte integer tables
-  workload::UpdateBatch64 batch64;  // 8-byte integer tables
-  StringUpdateBatch strings;        // string (domain-ID) tables
-  /// A spec hot-swap request (ADVISE ... APPLY) instead of data. Rides
-  /// the same queue so it serializes with writes in arrival order, but
-  /// is never folded into a Coalesce group — the writer splits these out
-  /// and rebuilds through MaintainedIndex::RebuildWithSpec after the
-  /// cycle's data batches.
-  bool respec = false;
-  IndexSpec respec_spec;
+  std::variant<workload::UpdateBatch, workload::UpdateBatch64,
+               StringUpdateBatch, IndexSpec>
+      payload;
 };
 
 class UpdateQueue {
@@ -97,9 +93,6 @@ class UpdateQueue {
   void Close();
 
   QueueStats stats() const;
-  size_t depth() const;
-  size_t capacity() const { return capacity_; }
-  Admission admission() const { return admission_; }
 
  private:
   const size_t capacity_;
@@ -124,7 +117,7 @@ class UpdateQueue {
 /// string batches all coalesce through the same code.
 template <typename KeyT>
 workload::BasicUpdateBatch<KeyT> Coalesce(
-    std::span<const workload::BasicUpdateBatch<KeyT>> batches) {
+    const std::vector<workload::BasicUpdateBatch<KeyT>>& batches) {
   workload::BasicUpdateBatch<KeyT> acc;
   for (const workload::BasicUpdateBatch<KeyT>& next : batches) {
     if (!next.deletes.empty()) {
@@ -150,16 +143,6 @@ workload::BasicUpdateBatch<KeyT> Coalesce(
                        next.inserts.end());
   }
   return acc;
-}
-
-/// Deduction helper: template argument deduction does not see through
-/// vector-to-span conversions, so the vector form callers actually write
-/// gets its own overload.
-template <typename KeyT>
-workload::BasicUpdateBatch<KeyT> Coalesce(
-    const std::vector<workload::BasicUpdateBatch<KeyT>>& batches) {
-  return Coalesce(std::span<const workload::BasicUpdateBatch<KeyT>>(
-      batches.data(), batches.size()));
 }
 
 }  // namespace cssidx::serve

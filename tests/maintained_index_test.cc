@@ -264,6 +264,37 @@ TEST(MaintainedIndex, RebuildReplacesDataset) {
   EXPECT_EQ(index.Find(fresh[50]), 50);
 }
 
+TEST(MaintainedIndex, RebuildWithSortedBatchCountsLikeApplySortedBatch) {
+  // Rebasing onto relabelled keys plus a batch is one full rebuild and
+  // one publish, counted as one batch in the stats and the probe-stats
+  // collector — the same counts the plain batch path produces.
+  for (bool rebase : {false, true}) {
+    SCOPED_TRACE(rebase);
+    MaintainedIndex index(*IndexSpec::Parse("part:4/css:16"),
+                          {10, 20, 30, 40});
+    index.EnableStats();
+    const uint64_t before = index.sequence();
+    if (rebase) {
+      index.RebuildWithSortedBatch({11, 21, 31, 41}, {15, 25}, {21});
+      EXPECT_EQ(index.Snapshot()->keys(),
+                (std::vector<Key>{11, 15, 25, 31, 41}));
+      EXPECT_EQ(index.stats().full_rebuilds, 1u);
+    } else {
+      index.ApplySortedBatch({15, 25}, {20});
+      EXPECT_EQ(index.Snapshot()->keys(),
+                (std::vector<Key>{10, 15, 25, 30, 40}));
+    }
+    EXPECT_EQ(index.sequence(), before + 1);
+    EXPECT_EQ(index.stats().batches, 1u);
+    EXPECT_EQ(index.stats().keys_inserted, 2u);
+    EXPECT_EQ(index.stats().keys_deleted, 1u);
+    const WorkloadProfile profile = index.stats_collector()->Profile();
+    EXPECT_EQ(profile.update_batches, 1u);
+    EXPECT_EQ(profile.keys_inserted, 2u);
+    EXPECT_EQ(profile.keys_deleted, 1u);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Shard-reuse property: an incremental part:K refresh rebuilds only the
 // shards whose fence range intersects the batch, and the published

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -25,11 +26,20 @@
 namespace cssidx::serve {
 namespace {
 
+template <typename KeyT>
 std::string KeysStatement(const char* verb, const char* table,
-                          const std::vector<uint32_t>& keys) {
+                          const std::vector<KeyT>& keys) {
   std::string text = std::string(verb) + " " + table;
-  for (uint32_t k : keys) text += " " + std::to_string(k);
+  for (KeyT k : keys) text += " " + std::to_string(k);
   return text;
+}
+
+/// A journal entry's batches, for a table whose values are ValueT.
+template <typename ValueT>
+const std::vector<workload::BasicUpdateBatch<ValueT>>& Batches(
+    const AppliedGroup& group) {
+  return std::get<std::vector<workload::BasicUpdateBatch<ValueT>>>(
+      group.applied);
 }
 
 // ------------------------------------------------------------- statements
@@ -263,7 +273,7 @@ TEST(Server, BacklogCoalescesIntoOneRebuild) {
   EXPECT_EQ(server.TableMaintenanceStats("t").batches, 1u);
   EXPECT_EQ(server.queue_stats().depth_high_water, 16u);
   ASSERT_EQ(server.applied_groups().size(), 1u);
-  EXPECT_EQ(server.applied_groups()[0].batches.size(), 16u);
+  EXPECT_EQ(Batches<uint32_t>(server.applied_groups()[0]).size(), 16u);
   EXPECT_EQ(server.applied_groups()[0].sequence, 2u);
   EXPECT_EQ(server.TableSnapshot("t")->sequence(), 2u);
 }
@@ -468,8 +478,10 @@ TEST(Server, StringTableWriterMatchesSerialOracleUnderBacklog) {
   // column must equal the serial replay on a multiset of strings.
   Server::Options options;
   options.queue_capacity = 64;
+  options.journal = true;
   Server server(options);
-  server.CreateStringTable("t", {"pear", "fig", "pear", "lime"});
+  const std::vector<std::string> initial = {"pear", "fig", "pear", "lime"};
+  server.CreateStringTable("t", initial);
   Session session = server.OpenSession();
   ASSERT_TRUE(session.Execute("INSERT t date fig").ok());
   ASSERT_TRUE(session.Execute("DELETE t pear date").ok());  // kills queued date
@@ -488,15 +500,65 @@ TEST(Server, StringTableWriterMatchesSerialOracleUnderBacklog) {
   }
   EXPECT_EQ(decoded, (std::vector<std::string>{"date", "fig", "fig", "kiwi",
                                                "kiwi", "lime"}));
+
+  // The journal's string batches, replayed serially on the initial
+  // multiset, give the same final column.
+  std::vector<std::string> replayed = initial;
+  std::sort(replayed.begin(), replayed.end());
+  for (const AppliedGroup& group : server.applied_groups()) {
+    for (const StringUpdateBatch& batch : Batches<std::string>(group)) {
+      replayed = workload::ApplyBatch(replayed, batch);
+    }
+  }
+  EXPECT_EQ(replayed, decoded);
+}
+
+TEST(Server, StringBatchThatGrowsTheDictionaryCountsLikeAnyBatch) {
+  // Inserting values the dictionary has never seen rebuilds the ID index
+  // over a grown dictionary. That batch must still count in the
+  // maintenance stats and in the probe-stats update rate ADVISE reads —
+  // exactly as the same insert counts on an integer table — while the
+  // group stays one rebuild and one publish.
+  Server::Options options;
+  options.collect_stats = true;
+  Server server(options);
+  server.CreateStringTable("s", {"a", "c", "e"});
+  server.CreateTable("u", {1, 3, 5});
+  Session session = server.OpenSession();
+  ASSERT_TRUE(session.Execute("INSERT s b d").ok());
+  ASSERT_TRUE(session.Execute("INSERT u 2 4").ok());
+  server.Start();
+  server.Stop();
+
+  ASSERT_EQ(server.TableDomain("s")->size(), 5u);  // the dictionary grew
+  for (const char* table : {"s", "u"}) {
+    SCOPED_TRACE(table);
+    const MaintenanceStats& stats = server.TableMaintenanceStats(table);
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.keys_inserted, 2u);
+    EXPECT_EQ(stats.full_rebuilds, 1u);
+    const WorkloadProfile profile = server.TableWorkloadProfile(table);
+    EXPECT_EQ(profile.update_batches, 1u);
+    EXPECT_EQ(profile.keys_inserted, 2u);
+    EXPECT_GT(profile.UpdateRate(), 0.0);
+  }
+  EXPECT_EQ(server.writer_stats().groups_published, 2u);
+  std::vector<std::string> decoded;
+  const auto dom = server.TableDomain("s");
+  for (uint32_t id : server.TableSnapshot("s")->keys()) {
+    decoded.push_back(dom->Decode(id));
+  }
+  EXPECT_EQ(decoded, (std::vector<std::string>{"a", "b", "c", "d", "e"}));
 }
 
 // ------------------------------------- concurrent differential (TSan'd)
 
+template <typename KeyT>
 struct RecordedRead {
   char kind = 'F';  // F[ind] / C[ount] / R[ange]
   uint64_t version = 0;
-  std::vector<uint32_t> keys;          // FIND/COUNT
-  uint32_t lo = 0, hi = 0;             // RANGE
+  std::vector<KeyT> keys;              // FIND/COUNT
+  KeyT lo = 0, hi = 0;                 // RANGE
   std::vector<int64_t> positions;      // FIND
   std::vector<size_t> counts;          // COUNT
   size_t range_begin = 0, range_end = 0;
@@ -504,33 +566,37 @@ struct RecordedRead {
 };
 
 /// Replays the journal into a map: version -> full sorted key state of
-/// `table` as of that version. Version 1 is the initial build.
-std::map<uint64_t, std::vector<uint32_t>> OracleStates(
-    const Server& server, uint32_t table, std::vector<uint32_t> initial) {
+/// `table` as of that version. Version 1 is the initial build; a spec
+/// swap's version keeps the state before it.
+template <typename KeyT>
+std::map<uint64_t, std::vector<KeyT>> OracleStates(
+    const Server& server, uint32_t table, std::vector<KeyT> initial) {
   std::sort(initial.begin(), initial.end());
-  std::map<uint64_t, std::vector<uint32_t>> states;
+  std::map<uint64_t, std::vector<KeyT>> states;
   states[1] = initial;
-  std::vector<uint32_t> current = std::move(initial);
+  std::vector<KeyT> current = std::move(initial);
   for (const AppliedGroup& group : server.applied_groups()) {
     if (group.table != table) continue;
-    for (const workload::UpdateBatch& batch : group.batches) {
-      current = workload::ApplyBatch(current, batch);
+    if (!std::holds_alternative<IndexSpec>(group.applied)) {
+      for (const auto& batch : Batches<KeyT>(group)) {
+        current = workload::ApplyBatch(current, batch);
+      }
     }
     states[group.sequence] = current;
   }
   return states;
 }
 
-void VerifyAgainstOracle(
-    const std::vector<RecordedRead>& reads,
-    const std::map<uint64_t, std::vector<uint32_t>>& states,
-    const std::string& label) {
+template <typename KeyT>
+void VerifyAgainstOracle(const std::vector<RecordedRead<KeyT>>& reads,
+                         const std::map<uint64_t, std::vector<KeyT>>& states,
+                         const std::string& label) {
   for (size_t i = 0; i < reads.size(); ++i) {
-    const RecordedRead& r = reads[i];
+    const RecordedRead<KeyT>& r = reads[i];
     auto it = states.find(r.version);
     ASSERT_NE(it, states.end())
         << label << " read " << i << ": unknown version " << r.version;
-    const std::vector<uint32_t>& keys = it->second;
+    const std::vector<KeyT>& keys = it->second;
     if (r.kind == 'F') {
       for (size_t k = 0; k < r.keys.size(); ++k) {
         auto lb = std::lower_bound(keys.begin(), keys.end(), r.keys[k]);
@@ -562,117 +628,133 @@ void VerifyAgainstOracle(
   }
 }
 
-TEST(Server, ConcurrentReadersSeeOracleStateAtEveryVersion) {
-  // The acceptance gate: N reader threads hammer FIND/COUNT/RANGE while
-  // producers push INSERT/DELETE through a tight queue (so the writer
-  // coalesces under real pressure), journal on. Afterwards every recorded
-  // probe must be bit-identical to the serial oracle at the version the
-  // read reported — for an ordered spec, a partitioned spec, and hash.
-  for (const char* spec_text : {"css:16", "part:8/css:16", "hash:10"}) {
-    SCOPED_TRACE(spec_text);
-    Server::Options options;
-    options.queue_capacity = 4;  // tight: forces blocking + deep coalesces
-    options.admission = Admission::kBlock;
-    options.journal = true;
-    Server server(options);
-    Pcg32 seed_rng(0xd1f);
-    std::vector<uint32_t> initial(2'000);
-    for (auto& k : initial) k = seed_rng.Below(500);
-    const uint32_t table_id =
-        server.CreateTable("t", initial, *IndexSpec::Parse(spec_text));
-    server.Start();
+/// The acceptance gate: N reader threads hammer FIND/COUNT/RANGE while
+/// producers push INSERT/DELETE through a tight queue (so the writer
+/// coalesces under real pressure), journal on. Afterwards every recorded
+/// probe must be bit-identical to the serial oracle at the version the
+/// read reported. Keys are `base` plus a value below 500; reads probe up
+/// to base + 520 so some miss.
+template <typename KeyT>
+void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
+  SCOPED_TRACE(spec_text);
+  Server::Options options;
+  options.queue_capacity = 4;  // tight: forces blocking + deep coalesces
+  options.admission = Admission::kBlock;
+  options.journal = true;
+  Server server(options);
+  Pcg32 seed_rng(0xd1f);
+  std::vector<KeyT> initial(2'000);
+  for (auto& k : initial) k = base + seed_rng.Below(500);
+  uint32_t table_id = 0;
+  if constexpr (sizeof(KeyT) == 8) {
+    table_id = server.CreateTable64("t", initial, *IndexSpec::Parse(spec_text));
+  } else {
+    table_id = server.CreateTable("t", initial, *IndexSpec::Parse(spec_text));
+  }
+  server.Start();
 
-    std::atomic<bool> writers_done{false};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 2; ++p) {
-      producers.emplace_back([&, p] {
-        Session session = server.OpenSession();
-        Pcg32 rng(0x9000 + p);
-        for (int s = 0; s < 40; ++s) {
-          std::vector<uint32_t> keys(6);
-          for (auto& k : keys) k = rng.Below(500);
-          const char* verb = (s % 2 == p % 2) ? "INSERT" : "DELETE";
-          ASSERT_TRUE(session.Execute(KeysStatement(verb, "t", keys)).ok());
-        }
-      });
-    }
+  std::atomic<bool> writers_done{false};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] {
+      Session session = server.OpenSession();
+      Pcg32 rng(0x9000 + p);
+      for (int s = 0; s < 40; ++s) {
+        std::vector<KeyT> keys(6);
+        for (auto& k : keys) k = base + rng.Below(500);
+        const char* verb = (s % 2 == p % 2) ? "INSERT" : "DELETE";
+        ASSERT_TRUE(session.Execute(KeysStatement(verb, "t", keys)).ok());
+      }
+    });
+  }
 
-    std::vector<std::vector<RecordedRead>> recorded(3);
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 3; ++t) {
-      readers.emplace_back([&, t] {
-        Session session = server.OpenSession();
-        Pcg32 rng(0x4ead + t);
-        // Keep reading until the producers finish, then a few more
-        // statements against the final drained state.
-        for (int s = 0; s < 150 || (!writers_done.load() && s < 100'000);
-             ++s) {
-          RecordedRead r;
-          r.version = 0;
-          switch (s % 3) {
-            case 0: {
-              r.kind = 'F';
-              r.keys.resize(8);
-              for (auto& k : r.keys) k = rng.Below(520);
-              StatementResult res =
-                  session.Execute(KeysStatement("FIND", "t", r.keys));
-              ASSERT_TRUE(res.ok());
-              r.version = res.version;
-              r.positions = std::move(res.positions);
-              break;
-            }
-            case 1: {
-              r.kind = 'C';
-              r.keys.resize(8);
-              for (auto& k : r.keys) k = rng.Below(520);
-              StatementResult res =
-                  session.Execute(KeysStatement("COUNT", "t", r.keys));
-              ASSERT_TRUE(res.ok());
-              r.version = res.version;
-              r.counts = std::move(res.counts);
-              break;
-            }
-            default: {
-              r.kind = 'R';
-              r.lo = rng.Below(520);
-              r.hi = rng.Below(520);
-              StatementResult res = session.Execute(
-                  "RANGE t " + std::to_string(r.lo) + " " +
-                  std::to_string(r.hi));
-              ASSERT_TRUE(res.ok());
-              r.version = res.version;
-              r.range_begin = res.range_begin;
-              r.range_end = res.range_end;
-              r.count = res.count;
-              break;
-            }
+  std::vector<std::vector<RecordedRead<KeyT>>> recorded(3);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Session session = server.OpenSession();
+      Pcg32 rng(0x4ead + t);
+      // Keep reading until the producers finish, then a few more
+      // statements against the final drained state.
+      for (int s = 0; s < 150 || (!writers_done.load() && s < 100'000); ++s) {
+        RecordedRead<KeyT> r;
+        r.version = 0;
+        switch (s % 3) {
+          case 0: {
+            r.kind = 'F';
+            r.keys.resize(8);
+            for (auto& k : r.keys) k = base + rng.Below(520);
+            StatementResult res =
+                session.Execute(KeysStatement("FIND", "t", r.keys));
+            ASSERT_TRUE(res.ok());
+            r.version = res.version;
+            r.positions = std::move(res.positions);
+            break;
           }
-          recorded[t].push_back(std::move(r));
+          case 1: {
+            r.kind = 'C';
+            r.keys.resize(8);
+            for (auto& k : r.keys) k = base + rng.Below(520);
+            StatementResult res =
+                session.Execute(KeysStatement("COUNT", "t", r.keys));
+            ASSERT_TRUE(res.ok());
+            r.version = res.version;
+            r.counts = std::move(res.counts);
+            break;
+          }
+          default: {
+            r.kind = 'R';
+            r.lo = base + rng.Below(520);
+            r.hi = base + rng.Below(520);
+            StatementResult res = session.Execute(
+                "RANGE t " + std::to_string(r.lo) + " " + std::to_string(r.hi));
+            ASSERT_TRUE(res.ok());
+            r.version = res.version;
+            r.range_begin = res.range_begin;
+            r.range_end = res.range_end;
+            r.count = res.count;
+            break;
+          }
         }
-      });
-    }
+        recorded[t].push_back(std::move(r));
+      }
+    });
+  }
 
-    for (auto& p : producers) p.join();
-    writers_done.store(true);
-    for (auto& r : readers) r.join();
-    server.Stop();
+  for (auto& p : producers) p.join();
+  writers_done.store(true);
+  for (auto& r : readers) r.join();
+  server.Stop();
 
-    // Sanity on the pressure itself: everything accepted was applied.
-    QueueStats queue = server.queue_stats();
-    ServerStats writer = server.writer_stats();
-    EXPECT_EQ(queue.enqueued_batches, 80u);
-    EXPECT_EQ(writer.batches_applied, 80u);
-    EXPECT_LE(writer.groups_published, writer.batches_applied);
+  // Sanity on the pressure itself: everything accepted was applied.
+  QueueStats queue = server.queue_stats();
+  ServerStats writer = server.writer_stats();
+  EXPECT_EQ(queue.enqueued_batches, 80u);
+  EXPECT_EQ(writer.batches_applied, 80u);
+  EXPECT_LE(writer.groups_published, writer.batches_applied);
 
-    auto states = OracleStates(server, table_id, initial);
-    for (int t = 0; t < 3; ++t) {
-      VerifyAgainstOracle(recorded[t], states,
-                          std::string(spec_text) + " reader " +
-                              std::to_string(t));
-    }
-    // Final published state equals the full serial application.
+  auto states = OracleStates(server, table_id, initial);
+  for (int t = 0; t < 3; ++t) {
+    VerifyAgainstOracle(recorded[t], states,
+                        std::string(spec_text) + " reader " +
+                            std::to_string(t));
+  }
+  // Final published state equals the full serial application.
+  if constexpr (sizeof(KeyT) == 8) {
+    EXPECT_EQ(server.TableSnapshot64("t")->keys(), states.rbegin()->second);
+  } else {
     EXPECT_EQ(server.TableSnapshot("t")->keys(), states.rbegin()->second);
   }
+}
+
+TEST(Server, ConcurrentReadersSeeOracleStateAtEveryVersion) {
+  // For an ordered spec, a partitioned spec, and hash at 4 bytes, and a
+  // partitioned 8-byte table whose keys straddle 2^32.
+  for (const char* spec_text : {"css:16", "part:8/css:16", "hash:10"}) {
+    RunConcurrentReadersDifferential<uint32_t>(spec_text, 0);
+  }
+  RunConcurrentReadersDifferential<uint64_t>("part:8/css64:16",
+                                             (uint64_t{1} << 32) - 250);
 }
 
 TEST(Server, JoinIsConsistentAcrossTwoSnapshots) {
@@ -850,9 +932,11 @@ TEST(Server, AdviseApplyHotSwapsUnderLiveReadersBitIdentically) {
   // under the recommended spec.
   ASSERT_EQ(server.applied_groups().size(), 1u);
   const AppliedGroup& group = server.applied_groups().front();
-  EXPECT_TRUE(group.respec);
-  EXPECT_EQ(group.respec_spec.ToString(), applied.recommended_spec);
-  EXPECT_TRUE(group.batches.empty());
+  EXPECT_TRUE(std::holds_alternative<IndexSpec>(group.applied));
+  EXPECT_EQ(std::get<IndexSpec>(group.applied).ToString(),
+            applied.recommended_spec);
+  EXPECT_EQ(std::get_if<std::vector<workload::UpdateBatch>>(&group.applied),
+            nullptr);
   EXPECT_EQ(server.TableSpec("t").ToString(), applied.recommended_spec);
   EXPECT_EQ(server.TableMaintenanceStats("t").spec_swaps, 1u);
   EXPECT_EQ(server.writer_stats().groups_published, 1u);
