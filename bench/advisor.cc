@@ -5,10 +5,10 @@
 // runs — then advised, then raced: the advisor's pick vs every spec on a
 // static menu, measured with the harness protocol (warmup + best-of-k).
 //
-// The JSON's "advisor" block is gated by tools/check_bench_regression.py
-// on the RATIO best_static/picked (1.0 = the pick ties the best static
-// spec, >1.0 = the pick beats the menu). Ratios transfer across runner
-// hardware; absolute ns/probe does not.
+// The JSON's "advisor" block is gated (tools/bench_gates.json,
+// advisor_ratio) on the RATIO best_static/picked (1.0 = the pick ties the
+// best static spec, >1.0 = the pick beats the menu). Ratios transfer
+// across runner hardware; absolute ns/probe does not.
 //
 //   $ ./bench_advisor [--n=1000000] [--lookups=131072] [--repeats=3]
 //                     [--json=BENCH_advisor.json] [--quick]
@@ -249,31 +249,17 @@ int main(int argc, char** argv) {
   }
   table.Print("advisor pick vs static menu, n=" + std::to_string(n));
 
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::printf("cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Report report("advisor", n);
+  report.header().Set("lookups", lookups).Set("repeats", repeats);
+  for (const MixResult& r : results) {
+    report.AddRow("advisor")
+        .Set("mix", r.mix)
+        .Set("picked_spec", r.picked_spec)
+        .Set("best_static_spec", r.best_static_spec)
+        .Set("picked_ns_per_probe", r.picked_ns, 2)
+        .Set("best_static_ns_per_probe", r.best_static_ns, 2)
+        .Set("ratio", r.Ratio(), 4)
+        .Set("probes", r.probes);
   }
-  std::fprintf(json,
-               "{\n  \"bench\": \"advisor\",\n  \"n\": %zu,\n"
-               "  \"lookups\": %zu,\n  \"repeats\": %d,\n"
-               "  \"advisor\": [\n",
-               n, lookups, repeats);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const MixResult& r = results[i];
-    std::fprintf(
-        json,
-        "    {\"mix\": \"%s\", \"picked_spec\": \"%s\", "
-        "\"best_static_spec\": \"%s\", \"picked_ns_per_probe\": %.2f, "
-        "\"best_static_ns_per_probe\": %.2f, \"ratio\": %.4f, "
-        "\"probes\": %llu}%s\n",
-        r.mix.c_str(), r.picked_spec.c_str(), r.best_static_spec.c_str(),
-        r.picked_ns, r.best_static_ns, r.Ratio(),
-        static_cast<unsigned long long>(r.probes),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return 0;
+  return report.Write(json_path) ? 0 : 1;
 }

@@ -14,8 +14,8 @@
 // --range additionally sweeps the batched range probes: scalar EqualRange
 // (the pre-batch duplicate-expansion path, one probe per virtual call) vs
 // EqualRangeBatch at the same batch sizes, recorded in a "range_probes"
-// JSON block that tools/check_bench_regression.py gates alongside the
-// point-probe rows.
+// JSON block that the baseline gate in tools/bench_gates.json
+// (batch_speedup_vs_baseline) checks alongside the point-probe rows.
 //
 // --part additionally sweeps range-partitioned specs (part:K/css:16 for
 // K in {2,4,8,16}): the same scalar-vs-batched comparison through the
@@ -31,17 +31,19 @@
 // paper's model) vs MaintainedIndex::ApplyBatch (shard-incremental for
 // part:K, snapshot-published either way), in refreshed keys/s across
 // batch fractions. Recorded in a "maintenance" JSON block whose speedup
-// column is incremental-vs-full — gated by check_bench_regression.py,
-// including an absolute --min-update-speedup floor for part:* rows.
+// column is incremental-vs-full — in the baseline gate, plus an absolute
+// floor for part:* rows (gate maintenance_part_speedup).
 //
 //   $ ./bench_batch_lookup [--n=10000000] [--lookups=1000000]
 //                          [--threads=1,2,4,8] [--json=...] [--quick]
 //                          [--range] [--part] [--update]
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analytic/space_model.h"
@@ -60,34 +62,30 @@ namespace {
 
 using namespace cssidx;
 
-struct Row {
-  std::string spec;
-  size_t batch;
-  double scalar_ns;
-  double batch_ns;
-};
+/// Every speedup block (results, range_probes, partitioned, simd,
+/// key_width, maintenance) shares this row schema: the baseline gate keys
+/// rows on (block, spec, batch, threads) and compares their "speedup".
+void AddSpeedupRow(bench::Report& report, std::string_view block,
+                   const std::string& spec, size_t batch, double scalar_ns,
+                   double batched_ns) {
+  report.AddRow(block)
+      .Set("spec", spec)
+      .Set("batch", batch)
+      .Set("threads", 1)
+      .Set("scalar_ns_per_probe", scalar_ns)
+      .Set("batched_ns_per_probe", batched_ns)
+      .Set("speedup", scalar_ns / batched_ns);
+}
 
-struct ScalingRow {
-  std::string spec;
-  int threads;
-  size_t batch;
-  bench::BatchTiming timing;
-  double scaling;  // aggregate throughput relative to the threads=1 row
-};
-
-/// Emits one JSON block of Row entries. Every block shares this schema —
-/// check_bench_regression.py keys on (block, spec, batch, threads), so
-/// the fields must never drift apart between blocks.
-void EmitRows(FILE* json, const std::vector<Row>& rows) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(json,
-                 "    {\"spec\": \"%s\", \"batch\": %zu, \"threads\": 1, "
-                 "\"scalar_ns_per_probe\": %.3f, "
-                 "\"batched_ns_per_probe\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.spec.c_str(), r.batch, r.scalar_ns, r.batch_ns,
-                 r.scalar_ns / r.batch_ns, i + 1 < rows.size() ? "," : "");
-  }
+/// The same row, also shown in a table whose columns are exactly the
+/// row's: spec, batch, scalar ns, batched ns, speedup.
+void AddSpeedupRow(bench::Table& table, bench::Report& report,
+                   std::string_view block, const std::string& spec,
+                   size_t batch, double scalar_ns, double batched_ns) {
+  table.AddRow({spec, std::to_string(batch), bench::Table::Num(scalar_ns, 4),
+                bench::Table::Num(batched_ns, 4),
+                bench::Table::Num(scalar_ns / batched_ns, 3)});
+  AddSpeedupRow(report, block, spec, batch, scalar_ns, batched_ns);
 }
 
 std::vector<int> ParseThreadList(const std::string& text) {
@@ -130,6 +128,10 @@ int main(int argc, char** argv) {
   auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
   auto lookups = workload::MatchingLookups(keys, options.lookups,
                                            options.seed + 1);
+  bench::Report report("batch_lookup", n);
+  report.header()
+      .Set("lookups", lookups.size())
+      .Set("repeats", options.repeats);
 
   // Hash directory sized the paper's way: ~n / pairs-per-bucket buckets.
   int hash_bits = std::clamp(CeilLog2(n / 4), 4, 24);
@@ -153,9 +155,6 @@ int main(int argc, char** argv) {
                             "batched ns/probe", "speedup"});
   bench::Table scaling_table({"spec", "threads", "batch", "ns/probe",
                               "Mprobes/s", "Mprobes/s/thread", "scaling"});
-  std::vector<Row> rows;
-  std::vector<Row> range_rows;
-  std::vector<ScalingRow> scaling_rows;
   for (const std::string& text : spec_texts) {
     IndexSpec spec = *IndexSpec::Parse(text);
     AnyIndex index = BuildIndex(spec, keys);
@@ -169,11 +168,8 @@ int main(int argc, char** argv) {
           bench::MinFindBatchSeconds(index, lookups, batch, options.repeats);
       double batch_ns =
           batch_sec / static_cast<double>(lookups.size()) * 1e9;
-      rows.push_back({spec.ToString(), batch, scalar_ns, batch_ns});
-      table.AddRow({spec.ToString(), std::to_string(batch),
-                    bench::Table::Num(scalar_ns, 4),
-                    bench::Table::Num(batch_ns, 4),
-                    bench::Table::Num(scalar_ns / batch_ns, 3)});
+      AddSpeedupRow(table, report, "results", spec.ToString(), batch,
+                    scalar_ns, batch_ns);
     }
 
     if (range_mode) {
@@ -192,13 +188,8 @@ int main(int argc, char** argv) {
             index, lookups, batch, options.repeats);
         double range_batch_ns =
             range_batch_sec / static_cast<double>(lookups.size()) * 1e9;
-        range_rows.push_back(
-            {spec.ToString(), batch, range_scalar_ns, range_batch_ns});
-        range_table.AddRow({spec.ToString(), std::to_string(batch),
-                            bench::Table::Num(range_scalar_ns, 4),
-                            bench::Table::Num(range_batch_ns, 4),
-                            bench::Table::Num(range_scalar_ns / range_batch_ns,
-                                              3)});
+        AddSpeedupRow(range_table, report, "range_probes", spec.ToString(),
+                      batch, range_scalar_ns, range_batch_ns);
       }
     }
 
@@ -222,8 +213,14 @@ int main(int argc, char** argv) {
       double scaling =
           t1_aggregate > 0 ? timing.AggregateMProbesPerSec() / t1_aggregate
                            : 1.0;
-      scaling_rows.push_back(
-          {spec.ToString(), threads, big_batch, timing, scaling});
+      report.AddRow("thread_scaling")
+          .Set("spec", spec.ToString())
+          .Set("threads", threads)
+          .Set("batch", big_batch)
+          .Set("ns_per_probe", timing.NsPerProbe())
+          .Set("mprobes_per_sec", timing.AggregateMProbesPerSec())
+          .Set("mprobes_per_sec_per_thread", timing.PerThreadMProbesPerSec())
+          .Set("scaling_vs_t1", scaling);
       scaling_table.AddRow(
           {spec.ToString(), std::to_string(threads),
            std::to_string(big_batch),
@@ -237,7 +234,6 @@ int main(int argc, char** argv) {
   // under the same scalar-vs-batched comparison as the main table.
   bench::Table part_table({"spec", "batch", "scalar ns/probe",
                            "batched ns/probe", "speedup"});
-  std::vector<Row> part_rows;
   if (part_mode) {
     std::vector<std::string> part_texts{"part:2/css:16", "part:4/css:16",
                                         "part:8/css:16", "part:16/css:16"};
@@ -254,11 +250,8 @@ int main(int argc, char** argv) {
                                                       options.repeats);
         double batch_ns =
             batch_sec / static_cast<double>(lookups.size()) * 1e9;
-        part_rows.push_back({spec.ToString(), batch, scalar_ns, batch_ns});
-        part_table.AddRow({spec.ToString(), std::to_string(batch),
-                           bench::Table::Num(scalar_ns, 4),
-                           bench::Table::Num(batch_ns, 4),
-                           bench::Table::Num(scalar_ns / batch_ns, 3)});
+        AddSpeedupRow(part_table, report, "partitioned", spec.ToString(),
+                      batch, scalar_ns, batch_ns);
       }
     }
   }
@@ -272,7 +265,6 @@ int main(int argc, char** argv) {
   // or non-x86) both measurements take the same path and speedup pins ~1.
   bench::Table simd_table({"spec", "batch", "scalar-unrolled ns/probe",
                            "simd ns/probe", "speedup"});
-  std::vector<Row> simd_rows;
   {
     const NodeSearchPath widest = DetectedNodeSearchPath();
     std::vector<std::string> simd_texts{"css:16", "css:32", "lcss:16",
@@ -292,11 +284,8 @@ int main(int argc, char** argv) {
                                                    options.repeats);
       double scalar_ns = scalar_sec / static_cast<double>(lookups.size()) * 1e9;
       double simd_ns = simd_sec / static_cast<double>(lookups.size()) * 1e9;
-      simd_rows.push_back({spec.ToString(), simd_batch, scalar_ns, simd_ns});
-      simd_table.AddRow({spec.ToString(), std::to_string(simd_batch),
-                         bench::Table::Num(scalar_ns, 4),
-                         bench::Table::Num(simd_ns, 4),
-                         bench::Table::Num(scalar_ns / simd_ns, 3)});
+      AddSpeedupRow(simd_table, report, "simd", spec.ToString(), simd_batch,
+                    scalar_ns, simd_ns);
     }
   }
 
@@ -306,10 +295,9 @@ int main(int argc, char** argv) {
   // probe timings the block records each directory's bytes, and the
   // measured 8-byte/4-byte space ratio next to the analytic model's
   // (nK^2/sc, so (8/4)^2 = 4 exactly at fixed sc) — gated against each
-  // other by check_bench_regression.py's --key-width-space-band.
+  // other by the key_width_space_model gate.
   bench::Table width_table({"spec", "K", "batch", "scalar ns/probe",
                             "batched ns/probe", "speedup", "directory"});
-  std::vector<Row> width_rows;
   double width_space32 = 0, width_space64 = 0;
   {
     std::vector<uint64_t> keys64(keys.begin(), keys.end());
@@ -328,8 +316,8 @@ int main(int argc, char** argv) {
         bench::MinFindBatchSeconds(index32, lookups, width_batch,
                                    options.repeats) /
         static_cast<double>(lookups.size()) * 1e9;
-    width_rows.push_back({spec32.ToString(), width_batch, scalar32,
-                          batched32});
+    AddSpeedupRow(report, "key_width", spec32.ToString(), width_batch,
+                  scalar32, batched32);
     width_table.AddRow({spec32.ToString(), "4", std::to_string(width_batch),
                         bench::Table::Num(scalar32, 4),
                         bench::Table::Num(batched32, 4),
@@ -346,8 +334,8 @@ int main(int argc, char** argv) {
         bench::MinFindBatchSeconds<Key64>(index64, lookups64, width_batch,
                                           options.repeats) /
         static_cast<double>(lookups64.size()) * 1e9;
-    width_rows.push_back({spec64.ToString(), width_batch, scalar64,
-                          batched64});
+    AddSpeedupRow(report, "key_width", spec64.ToString(), width_batch,
+                  scalar64, batched64);
     width_table.AddRow({spec64.ToString(), "8", std::to_string(width_batch),
                         bench::Table::Num(scalar64, 4),
                         bench::Table::Num(batched64, 4),
@@ -366,6 +354,14 @@ int main(int argc, char** argv) {
       analytic::FullCssSpace(params32, params32.SlotsPerNode());
   double width_measured_ratio =
       width_space32 > 0 ? width_space64 / width_space32 : 0.0;
+  // The space-model gate reads the deviation as a row field.
+  report.AddRow("key_width_space")
+      .Set("measured_ratio", width_measured_ratio, 4)
+      .Set("model_ratio", width_model_ratio, 4)
+      .Set("bytes_4", width_space32, 0)
+      .Set("bytes_8", width_space64, 0)
+      .Set("model_deviation",
+           std::abs(width_measured_ratio / width_model_ratio - 1.0), 4);
 
   // Maintenance sweep: full rebuild vs shard-incremental refresh for a
   // localized batch, in refreshed keys per second (the whole index is
@@ -373,7 +369,6 @@ int main(int argc, char** argv) {
   // the maintenance path).
   bench::Table update_table({"spec", "batch keys", "full Mkeys/s",
                              "incremental Mkeys/s", "speedup"});
-  std::vector<Row> update_rows;
   if (update_mode) {
     std::vector<std::string> update_texts{"css:16", "part:16/css:16"};
     std::vector<double> fractions{0.0001, 0.001, 0.01};
@@ -415,7 +410,10 @@ int main(int argc, char** argv) {
         }
         double full_ns = full_best / static_cast<double>(n) * 1e9;
         double incr_ns = incr_best / static_cast<double>(n) * 1e9;
-        update_rows.push_back({spec.ToString(), batch_keys, full_ns, incr_ns});
+        // "scalar" is the full rebuild and "batched" the incremental
+        // refresh, both in ns per live key; "batch" is the batch's keys.
+        AddSpeedupRow(report, "maintenance", spec.ToString(), batch_keys,
+                      full_ns, incr_ns);
         update_table.AddRow(
             {spec.ToString(), std::to_string(batch_keys),
              bench::Table::Num(static_cast<double>(n) / full_best / 1e6),
@@ -452,64 +450,5 @@ int main(int argc, char** argv) {
       "thread-sharded FindBatch scaling, n=" + std::to_string(n) +
       ", hardware threads=" + std::to_string(ThreadPool::HardwareThreads()));
 
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::printf("cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"batch_lookup\",\n  \"n\": %zu,\n"
-               "  \"lookups\": %zu,\n  \"repeats\": %d,\n"
-               "  \"hardware_threads\": %d,\n"
-               "  \"node_search_path\": \"%s\",\n  \"results\": [\n",
-               n, lookups.size(), options.repeats,
-               ThreadPool::HardwareThreads(),
-               NodeSearchPathName(DetectedNodeSearchPath()));
-  EmitRows(json, rows);
-  if (range_mode) {
-    std::fprintf(json, "  ],\n  \"range_probes\": [\n");
-    EmitRows(json, range_rows);
-  }
-  if (part_mode) {
-    std::fprintf(json, "  ],\n  \"partitioned\": [\n");
-    EmitRows(json, part_rows);
-  }
-  // Same row schema — here "scalar" is the scalar-unrolled batched
-  // descent and "batched" the SIMD one, so "speedup" is SIMD-vs-scalar.
-  std::fprintf(json, "  ],\n  \"simd\": [\n");
-  EmitRows(json, simd_rows);
-  // Key-width rows share the probe-row schema (so they join the geomean
-  // gate); the space ratios land in a trailing "key_width_space" object
-  // for the --key-width-space-band model check.
-  std::fprintf(json, "  ],\n  \"key_width\": [\n");
-  EmitRows(json, width_rows);
-  if (update_mode) {
-    // Same row schema as the probe blocks — here "scalar" is the full
-    // rebuild and "batched" the incremental refresh, both in ns per
-    // (live) key, so "speedup" is incremental-vs-full.
-    std::fprintf(json, "  ],\n  \"maintenance\": [\n");
-    EmitRows(json, update_rows);
-  }
-  std::fprintf(json, "  ],\n  \"thread_scaling\": [\n");
-  for (size_t i = 0; i < scaling_rows.size(); ++i) {
-    const ScalingRow& r = scaling_rows[i];
-    std::fprintf(
-        json,
-        "    {\"spec\": \"%s\", \"threads\": %d, \"batch\": %zu, "
-        "\"ns_per_probe\": %.3f, \"mprobes_per_sec\": %.3f, "
-        "\"mprobes_per_sec_per_thread\": %.3f, \"scaling_vs_t1\": %.3f}%s\n",
-        r.spec.c_str(), r.threads, r.batch, r.timing.NsPerProbe(),
-        r.timing.AggregateMProbesPerSec(),
-        r.timing.PerThreadMProbesPerSec(), r.scaling,
-        i + 1 < scaling_rows.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n  \"key_width_space\": {\"measured_ratio\": %.4f, "
-               "\"model_ratio\": %.4f, \"bytes_4\": %.0f, \"bytes_8\": "
-               "%.0f}\n}\n",
-               width_measured_ratio, width_model_ratio, width_space32,
-               width_space64);
-  std::fclose(json);
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return 0;
+  return report.Write(json_path) ? 0 : 1;
 }

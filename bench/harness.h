@@ -2,9 +2,12 @@
 #define CSSIDX_BENCH_HARNESS_H_
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/any_index.h"
@@ -190,6 +193,53 @@ class Table {
  private:
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+/// A gated bench's machine-readable output, the one JSON schema that
+/// tools/check_bench_regression.py reads: a header of scalar fields, then
+/// named blocks of flat rows. The constructor writes the header fields
+/// every bench shares (bench, n, hardware_threads, node_search_path). The
+/// gates select rows by block and field name only, so a value a gate needs
+/// must be a row field (see tools/bench_gates.json).
+class Report {
+ public:
+  /// One flat JSON object; fields are written in the order they are set.
+  class Fields {
+   public:
+    Fields& Set(std::string_view name, std::string_view value);
+    Fields& Set(std::string_view name, const char* value) {
+      return Set(name, std::string_view(value));
+    }
+    Fields& Set(std::string_view name, bool value);
+    /// Fixed point with `decimals` digits; NaN and infinity become null.
+    Fields& Set(std::string_view name, double value, int decimals = 3);
+    template <std::integral T>
+      requires(!std::same_as<T, bool>)
+    Fields& Set(std::string_view name, T value) {
+      return SetJson(name, std::to_string(value));
+    }
+
+   private:
+    friend class Report;
+    Fields& SetJson(std::string_view name, std::string_view json);
+    std::vector<std::string> fields_;  // each `"name": value`
+  };
+
+  Report(std::string_view bench, size_t n);
+
+  Fields& header() { return header_; }
+  /// Appends an empty row to `block`. Blocks are written in the order of
+  /// their first row. The reference is valid until the next AddRow.
+  Fields& AddRow(std::string_view block);
+
+  std::string Json() const;
+  /// Writes Json() to `path` and prints "wrote PATH"; prints "cannot
+  /// write PATH" and returns false when the file cannot be written.
+  bool Write(const std::string& path) const;
+
+ private:
+  Fields header_;
+  std::vector<std::pair<std::string, std::vector<Fields>>> blocks_;
 };
 
 /// Prints the standard bench header (what figure, what parameters).

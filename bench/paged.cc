@@ -7,10 +7,11 @@
 // while probe throughput stays flat because the directory and sorted
 // lists are RAM-resident no matter how small the pool was.
 //
-// The JSON's "paged" block is gated by tools/check_bench_regression.py on
-// build_slowdown_vs_inram — a within-run ratio (paged build over flat
-// in-RAM build of the SAME data on the SAME machine), so the gate
-// transfers across hardware.
+// The JSON's "paged" block is gated (tools/bench_gates.json) on
+// build_slowdown_vs_inram (paged_build_slowdown) — a within-run ratio
+// (paged build over flat in-RAM build of the SAME data on the SAME
+// machine), so the gate transfers across hardware — and on at least one
+// external row having merged more than one run (paged_external_merge).
 //
 //   $ ./bench_paged [--n=1000000] [--page-bytes=65536] [--spec=css:16]
 //                   [--lookups=200000] [--repeats=3] [--quick]
@@ -27,24 +28,7 @@
 #include "util/rng.h"
 #include "util/timer.h"
 
-namespace {
-
 using namespace cssidx;
-
-struct SweepRow {
-  size_t buffer_pages = 0;
-  double budget_fraction = 0;  // of the column's pages; 0 = unbounded
-  bool external = false;
-  size_t runs = 0;
-  double build_seconds = 0;
-  double build_slowdown = 0;
-  double probe_mkeys = 0;
-  size_t faults = 0;
-  size_t spill_reads = 0;
-  size_t spill_writes = 0;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   auto options = bench::Options::Parse(argc, argv);
@@ -55,7 +39,12 @@ int main(int argc, char** argv) {
       static_cast<size_t>(args.GetInt("page-bytes", 1 << 16));
   const std::string spec_text = args.GetString("spec", "css:16");
   const std::string json_path = args.GetString("json", "BENCH_paged.json");
-  const IndexSpec spec = *IndexSpec::Parse(spec_text);
+  const auto parsed = IndexSpec::Parse(spec_text);
+  if (!parsed) {
+    std::printf("bad --spec: %s\n", IndexSpec::GrammarHelp());
+    return 1;
+  }
+  const IndexSpec& spec = *parsed;
 
   Pcg32 rng(options.seed);
   std::vector<uint32_t> data(n);
@@ -89,7 +78,19 @@ int main(int argc, char** argv) {
       budgets.push_back(b);
     }
   }
-  std::vector<SweepRow> rows;
+  const double inram_probe_mkeys =
+      static_cast<double>(lookups.size()) / inram_probe / 1e6;
+  bench::Report report("paged", n);
+  report.header()
+      .Set("page_bytes", page_bytes)
+      .Set("column_pages", column_pages)
+      .Set("spec", spec_text)
+      .Set("lookups", lookups.size())
+      .Set("inram_build_seconds", inram_build, 6)
+      .Set("inram_probe_mkeys_per_sec", inram_probe_mkeys);
+  bench::Table table({"buffer_pages", "fraction", "external", "runs",
+                      "build s", "slowdown", "probe Mk/s", "faults",
+                      "spill_rd", "spill_wr"});
   for (size_t budget : budgets) {
     engine::TableOptions topts;
     topts.page_bytes = page_bytes;
@@ -97,85 +98,53 @@ int main(int argc, char** argv) {
     engine::Table paged(topts);
     paged.AddColumn("k", data);
 
-    SweepRow row;
-    row.buffer_pages = budget;
-    row.budget_fraction =
+    // Fraction of the column's pages the pool holds; 0 = unbounded.
+    const double budget_fraction =
         budget == 0 ? 0.0
                     : static_cast<double>(budget) /
                           static_cast<double>(column_pages);
     const store::BufferStats before = paged.PoolStats();
-    row.build_seconds = 1e300;
+    double build_seconds = 1e300;
     for (int r = 0; r < options.repeats; ++r) {
       Timer timer;
       paged.BuildSortIndex("k", spec);
-      row.build_seconds = std::min(row.build_seconds, timer.Seconds());
+      build_seconds = std::min(build_seconds, timer.Seconds());
     }
     const store::BufferStats after = paged.PoolStats();
     const engine::SortIndex& index = paged.GetSortIndex("k");
-    row.external = index.external_build();
-    row.runs = index.external_runs();
-    row.build_slowdown = row.build_seconds / inram_build;
-    row.faults = after.faults - before.faults;
-    row.spill_reads = after.spill_reads - before.spill_reads;
-    row.spill_writes = after.spill_writes - before.spill_writes;
+    const double build_slowdown = build_seconds / inram_build;
+    const size_t faults = after.faults - before.faults;
+    const size_t spill_reads = after.spill_reads - before.spill_reads;
+    const size_t spill_writes = after.spill_writes - before.spill_writes;
     const double probe_sec =
         bench::MinFindBatchSeconds(index, lookups, 256, options.repeats);
-    row.probe_mkeys =
+    const double probe_mkeys =
         static_cast<double>(lookups.size()) / probe_sec / 1e6;
-    rows.push_back(row);
-  }
 
-  bench::Table table({"buffer_pages", "fraction", "external", "runs",
-                      "build s", "slowdown", "probe Mk/s", "faults",
-                      "spill_rd", "spill_wr"});
-  for (const SweepRow& r : rows) {
-    table.AddRow({r.buffer_pages == 0 ? "unbounded"
-                                      : std::to_string(r.buffer_pages),
-                  bench::Table::Num(r.budget_fraction, 3),
-                  r.external ? "yes" : "no", std::to_string(r.runs),
-                  bench::Table::Num(r.build_seconds, 4),
-                  bench::Table::Num(r.build_slowdown, 2),
-                  bench::Table::Num(r.probe_mkeys, 2),
-                  std::to_string(r.faults), std::to_string(r.spill_reads),
-                  std::to_string(r.spill_writes)});
+    table.AddRow({budget == 0 ? "unbounded" : std::to_string(budget),
+                  bench::Table::Num(budget_fraction, 3),
+                  index.external_build() ? "yes" : "no",
+                  std::to_string(index.external_runs()),
+                  bench::Table::Num(build_seconds, 4),
+                  bench::Table::Num(build_slowdown, 2),
+                  bench::Table::Num(probe_mkeys, 2), std::to_string(faults),
+                  std::to_string(spill_reads), std::to_string(spill_writes)});
+    report.AddRow("paged")
+        .Set("buffer_pages", budget)
+        .Set("budget_fraction", budget_fraction, 4)
+        .Set("external", index.external_build())
+        .Set("runs", index.external_runs())
+        .Set("build_seconds", build_seconds, 6)
+        .Set("build_slowdown_vs_inram", build_slowdown)
+        .Set("probe_mkeys_per_sec", probe_mkeys)
+        .Set("faults", faults)
+        .Set("spill_reads", spill_reads)
+        .Set("spill_writes", spill_writes);
   }
   table.Print("paged build + probe, n=" + std::to_string(n) + ", spec=" +
               spec_text + ", page_bytes=" + std::to_string(page_bytes) +
               ", inram_build=" + bench::Table::Num(inram_build, 4) + "s" +
-              ", inram_probe=" +
-              bench::Table::Num(
-                  static_cast<double>(lookups.size()) / inram_probe / 1e6,
-                  2) +
+              ", inram_probe=" + bench::Table::Num(inram_probe_mkeys, 2) +
               " Mk/s");
-
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::printf("cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"paged\",\n  \"n\": %zu,\n"
-               "  \"page_bytes\": %zu,\n  \"column_pages\": %zu,\n"
-               "  \"spec\": \"%s\",\n  \"lookups\": %zu,\n"
-               "  \"inram_build_seconds\": %.6f,\n"
-               "  \"inram_probe_mkeys_per_sec\": %.3f,\n  \"paged\": [\n",
-               n, page_bytes, column_pages, spec_text.c_str(),
-               lookups.size(), inram_build,
-               static_cast<double>(lookups.size()) / inram_probe / 1e6);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    std::fprintf(
-        json,
-        "    {\"buffer_pages\": %zu, \"budget_fraction\": %.4f, "
-        "\"external\": %s, \"runs\": %zu, \"build_seconds\": %.6f, "
-        "\"build_slowdown_vs_inram\": %.3f, \"probe_mkeys_per_sec\": %.3f, "
-        "\"faults\": %zu, \"spill_reads\": %zu, \"spill_writes\": %zu}%s\n",
-        r.buffer_pages, r.budget_fraction, r.external ? "true" : "false",
-        r.runs, r.build_seconds, r.build_slowdown, r.probe_mkeys, r.faults,
-        r.spill_reads, r.spill_writes, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return 0;
+  return report.Write(json_path) ? 0 : 1;
 }

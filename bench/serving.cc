@@ -12,11 +12,11 @@
 //
 // Reported per scenario: reader throughput (Mprobes/s), per-statement
 // p50/p99 latency, and the writer-side coalescing counters. The JSON's
-// "serving" block is gated by tools/check_bench_regression.py on
-// COALESCING EFFICIENCY (groups_published / enqueued_batches under
+// "serving" block is gated (tools/bench_gates.json) on COALESCING
+// EFFICIENCY (serving_coalesce: groups_published / enqueued_batches under
 // pressure), not absolute throughput — the machine-transferable
-// invariant (hardware_threads is recorded so a future multi-core gate
-// can condition on it).
+// invariant — and on conservation: every row reports its lost or phantom
+// batches and its publishes beyond the batches applied, both gated to 0.
 //
 //   $ ./bench_serving [--n=2000000] [--readers=2] [--find-batch=256]
 //                     [--update-keys=256] [--duration-ms=500]
@@ -62,6 +62,16 @@ struct ScenarioResult {
                : static_cast<double>(writer.groups_published) /
                      static_cast<double>(queue.enqueued_batches);
   }
+  /// Accepted batches never applied, or applied batches never accepted.
+  uint64_t LostOrPhantomBatches() const {
+    return std::max(queue.enqueued_batches, writer.batches_applied) -
+           std::min(queue.enqueued_batches, writer.batches_applied);
+  }
+  /// A coalesced group publishes one version, so this must stay 0.
+  uint64_t PublishesBeyondApplied() const {
+    return writer.groups_published -
+           std::min(writer.groups_published, writer.batches_applied);
+  }
 };
 
 double Percentile(std::vector<double>& sorted_us, double p) {
@@ -70,10 +80,9 @@ double Percentile(std::vector<double>& sorted_us, double p) {
   return sorted_us[std::min(i, sorted_us.size() - 1)];
 }
 
-ScenarioResult RunScenario(const std::string& scenario,
-                           const std::string& spec_text, size_t n,
-                           int readers, size_t find_batch, size_t update_keys,
-                           int duration_ms, uint64_t seed) {
+ScenarioResult RunScenario(const std::string& scenario, const IndexSpec& spec,
+                           size_t n, int readers, size_t find_batch,
+                           size_t update_keys, int duration_ms, uint64_t seed) {
   const bool writes = scenario != "read_only";
   const bool pressure = scenario == "pressure";
 
@@ -85,7 +94,7 @@ ScenarioResult RunScenario(const std::string& scenario,
   const uint32_t domain = static_cast<uint32_t>(2 * n);
   std::vector<uint32_t> initial(n);
   for (auto& k : initial) k = seed_rng.Below(domain);
-  server.CreateTable("t", std::move(initial), *IndexSpec::Parse(spec_text));
+  server.CreateTable("t", std::move(initial), spec);
   server.Start();
 
   // Pregenerated probe pool (~50% hits), shared read-only by readers.
@@ -156,7 +165,7 @@ ScenarioResult RunScenario(const std::string& scenario,
   ScenarioResult result;
   result.scenario = scenario;
   result.pressure = pressure;
-  result.spec = spec_text;
+  result.spec = spec.ToString();
   result.readers = readers;
   result.seconds = seconds;
   std::vector<double> all_latencies;
@@ -188,6 +197,11 @@ int main(int argc, char** argv) {
       static_cast<int>(args.GetInt("duration-ms", options.quick ? 250 : 500));
   std::string spec_text = args.GetString("spec", "css:16");
   std::string json_path = args.GetString("json", "BENCH_serving.json");
+  auto spec = IndexSpec::Parse(spec_text);
+  if (!spec) {
+    std::printf("bad --spec: %s\n", IndexSpec::GrammarHelp());
+    return 1;
+  }
 
   bench::PrintHeader(
       "serving",
@@ -197,7 +211,7 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioResult> results;
   for (const char* scenario : {"read_only", "mixed", "pressure"}) {
-    results.push_back(RunScenario(scenario, spec_text, n, readers, find_batch,
+    results.push_back(RunScenario(scenario, *spec, n, readers, find_batch,
                                   update_keys, duration_ms, options.seed));
   }
 
@@ -218,41 +232,31 @@ int main(int argc, char** argv) {
               ", hardware threads=" +
               std::to_string(ThreadPool::HardwareThreads()));
 
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::printf("cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::Report report("serving", n);
+  report.header()
+      .Set("readers", readers)
+      .Set("find_batch", find_batch)
+      .Set("update_keys", update_keys)
+      .Set("duration_ms", duration_ms);
+  for (const ScenarioResult& r : results) {
+    report.AddRow("serving")
+        .Set("scenario", r.scenario)
+        .Set("pressure", r.pressure)
+        .Set("spec", r.spec)
+        .Set("readers", r.readers)
+        .Set("statements", r.statements)
+        .Set("probes", r.probes)
+        .Set("mprobes_per_sec", r.MProbesPerSec())
+        .Set("p50_us", r.p50_us, 1)
+        .Set("p99_us", r.p99_us, 1)
+        .Set("enqueued_batches", r.queue.enqueued_batches)
+        .Set("batches_applied", r.writer.batches_applied)
+        .Set("groups_published", r.writer.groups_published)
+        .Set("coalesce_ratio", r.CoalesceRatio(), 4)
+        .Set("queue_high_water", r.queue.depth_high_water)
+        .Set("rejected_batches", r.queue.rejected_batches)
+        .Set("lost_or_phantom_batches", r.LostOrPhantomBatches())
+        .Set("publishes_beyond_applied", r.PublishesBeyondApplied());
   }
-  std::fprintf(json,
-               "{\n  \"bench\": \"serving\",\n  \"n\": %zu,\n"
-               "  \"readers\": %d,\n  \"find_batch\": %zu,\n"
-               "  \"update_keys\": %zu,\n  \"duration_ms\": %d,\n"
-               "  \"hardware_threads\": %d,\n  \"serving\": [\n",
-               n, readers, find_batch, update_keys, duration_ms,
-               ThreadPool::HardwareThreads());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    std::fprintf(
-        json,
-        "    {\"scenario\": \"%s\", \"pressure\": %s, \"spec\": \"%s\", "
-        "\"readers\": %d, \"statements\": %llu, \"probes\": %llu, "
-        "\"mprobes_per_sec\": %.3f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
-        "\"enqueued_batches\": %llu, \"batches_applied\": %llu, "
-        "\"groups_published\": %llu, \"coalesce_ratio\": %.4f, "
-        "\"queue_high_water\": %zu, \"rejected_batches\": %llu}%s\n",
-        r.scenario.c_str(), r.pressure ? "true" : "false", r.spec.c_str(),
-        r.readers, static_cast<unsigned long long>(r.statements),
-        static_cast<unsigned long long>(r.probes), r.MProbesPerSec(),
-        r.p50_us, r.p99_us,
-        static_cast<unsigned long long>(r.queue.enqueued_batches),
-        static_cast<unsigned long long>(r.writer.batches_applied),
-        static_cast<unsigned long long>(r.writer.groups_published),
-        r.CoalesceRatio(), r.queue.depth_high_water,
-        static_cast<unsigned long long>(r.queue.rejected_batches),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return 0;
+  return report.Write(json_path) ? 0 : 1;
 }

@@ -1,9 +1,11 @@
 // The bench harness is part of the reproduction deliverable (it defines
 // the measurement protocol), so its pieces get the same test treatment:
-// option parsing, the min-of-repeats timer contract, and table rendering.
+// option parsing, the min-of-repeats timer contract, table rendering, and
+// the JSON report the bench gates read.
 
 #include "../bench/harness.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,34 @@ TEST(Harness, TablePrintsHumanAndCsvBlocks) {
   EXPECT_NE(out.find("csv,a,b"), std::string::npos);
   EXPECT_NE(out.find("csv,1,x"), std::string::npos);
   EXPECT_NE(out.find("csv,2,y"), std::string::npos);
+}
+
+TEST(Harness, ReportWritesHeaderThenBlocksOfRows) {
+  Report report("demo", 42);
+  report.header().Set("spec", "css:16");
+  report.AddRow("rows").Set("a", 1).Set("ok", true).Set("x", 0.5, 2);
+  report.AddRow("other").Set("s", "q\"uo\\te\n");
+  report.AddRow("rows").Set("a", uint64_t{2}).Set(
+      "x", std::numeric_limits<double>::infinity());
+  const std::string json = report.Json();
+  EXPECT_EQ(json.find("{\n  \"bench\": \"demo\",\n  \"n\": 42,\n"), 0u);
+  EXPECT_NE(json.find("\"hardware_threads\": "), std::string::npos);
+  EXPECT_NE(json.find("\"node_search_path\": \""), std::string::npos);
+  EXPECT_NE(json.find("\"spec\": \"css:16\",\n  \"rows\": [\n"
+                      "    {\"a\": 1, \"ok\": true, \"x\": 0.50},\n"
+                      "    {\"a\": 2, \"x\": null}\n  ],\n"
+                      "  \"other\": [\n"
+                      "    {\"s\": \"q\\\"uo\\\\te\\u000a\"}\n  ]\n}\n"),
+            std::string::npos)
+      << json;
+}
+
+TEST(Harness, ReportWriteFailsOnUnwritablePath) {
+  Report report("demo", 1);
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(report.Write("/nonexistent-dir/report.json"));
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("cannot write"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,99 +1,27 @@
 #!/usr/bin/env python3
-"""Gate batch-probe throughput against the checked-in bench baseline.
-
-Compares two bench_batch_lookup JSON files row by row — the point-probe
-"results" block, the range-probe "range_probes" block (when a file was
-recorded with --range), the range-partitioned "partitioned" block
-(recorded with --part), and the batch-maintenance "maintenance" block
-(recorded with --update) — keyed by (block, spec, batch, threads), and
-fails (exit 1) when throughput regressed by more than --tolerance
-(default 25%). All blocks feed the same geomean: the range rows gate the
-EqualRangeBatch kernels, the partitioned rows gate the fence-routing
-composite, and the maintenance rows gate shard-incremental refresh
-(their "speedup" is incremental-vs-full-rebuild) under the same rule as
-the point rows.
-
-Maintenance rows additionally carry an absolute floor:
---min-update-speedup (default 0 = off) fails the gate when any CURRENT
-partitioned maintenance row's incremental-vs-full speedup falls below
-the floor — the shard-incremental path must actually beat rebuilding
-from scratch, on this machine, not merely match a baseline ratio. A set
-floor with no part:* maintenance rows to check also fails, so the
-guarantee cannot be disabled by accidentally dropping --update.
-
-SIMD rows ("simd" block: SIMD-vs-scalar-unrolled batched descents at
-identical probe plans) join the same geomean, and carry their own
-absolute floor: --min-simd-speedup (default 0 = off) fails the gate
-when any CURRENT css:* simd row's speedup falls below the floor — the
-vector kernels must actually beat the scalar unrolled search on this
-machine. The floor only binds when the recording process dispatched a
-SIMD path (the JSON's "node_search_path" is not "scalar"): a forced-
-scalar or non-x86 run measures scalar-vs-scalar, where ~1.0 is correct.
-A set floor with no css:* simd rows in a SIMD-dispatching run fails,
-mirroring --min-update-speedup.
-
-Key-width space gate (independent of the baseline file): the bench's
-"key_width_space" object records the measured 8-byte/4-byte full-CSS
-directory ratio at a fixed 64-byte node next to the §5.2 analytic
-model's (nK²/sc, so (8/4)² = 4 up to directory rounding).
---key-width-space-band (0 = off) fails the gate when CURRENT's measured
-ratio strays from the model ratio by more than the given fraction —
-the wide build must pay exactly the K²-predicted space, no more (a
-padding or layout bug) and no less (a truncated directory). A set band
-with no key_width_space object fails, mirroring the other floors.
-
-Serving-layer gate (independent of the baseline file): --serving-json
-points at a bench_serving JSON and --max-coalesce-ratio (0 = off) caps
-groups_published / enqueued_batches for every pressure row — under
-writer pressure the coalescing path must apply measurably fewer rebuilds
-than batches were enqueued. The invariant is a within-run ratio, so it
-transfers off the 1-core dev container (hardware_threads is recorded in
-the JSON for the day a gate wants to condition on it). Every serving row
-is additionally checked for lost updates (batches_applied must equal
-enqueued_batches — the queue accepted nothing it did not apply — and
-groups_published can never exceed batches_applied). A set cap with no
-pressure rows to check fails, mirroring --min-update-speedup.
-
-Advisor gate (independent of the baseline file): --advisor-json points at
-a bench_advisor JSON and --min-advisor-ratio (0 = off) sets a floor on
-best_static/picked throughput for every workload-mix row — the
-self-tuning advisor's pick must deliver at least the given fraction of
-the best static spec's throughput on every mix (1.0 = always ties the
-menu, 0.8 = within 25% slower). The ratio is measured within one run on
-one machine, so the gate transfers across runner hardware. A set floor
-with no advisor rows fails, mirroring --min-update-speedup.
-
-Paged-build gate (independent of the baseline file): --paged-json points
-at a bench_paged JSON and --max-paged-build-slowdown (0 = off) caps
-build_slowdown_vs_inram for every row of the buffer-budget sweep — an
-out-of-core index build may cost more than the flat in-RAM stable_sort,
-but only by a bounded factor, at ANY budget. The slowdown is a
-within-run ratio (both builds ran on the same machine over the same
-data), so the gate transfers across hardware. The sweep must contain at
-least one row that actually took the external path (external = true with
-runs > 1); a set cap with no paged rows, or none external, fails —
-mirroring --min-update-speedup.
-
-Two metrics:
-
-  speedup     (default) gate on each row's batched-vs-scalar speedup —
-              the ratio is measured within one run on one machine, so it
-              transfers across hardware. This is what CI uses: the
-              checked-in baseline and the CI runner are different
-              machines, and absolute ns/probe does not transfer.
-  batched_ns  gate on absolute batched throughput (1 / ns-per-probe).
-              Only meaningful when baseline and current ran on the same
-              hardware (e.g. a perf box tracking its own trajectory).
-
-The gate is the geometric mean over all common rows: a single noisy row
-should not fail CI, a broad slowdown should. Per-row ratios are printed
-so a localized regression is still visible in the log even when the
-geomean passes.
+"""Evaluate the bench gates of a gates file against bench JSON reports.
 
 Usage:
-  check_bench_regression.py BASELINE.json CURRENT.json \
-      [--metric speedup|batched_ns] [--tolerance 0.25] \
-      [--serving-json SERVING.json] [--max-coalesce-ratio 0.9]
+  check_bench_regression.py GATES.json BASELINE.json CURRENT.json...
+
+Every report names its bench in its "bench" header field (the one schema
+bench/harness.h's Report writes). Each gate has a "name", the "bench" it
+reads, a "why" printed when it fails, and one of two shapes:
+
+  row bound  Every selected row of the CURRENT report's "block" holds a
+             number in "field" within "min" and/or "max". "where" keeps
+             rows whose fields equal the given values, "prefix" rows whose
+             fields start with the given text; "skip_if" skips the gate
+             when the report's header fields equal the given values.
+  geomean    "geomean_vs_baseline" names a field; its CURRENT/BASELINE
+             ratio over the rows of "blocks" present in both, keyed by
+             (block, spec, batch, threads), has a geometric mean of at
+             least "min". A single noisy row does not fail it, a broad
+             slowdown does; per-row ratios are printed.
+
+A gate that checks no row fails, and so does a checked row whose gated
+field is missing or not a number, so a renamed block, spec or field cannot
+switch a gate off. Exits 1 when any gate failed.
 """
 
 import argparse
@@ -102,357 +30,131 @@ import math
 import sys
 
 
-def load_rows(path):
+def load(path):
     with open(path) as f:
-        doc = json.load(f)
-    rows = {}
-    for block in ("results", "range_probes", "partitioned", "simd",
-                  "maintenance", "key_width"):
-        for row in doc.get(block, []):
-            key = (block, row["spec"], row["batch"], row.get("threads", 1))
-            rows[key] = row
-    return doc, rows
+        return json.load(f)
 
 
-def row_metric(row, metric):
-    if metric == "speedup":
-        return row.get("speedup")
-    # Throughput, so that "ratio < 1" always means "got slower".
-    ns = row.get("batched_ns_per_probe")
-    return None if not ns else 1e3 / ns
+def is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def check_serving(path, max_coalesce_ratio):
-    """Returns True when the serving gate FAILED."""
-    with open(path) as f:
-        doc = json.load(f)
-    rows = doc.get("serving", [])
-    failed = False
-    pressure_checked = 0
-    for row in rows:
-        label = f"{row.get('scenario', '?')}/{row.get('spec', '?')}"
-        enqueued = row.get("enqueued_batches", 0)
-        applied = row.get("batches_applied", 0)
-        published = row.get("groups_published", 0)
-        # Conservation: everything accepted was applied, and a coalesced
-        # application can never publish more versions than batches it ate.
-        if applied != enqueued:
-            print(f"FAIL: serving {label}: applied {applied} batches but "
-                  f"enqueued {enqueued} (lost or phantom updates)")
-            failed = True
-        if published > applied:
-            print(f"FAIL: serving {label}: published {published} versions "
-                  f"from {applied} batches")
-            failed = True
-        if not row.get("pressure"):
+def rows_of(doc, block):
+    rows = doc.get(block, [])
+    if not isinstance(rows, list):
+        return []
+    return [row for row in rows if isinstance(row, dict)]
+
+
+def select(doc, gate):
+    """(label, row) for each row of the gate's block that its filters keep."""
+    block = gate["block"]
+    for i, row in enumerate(rows_of(doc, block)):
+        if (all(row.get(k) == v for k, v in gate.get("where", {}).items()) and
+                all(str(row.get(k, "")).startswith(p)
+                    for k, p in gate.get("prefix", {}).items())):
+            ident = [f"{k}={row[k]}" for k in ("spec", "scenario", "mix",
+                                               "batch", "buffer_pages")
+                     if k in row]
+            yield " ".join([f"{block}[{i}]"] + ident), row
+
+
+def check_bound(gate, doc):
+    """Failure messages of a row-bound gate."""
+    skip = gate.get("skip_if", {})
+    if skip and all(doc.get(k) == v for k, v in skip.items()):
+        print(f"  skipped: report header matches {skip}")
+        return []
+    field = gate["field"]
+    low, high = gate.get("min", -math.inf), gate.get("max", math.inf)
+    bound = " ".join(f"{k} {gate[k]}" for k in ("min", "max") if k in gate)
+    fails = []
+    checked = 0
+    for label, row in select(doc, gate):
+        checked += 1
+        value = row.get(field)
+        if not is_number(value):
+            fails.append(f"{label}: {field} is {value!r}, not a number")
+        elif not low <= value <= high:
+            fails.append(f"{label}: {field}={value} outside {bound}")
+        else:
+            print(f"  {label}: {field}={value} ({bound})")
+    if checked == 0:
+        fails.append(f"no {gate['block']} row to check")
+    return fails
+
+
+def keyed_rows(doc, blocks):
+    return {(b, r.get("spec"), r.get("batch"), r.get("threads", 1)): r
+            for b in blocks for r in rows_of(doc, b)}
+
+
+def check_geomean(gate, doc, base):
+    """Failure messages of a baseline-ratio geomean gate."""
+    field, floor = gate["geomean_vs_baseline"], gate["min"]
+    cur_rows, base_rows = keyed_rows(doc, gate["blocks"]), keyed_rows(
+        base, gate["blocks"])
+    fails, logs = [], []
+    for key in sorted(set(cur_rows) & set(base_rows), key=str):
+        old, new = base_rows[key].get(field), cur_rows[key].get(field)
+        if not (is_number(old) and is_number(new) and old > 0 and new > 0):
+            fails.append(f"{key}: {field} {old!r} -> {new!r} is not a "
+                         "positive number")
             continue
-        pressure_checked += 1
-        ratio = (published / enqueued) if enqueued else 0.0
-        print(f"serving coalesce: {label:<24} enqueued={enqueued:>6} "
-              f"published={published:>6} ratio={ratio:.4f} "
-              f"(cap {max_coalesce_ratio:.2f})")
-        if enqueued == 0:
-            print(f"FAIL: serving {label}: pressure scenario enqueued "
-                  f"nothing — no pressure was generated")
-            failed = True
-        elif ratio > max_coalesce_ratio:
-            print(f"FAIL: serving {label}: coalescing applied {published} "
-                  f"rebuilds for {enqueued} enqueued batches "
-                  f"(ratio {ratio:.3f} > cap {max_coalesce_ratio:.2f})")
-            failed = True
-    if pressure_checked == 0:
-        print("FAIL: --max-coalesce-ratio set but the serving JSON has no "
-              "pressure rows (bench_serving not run, or scenarios changed?)")
-        failed = True
-    return failed
-
-
-def check_advisor(path, min_ratio):
-    """Returns True when the advisor gate FAILED."""
-    with open(path) as f:
-        doc = json.load(f)
-    rows = doc.get("advisor", [])
-    failed = False
-    for row in rows:
-        mix = row.get("mix", "?")
-        picked = row.get("picked_spec", "?")
-        best = row.get("best_static_spec", "?")
-        ratio = row.get("ratio")
-        print(f"advisor: {mix:<18} picked={picked:<16} best={best:<16} "
-              f"ratio={ratio:.3f} (floor {min_ratio:.2f})")
-        if ratio is None or ratio < min_ratio:
-            print(f"FAIL: advisor pick {picked} on {mix} delivers only "
-                  f"{ratio:.2f}x the best static spec {best} "
-                  f"(floor {min_ratio:.2f}x)")
-            failed = True
-    if not rows:
-        print("FAIL: --min-advisor-ratio set but the advisor JSON has no "
-              "advisor rows (bench_advisor not run, or schema changed?)")
-        failed = True
-    return failed
-
-
-def check_paged(path, max_slowdown):
-    """Returns True when the paged-build gate FAILED."""
-    with open(path) as f:
-        doc = json.load(f)
-    rows = doc.get("paged", [])
-    failed = False
-    external_seen = 0
-    for row in rows:
-        pages = row.get("buffer_pages", 0)
-        label = "unbounded" if pages == 0 else f"{pages} pages"
-        slowdown = row.get("build_slowdown_vs_inram")
-        external = row.get("external", False)
-        runs = row.get("runs", 0)
-        print(f"paged build: {label:<12} external={str(external):<5} "
-              f"runs={runs:>4} slowdown={slowdown:.3f} "
-              f"(cap {max_slowdown:.2f})")
-        if slowdown is None or slowdown > max_slowdown:
-            print(f"FAIL: paged build at {label}: {slowdown:.2f}x the "
-                  f"in-RAM build (cap {max_slowdown:.2f}x)")
-            failed = True
-        if external:
-            external_seen += 1
-            if runs <= 1:
-                print(f"FAIL: paged build at {label}: external build "
-                      f"reported {runs} run(s) — the merge never happened")
-                failed = True
-    if not rows:
-        print("FAIL: --max-paged-build-slowdown set but the paged JSON has "
-              "no paged rows (bench_paged not run, or schema changed?)")
-        failed = True
-    elif external_seen == 0:
-        print("FAIL: no sweep row took the external build path — budgets "
-              "all exceed the column, so the out-of-core path went untested")
-        failed = True
-    return failed
+        logs.append(math.log(new / old))
+        flag = "  <-- below min" if new / old < floor else ""
+        print(f"  {key[0]:<13} {key[1]:<16} {key[2]:>6} {key[3]:>3} "
+              f"{old:>9.3f} {new:>9.3f} {new / old:>7.3f}{flag}")
+    if not logs:
+        fails.append("no row common to BASELINE and CURRENT")
+    else:
+        geomean = math.exp(sum(logs) / len(logs))
+        print(f"  {field} geomean ratio over {len(logs)} rows: "
+              f"{geomean:.3f} (min {floor})")
+        if geomean < floor:
+            fails.append(f"geomean {field} ratio {geomean:.3f} < min {floor}")
+    return fails
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("gates")
     parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--metric", choices=["speedup", "batched_ns"],
-                        default="speedup")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional regression (0.25 = 25%%)")
-    parser.add_argument("--min-update-speedup", type=float, default=0.0,
-                        help="absolute floor on incremental-vs-full speedup "
-                             "for part:* maintenance rows in CURRENT "
-                             "(0 = off)")
-    parser.add_argument("--min-simd-speedup", type=float, default=0.0,
-                        help="absolute floor on SIMD-vs-scalar-unrolled "
-                             "speedup for css:* simd rows in CURRENT; only "
-                             "binds when CURRENT dispatched a SIMD path "
-                             "(0 = off)")
-    parser.add_argument("--key-width-space-band", type=float, default=0.0,
-                        help="allowed fractional deviation of CURRENT's "
-                             "measured 8B/4B space ratio from the analytic "
-                             "model ratio (key_width_space block; 0 = off)")
-    parser.add_argument("--serving-json", default=None,
-                        help="bench_serving JSON to gate on coalescing "
-                             "efficiency (requires --max-coalesce-ratio)")
-    parser.add_argument("--max-coalesce-ratio", type=float, default=0.0,
-                        help="cap on groups_published/enqueued_batches for "
-                             "pressure rows in --serving-json (0 = off)")
-    parser.add_argument("--advisor-json", default=None,
-                        help="bench_advisor JSON to gate on adaptive-vs-"
-                             "static throughput (requires "
-                             "--min-advisor-ratio)")
-    parser.add_argument("--min-advisor-ratio", type=float, default=0.0,
-                        help="floor on best_static/picked throughput for "
-                             "every mix row in --advisor-json (0 = off)")
-    parser.add_argument("--paged-json", default=None,
-                        help="bench_paged JSON to gate on out-of-core build "
-                             "cost (requires --max-paged-build-slowdown)")
-    parser.add_argument("--max-paged-build-slowdown", type=float, default=0.0,
-                        help="cap on build_slowdown_vs_inram for every row "
-                             "in --paged-json's budget sweep (0 = off)")
+    parser.add_argument("current", nargs="+")
     args = parser.parse_args()
+    gates = load(args.gates)["gates"]
+    base = load(args.baseline)
+    reports = {}
+    for path in args.current:
+        doc = load(path)
+        if doc.get("bench") in reports or not doc.get("bench"):
+            parser.error(f"{path}: missing or repeated bench name")
+        reports[doc["bench"]] = doc
 
-    # Serving gate: a within-run efficiency invariant, checked against the
-    # CURRENT machine's bench_serving output, not the baseline.
-    serving_failed = False
-    if args.max_coalesce_ratio > 0:
-        if not args.serving_json:
-            print("FAIL: --max-coalesce-ratio set without --serving-json")
-            serving_failed = True
+    failed = []
+    for gate in gates:
+        print(f"{gate['name']} [{gate['bench']}]")
+        doc = reports.get(gate["bench"])
+        if doc is None:
+            fails = [f"no CURRENT report for bench {gate['bench']}"]
+        elif "geomean_vs_baseline" not in gate:
+            fails = check_bound(gate, doc)
+        elif base.get("bench") != gate["bench"]:
+            fails = [f"BASELINE is not a {gate['bench']} report"]
         else:
-            serving_failed = check_serving(args.serving_json,
-                                           args.max_coalesce_ratio)
-    elif args.serving_json:
-        print("WARNING: --serving-json given without --max-coalesce-ratio; "
-              "serving rows not gated")
-
-    # Advisor gate: a within-run ratio of CURRENT's machine.
-    advisor_failed = False
-    if args.min_advisor_ratio > 0:
-        if not args.advisor_json:
-            print("FAIL: --min-advisor-ratio set without --advisor-json")
-            advisor_failed = True
-        else:
-            advisor_failed = check_advisor(args.advisor_json,
-                                           args.min_advisor_ratio)
-    elif args.advisor_json:
-        print("WARNING: --advisor-json given without --min-advisor-ratio; "
-              "advisor rows not gated")
-
-    # Paged-build gate: also a within-run ratio of CURRENT's machine.
-    paged_failed = False
-    if args.max_paged_build_slowdown > 0:
-        if not args.paged_json:
-            print("FAIL: --max-paged-build-slowdown set without --paged-json")
-            paged_failed = True
-        else:
-            paged_failed = check_paged(args.paged_json,
-                                       args.max_paged_build_slowdown)
-    elif args.paged_json:
-        print("WARNING: --paged-json given without "
-              "--max-paged-build-slowdown; paged rows not gated")
-
-    base_doc, base_rows = load_rows(args.baseline)
-    cur_doc, cur_rows = load_rows(args.current)
-
-    # Absolute floor for the maintenance path, independent of the
-    # baseline: incremental refresh of a partitioned spec must beat the
-    # full rebuild by at least the requested factor on THIS machine. A
-    # requested floor with nothing to check is itself a failure —
-    # otherwise dropping --update from the bench run would silently
-    # disable the guarantee.
-    floor_failed = False
-    if args.min_update_speedup > 0:
-        checked = 0
-        for key, row in sorted(cur_rows.items()):
-            if key[0] != "maintenance" or not key[1].startswith("part:"):
-                continue
-            speedup = row.get("speedup")
-            if speedup is None:
-                continue
-            checked += 1
-            print(f"maintenance floor: {key[1]:<16} batch={key[2]:>8} "
-                  f"speedup={speedup:.3f} (floor "
-                  f"{args.min_update_speedup:.2f})")
-            if speedup < args.min_update_speedup:
-                print(f"FAIL: {key[1]} batch={key[2]} incremental refresh "
-                      f"only {speedup:.2f}x over full rebuild "
-                      f"(floor {args.min_update_speedup:.2f}x)")
-                floor_failed = True
-        if checked == 0:
-            print("FAIL: --min-update-speedup set but CURRENT has no part:* "
-                  "maintenance rows (bench run without --update?)")
-            floor_failed = True
-
-    # Absolute floor for the SIMD node-search path: on a machine where a
-    # vector path dispatched, the css:* batched descent must beat the
-    # scalar unrolled search by at least the requested factor. Skipped
-    # entirely when the recording run was scalar (forced or non-x86) —
-    # there both sides of the A/B are the same kernel.
-    cur_path = cur_doc.get("node_search_path", "scalar")
-    if args.min_simd_speedup > 0:
-        if cur_path == "scalar":
-            print("simd floor: CURRENT dispatched the scalar path "
-                  "(forced or non-x86); SIMD floor not applicable")
-        else:
-            checked = 0
-            for key, row in sorted(cur_rows.items()):
-                if key[0] != "simd" or not key[1].startswith("css:"):
-                    continue
-                speedup = row.get("speedup")
-                if speedup is None:
-                    continue
-                checked += 1
-                print(f"simd floor [{cur_path}]: {key[1]:<12} "
-                      f"batch={key[2]:>6} speedup={speedup:.3f} "
-                      f"(floor {args.min_simd_speedup:.2f})")
-                if speedup < args.min_simd_speedup:
-                    print(f"FAIL: {key[1]} batch={key[2]} SIMD node search "
-                          f"only {speedup:.2f}x over scalar unrolled "
-                          f"(floor {args.min_simd_speedup:.2f}x)")
-                    floor_failed = True
-            if checked == 0:
-                print("FAIL: --min-simd-speedup set but CURRENT has no "
-                      "css:* simd rows (bench schema changed?)")
-                floor_failed = True
-
-    # Key-width space model check: a within-run invariant of CURRENT (the
-    # analytic ratio is hardware-independent, so no baseline is involved).
-    if args.key_width_space_band > 0:
-        space = cur_doc.get("key_width_space")
-        if not space:
-            print("FAIL: --key-width-space-band set but CURRENT has no "
-                  "key_width_space block (bench schema changed?)")
-            floor_failed = True
-        else:
-            measured = space.get("measured_ratio", 0.0)
-            model = space.get("model_ratio", 0.0)
-            deviation = abs(measured / model - 1.0) if model else float("inf")
-            print(f"key-width space: measured {measured:.3f} vs model "
-                  f"{model:.3f} (deviation {deviation:.3f}, band "
-                  f"{args.key_width_space_band:.2f})")
-            if deviation > args.key_width_space_band:
-                print(f"FAIL: 8B/4B directory space ratio {measured:.3f} "
-                      f"deviates {deviation:.1%} from the analytic "
-                      f"{model:.3f} (band {args.key_width_space_band:.0%})")
-                floor_failed = True
-
-    common = sorted(set(base_rows) & set(cur_rows))
-    if not common:
-        print("WARNING: no common (spec, batch, threads) rows between "
-              f"{args.baseline} and {args.current}; nothing to gate")
-        return 1 if (floor_failed or serving_failed or paged_failed or
-                     advisor_failed) else 0
-
-    log_sum = 0.0
-    compared = 0
-    worst = (None, math.inf)
-    print(f"{'block':<13} {'spec':<12} {'batch':>6} {'thr':>4} {'base':>9} "
-          f"{'cur':>9} {'ratio':>7}")
-    for key in common:
-        base_v = row_metric(base_rows[key], args.metric)
-        cur_v = row_metric(cur_rows[key], args.metric)
-        if not base_v or not cur_v:
-            continue
-        ratio = cur_v / base_v
-        log_sum += math.log(ratio)
-        compared += 1
-        if ratio < worst[1]:
-            worst = (key, ratio)
-        flag = "  <-- slower" if ratio < 1 - args.tolerance else ""
-        print(f"{key[0]:<13} {key[1]:<12} {key[2]:>6} {key[3]:>4} "
-              f"{base_v:>9.3f} {cur_v:>9.3f} {ratio:>7.3f}{flag}")
-
-    if compared == 0:
-        print("WARNING: no comparable rows; nothing to gate")
-        return 1 if (floor_failed or serving_failed or paged_failed or
-                     advisor_failed) else 0
-
-    geomean = math.exp(log_sum / compared)
-    floor = 1 - args.tolerance
-    print(f"\nmetric={args.metric} rows={compared} "
-          f"geomean ratio={geomean:.3f} (floor {floor:.2f}); "
-          f"worst {worst[0]} at {worst[1]:.3f}")
-    failed = False
-    if geomean < floor:
-        print(f"FAIL: batch-probe {args.metric} regressed "
-              f">{args.tolerance:.0%} vs {args.baseline}")
-        failed = True
-    if floor_failed:
-        print("FAIL: absolute speedup floor violated "
-              "(maintenance/simd — see above)")
-        failed = True
-    if serving_failed:
-        print("FAIL: serving coalesce gate violated (see above)")
-        failed = True
-    if paged_failed:
-        print("FAIL: paged build gate violated (see above)")
-        failed = True
-    if advisor_failed:
-        print("FAIL: advisor pick gate violated (see above)")
-        failed = True
+            fails = check_geomean(gate, doc, base)
+        for message in fails:
+            print(f"FAIL {gate['name']}: {message}")
+        if fails:
+            print(f"  ({gate['why']})")
+            failed.append(gate["name"])
     if failed:
+        print("FAILED gates: " + " ".join(failed))
         return 1
-    print("OK: no regression beyond tolerance")
+    print(f"OK: all {len(gates)} gates passed")
     return 0
 
 
