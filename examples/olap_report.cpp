@@ -74,9 +74,9 @@ int main(int argc, char** argv) {
   // --- The report: Q2 (days 91..181), revenue per region.
   Timer query_timer;
   auto window = SelectRange(orders, "day", 91, 182);
-  const auto& amount = orders.Column("amount");
-  const auto& customer = orders.Column("customer");
-  const auto& region = customers.Column("region");
+  const std::vector<uint32_t> amount = orders.ReadColumn("amount");
+  const std::vector<uint32_t> customer = orders.ReadColumn("customer");
+  const std::vector<uint32_t> region = customers.ReadColumn("region");
   const SortIndex& cidx = customers.GetSortIndex("id");
 
   std::vector<uint64_t> revenue(region_names.size(), 0);
@@ -108,9 +108,9 @@ int main(int argc, char** argv) {
   // sort index (the paper's OLAP assumption: rebuilds are cheap).
   size_t late = num_orders / 100;
   {
-    auto day_col = orders.Column("day");
-    auto cust_col = orders.Column("customer");
-    auto amt_col = orders.Column("amount");
+    auto day_col = orders.ReadColumn("day");
+    auto cust_col = orders.ReadColumn("customer");
+    auto amt_col = orders.ReadColumn("amount");
     for (size_t i = 0; i < late; ++i) {
       day_col.push_back(120);  // all in the window
       cust_col.push_back(rng.Below(static_cast<uint32_t>(num_customers)));

@@ -109,6 +109,14 @@ int main(int argc, char** argv) {
   double batch_sec = batch_timer.Seconds();
   uint64_t batch_checksum = 0;
   for (int64_t p : positions) batch_checksum += static_cast<uint64_t>(p);
+  // Self-check: every batched probe of a present key lands on that key.
+  for (size_t i = 0; i < lookups.size(); ++i) {
+    if (positions[i] == kNotFound ||
+        keys[static_cast<size_t>(positions[i])] != lookups[i]) {
+      std::printf("CONSISTENCY ERROR: FindBatch(%u)\n", lookups[i]);
+      return 1;
+    }
+  }
   std::printf("--spec=%s (%s): 100k batched lookups in %.3f s "
               "(%.0f ns/lookup, checksum %llu)\n",
               spec->ToString().c_str(), any.Name().c_str(), batch_sec,

@@ -77,7 +77,9 @@ int main(int argc, char** argv) {
   // Reads: each resolves against one snapshot; the reported version says
   // exactly which state the numbers describe.
   show("FIND orders 100 200 300", reader.Execute("FIND orders 100 200 300"));
-  show("COUNT orders 100", reader.Execute("COUNT orders 100"));
+  const serve::StatementResult count_before =
+      reader.Execute("COUNT orders 100");
+  show("COUNT orders 100", count_before);
   show("RANGE orders 1000 2000", reader.Execute("RANGE orders 1000 2000"));
   show("JOIN orders customers", reader.Execute("JOIN orders customers"));
 
@@ -90,8 +92,15 @@ int main(int argc, char** argv) {
 
   // Post-drain reads see the new version: 100 gained three copies, 200
   // is gone entirely (DELETE removes every occurrence of a key).
-  show("COUNT orders 100", reader.Execute("COUNT orders 100"));
-  show("COUNT orders 200", reader.Execute("COUNT orders 200"));
+  const serve::StatementResult count_100 = reader.Execute("COUNT orders 100");
+  const serve::StatementResult count_200 = reader.Execute("COUNT orders 200");
+  show("COUNT orders 100", count_100);
+  show("COUNT orders 200", count_200);
+  if (!count_100.ok() || !count_200.ok() ||
+      count_100.count != count_before.count + 3 || count_200.count != 0) {
+    std::printf("CONSISTENCY ERROR\n");
+    return 1;
+  }
 
   // Malformed input is a result, not an exception.
   serve::StatementResult bad = reader.Execute("RANGE orders backwards");

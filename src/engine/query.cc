@@ -157,17 +157,14 @@ std::vector<JoinedPair> IndexedJoin(const Table& outer,
   // outer-RID order.
   constexpr size_t kProbeBlock = 64 * kParallelProbeMinShard;
   std::vector<PositionRange> found(std::min(outer_col.size(), kProbeBlock));
-  std::vector<uint32_t> translated(translate.empty() ? 0 : found.size());
-  std::vector<uint32_t> stage;  // paged outer columns copy blocks through it
+  std::vector<uint32_t> stage(found.size());  // outer blocks copy through it
   const auto& rids = index.rids();
   for (size_t base = 0; base < outer_col.size(); base += kProbeBlock) {
     size_t len = std::min(outer_col.size() - base, kProbeBlock);
-    std::span<const uint32_t> probe_keys = outer_col.Block(base, len, stage);
+    std::span<uint32_t> probe_keys(stage.data(), len);
+    outer_col.Read(base, probe_keys);
     if (!translate.empty()) {
-      for (size_t i = 0; i < len; ++i) {
-        translated[i] = translate[probe_keys[i]];
-      }
-      probe_keys = std::span<const uint32_t>(translated.data(), len);
+      for (uint32_t& key : probe_keys) key = translate[key];
     }
     index.EqualRangeBatch(probe_keys,
                           std::span<PositionRange>(found.data(), len),
@@ -185,7 +182,13 @@ Aggregates Aggregate(const Table& table, const std::string& column,
                      const std::vector<Rid>& rids) {
   Aggregates agg;
   const ColumnView col = table.View(column);
-  for (Rid r : rids) agg.Accumulate(col.At(r));
+  for (Rid r : rids) {
+    if (r >= col.size()) {
+      throw std::out_of_range("Aggregate: rid " + std::to_string(r) +
+                              " >= row count " + std::to_string(col.size()));
+    }
+    agg.Accumulate(col.At(r));
+  }
   if (agg.count == 0) agg.min = 0;
   return agg;
 }

@@ -113,7 +113,7 @@ struct Aggregates {
 
 /// COUNT/SUM/MIN/MAX of `column` over the given rows. An empty row set
 /// reports min = max = 0 (SQL would say NULL; 0 is this engine's
-/// convention).
+/// convention). Throws std::out_of_range for a RID >= NumRows().
 Aggregates Aggregate(const Table& table, const std::string& column,
                      const std::vector<Rid>& rids);
 

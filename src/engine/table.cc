@@ -10,36 +10,20 @@
 namespace cssidx::engine {
 
 void ColumnView::Refill(size_t i) const {
+  assert(i < column_->size());
   // Page-aligned blocks: ascending At() sequences (gathers over sorted
   // RIDs) fault once per page instead of once per value.
-  const size_t vpp = paged_->values_per_page();
+  const size_t vpp = column_->values_per_page();
   const size_t base = i - i % vpp;
-  const size_t len = std::min(vpp, paged_->size() - base);
+  const size_t len = std::min(vpp, column_->size() - base);
   cache_.resize(len);
-  paged_->Read(base, cache_);
+  column_->Read(base, cache_);
   cache_base_ = base;
 }
 
-void ColumnView::Read(size_t start, std::span<uint32_t> out) const {
-  if (flat_ != nullptr) {
-    std::copy_n(flat_->data() + start, out.size(), out.data());
-    return;
-  }
-  paged_->Read(start, out);
-}
-
-std::span<const uint32_t> ColumnView::Block(
-    size_t start, size_t len, std::vector<uint32_t>& scratch) const {
-  if (flat_ != nullptr) return {flat_->data() + start, len};
-  scratch.resize(len);
-  paged_->Read(start, scratch);
-  return {scratch.data(), scratch.size()};
-}
-
 std::vector<uint32_t> ColumnView::Materialize() const {
-  if (flat_ != nullptr) return *flat_;
-  std::vector<uint32_t> out(paged_->size());
-  paged_->Read(0, out);
+  std::vector<uint32_t> out(column_->size());
+  column_->Read(0, out);
   return out;
 }
 
@@ -306,16 +290,7 @@ size_t SortIndex::ReservedBytes() const {
 }
 
 Table::Table(const TableOptions& options)
-    : options_(options),
-      buffer_(std::make_unique<store::BufferManager>(store::StoreOptions{
-          options.page_bytes, options.buffer_pages, options.spill_dir})) {}
-
-const store::BufferStats& Table::PoolStats() const {
-  if (buffer_ == nullptr) {
-    throw std::logic_error("PoolStats: table is not paged");
-  }
-  return buffer_->stats();
-}
+    : buffer_(std::make_unique<store::BufferManager>(options)) {}
 
 void Table::AddColumn(const std::string& name, std::vector<uint32_t> values) {
   if (!columns_.empty() && values.size() != num_rows_) {
@@ -325,14 +300,10 @@ void Table::AddColumn(const std::string& name, std::vector<uint32_t> values) {
                                 std::to_string(num_rows_));
   }
   num_rows_ = values.size();
-  ColumnStore cs;
-  if (buffer_ != nullptr) {
-    cs.paged = std::make_unique<store::PagedColumn>(buffer_.get());
-    cs.paged->Append(values);
-  } else {
-    cs.flat = std::move(values);
-  }
-  columns_[name] = std::move(cs);
+  std::unique_ptr<store::PagedColumn>& slot = columns_[name];
+  if (slot != nullptr) slot->Truncate(0);  // a replaced column frees its pages
+  slot = std::make_unique<store::PagedColumn>(buffer_.get());
+  slot->Append(values);
 }
 
 void Table::AddStringColumn(const std::string& name,
@@ -362,12 +333,27 @@ const domain::StringDomain& Table::StringDomainOf(
   return *it->second;
 }
 
-void Table::ValidateDomainIds(
+void Table::ValidateBatch(
     const std::map<std::string, std::vector<uint32_t>>& rows) const {
+  if (rows.size() != columns_.size()) {
+    throw std::invalid_argument("batch column count mismatch");
+  }
+  // An empty batch on a zero-column table has no first column to take a
+  // row count from.
+  if (rows.empty()) return;
+  const size_t batch_rows = rows.begin()->second.size();
   for (const auto& [name, values] : rows) {
-    auto it = domains_.find(name);
-    if (it == domains_.end()) continue;
-    const size_t dictionary = it->second->size();
+    if (columns_.count(name) == 0) {
+      throw std::invalid_argument("batch has unknown column " + name);
+    }
+    if (values.size() != batch_rows) {
+      throw std::invalid_argument("ragged batch column " + name);
+    }
+    // A raw ID landing in a string column must be a valid dictionary
+    // entry, or the column desyncs from its domain.
+    auto dom = domains_.find(name);
+    if (dom == domains_.end()) continue;
+    const size_t dictionary = dom->second->size();
     for (uint32_t v : values) {
       if (v >= dictionary) {
         throw std::invalid_argument(
@@ -381,42 +367,10 @@ void Table::ValidateDomainIds(
 
 void Table::AppendRows(
     const std::map<std::string, std::vector<uint32_t>>& rows) {
-  if (rows.size() != columns_.size()) {
-    throw std::invalid_argument("batch column count mismatch");
-  }
-  // An empty batch on a zero-column table is a no-op — there is no first
-  // column to take a row count from.
-  if (rows.empty()) return;
-  size_t batch_rows = rows.begin()->second.size();
-  for (const auto& [name, values] : rows) {
-    if (columns_.count(name) == 0) {
-      throw std::invalid_argument("batch has unknown column " + name);
-    }
-    if (values.size() != batch_rows) {
-      throw std::invalid_argument("ragged batch column " + name);
-    }
-  }
-  // A raw ID landing in a string column must be a valid dictionary entry,
-  // or the column desyncs from its domain; reject before any mutation.
-  ValidateDomainIds(rows);
-  const Rid first_rid = static_cast<Rid>(num_rows_);
-  for (const auto& [name, values] : rows) {
-    ColumnStore& cs = columns_.find(name)->second;
-    if (cs.paged != nullptr) {
-      cs.paged->Append(values);
-    } else {
-      cs.flat.insert(cs.flat.end(), values.begin(), values.end());
-    }
-  }
-  num_rows_ += batch_rows;
-  // Maintenance-on-batch (§2.2), incrementally: each sort index merges
-  // the appended rows into its sorted key/RID lists and refreshes its
-  // structure — keeping the spec it was built with, and rebuilding only
-  // the touched shards for partitioned specs — rather than re-sorting
-  // the whole column from scratch.
-  for (auto& [name, index] : indexes_) {
-    index->ApplyAppend(rows.at(name), first_rid);
-  }
+  ValidateBatch(rows);
+  // No deletes: no bitmap and no remap, so an append costs O(batch), not
+  // O(table rows).
+  DeleteAndAppend({}, 0, rows);
 }
 
 void Table::DeleteRows(std::span<const Rid> rids) {
@@ -440,6 +394,7 @@ void Table::ApplyUpdate(
     const std::string& key_column, std::vector<uint32_t> delete_keys,
     const std::map<std::string, std::vector<uint32_t>>& insert_rows) {
   ColumnView keys = View(key_column);
+  if (!insert_rows.empty()) ValidateBatch(insert_rows);
   std::sort(delete_keys.begin(), delete_keys.end());
   std::vector<bool> deleted(num_rows_, false);
   size_t removed = 0;
@@ -459,78 +414,52 @@ void Table::ApplyUpdate(
 void Table::DeleteAndAppend(
     const std::vector<bool>& deleted, size_t removed,
     const std::map<std::string, std::vector<uint32_t>>& insert_rows) {
-  // Validate the insert batch's shape (AppendRows' rules) and its string
-  // IDs before touching any state; an empty map means deletes only.
-  size_t batch_rows = 0;
-  if (!insert_rows.empty()) {
-    if (insert_rows.size() != columns_.size()) {
-      throw std::invalid_argument("batch column count mismatch");
-    }
-    batch_rows = insert_rows.begin()->second.size();
-    for (const auto& [name, values] : insert_rows) {
-      if (columns_.count(name) == 0) {
-        throw std::invalid_argument("batch has unknown column " + name);
-      }
-      if (values.size() != batch_rows) {
-        throw std::invalid_argument("ragged batch column " + name);
-      }
-    }
-    ValidateDomainIds(insert_rows);
-  }
   // Survivors compact in order: new RID = old RID minus deleted rows
   // before it. The remap is what lets each sort index translate its old
   // RID list without seeing the columns.
-  std::vector<Rid> remap(num_rows_);
-  Rid next = 0;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    remap[r] = next;
-    if (!deleted[r]) ++next;
+  std::vector<Rid> remap;
+  if (removed != 0) {
+    remap.resize(num_rows_);
+    Rid next = 0;
+    for (size_t r = 0; r < num_rows_; ++r) {
+      remap[r] = next;
+      if (!deleted[r]) ++next;
+    }
   }
   const Rid first_rid = static_cast<Rid>(num_rows_ - removed);
-  for (auto& [name, cs] : columns_) {
+  for (auto& [name, column] : columns_) {
     if (removed != 0) {
-      if (cs.paged != nullptr) {
-        // Streaming compaction at any buffer budget: the cursor copies
-        // each block out before survivors are written back, and the
-        // write position w never passes the read frontier (w grows by at
-        // most the block length per block), so no unread value is ever
-        // overwritten.
-        store::ColumnCursor cursor(*cs.paged);
-        std::vector<uint32_t> survivors;
-        size_t w = 0;
-        for (std::span<const uint32_t> block = cursor.NextBlock();
-             !block.empty(); block = cursor.NextBlock()) {
-          const size_t base = cursor.position() - block.size();
-          survivors.clear();
-          for (size_t i = 0; i < block.size(); ++i) {
-            if (!deleted[base + i]) survivors.push_back(block[i]);
-          }
-          if (!survivors.empty()) {
-            cs.paged->Write(w, survivors);
-            w += survivors.size();
-          }
+      // Streaming compaction at any buffer budget: the cursor copies
+      // each block out before survivors are written back, and the write
+      // position w never passes the read frontier (w grows by at most
+      // the block length per block), so no unread value is overwritten.
+      store::ColumnCursor cursor(*column);
+      std::vector<uint32_t> survivors;
+      size_t w = 0;
+      for (std::span<const uint32_t> block = cursor.NextBlock();
+           !block.empty(); block = cursor.NextBlock()) {
+        const size_t base = cursor.position() - block.size();
+        survivors.clear();
+        for (size_t i = 0; i < block.size(); ++i) {
+          if (!deleted[base + i]) survivors.push_back(block[i]);
         }
-        cs.paged->Truncate(w);
-      } else {
-        size_t w = 0;
-        for (size_t r = 0; r < cs.flat.size(); ++r) {
-          if (!deleted[r]) cs.flat[w++] = cs.flat[r];
+        if (!survivors.empty()) {
+          column->Write(w, survivors);
+          w += survivors.size();
         }
-        cs.flat.resize(w);
       }
+      column->Truncate(w);
     }
-    if (!insert_rows.empty()) {
-      const auto& values = insert_rows.at(name);
-      if (cs.paged != nullptr) {
-        cs.paged->Append(values);
-      } else {
-        cs.flat.insert(cs.flat.end(), values.begin(), values.end());
-      }
-    }
+    if (!insert_rows.empty()) column->Append(insert_rows.at(name));
   }
-  num_rows_ = num_rows_ - removed + batch_rows;
+  num_rows_ = first_rid + (insert_rows.empty()
+                               ? 0
+                               : insert_rows.begin()->second.size());
   // One maintenance batch per index — deletes and inserts together, so a
   // part:K spec pays one shard-incremental refresh for the whole change.
+  // Maintenance-on-batch (§2.2) runs incrementally: each sort index
+  // merges the change into its sorted key/RID lists, keeping the spec it
+  // was built with, rather than re-sorting the whole column.
   static const std::vector<uint32_t> kNoAppend;
   for (auto& [name, index] : indexes_) {
     const std::vector<uint32_t>& appended =
@@ -547,28 +476,16 @@ bool Table::HasColumn(const std::string& name) const {
   return columns_.count(name) != 0;
 }
 
-const Table::ColumnStore& Table::StoreOf(const std::string& name) const {
+const store::PagedColumn& Table::ColumnOf(const std::string& name) const {
   auto it = columns_.find(name);
   if (it == columns_.end()) {
     throw std::out_of_range("no column named " + name);
   }
-  return it->second;
-}
-
-const std::vector<uint32_t>& Table::Column(const std::string& name) const {
-  const ColumnStore& cs = StoreOf(name);
-  if (cs.paged != nullptr) {
-    throw std::logic_error("Column(" + name +
-                           "): paged table has no flat vector; use View() "
-                           "or ReadColumn()");
-  }
-  return cs.flat;
+  return *it->second;
 }
 
 ColumnView Table::View(const std::string& name) const {
-  const ColumnStore& cs = StoreOf(name);
-  if (cs.paged != nullptr) return ColumnView(cs.paged.get());
-  return ColumnView(&cs.flat);
+  return ColumnView(&ColumnOf(name));
 }
 
 std::vector<uint32_t> Table::ReadColumn(const std::string& name) const {
@@ -577,27 +494,23 @@ std::vector<uint32_t> Table::ReadColumn(const std::string& name) const {
 
 const SortIndex& Table::BuildSortIndex(const std::string& column,
                                        const IndexSpec& spec) {
-  const ColumnStore& cs = StoreOf(column);
+  const store::PagedColumn& values = ColumnOf(column);
+  const size_t budget_values =
+      options().buffer_pages * buffer_->values_per_page();
   std::unique_ptr<SortIndex> built;
-  if (cs.paged == nullptr) {
-    built = std::make_unique<SortIndex>(cs.flat, spec);
+  if (budget_values == 0 || values.size() <= budget_values) {
+    // Unbounded pool, or the column fits the frame budget: materialize
+    // once and take the in-RAM stable_sort path.
+    built = std::make_unique<SortIndex>(View(column).Materialize(), spec);
   } else {
-    const size_t budget_values =
-        options_.buffer_pages * buffer_->values_per_page();
-    if (budget_values == 0 || cs.paged->size() <= budget_values) {
-      // Unbounded pool, or the column fits the frame budget: materialize
-      // once and take the in-RAM stable_sort path.
-      built = std::make_unique<SortIndex>(View(column).Materialize(), spec);
-    } else {
-      // Column exceeds the budget: external merge sort under the pool's
-      // byte budget. (key, RID) pairs are twice a value's width, so the
-      // in-RAM run size in pairs is half the pool's value budget.
-      ExternalBuildResult sorted = ExternalSortKeys(
-          *cs.paged, budget_values / 2, buffer_->spill_path());
-      built = std::make_unique<SortIndex>(SortIndex::FromSorted(
-          std::move(sorted.sorted_keys), std::move(sorted.rids), spec,
-          sorted.spilled, sorted.runs));
-    }
+    // Column exceeds the budget: external merge sort under the pool's
+    // byte budget. (key, RID) pairs are twice a value's width, so the
+    // in-RAM run size in pairs is half the pool's value budget.
+    ExternalBuildResult sorted = ExternalSortKeys(
+        values, budget_values / 2, buffer_->spill_path());
+    built = std::make_unique<SortIndex>(SortIndex::FromSorted(
+        std::move(sorted.sorted_keys), std::move(sorted.rids), spec,
+        sorted.spilled, sorted.runs));
   }
   auto& slot = indexes_[column];
   slot = std::move(built);

@@ -24,70 +24,54 @@
 // list. Which structure is an IndexSpec: any method in the suite can
 // serve a column, and probes go through the batch-first AnyIndex facade.
 //
-// Two storage modes. The default keeps every column in one flat in-RAM
-// vector. A Table constructed with TableOptions is *paged*: columns live
-// on fixed-size pages behind a bounded LRU BufferManager (src/store/)
-// that spills to disk, so n >> RAM works end to end — the paper's §5
-// argument that only the CSS directory needs to be RAM-resident, applied
-// to the data under it. In paged mode, column access goes through
-// ColumnView cursors/blocks, mutators stream pages instead of
+// Every column lives on fixed-size pages behind one LRU BufferManager
+// (src/store/) per table — the paper's §5 argument that only the CSS
+// directory needs to be RAM-resident, applied to the data under it. The
+// pool's budget decides where the data sits, not a storage mode: the
+// default budget (buffer_pages = 0) is unbounded, so pages never spill
+// and the table is a chunked in-RAM column store; a bounded budget
+// spills to disk, so n >> RAM works end to end. Column access goes
+// through ColumnView cursors, mutators stream pages instead of
 // materializing whole vectors, and sort-index construction routes
-// through the external merge sort (core/external_build.h) when the
-// column exceeds the buffer budget. Query results are bit-identical
-// across modes at any buffer size — the paged differential suite's
-// contract.
+// through the external merge sort (core/external_build.h) when a column
+// exceeds the budget. Query results are bit-identical at any budget —
+// the paged differential suite's contract.
 
 namespace cssidx::engine {
 
 using Rid = uint32_t;
 
-/// Storage knobs for a paged Table. buffer_pages = 0 means an unbounded
-/// frame pool (pages never spill; the store is a chunked in-RAM column).
-struct TableOptions {
-  size_t page_bytes = 1 << 16;
-  size_t buffer_pages = 0;
-  /// Spill directory ("" = system temp); a unique subdirectory is
-  /// created per table and removed with it.
-  std::string spill_dir;
-};
+/// Storage knobs of a Table: page size, frame budget (0 = unbounded, the
+/// default) and spill directory.
+using TableOptions = store::StoreOptions;
 
-/// Read facade over one column, uniform across storage modes: flat
-/// columns serve spans in place, paged columns copy through short-lived
+/// Read facade over one column: every access copies through short-lived
 /// page pins (one pinned frame at a time, so any buffer budget works).
 /// Views are cheap to construct and hold a one-block cache so ascending
 /// point reads (At over sorted RIDs) fault once per page, not per value.
 class ColumnView {
  public:
-  size_t size() const { return flat_ != nullptr ? flat_->size() : paged_->size(); }
+  size_t size() const { return column_->size(); }
 
-  /// Value of row `i`.
+  /// Value of row `i` (< size()).
   uint32_t At(size_t i) const {
-    if (flat_ != nullptr) return (*flat_)[i];
     if (i < cache_base_ || i >= cache_base_ + cache_.size()) Refill(i);
     return cache_[i - cache_base_];
   }
 
   /// Copies rows [start, start + out.size()) into `out`.
-  void Read(size_t start, std::span<uint32_t> out) const;
+  void Read(size_t start, std::span<uint32_t> out) const {
+    column_->Read(start, out);
+  }
 
-  /// Rows [start, start + len) as a span: flat columns alias their
-  /// storage (zero copy), paged columns stage through `scratch`.
-  std::span<const uint32_t> Block(size_t start, size_t len,
-                                  std::vector<uint32_t>& scratch) const;
-
-  /// The whole column as one vector (a copy in paged mode).
+  /// The whole column as one vector (a copy).
   std::vector<uint32_t> Materialize() const;
 
-  /// Streams the column in storage-order blocks:
-  /// fn(std::span<const uint32_t> block, size_t base_row). Flat columns
-  /// make one call covering everything; paged columns one per page.
+  /// Streams the column one page-sized block at a time:
+  /// fn(std::span<const uint32_t> block, size_t base_row).
   template <typename Fn>
   void Scan(Fn&& fn) const {
-    if (flat_ != nullptr) {
-      if (!flat_->empty()) fn(std::span<const uint32_t>(*flat_), size_t{0});
-      return;
-    }
-    store::ColumnCursor cursor(*paged_);
+    store::ColumnCursor cursor(*column_);
     for (std::span<const uint32_t> block = cursor.NextBlock(); !block.empty();
          block = cursor.NextBlock()) {
       fn(block, cursor.position() - block.size());
@@ -96,12 +80,10 @@ class ColumnView {
 
  private:
   friend class Table;
-  explicit ColumnView(const std::vector<uint32_t>* flat) : flat_(flat) {}
-  explicit ColumnView(const store::PagedColumn* paged) : paged_(paged) {}
+  explicit ColumnView(const store::PagedColumn* column) : column_(column) {}
   void Refill(size_t i) const;
 
-  const std::vector<uint32_t>* flat_ = nullptr;
-  const store::PagedColumn* paged_ = nullptr;
+  const store::PagedColumn* column_;
   /// Page-aligned block behind At(); mutable because caching is not an
   /// observable state change (Table access is externally synchronized).
   mutable std::vector<uint32_t> cache_;
@@ -113,10 +95,10 @@ class ColumnView {
 /// is exactly the paper's indexed representation: the sorted key list
 /// supports range/ordered access, the directory accelerates lookups, and
 /// position i of the key list pairs with rids[i]. The sorted key/RID
-/// lists and the directory stay RAM-resident in BOTH table storage modes
-/// (the §5 point is that the directory is small; the lists are the
-/// index's working representation) — only their construction differs:
-/// paged tables over budget build them by external merge sort.
+/// lists and the directory stay RAM-resident at any buffer budget (the
+/// §5 point is that the directory is small; the lists are the index's
+/// working representation) — only their construction differs: columns
+/// over budget build them by external merge sort.
 ///
 /// Unordered methods (hash) still serve Equal/Find — the hash stores array
 /// positions, so the leftmost match plus a rightward scan works as for any
@@ -282,26 +264,20 @@ class SortIndex {
   size_t external_runs_ = 0;
 };
 
-/// Column-store table: named uint32 columns of equal length, flat in RAM
-/// by default or paged out-of-core when constructed with TableOptions.
+/// Column-store table: named uint32 columns of equal length on pages
+/// behind one BufferManager shared by all of the table's columns.
 class Table {
  public:
-  Table() = default;
-
-  /// Paged mode: columns live on fixed-size pages behind one bounded LRU
-  /// BufferManager shared by all of this table's columns.
+  /// An unbounded pool: the columns stay in RAM and never spill.
+  Table() : Table(TableOptions{}) {}
   explicit Table(const TableOptions& options);
 
-  /// Whether this table's columns are paged (out-of-core capable).
-  bool paged() const { return buffer_ != nullptr; }
-  /// Paged-mode knobs (defaults for a flat table).
-  const TableOptions& options() const { return options_; }
-  /// Buffer-pool counters (paged mode only; throws std::logic_error for
-  /// flat tables, which have no pool).
-  const store::BufferStats& PoolStats() const;
+  const TableOptions& options() const { return buffer_->options(); }
+  /// Buffer-pool counters (hits, faults, evictions, spill I/O).
+  const store::BufferStats& PoolStats() const { return buffer_->stats(); }
 
-  /// Adds a column; all columns must have the same row count. In paged
-  /// mode the values stream onto pages and the vector is released.
+  /// Adds (or replaces) a column; all columns must have the same row
+  /// count. The values stream onto pages and the vector is released.
   void AddColumn(const std::string& name, std::vector<uint32_t> values);
 
   /// Adds a string column the §2.1 way: the distinct values go into an
@@ -362,25 +338,20 @@ class Table {
   size_t NumColumns() const { return columns_.size(); }
   bool HasColumn(const std::string& name) const;
 
-  /// Flat-mode direct access to a column's backing vector. Paged columns
-  /// have no flat vector to reference — use View()/ReadColumn() there
-  /// (throws std::logic_error to catch mode-blind callers early).
-  const std::vector<uint32_t>& Column(const std::string& name) const;
-
-  /// Mode-uniform read access: spans in place for flat columns, cursor/
-  /// block copies for paged ones. The view borrows the column — it stays
-  /// valid until the next mutation of this table.
+  /// Read access through page cursors and block copies. The view borrows
+  /// the column — it stays valid until the next mutation of this table.
+  /// Throws std::out_of_range for an unknown column.
   ColumnView View(const std::string& name) const;
 
-  /// The whole column as one vector, in either mode (a copy when paged).
+  /// The whole column as one vector (a copy).
   std::vector<uint32_t> ReadColumn(const std::string& name) const;
 
   /// Builds (or rebuilds, after batch updates) the sort index on a column
   /// using any method in the suite. Throws std::invalid_argument for specs
-  /// off the menu. Paged tables whose column exceeds the buffer budget
-  /// build through the external merge sort (the directory and sorted
-  /// lists still come out RAM-resident, and bit-identical to the in-RAM
-  /// build).
+  /// off the menu. A column that exceeds a bounded buffer budget builds
+  /// through the external merge sort (the directory and sorted lists
+  /// still come out RAM-resident, and bit-identical to the in-RAM
+  /// stable_sort build).
   const SortIndex& BuildSortIndex(const std::string& column,
                                   const IndexSpec& spec = IndexSpec());
   /// The sort index previously built on `column` (must exist).
@@ -388,33 +359,28 @@ class Table {
   bool HasSortIndex(const std::string& column) const;
 
  private:
-  /// One column's storage: exactly one of `flat` / `paged` is active,
-  /// per the table's mode.
-  struct ColumnStore {
-    std::vector<uint32_t> flat;
-    std::unique_ptr<store::PagedColumn> paged;
-  };
-
   /// Shared delete/append path: compacts columns per the `deleted` bitmap
-  /// (`removed` = popcount), appends `insert_rows`, and refreshes every
-  /// sort index with one combined maintenance batch.
+  /// (`removed` = popcount; the bitmap is not read when it is 0), appends
+  /// `insert_rows` (already validated; empty = no inserts), and refreshes
+  /// every sort index with one combined maintenance batch.
   void DeleteAndAppend(
       const std::vector<bool>& deleted, size_t removed,
       const std::map<std::string, std::vector<uint32_t>>& insert_rows);
 
-  /// Rejects values that are not valid dictionary IDs for their string
-  /// column — called by every insert path BEFORE any state changes.
-  void ValidateDomainIds(
+  /// The shape and dictionary checks every insert path runs BEFORE any
+  /// state changes: one batch column per table column, no unknown or
+  /// ragged columns, and every value in a string column a valid
+  /// dictionary ID.
+  void ValidateBatch(
       const std::map<std::string, std::vector<uint32_t>>& rows) const;
 
-  const ColumnStore& StoreOf(const std::string& name) const;
+  const store::PagedColumn& ColumnOf(const std::string& name) const;
 
   size_t num_rows_ = 0;
-  TableOptions options_;
-  /// Paged mode only: the frame pool shared by every column (and the
-  /// spill directory external index builds use).
+  /// The frame pool shared by every column (and the spill directory
+  /// external index builds use).
   std::unique_ptr<store::BufferManager> buffer_;
-  std::map<std::string, ColumnStore> columns_;
+  std::map<std::string, std::unique_ptr<store::PagedColumn>> columns_;
   std::map<std::string, std::unique_ptr<SortIndex>> indexes_;
   /// Dictionaries for string columns; the column itself lives in
   /// columns_ as IDs. unique_ptr: StringDomain is move-only-ish and the

@@ -51,20 +51,28 @@ BufferManager::BufferManager(StoreOptions options)
     : options_(std::move(options)) {
   values_per_page_ = options_.page_bytes / sizeof(uint32_t);
   if (values_per_page_ == 0) values_per_page_ = 1;
-  fs::path root = options_.spill_dir.empty() ? fs::temp_directory_path()
-                                             : fs::path(options_.spill_dir);
-  fs::path sub = root / ("cssidx_spill_" + std::to_string(::getpid()) + "_" +
-                         std::to_string(g_spill_serial.fetch_add(1)));
-  fs::create_directories(sub);
-  spill_path_ = sub.string();
 }
 
 BufferManager::~BufferManager() {
   for (auto& [column, file] : spill_files_) {
     if (file != nullptr) std::fclose(file);
   }
+  if (spill_path_.empty()) return;  // never spilled: nothing on disk
   std::error_code ec;  // best effort; never throw from a destructor
   fs::remove_all(spill_path_, ec);
+}
+
+const std::string& BufferManager::spill_path() {
+  if (spill_path_.empty()) {
+    fs::path root = options_.spill_dir.empty() ? fs::temp_directory_path()
+                                               : fs::path(options_.spill_dir);
+    fs::path sub =
+        root / ("cssidx_spill_" + std::to_string(::getpid()) + "_" +
+                std::to_string(g_spill_serial.fetch_add(1)));
+    fs::create_directories(sub);
+    spill_path_ = sub.string();
+  }
+  return spill_path_;
 }
 
 uint32_t BufferManager::RegisterColumn() { return next_column_++; }
@@ -73,7 +81,7 @@ std::FILE* BufferManager::SpillFile(uint32_t column) {
   auto it = spill_files_.find(column);
   if (it != spill_files_.end()) return it->second;
   std::string path =
-      spill_path_ + "/col_" + std::to_string(column) + ".pages";
+      spill_path() + "/col_" + std::to_string(column) + ".pages";
   std::FILE* file = std::fopen(path.c_str(), "w+b");
   if (file == nullptr) {
     throw std::runtime_error("cannot create spill file " + path);

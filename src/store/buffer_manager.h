@@ -83,7 +83,9 @@ class BufferManager {
   size_t values_per_page() const { return values_per_page_; }
   const StoreOptions& options() const { return options_; }
   /// The unique spill subdirectory (also hosts external-sort run files).
-  const std::string& spill_path() const { return spill_path_; }
+  /// Created on the first call or the first spill, and removed with the
+  /// manager; a pool that never spills never touches the file system.
+  const std::string& spill_path();
 
  private:
   friend class PageRef;
@@ -104,7 +106,7 @@ class BufferManager {
 
   StoreOptions options_;
   size_t values_per_page_ = 0;
-  std::string spill_path_;
+  std::string spill_path_;  // empty until spill_path() creates it
   uint32_t next_column_ = 0;
   /// LRU order: front = most recent. Pinned frames stay in the list (a
   /// pin refresh moves them to front) but are skipped by eviction.

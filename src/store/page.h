@@ -30,7 +30,7 @@ struct StoreOptions {
   size_t buffer_pages = 0;
   /// Directory for spill files (one per column) and external-sort runs.
   /// Empty = the system temp directory. A unique subdirectory is created
-  /// per BufferManager and removed with it.
+  /// per BufferManager on its first spill and removed with it.
   std::string spill_dir;
 };
 

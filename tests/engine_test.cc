@@ -73,7 +73,7 @@ TEST(Table, ColumnManagement) {
   EXPECT_EQ(t.NumRows(), 3u);
   EXPECT_TRUE(t.HasColumn("a"));
   EXPECT_FALSE(t.HasColumn("b"));
-  EXPECT_THROW(t.Column("b"), std::out_of_range);
+  EXPECT_THROW(t.ReadColumn("b"), std::out_of_range);
   EXPECT_THROW(t.AddColumn("bad", {1, 2}), std::invalid_argument);
   t.AddColumn("b", {4, 5, 6});
   EXPECT_EQ(t.NumColumns(), 2u);
@@ -193,8 +193,8 @@ TEST(Query, IndexedJoinMatchesNestedLoop) {
   auto pairs = IndexedJoin(orders, "customer", customers, "id");
   // Oracle: nested loop.
   size_t expected = 0;
-  const auto& oc = orders.Column("customer");
-  const auto& ic = customers.Column("id");
+  const auto oc = orders.ReadColumn("customer");
+  const auto ic = customers.ReadColumn("id");
   for (size_t i = 0; i < oc.size(); ++i) {
     for (size_t j = 0; j < ic.size(); ++j) {
       if (oc[i] == ic[j]) ++expected;
@@ -203,8 +203,7 @@ TEST(Query, IndexedJoinMatchesNestedLoop) {
   EXPECT_EQ(pairs.size(), expected);
   EXPECT_EQ(pairs.size(), 5'000u);  // id is a key: exactly one match each
   for (const auto& p : pairs) {
-    ASSERT_EQ(orders.Column("customer")[p.outer],
-              customers.Column("id")[p.inner]);
+    ASSERT_EQ(oc[p.outer], ic[p.inner]);
   }
 }
 
@@ -230,6 +229,27 @@ TEST(Query, AggregateBasics) {
   Aggregates empty = Aggregate(t, "v", {});
   EXPECT_EQ(empty.count, 0u);
   EXPECT_EQ(empty.min, 0u);
+}
+
+// Regression: Aggregate read rows past the end of the column — a 3-row
+// table answered {3} with count=1 from whatever followed the values, and
+// a paged read of {3, 40} pinned a phantom zero page (count=2, sum=0).
+// Any RID >= NumRows() now throws, at every buffer budget.
+TEST(Query, AggregateRejectsRidsPastTheEnd) {
+  for (size_t budget : {0u, 1u}) {
+    TableOptions options;
+    options.page_bytes = 8;  // two values per page
+    options.buffer_pages = budget;
+    Table t(options);
+    t.AddColumn("v", {5, 6, 7});
+    EXPECT_THROW(Aggregate(t, "v", {3}), std::out_of_range) << budget;
+    EXPECT_THROW(Aggregate(t, "v", {3, 40}), std::out_of_range) << budget;
+    EXPECT_THROW(Aggregate(t, "v", {0, 2, 1u << 31}), std::out_of_range)
+        << budget;
+    const Aggregates all = Aggregate(t, "v", {0, 1, 2});
+    EXPECT_EQ(all.count, 3u);
+    EXPECT_EQ(all.sum, 18u);
+  }
 }
 
 TEST(Query, AggregateMinMaxInitialization) {
@@ -308,7 +328,7 @@ TEST(Query, GroupByIndexedMatchesScanOnZipfSkewedDuplicates) {
   for (auto& g : wide_group) g = static_cast<uint32_t>(wide.Next());
   Table sparse;
   sparse.AddColumn("g", std::move(wide_group));
-  sparse.AddColumn("v", t.Column("v"));
+  sparse.AddColumn("v", t.ReadColumn("v"));
   auto sparse_scan = GroupBy(sparse, "g", "v", kSparseGroups);
 
   for (const char* spec_text : {"css:16", "lcss:8", "btree:32", "ttree:16",
@@ -463,7 +483,7 @@ TEST(Table, IncrementalAppendMatchesFreshRebuildForEverySpec) {
       t.AppendRows({{"k", fresh_rows}});
     }
     const SortIndex& incremental = t.GetSortIndex("k");
-    SortIndex scratch(t.Column("k"), *IndexSpec::Parse(spec_text));
+    SortIndex scratch(t.ReadColumn("k"), *IndexSpec::Parse(spec_text));
     ASSERT_EQ(incremental.sorted_keys(), scratch.sorted_keys()) << spec_text;
     ASSERT_EQ(incremental.rids(), scratch.rids()) << spec_text;
     for (uint32_t v : {0u, 350u, 699u, 700u}) {
@@ -505,7 +525,7 @@ TEST(Query, OperatorsSeeFreshSnapshotsAfterAppend) {
   Table fresh = [&] {
     Table copy;
     for (const char* col : {"customer", "amount", "day"}) {
-      copy.AddColumn(col, t.Column(col));
+      copy.AddColumn(col, t.ReadColumn(col));
     }
     copy.BuildSortIndex("customer", *IndexSpec::Parse("part:8/css:16"));
     copy.BuildSortIndex("day", *IndexSpec::Parse("css:16"));
@@ -645,8 +665,8 @@ TEST(Table, DeleteRowsCompactsAndRenumbers) {
   t.BuildSortIndex("k");
   t.DeleteRows(std::vector<Rid>{1, 3, 3});  // duplicates allowed
   EXPECT_EQ(t.NumRows(), 3u);
-  EXPECT_EQ(t.Column("k"), (std::vector<uint32_t>{10, 30, 40}));
-  EXPECT_EQ(t.Column("v"), (std::vector<uint32_t>{1, 3, 5}));
+  EXPECT_EQ(t.ReadColumn("k"), (std::vector<uint32_t>{10, 30, 40}));
+  EXPECT_EQ(t.ReadColumn("v"), (std::vector<uint32_t>{1, 3, 5}));
   // Survivors renumbered: old RIDs 0, 2, 4 -> 0, 1, 2.
   EXPECT_EQ(t.GetSortIndex("k").Equal(30), (std::vector<Rid>{1}));
   EXPECT_TRUE(t.GetSortIndex("k").Equal(20).empty());
@@ -689,7 +709,7 @@ TEST(Table, DeleteInterleavedWithAppendMatchesFreshRebuildForEverySpec) {
     }
     for (const char* col : {"k", "g"}) {
       const SortIndex& incremental = t.GetSortIndex(col);
-      SortIndex scratch(t.Column(col), spec);
+      SortIndex scratch(t.ReadColumn(col), spec);
       ASSERT_EQ(incremental.sorted_keys(), scratch.sorted_keys())
           << spec.ToString() << " " << col;
       ASSERT_EQ(incremental.rids(), scratch.rids())
@@ -713,8 +733,8 @@ TEST(Table, ApplyUpdateIsOneMaintenanceBatch) {
   const size_t batches_before = t.GetSortIndex("k").maintained().stats().batches;
   t.ApplyUpdate("k", {20, 40}, {{"k", {20, 50}}, {"v", {6, 7}}});
   EXPECT_EQ(t.NumRows(), 4u);
-  EXPECT_EQ(t.Column("k"), (std::vector<uint32_t>{10, 30, 20, 50}));
-  EXPECT_EQ(t.Column("v"), (std::vector<uint32_t>{1, 3, 6, 7}));
+  EXPECT_EQ(t.ReadColumn("k"), (std::vector<uint32_t>{10, 30, 20, 50}));
+  EXPECT_EQ(t.ReadColumn("v"), (std::vector<uint32_t>{1, 3, 6, 7}));
   EXPECT_EQ(t.GetSortIndex("k").Equal(20), (std::vector<Rid>{2}));
   EXPECT_EQ(t.GetSortIndex("k").maintained().stats().batches,
             batches_before + 1);
@@ -724,7 +744,7 @@ TEST(Table, ApplyUpdateIsOneMaintenanceBatch) {
   t.ApplyUpdate("k", {999});
   EXPECT_EQ(t.NumRows(), 3u);
   // Differential against a fresh rebuild of the surviving column.
-  SortIndex scratch(t.Column("k"), *IndexSpec::Parse("part:2/css:16"));
+  SortIndex scratch(t.ReadColumn("k"), *IndexSpec::Parse("part:2/css:16"));
   EXPECT_EQ(t.GetSortIndex("k").sorted_keys(), scratch.sorted_keys());
   EXPECT_EQ(t.GetSortIndex("k").rids(), scratch.rids());
 }
@@ -759,7 +779,7 @@ TEST(Query, OperatorsCorrectAfterDeletes) {
 
   Table fresh;
   for (const char* col : {"customer", "amount", "day"}) {
-    fresh.AddColumn(col, t.Column(col));
+    fresh.AddColumn(col, t.ReadColumn(col));
   }
   fresh.BuildSortIndex("customer", *IndexSpec::Parse("part:8/css:16"));
   fresh.BuildSortIndex("day", *IndexSpec::Parse("css:16"));
@@ -830,9 +850,9 @@ TEST(Query, DecisionSupportPipeline) {
 
   // Restrict + join + group: revenue per region for the window.
   std::vector<uint64_t> revenue(5, 0);
-  const auto& amount = orders.Column("amount");
-  const auto& customer = orders.Column("customer");
-  const auto& region = customers.Column("region");
+  const auto amount = orders.ReadColumn("amount");
+  const auto customer = orders.ReadColumn("customer");
+  const auto region = customers.ReadColumn("region");
   const SortIndex& cidx = customers.GetSortIndex("id");
   uint64_t total = 0;
   for (Rid r : in_window) {
@@ -870,7 +890,7 @@ TEST(Table, StringColumnIsAnIdColumnWithAnOrderPreservingDictionary) {
   // sorted, comparing IDs IS comparing values (§2.1).
   const domain::StringDomain& dom = t.StringDomainOf("city");
   ASSERT_EQ(dom.size(), 3u);  // bergen oslo tromso
-  EXPECT_EQ(t.Column("city"),
+  EXPECT_EQ(t.ReadColumn("city"),
             (std::vector<uint32_t>{1, 0, 1, 2, 0}));
   for (size_t i = 0; i + 1 < dom.size(); ++i) {
     EXPECT_LT(dom.Decode(static_cast<uint32_t>(i)),
@@ -880,7 +900,7 @@ TEST(Table, StringColumnIsAnIdColumnWithAnOrderPreservingDictionary) {
   std::vector<Rid> oslo = SelectEqual(t, "city", std::string("oslo"));
   EXPECT_EQ(oslo, (std::vector<Rid>{0, 2}));
   for (Rid r : oslo) {
-    EXPECT_EQ(dom.Decode(t.Column("city")[r]), "oslo");
+    EXPECT_EQ(dom.Decode(t.View("city").At(r)), "oslo");
   }
 }
 
@@ -1008,6 +1028,10 @@ TEST(Table, EmptyBatchOnZeroColumnTableIsANoOp) {
   // A zero-row batch with the right columns is equally harmless.
   u.AppendRows({{"customer", {}}, {"amount", {}}, {"day", {}}});
   EXPECT_EQ(u.NumRows(), 50u);
+
+  // But an empty map is missing every column of a table that has some.
+  EXPECT_THROW(u.AppendRows({}), std::invalid_argument);
+  EXPECT_EQ(u.NumRows(), 50u);
 }
 
 // Regression: raw uint32 values inserted into a string (domain-ID) column
@@ -1030,7 +1054,7 @@ TEST(Table, InsertedStringIdsAreValidatedAgainstTheDictionary) {
     EXPECT_NE(std::string(e.what()).find("fruit"), std::string::npos);
   }
   EXPECT_EQ(t.NumRows(), 3u);
-  EXPECT_EQ(t.Column("fruit"), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(t.ReadColumn("fruit"), (std::vector<uint32_t>{0, 1, 2}));
   EXPECT_EQ(t.GetSortIndex("fruit").sorted_keys().size(), 3u);
 
   // ApplyUpdate's insert half is validated the same way, BEFORE any
@@ -1042,7 +1066,7 @@ TEST(Table, InsertedStringIdsAreValidatedAgainstTheDictionary) {
   // Valid IDs still append (and decode) fine.
   t.AppendRows({{"fruit", {2, 0}}, {"kg", {4, 5}}});
   EXPECT_EQ(t.NumRows(), 5u);
-  EXPECT_EQ(t.StringDomainOf("fruit").Decode(t.Column("fruit")[3]), "quince");
+  EXPECT_EQ(t.StringDomainOf("fruit").Decode(t.View("fruit").At(3)), "quince");
 }
 
 // Regression: SpaceBytes() reported vector capacity(), overstating the

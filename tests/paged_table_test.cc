@@ -1,7 +1,10 @@
 #include "engine/query.h"
 #include "engine/table.h"
 
+#include <algorithm>
 #include <map>
+#include <numeric>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -12,12 +15,15 @@
 #include "spec_menu.h"
 #include "util/rng.h"
 
-// Paged-vs-in-RAM differential suite: a Table built with TableOptions must
-// answer every query bit-identically to the flat in-RAM Table, at ANY
-// buffer budget — unbounded, a quarter of the data, and a minimal pool
-// where nearly every probe faults. Sort indexes built over columns larger
-// than the budget route through the external merge sort, and their
-// sorted key/RID lists must equal the stable_sort the flat build performs.
+// Buffer-budget differential suite: a Table must answer every query
+// bit-identically at ANY buffer budget — a quarter of the data and a
+// minimal pool where nearly every probe faults — to the unbounded
+// (budget 0) table, which never spills. Sort indexes built over columns
+// larger than the budget route through the external merge sort; every
+// budget's sorted key/RID lists must equal a std::stable_sort oracle
+// computed here from the raw data, and the mutators are checked against
+// plain std::vector models of the columns — references that share no
+// code with the table.
 
 namespace cssidx::engine {
 namespace {
@@ -44,8 +50,11 @@ TableData MakeData(uint64_t seed) {
   return d;
 }
 
-Table MakeTable(const TableData& d, const TableOptions* options) {
-  Table t = options != nullptr ? Table(*options) : Table();
+Table MakeTable(const TableData& d, size_t buffer_pages) {
+  TableOptions options;
+  options.page_bytes = kPageBytes;
+  options.buffer_pages = buffer_pages;
+  Table t(options);
   t.AddColumn("customer", d.customer);
   t.AddColumn("amount", d.amount);
   t.AddColumn("day", d.day);
@@ -59,23 +68,49 @@ std::vector<size_t> Budgets() {
   return {0, pages / 4, 2};
 }
 
-void ExpectSameAnswers(const Table& flat, const Table& paged,
+/// The sort-index oracle: RIDs stably sorted by value (equal values keep
+/// RID order), and the values in that order.
+struct SortedLists {
+  std::vector<uint32_t> keys;
+  std::vector<Rid> rids;
+};
+
+SortedLists StableSortOracle(const std::vector<uint32_t>& column) {
+  SortedLists out;
+  out.rids.resize(column.size());
+  std::iota(out.rids.begin(), out.rids.end(), Rid{0});
+  std::stable_sort(out.rids.begin(), out.rids.end(),
+                   [&](Rid a, Rid b) { return column[a] < column[b]; });
+  for (Rid r : out.rids) out.keys.push_back(column[r]);
+  return out;
+}
+
+void ExpectMatchesOracle(const SortIndex& index,
+                         const std::vector<uint32_t>& column,
+                         const std::string& label) {
+  const SortedLists oracle = StableSortOracle(column);
+  EXPECT_EQ(index.sorted_keys(), oracle.keys) << label;
+  EXPECT_EQ(index.rids(), oracle.rids) << label;
+}
+
+/// Every query answer of `paged` equals the one `ref` gives.
+void ExpectSameAnswers(const Table& ref, const Table& paged,
                        const std::string& label) {
   Pcg32 rng(99);
   for (int q = 0; q < 20; ++q) {
     const uint32_t v = rng.Below(kCustomers + 5);
-    EXPECT_EQ(SelectEqual(flat, "customer", v),
+    EXPECT_EQ(SelectEqual(ref, "customer", v),
               SelectEqual(paged, "customer", v))
         << label << " Equal(" << v << ")";
-    EXPECT_EQ(CountEqual(flat, "customer", v),
+    EXPECT_EQ(CountEqual(ref, "customer", v),
               CountEqual(paged, "customer", v))
         << label;
     const uint32_t lo = rng.Below(kCustomers);
     const uint32_t hi = lo + rng.Below(20);
-    EXPECT_EQ(SelectRange(flat, "customer", lo, hi),
+    EXPECT_EQ(SelectRange(ref, "customer", lo, hi),
               SelectRange(paged, "customer", lo, hi))
         << label << " Range[" << lo << "," << hi << ")";
-    EXPECT_EQ(CountRange(flat, "customer", lo, hi),
+    EXPECT_EQ(CountRange(ref, "customer", lo, hi),
               CountRange(paged, "customer", lo, hi))
         << label;
   }
@@ -84,95 +119,78 @@ void ExpectSameAnswers(const Table& flat, const Table& paged,
     uint32_t lo = rng.Below(kCustomers);
     bounds.emplace_back(lo, lo + rng.Below(10));
   }
-  EXPECT_EQ(SelectRangeBatch(flat, "customer", bounds),
+  EXPECT_EQ(SelectRangeBatch(ref, "customer", bounds),
             SelectRangeBatch(paged, "customer", bounds))
       << label;
-  const auto flat_groups = GroupBy(flat, "customer", "amount", kCustomers);
+  const auto ref_groups = GroupBy(ref, "customer", "amount", kCustomers);
   const auto paged_groups = GroupBy(paged, "customer", "amount", kCustomers);
-  ASSERT_EQ(flat_groups.size(), paged_groups.size()) << label;
-  for (size_t g = 0; g < flat_groups.size(); ++g) {
-    EXPECT_EQ(flat_groups[g].count, paged_groups[g].count) << label;
-    EXPECT_EQ(flat_groups[g].sum, paged_groups[g].sum) << label;
-    EXPECT_EQ(flat_groups[g].min, paged_groups[g].min) << label;
-    EXPECT_EQ(flat_groups[g].max, paged_groups[g].max) << label;
+  ASSERT_EQ(ref_groups.size(), paged_groups.size()) << label;
+  for (size_t g = 0; g < ref_groups.size(); ++g) {
+    EXPECT_EQ(ref_groups[g].count, paged_groups[g].count) << label;
+    EXPECT_EQ(ref_groups[g].sum, paged_groups[g].sum) << label;
+    EXPECT_EQ(ref_groups[g].min, paged_groups[g].min) << label;
+    EXPECT_EQ(ref_groups[g].max, paged_groups[g].max) << label;
   }
-  const std::vector<Rid> sample = SelectEqual(flat, "customer", 7);
-  const Aggregates fa = Aggregate(flat, "amount", sample);
+  const std::vector<Rid> sample = SelectEqual(ref, "customer", 7);
+  const Aggregates ra = Aggregate(ref, "amount", sample);
   const Aggregates pa = Aggregate(paged, "amount", sample);
-  EXPECT_EQ(fa.count, pa.count) << label;
-  EXPECT_EQ(fa.sum, pa.sum) << label;
+  EXPECT_EQ(ra.count, pa.count) << label;
+  EXPECT_EQ(ra.sum, pa.sum) << label;
 }
 
 TEST(PagedTable, DifferentialAcrossSpecMenuAndBudgets) {
   const TableData data = MakeData(11);
-  Table flat = MakeTable(data, nullptr);
+  Table ref = MakeTable(data, 0);
   for (const IndexSpec& spec : test_menu::DefaultSpecs(16, 10)) {
-    flat.BuildSortIndex("customer", spec);
+    ref.BuildSortIndex("customer", spec);
     for (size_t budget : Budgets()) {
-      TableOptions opts;
-      opts.page_bytes = kPageBytes;
-      opts.buffer_pages = budget;
-      Table paged = MakeTable(data, &opts);
-      ASSERT_TRUE(paged.paged());
+      Table paged = MakeTable(data, budget);
       const SortIndex& built = paged.BuildSortIndex("customer", spec);
       const std::string label =
           spec.ToString() + " @budget=" + std::to_string(budget);
-      // The sorted lists themselves must match the stable_sort build.
-      EXPECT_EQ(built.sorted_keys(), flat.GetSortIndex("customer").sorted_keys())
-          << label;
-      EXPECT_EQ(built.rids(), flat.GetSortIndex("customer").rids()) << label;
-      ExpectSameAnswers(flat, paged, label);
+      ExpectMatchesOracle(built, data.customer, label);
+      ExpectSameAnswers(ref, paged, label);
     }
   }
 }
 
 TEST(PagedTable, ScanFallbackDifferentialWithoutIndex) {
   const TableData data = MakeData(12);
-  const Table flat = MakeTable(data, nullptr);
+  const Table ref = MakeTable(data, 0);
   for (size_t budget : Budgets()) {
-    TableOptions opts;
-    opts.page_bytes = kPageBytes;
-    opts.buffer_pages = budget;
-    const Table paged = MakeTable(data, &opts);
-    ExpectSameAnswers(flat, paged, "scan @budget=" + std::to_string(budget));
+    const Table paged = MakeTable(data, budget);
+    ExpectSameAnswers(ref, paged, "scan @budget=" + std::to_string(budget));
   }
 }
 
 TEST(PagedTable, ExternalBuildKicksInAboveBudgetAndMatches) {
   const TableData data = MakeData(13);
-  Table flat = MakeTable(data, nullptr);
-  flat.BuildSortIndex("customer");
+  Table ref = MakeTable(data, 0);
+  ref.BuildSortIndex("customer");
 
-  TableOptions opts;
-  opts.page_bytes = kPageBytes;
-  opts.buffer_pages = 4;  // 256 values << 4096 rows: must go external
-  Table paged = MakeTable(data, &opts);
+  // 4 pages = 256 values << 4096 rows: must go external.
+  Table paged = MakeTable(data, 4);
   const SortIndex& index = paged.BuildSortIndex("customer");
   EXPECT_TRUE(index.external_build());
   EXPECT_GT(index.external_runs(), 1u);
-  EXPECT_EQ(index.sorted_keys(), flat.GetSortIndex("customer").sorted_keys());
-  EXPECT_EQ(index.rids(), flat.GetSortIndex("customer").rids());
+  ExpectMatchesOracle(index, data.customer, "external");
   for (uint32_t v : {0u, 7u, kCustomers - 1, kCustomers + 10}) {
-    EXPECT_EQ(index.Find(v), flat.GetSortIndex("customer").Find(v));
+    EXPECT_EQ(index.Find(v), ref.GetSortIndex("customer").Find(v));
   }
-  ExpectSameAnswers(flat, paged, "external");
+  ExpectSameAnswers(ref, paged, "external");
 
   // An unbounded pool materializes and takes the in-RAM path.
-  TableOptions unbounded;
-  unbounded.page_bytes = kPageBytes;
-  Table big = MakeTable(data, &unbounded);
-  EXPECT_FALSE(big.BuildSortIndex("customer").external_build());
+  EXPECT_FALSE(ref.GetSortIndex("customer").external_build());
+  ExpectMatchesOracle(ref.GetSortIndex("customer"), data.customer,
+                      "unbounded");
 }
 
-TEST(PagedTable, IndexedJoinMatchesAcrossStorageModes) {
+TEST(PagedTable, IndexedJoinMatchesAcrossBudgets) {
   const TableData data = MakeData(14);
-  Table flat = MakeTable(data, nullptr);
-  TableOptions opts;
-  opts.page_bytes = kPageBytes;
-  opts.buffer_pages = 2;
-  Table paged = MakeTable(data, &opts);
+  Table ref = MakeTable(data, 0);
+  Table paged = MakeTable(data, 2);
 
-  // Inner dimension table, flat, with an index.
+  // Inner dimension table, unbounded, with an index.
   Table dim;
   std::vector<uint32_t> ids(kCustomers / 2), score(kCustomers / 2);
   Pcg32 rng(15);
@@ -184,70 +202,102 @@ TEST(PagedTable, IndexedJoinMatchesAcrossStorageModes) {
   dim.AddColumn("score", std::move(score));
   dim.BuildSortIndex("id");
 
-  const auto flat_join = IndexedJoin(flat, "customer", dim, "id");
-  const auto paged_join = IndexedJoin(paged, "customer", dim, "id");
-  ASSERT_EQ(flat_join.size(), paged_join.size());
-  for (size_t i = 0; i < flat_join.size(); ++i) {
-    EXPECT_EQ(flat_join[i].outer, paged_join[i].outer);
-    EXPECT_EQ(flat_join[i].inner, paged_join[i].inner);
+  // Oracle: every customer row with an even id below kCustomers joins the
+  // dim row id / 2, in outer-RID order.
+  std::vector<std::pair<Rid, Rid>> want;
+  for (size_t r = 0; r < data.customer.size(); ++r) {
+    if (data.customer[r] % 2 == 0) {
+      want.emplace_back(static_cast<Rid>(r), data.customer[r] / 2);
+    }
+  }
+  for (const Table* outer : {&ref, &paged}) {
+    const auto join = IndexedJoin(*outer, "customer", dim, "id");
+    ASSERT_EQ(join.size(), want.size());
+    for (size_t i = 0; i < join.size(); ++i) {
+      EXPECT_EQ(join[i].outer, want[i].first);
+      EXPECT_EQ(join[i].inner, want[i].second);
+    }
   }
 
   // Paged table as the INNER side: its index serves probes identically.
-  flat.BuildSortIndex("customer");
+  ref.BuildSortIndex("customer");
   paged.BuildSortIndex("customer");
-  const auto flat_inner = IndexedJoin(dim, "id", flat, "customer");
+  const auto ref_inner = IndexedJoin(dim, "id", ref, "customer");
   const auto paged_inner = IndexedJoin(dim, "id", paged, "customer");
-  ASSERT_EQ(flat_inner.size(), paged_inner.size());
-  for (size_t i = 0; i < flat_inner.size(); ++i) {
-    EXPECT_EQ(flat_inner[i].outer, paged_inner[i].outer);
-    EXPECT_EQ(flat_inner[i].inner, paged_inner[i].inner);
+  ASSERT_EQ(ref_inner.size(), paged_inner.size());
+  ASSERT_EQ(ref_inner.size(), want.size());
+  for (size_t i = 0; i < ref_inner.size(); ++i) {
+    EXPECT_EQ(ref_inner[i].outer, paged_inner[i].outer);
+    EXPECT_EQ(ref_inner[i].inner, paged_inner[i].inner);
   }
 }
 
-TEST(PagedTable, MutatorsMatchFlatTableAtMinimalBudget) {
+TEST(PagedTable, MutatorsMatchVectorModelAtEveryBudget) {
   const TableData data = MakeData(16);
-  Table flat = MakeTable(data, nullptr);
-  TableOptions opts;
-  opts.page_bytes = kPageBytes;
-  opts.buffer_pages = 2;
-  Table paged = MakeTable(data, &opts);
-  flat.BuildSortIndex("customer");
-  paged.BuildSortIndex("customer");
+  // The model: one plain vector per column, mutated by hand.
+  std::map<std::string, std::vector<uint32_t>> model{
+      {"customer", data.customer}, {"amount", data.amount}, {"day", data.day}};
+  std::vector<Table> tables;
+  for (size_t budget : Budgets()) {
+    tables.push_back(MakeTable(data, budget));
+    tables.back().BuildSortIndex("customer");
+  }
+  auto expect_model = [&](const std::string& step) {
+    for (size_t b = 0; b < tables.size(); ++b) {
+      const std::string label =
+          step + " @budget=" + std::to_string(Budgets()[b]);
+      EXPECT_EQ(tables[b].NumRows(), model["customer"].size()) << label;
+      for (const auto& [name, values] : model) {
+        EXPECT_EQ(tables[b].ReadColumn(name), values) << label << " " << name;
+      }
+      ExpectMatchesOracle(tables[b].GetSortIndex("customer"),
+                          model["customer"], label);
+      ExpectSameAnswers(tables[0], tables[b], label);
+    }
+  };
 
   // Append a batch.
-  std::map<std::string, std::vector<uint32_t>> batch{
+  const std::map<std::string, std::vector<uint32_t>> batch{
       {"customer", {3, 9, 3, 150}},
       {"amount", {10, 20, 30, 40}},
       {"day", {1, 2, 3, 4}}};
-  flat.AppendRows(batch);
-  paged.AppendRows(batch);
-  EXPECT_EQ(paged.NumRows(), flat.NumRows());
-  EXPECT_EQ(paged.ReadColumn("customer"), flat.Column("customer"));
+  for (Table& t : tables) t.AppendRows(batch);
+  for (auto& [name, values] : model) {
+    values.insert(values.end(), batch.at(name).begin(), batch.at(name).end());
+  }
+  expect_model("append");
 
-  // Delete a scattered set of rows (stream-compacts every paged column).
+  // Delete a scattered set of rows (stream-compacts every column).
   std::vector<Rid> dead;
   Pcg32 rng(17);
   for (int i = 0; i < 500; ++i) {
-    dead.push_back(rng.Below(static_cast<uint32_t>(flat.NumRows())));
+    dead.push_back(rng.Below(static_cast<uint32_t>(model["customer"].size())));
   }
-  flat.DeleteRows(dead);
-  paged.DeleteRows(dead);
-  EXPECT_EQ(paged.NumRows(), flat.NumRows());
-  EXPECT_EQ(paged.ReadColumn("customer"), flat.Column("customer"));
-  EXPECT_EQ(paged.ReadColumn("amount"), flat.Column("amount"));
+  for (Table& t : tables) t.DeleteRows(dead);
+  const std::set<Rid> dead_set(dead.begin(), dead.end());
+  for (auto& [name, values] : model) {
+    std::vector<uint32_t> kept;
+    for (size_t r = 0; r < values.size(); ++r) {
+      if (dead_set.count(static_cast<Rid>(r)) == 0) kept.push_back(values[r]);
+    }
+    values = std::move(kept);
+  }
+  expect_model("delete");
 
   // Keyed update: delete-by-key plus inserts, one maintenance batch.
-  std::map<std::string, std::vector<uint32_t>> inserts{
+  const std::map<std::string, std::vector<uint32_t>> inserts{
       {"customer", {5, 5}}, {"amount", {7, 8}}, {"day", {9, 10}}};
-  flat.ApplyUpdate("customer", {5, 42}, inserts);
-  paged.ApplyUpdate("customer", {5, 42}, inserts);
-  EXPECT_EQ(paged.NumRows(), flat.NumRows());
-  EXPECT_EQ(paged.ReadColumn("customer"), flat.Column("customer"));
-  EXPECT_EQ(paged.GetSortIndex("customer").sorted_keys(),
-            flat.GetSortIndex("customer").sorted_keys());
-  EXPECT_EQ(paged.GetSortIndex("customer").rids(),
-            flat.GetSortIndex("customer").rids());
-  ExpectSameAnswers(flat, paged, "after mutations");
+  for (Table& t : tables) t.ApplyUpdate("customer", {5, 42}, inserts);
+  const std::vector<uint32_t> keys = model["customer"];
+  for (auto& [name, values] : model) {
+    std::vector<uint32_t> kept;
+    for (size_t r = 0; r < values.size(); ++r) {
+      if (keys[r] != 5 && keys[r] != 42) kept.push_back(values[r]);
+    }
+    kept.insert(kept.end(), inserts.at(name).begin(), inserts.at(name).end());
+    values = std::move(kept);
+  }
+  expect_model("update");
 }
 
 TEST(PagedTable, StringColumnsWorkPaged) {
@@ -266,22 +316,31 @@ TEST(PagedTable, StringColumnsWorkPaged) {
   EXPECT_EQ(SelectEqual(t, "city", std::string("boston")).size(), 75u);
 }
 
-TEST(PagedTable, ColumnThrowsAndViewServesInPagedMode) {
+TEST(PagedTable, ViewServesAndDefaultTableReportsPoolStats) {
   TableOptions opts;
   opts.page_bytes = 64;
   opts.buffer_pages = 2;
   Table t(opts);
   t.AddColumn("x", {1, 2, 3});
-  EXPECT_THROW(t.Column("x"), std::logic_error);
   EXPECT_EQ(t.ReadColumn("x"), (std::vector<uint32_t>{1, 2, 3}));
   ColumnView view = t.View("x");
   EXPECT_EQ(view.size(), 3u);
   EXPECT_EQ(view.At(1), 2u);
   // Pool counters are exposed (and something actually faulted).
   EXPECT_GT(t.PoolStats().pins, 0u);
-  Table flat;
-  flat.AddColumn("x", {1});
-  EXPECT_THROW(flat.PoolStats(), std::logic_error);
+
+  // A default table is an unbounded pool: it pins pages like any other,
+  // but never evicts and never does spill I/O.
+  Table in_ram;
+  EXPECT_EQ(in_ram.options().buffer_pages, 0u);
+  in_ram.AddColumn("x", std::vector<uint32_t>(100'000, 7));
+  in_ram.BuildSortIndex("x");
+  EXPECT_EQ(CountEqual(in_ram, "x", 7), 100'000u);
+  const store::BufferStats& stats = in_ram.PoolStats();
+  EXPECT_GT(stats.pins, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.spill_reads, 0u);
+  EXPECT_EQ(stats.spill_writes, 0u);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include "store/buffer_manager.h"
 #include "store/paged_column.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/external_build.h"
@@ -51,6 +55,62 @@ TEST(PagedColumn, RoundTripsAcrossPageSizesAndBudgets) {
       }
     }
   }
+}
+
+/// A fresh, empty directory under the system temp path, removed on
+/// destruction: the spill_dir the lazy-spill tests watch.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              (name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  std::string str() const { return path_.string(); }
+  bool empty() const { return std::filesystem::is_empty(path_); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+TEST(BufferManager, PoolsThatNeverEvictNeverTouchTheSpillDir) {
+  ScratchDir dir("cssidx_store_test_no_spill");
+  const std::vector<uint32_t> values = RandomValues(1000, 1 << 20, 7);
+  // An unbounded pool, and a bounded one whose budget covers every page.
+  for (size_t buffer_pages : {0u, 64u}) {
+    {
+      BufferManager bm(StoreOptions{64, buffer_pages, dir.str()});
+      PagedColumn col(&bm);
+      col.Append(values);
+      std::vector<uint32_t> read(values.size());
+      col.Read(0, read);
+      EXPECT_EQ(read, values);
+      EXPECT_EQ(bm.stats().evictions, 0u);
+      EXPECT_TRUE(dir.empty()) << "buffer_pages=" << buffer_pages;
+    }
+    EXPECT_TRUE(dir.empty()) << "buffer_pages=" << buffer_pages;
+  }
+}
+
+TEST(BufferManager, EvictingPoolRemovesItsSpillSubdirectory) {
+  ScratchDir dir("cssidx_store_test_spill");
+  const std::vector<uint32_t> values = RandomValues(1000, 1 << 20, 8);
+  {
+    BufferManager bm(StoreOptions{64, 2, dir.str()});
+    PagedColumn col(&bm);
+    col.Append(values);
+    EXPECT_GT(bm.stats().spill_writes, 0u);
+    EXPECT_FALSE(dir.empty());  // the subdirectory holds the spill file
+    std::vector<uint32_t> read(values.size());
+    col.Read(0, read);
+    EXPECT_EQ(read, values);
+  }
+  EXPECT_TRUE(dir.empty());
 }
 
 TEST(BufferManager, PinUnpinAccounting) {
