@@ -13,6 +13,12 @@
 // SAME data on the SAME machine), so the gate transfers across hardware — and on at least one
 // external row having merged more than one run (paged_external_merge).
 //
+// The "gather" block times engine::Aggregate over 10,000 random RIDs,
+// and over the same RIDs sorted, at budgets {unbounded, a quarter
+// of the column}. Each row's slowdown_vs_vector divides by the same
+// aggregate folded straight off a std::vector in the same run; gate
+// paged_gather_slowdown caps it on the unbounded rows.
+//
 //   $ ./bench_paged [--n=1000000] [--page-bytes=65536] [--spec=css:16]
 //                   [--lookups=200000] [--repeats=3] [--quick]
 //                   [--json=BENCH_paged.json]
@@ -23,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/query.h"
 #include "engine/table.h"
 #include "harness.h"
 #include "util/cli.h"
@@ -150,5 +157,63 @@ int main(int argc, char** argv) {
               ", inram_build=" + bench::Table::Num(inram_build, 4) + "s" +
               ", inram_probe=" + bench::Table::Num(inram_probe_mkeys, 2) +
               " Mk/s");
+
+  // Gathers: the same RIDs aggregated off the paged column and off the
+  // plain vector. Each timing is the best of `repeats` passes of
+  // kGatherCalls calls, per call.
+  constexpr size_t kGatherRids = 10'000;
+  constexpr int kGatherCalls = 20;
+  auto time_per_call = [&](auto&& call) {
+    double best = 1e300;
+    for (int r = 0; r < options.repeats; ++r) {
+      Timer timer;
+      for (int c = 0; c < kGatherCalls; ++c) call();
+      best = std::min(best, timer.Seconds() / kGatherCalls);
+    }
+    return best;
+  };
+  std::vector<engine::Rid> random_rids(kGatherRids);
+  for (auto& r : random_rids) r = rng.Below(static_cast<uint32_t>(n));
+  std::vector<engine::Rid> sorted_rids = random_rids;
+  std::sort(sorted_rids.begin(), sorted_rids.end());
+  report.header().Set("gather_rids", kGatherRids);
+  bench::Table gathers({"buffer_pages", "rids", "paged us", "vector us",
+                        "slowdown", "faults"});
+  for (size_t budget : {size_t{0}, std::max<size_t>(column_pages / 4, 2)}) {
+    engine::TableOptions topts;
+    topts.page_bytes = page_bytes;
+    topts.buffer_pages = budget;
+    engine::Table paged(topts);
+    paged.AddColumn("k", data);
+    for (const auto& [scenario, rids] : {std::pair{"random", &random_rids},
+                                         std::pair{"sorted", &sorted_rids}}) {
+      const double vector_sec = time_per_call([&] {
+        engine::Aggregates agg;
+        for (engine::Rid r : *rids) agg.Accumulate(data[r]);
+        bench::g_sink = bench::g_sink + agg.sum;
+      });
+      const store::BufferStats before = paged.PoolStats();
+      const double paged_sec = time_per_call([&] {
+        bench::g_sink =
+            bench::g_sink + engine::Aggregate(paged, "k", *rids).sum;
+      });
+      const size_t faults = paged.PoolStats().faults - before.faults;
+      const double slowdown = paged_sec / vector_sec;
+      gathers.AddRow({budget == 0 ? "unbounded" : std::to_string(budget),
+                      scenario, bench::Table::Num(paged_sec * 1e6, 4),
+                      bench::Table::Num(vector_sec * 1e6, 4),
+                      bench::Table::Num(slowdown, 2), std::to_string(faults)});
+      report.AddRow("gather")
+          .Set("buffer_pages", budget)
+          .Set("scenario", scenario)
+          .Set("rids", rids->size())
+          .Set("paged_us", paged_sec * 1e6, 2)
+          .Set("vector_us", vector_sec * 1e6, 2)
+          .Set("slowdown_vs_vector", slowdown)
+          .Set("faults", faults);
+    }
+  }
+  gathers.Print("Aggregate over " + std::to_string(kGatherRids) +
+                " RIDs, paged column vs std::vector, n=" + std::to_string(n));
   return report.Write(json_path) ? 0 : 1;
 }

@@ -178,17 +178,35 @@ std::vector<JoinedPair> IndexedJoin(const Table& outer,
   return out;
 }
 
+namespace {
+
+/// Rows per Gather call: bounds the staging buffer at a few pages' worth
+/// of values however long the RID list is.
+constexpr size_t kGatherBlock = 8192;
+
+/// Gathers `column` at `rids` one bounded block at a time and calls
+/// fn(values, offset): values[k] is the value of row rids[offset + k].
+template <typename Fn>
+void GatherBlocks(const ColumnView& column, std::span<const Rid> rids,
+                  Fn&& fn) {
+  std::vector<uint32_t> stage(std::min(rids.size(), kGatherBlock));
+  for (size_t offset = 0; offset < rids.size(); offset += kGatherBlock) {
+    const size_t len = std::min(rids.size() - offset, kGatherBlock);
+    std::span<uint32_t> values(stage.data(), len);
+    column.Gather(rids.subspan(offset, len), values);
+    fn(std::span<const uint32_t>(values), offset);
+  }
+}
+
+}  // namespace
+
 Aggregates Aggregate(const Table& table, const std::string& column,
                      const std::vector<Rid>& rids) {
   Aggregates agg;
-  const ColumnView col = table.View(column);
-  for (Rid r : rids) {
-    if (r >= col.size()) {
-      throw std::out_of_range("Aggregate: rid " + std::to_string(r) +
-                              " >= row count " + std::to_string(col.size()));
-    }
-    agg.Accumulate(col.At(r));
-  }
+  GatherBlocks(table.View(column), rids,
+               [&](std::span<const uint32_t> values, size_t) {
+                 for (uint32_t v : values) agg.Accumulate(v);
+               });
   if (agg.count == 0) agg.min = 0;
   return agg;
 }
@@ -201,38 +219,36 @@ std::vector<Aggregates> GroupBy(const Table& table,
   const ColumnView values = table.View(value_column);
   bool accumulated = false;
   if (table.HasSortIndex(group_column)) {
-    // Resolve every group key's duplicate run in one EqualRangeBatch (the
-    // batch auto-shards above the parallel-probe threshold). The probes
-    // are cheap — the expensive part is accumulating values[rids[pos]],
-    // a gather whose positions stride across the values column — so the
-    // run spans also serve as a selectivity measurement: when the groups
-    // cover most of the table, a sequential scan touches far fewer value
-    // lines than the gather and the scan path below takes over. Either
-    // way the stable sort keeps a run's RIDs in row order, so
-    // accumulation order — and hence every aggregate — is identical.
+    // The group keys [0, num_groups) fill the prefix
+    // [0, LowerBound(num_groups)) of the sorted key list, so one probe
+    // finds every group's rows and doubles as a selectivity measurement:
+    // when the groups cover most of the table, a sequential scan touches
+    // far fewer value lines than the RID-list gather and the scan path
+    // below takes over. Either way the stable sort keeps a run's RIDs in
+    // row order, so accumulation order — and hence every aggregate — is
+    // identical.
     const SortIndex& index = table.GetSortIndex(group_column);
-    const auto& rids = index.rids();
-    std::vector<uint32_t> group_keys(num_groups);
-    for (uint32_t g = 0; g < num_groups; ++g) group_keys[g] = g;
-    std::vector<PositionRange> runs(num_groups);
-    index.EqualRangeBatch(group_keys, runs, ProbeOptions{.threads = 0});
-    size_t covered = 0;
-    for (const PositionRange& r : runs) covered += r.size();
+    const size_t covered = index.LowerBound(num_groups);
     if (covered <= table.NumRows() / 4) {
-      for (uint32_t g = 0; g < num_groups; ++g) {
-        for (size_t pos = runs[g].begin; pos < runs[g].end; ++pos) {
-          groups[g].Accumulate(values.At(rids[pos]));
-        }
-      }
+      const std::vector<uint32_t>& keys = index.sorted_keys();
+      GatherBlocks(values, std::span(index.rids()).first(covered),
+                   [&](std::span<const uint32_t> block, size_t offset) {
+                     for (size_t k = 0; k < block.size(); ++k) {
+                       groups[keys[offset + k]].Accumulate(block[k]);
+                     }
+                   });
       accumulated = true;
     }
   }
   if (!accumulated) {
+    std::vector<uint32_t> block_values;
     table.View(group_column)
         .Scan([&](std::span<const uint32_t> block, size_t base) {
+          block_values.resize(block.size());
+          values.Read(base, block_values);
           for (size_t i = 0; i < block.size(); ++i) {
             if (block[i] >= num_groups) continue;  // outside the dense domain
-            groups[block[i]].Accumulate(values.At(base + i));
+            groups[block[i]].Accumulate(block_values[i]);
           }
         });
   }

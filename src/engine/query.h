@@ -111,7 +111,8 @@ struct Aggregates {
   }
 };
 
-/// COUNT/SUM/MIN/MAX of `column` over the given rows. An empty row set
+/// COUNT/SUM/MIN/MAX of `column` over the given rows, gathered in
+/// bounded blocks that pin each touched page once. An empty row set
 /// reports min = max = 0 (SQL would say NULL; 0 is this engine's
 /// convention). Throws std::out_of_range for a RID >= NumRows().
 Aggregates Aggregate(const Table& table, const std::string& column,
@@ -120,11 +121,11 @@ Aggregates Aggregate(const Table& table, const std::string& column,
 /// GROUP BY `group_column` (dense domain IDs expected) computing COUNT and
 /// SUM(value_column) per group. Returns a vector indexed by group ID;
 /// empty groups report min = max = 0. With a sort index on `group_column`
-/// every group key resolves through one EqualRangeBatch call (its
-/// duplicate-run span in the RID list); the spans then double as a
-/// selectivity measurement — when the groups cover most of the table a
-/// sequential scan beats the RID-list gather, so accumulation falls back
-/// to the scan. Both paths accumulate each group's rows in RID order (the
+/// the groups' rows are the RID-list prefix [0, LowerBound(num_groups)),
+/// which one probe finds and which doubles as a selectivity measurement:
+/// a prefix covering at most a quarter of the table is gathered in
+/// bounded blocks, anything wider falls back to a sequential scan of both
+/// columns. Both paths accumulate each group's rows in RID order (the
 /// sort is stable), so results are identical regardless of path.
 std::vector<Aggregates> GroupBy(const Table& table,
                                 const std::string& group_column,

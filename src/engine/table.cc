@@ -9,18 +9,6 @@
 
 namespace cssidx::engine {
 
-void ColumnView::Refill(size_t i) const {
-  assert(i < column_->size());
-  // Page-aligned blocks: ascending At() sequences (gathers over sorted
-  // RIDs) fault once per page instead of once per value.
-  const size_t vpp = column_->values_per_page();
-  const size_t base = i - i % vpp;
-  const size_t len = std::min(vpp, column_->size() - base);
-  cache_.resize(len);
-  column_->Read(base, cache_);
-  cache_base_ = base;
-}
-
 std::vector<uint32_t> ColumnView::Materialize() const {
   std::vector<uint32_t> out(column_->size());
   column_->Read(0, out);
@@ -79,6 +67,28 @@ SortIndex SortIndex::FromSorted(std::vector<uint32_t> sorted_keys,
   return out;
 }
 
+namespace {
+
+/// First position in [from, keys.size()) whose key is > v, by galloping
+/// from `from`: O(log d) for an answer d positions on, so a sorted batch
+/// walks the old keys once in total.
+size_t GallopUpperBound(const std::vector<uint32_t>& keys, size_t from,
+                        uint32_t v) {
+  // Invariant: every key before lo is <= v.
+  size_t lo = from, hi = from;
+  for (size_t step = 1; hi < keys.size() && keys[hi] <= v; step *= 2) {
+    lo = hi + 1;
+    hi = lo + step;
+  }
+  hi = std::min(hi, keys.size());
+  return static_cast<size_t>(
+      std::upper_bound(keys.begin() + static_cast<ptrdiff_t>(lo),
+                       keys.begin() + static_cast<ptrdiff_t>(hi), v) -
+      keys.begin());
+}
+
+}  // namespace
+
 void SortIndex::ApplyAppend(std::span<const uint32_t> values, Rid first_rid) {
   const size_t m = values.size();
   if (m == 0) return;
@@ -90,25 +100,36 @@ void SortIndex::ApplyAppend(std::span<const uint32_t> values, Rid first_rid) {
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return values[a] < values[b];
   });
-  // Merge the RID permutation to match the key merge ApplySortedBatch
-  // performs: existing rows win ties (their RIDs are smaller by
-  // construction). The sorted value list falls out of the same pass.
-  const std::vector<uint32_t>& old_keys = head_->keys();
-  std::vector<Rid> merged(old_keys.size() + m);
   std::vector<uint32_t> sorted_values(m);
   for (size_t j = 0; j < m; ++j) sorted_values[j] = values[order[j]];
-  size_t i = 0, j = 0, at = 0;
-  while (i < old_keys.size() && j < m) {
-    merged[at++] = old_keys[i] <= sorted_values[j]
-                       ? rids_[i++]
-                       : first_rid + order[j++];
+  // Where each appended row lands in the old list: after every old key
+  // <= its value — existing rows win ties, as in the key merge
+  // ApplySortedBatch performs (their RIDs are smaller by construction).
+  const std::vector<uint32_t>& old_keys = head_->keys();
+  const size_t n = old_keys.size();
+  std::vector<size_t> at(m);
+  for (size_t j = 0, from = 0; j < m; ++j) {
+    from = at[j] = GallopUpperBound(old_keys, from, sorted_values[j]);
   }
-  while (i < old_keys.size()) merged[at++] = rids_[i++];
-  while (j < m) merged[at++] = first_rid + order[j++];
-
+  // Everything that can throw runs before rids_ changes: the geometric
+  // reserve, then the key merge and its new version.
+  if (n + m > rids_.capacity()) {
+    rids_.reserve(std::max(n + m, 2 * rids_.capacity()));
+  }
   maintained_->ApplySortedBatch(std::move(sorted_values), {});
+  // Grow the RID list in place, back to front: old segment
+  // [at[j], at[j + 1]) moves j + 1 slots right, and appended row j lands
+  // just before it.
+  rids_.resize(n + m);
+  size_t end = n;  // old rows [0, end) have not moved yet
+  for (size_t j = m; j-- > 0;) {
+    std::copy_backward(rids_.begin() + static_cast<ptrdiff_t>(at[j]),
+                       rids_.begin() + static_cast<ptrdiff_t>(end),
+                       rids_.begin() + static_cast<ptrdiff_t>(end + j + 1));
+    rids_[at[j] + j] = first_rid + order[j];
+    end = at[j];
+  }
   head_ = maintained_->Snapshot();
-  rids_ = std::move(merged);
 }
 
 void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,

@@ -47,16 +47,19 @@ using TableOptions = store::StoreOptions;
 
 /// Read facade over one column: every access copies through short-lived
 /// page pins (one pinned frame at a time, so any buffer budget works).
-/// Views are cheap to construct and hold a one-block cache so ascending
-/// point reads (At over sorted RIDs) fault once per page, not per value.
+/// A view holds no state beyond the column it borrows, so it is free to
+/// construct and copy. Point reads go through Gather, which pins each
+/// touched page once per call however the rows interleave pages — the
+/// access path for RID lists out of a sort index.
 class ColumnView {
  public:
   size_t size() const { return column_->size(); }
 
-  /// Value of row `i` (< size()).
-  uint32_t At(size_t i) const {
-    if (i < cache_base_ || i >= cache_base_ + cache_.size()) Refill(i);
-    return cache_[i - cache_base_];
+  /// out[i] = value of row rows[i], for any row order (duplicates
+  /// allowed). Throws std::out_of_range, before pinning anything, for a
+  /// row >= size(). `out` must be as long as `rows`.
+  void Gather(std::span<const Rid> rows, std::span<uint32_t> out) const {
+    column_->Gather(rows, out);
   }
 
   /// Copies rows [start, start + out.size()) into `out`.
@@ -81,13 +84,8 @@ class ColumnView {
  private:
   friend class Table;
   explicit ColumnView(const store::PagedColumn* column) : column_(column) {}
-  void Refill(size_t i) const;
 
   const store::PagedColumn* column_;
-  /// Page-aligned block behind At(); mutable because caching is not an
-  /// observable state change (Table access is externally synchronized).
-  mutable std::vector<uint32_t> cache_;
-  mutable size_t cache_base_ = 0;
 };
 
 /// Ordered secondary index on one column: the column's values sorted, the
@@ -130,12 +128,17 @@ class SortIndex {
 
   /// Incremental maintenance: merges the appended rows — values[i] is the
   /// column value of row first_rid + i — into the sorted key/RID lists
-  /// and refreshes the index through MaintainedIndex::ApplyBatch
-  /// (rebuilding only the touched shards for "part:K/" specs) instead of
-  /// re-sorting the whole column. Results are bit-identical to a
-  /// from-scratch rebuild of the extended column. Mutation requires
-  /// external synchronization, like any other method on this class; the
-  /// lock-free snapshot story lives in core::MaintainedIndex.
+  /// instead of re-sorting the whole column. The keys go through
+  /// MaintainedIndex::ApplySortedBatch as an insert-only batch (one merge
+  /// into the new version; only the touched shards rebuild for "part:K/"
+  /// specs). The RID list grows in place: a galloping search finds where
+  /// each appended row lands among the old keys, and the old segments
+  /// between those spots move back from the tail, into capacity reserved
+  /// geometrically — no new n-sized RID array per append. Results are
+  /// bit-identical to a from-scratch rebuild of the extended column.
+  /// Mutation requires external synchronization, like any other method
+  /// on this class; the lock-free snapshot story lives in
+  /// core::MaintainedIndex.
   void ApplyAppend(std::span<const uint32_t> values, Rid first_rid);
 
   /// The delete half of the maintenance chain, fused with an optional
@@ -297,7 +300,8 @@ class Table {
   bool HasStringColumn(const std::string& name) const;
 
   /// The dictionary behind a string column (throws if `name` is not one).
-  /// Decode query output with StringDomainOf(c).Decode(View(c).At(rid)).
+  /// Decode query output by gathering the IDs first, e.g.
+  /// View(c).Gather(rids, ids), then StringDomainOf(c).Decode(ids[i]).
   const domain::StringDomain& StringDomainOf(const std::string& name) const;
 
   /// Appends a batch of rows (one value per existing column, keyed by

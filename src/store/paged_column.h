@@ -10,8 +10,9 @@
 // A uint32 column stored on fixed-size pages behind a BufferManager.
 //
 // All access copies through short-lived pins — one page pinned at a time —
-// so every operation (append, point read, range read/write, streaming
-// compaction) works at ANY frame budget, including buffer_pages = 1 where
+// so every operation (append, point read, gather, range read/write,
+// streaming compaction) works at ANY frame budget, including
+// buffer_pages = 1 where
 // every page touch faults. That is the correctness spine the paged
 // differential suite leans on: results must be bit-identical to the
 // in-RAM column no matter how small the pool is.
@@ -45,6 +46,14 @@ class PagedColumn {
 
   /// Single value at `i` (one pin; use Read/cursors for bulk access).
   uint32_t Get(size_t i) const;
+
+  /// out[i] = value at rows[i], for any row order with duplicates
+  /// allowed. Unsorted rows are counting-sorted by page (sorted ones
+  /// need no sort), so each touched page is pinned once, one pin at a
+  /// time, however the rows interleave pages. Throws std::out_of_range,
+  /// before pinning anything, if any row is >= size(). `out` must be as
+  /// long as `rows`.
+  void Gather(std::span<const uint32_t> rows, std::span<uint32_t> out) const;
 
   /// Shrinks to `n` values (n <= size()); dead whole pages are dropped
   /// from the pool without spilling.

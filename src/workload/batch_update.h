@@ -29,20 +29,29 @@ using UpdateBatch64 = BasicUpdateBatch<uint64_t>;
 /// (a precondition, not checked): same semantics as ApplyBatch, no copies
 /// and no re-sort. The shard-incremental refresh path routes one globally
 /// sorted batch into per-shard sub-ranges and merges each through this.
+/// An insert-only batch is one merge into the result, O(n + |inserts|);
+/// with deletes, every key is first binary-searched in the delete list
+/// and the survivors copied, O(n log |deletes| + |inserts|), so the
+/// merge writes two n-sized arrays instead of one.
 template <typename KeyT>
 std::vector<KeyT> ApplySortedBatch(std::span<const KeyT> sorted_keys,
                                    std::span<const KeyT> inserts,
                                    std::span<const KeyT> deletes) {
+  // Without deletes every key survives: merge straight from the input.
+  std::span<const KeyT> kept = sorted_keys;
   std::vector<KeyT> survivors;
-  survivors.reserve(sorted_keys.size() + inserts.size());
-  for (KeyT k : sorted_keys) {
-    if (!std::binary_search(deletes.begin(), deletes.end(), k)) {
-      survivors.push_back(k);
+  if (!deletes.empty()) {
+    survivors.reserve(sorted_keys.size());
+    for (KeyT k : sorted_keys) {
+      if (!std::binary_search(deletes.begin(), deletes.end(), k)) {
+        survivors.push_back(k);
+      }
     }
+    kept = survivors;
   }
-  std::vector<KeyT> result(survivors.size() + inserts.size());
-  std::merge(survivors.begin(), survivors.end(), inserts.begin(),
-             inserts.end(), result.begin());
+  std::vector<KeyT> result(kept.size() + inserts.size());
+  std::merge(kept.begin(), kept.end(), inserts.begin(), inserts.end(),
+             result.begin());
   return result;
 }
 
@@ -57,7 +66,8 @@ inline std::vector<uint32_t> ApplySortedBatch(
 /// Applies `batch` to `sorted_keys` and returns the new sorted array.
 /// Deletes are applied first, then inserts (so inserting a deleted key
 /// keeps it). Duplicate inserts are kept — the structures support
-/// duplicates per §3.6. Runs in O((n + |batch|) log |batch|).
+/// duplicates per §3.6. Sorting the batch adds O(|batch| log |batch|) to
+/// ApplySortedBatch's merge.
 template <typename KeyT>
 std::vector<KeyT> ApplyBatch(const std::vector<KeyT>& sorted_keys,
                              const BasicUpdateBatch<KeyT>& batch) {

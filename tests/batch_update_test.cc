@@ -1,6 +1,9 @@
 #include "workload/batch_update.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "workload/key_gen.h"
@@ -109,6 +112,48 @@ TEST(BatchUpdate, RandomBatchInRangeWithNoExistingKeysIsInsertOnly) {
   UpdateBatch batch = RandomBatchInRange(keys, 0.1, beyond, beyond + 50, 11);
   EXPECT_TRUE(batch.deletes.empty());  // nothing in range to delete
   EXPECT_EQ(batch.inserts.size(), 50u);
+}
+
+// The insert-only path merges straight into the result; it must equal
+// the survivors-then-merge algorithm the delete path runs, written out
+// here as an independent reference. Duplicate inserts equal to existing
+// keys land after them (std::merge is stable), as before.
+TEST(BatchUpdate, InsertOnlyMergeEqualsSurvivorsThenMerge) {
+  auto reference = [](const std::vector<uint32_t>& keys,
+                      const std::vector<uint32_t>& inserts) {
+    std::vector<uint32_t> survivors(keys.begin(), keys.end());
+    std::vector<uint32_t> out(survivors.size() + inserts.size());
+    std::merge(survivors.begin(), survivors.end(), inserts.begin(),
+               inserts.end(), out.begin());
+    return out;
+  };
+  const std::vector<uint32_t> no_deletes;
+  // A delete key that is in neither list: the delete path removes nothing.
+  const std::vector<uint32_t> absent{UINT32_MAX};
+  std::vector<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>> cases{
+      {{}, {}},
+      {{}, {1, 1, 2}},
+      {{3, 5, 5, 9}, {}},
+      {{3, 5, 5, 9}, {5, 5, 5}},
+      {{3, 5, 5, 9}, {0, 3, 5, 9, 9, 10}},
+      {{10, 10, 10}, {10}},
+      {{1, 2, 3}, {100, 200}},
+      {{100, 200}, {1, 2, 3}},
+  };
+  auto keys = DistinctSortedKeys(3000, 3, 4);
+  std::vector<uint32_t> dup_inserts;
+  for (size_t i = 0; i < keys.size(); i += 7) dup_inserts.push_back(keys[i]);
+  dup_inserts.push_back(0);
+  dup_inserts.push_back(keys.back() + 1);
+  std::sort(dup_inserts.begin(), dup_inserts.end());
+  cases.emplace_back(keys, dup_inserts);
+  for (const auto& [base, inserts] : cases) {
+    ASSERT_TRUE(base.empty() || base.back() < UINT32_MAX);
+    ASSERT_TRUE(inserts.empty() || inserts.back() < UINT32_MAX);
+    const std::vector<uint32_t> want = reference(base, inserts);
+    EXPECT_EQ(ApplySortedBatch(base, inserts, no_deletes), want);
+    EXPECT_EQ(ApplySortedBatch(base, inserts, absent), want);
+  }
 }
 
 }  // namespace

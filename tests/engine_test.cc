@@ -297,8 +297,8 @@ TEST(Query, GroupByCountsAndSums) {
 }
 
 TEST(Query, GroupByIndexedMatchesScanOnZipfSkewedDuplicates) {
-  // The batch rewrite resolves group keys through EqualRangeBatch when the
-  // group column is indexed; the scan path is the oracle. A Zipf-skewed
+  // With the group column indexed, GroupBy gathers the RID-list prefix
+  // that holds the group keys; the scan path is the oracle. A Zipf-skewed
   // group column makes a few groups enormous and leaves others empty —
   // exactly the duplicate-run spread where span bugs hide. Both paths
   // accumulate in RID order (stable sort), so every field must match
@@ -320,7 +320,7 @@ TEST(Query, GroupByIndexedMatchesScanOnZipfSkewedDuplicates) {
 
   // The dense query covers every row, so the selectivity gate keeps the
   // scan accumulator; a sparse query (the head groups of a much wider
-  // domain) goes through the RID-list spans. Both must match the scan
+  // domain) goes through the RID-list gather. Both must match the scan
   // oracle exactly, for every spec.
   constexpr uint32_t kSparseGroups = 8;
   ZipfGenerator wide(5000, /*theta=*/0.8, /*seed=*/45);
@@ -499,6 +499,74 @@ TEST(Table, IncrementalAppendMatchesFreshRebuildForEverySpec) {
       EXPECT_GE(stats.incremental_refreshes + stats.full_rebuilds, 1u)
           << spec_text;
     }
+  }
+}
+
+TEST(Table, ManyAppendsGrowRidListInPlaceAndMatchFreshBuild) {
+  // ApplyAppend grows the RID list in place — segments of the old list
+  // move back to make room for each appended row — and reserves capacity
+  // geometrically. Forty-plus appends from a small start cross several
+  // capacity growths; after EVERY step the key and RID lists must equal a
+  // from-scratch SortIndex over the extended column, bit for bit. The
+  // batches hit every landing spot: values equal to existing runs (ties
+  // go after the old rows), below the minimum, above the maximum, a
+  // one-row batch and an empty one.
+  for (const char* spec_text : {"css:16", "part:16/css:16"}) {
+    const IndexSpec spec = *IndexSpec::Parse(spec_text);
+    Pcg32 rng(0x5eed);
+    std::vector<uint32_t> model(64);
+    for (auto& v : model) v = 1000 + rng.Below(50);
+    Table t;
+    t.AddColumn("k", model);
+    t.BuildSortIndex("k", spec);
+    size_t growths = 0;
+    size_t capacity = t.GetSortIndex("k").rids().capacity();
+    for (int step = 0; step < 44; ++step) {
+      std::vector<uint32_t> batch;
+      switch (step % 6) {
+        case 0:  // existing values only: every row ties with a run
+          for (int i = 0; i < 9; ++i) {
+            batch.push_back(model[rng.Below(static_cast<uint32_t>(
+                model.size()))]);
+          }
+          break;
+        case 1:  // below the current minimum, descending
+          for (uint32_t i = 0; i < 5; ++i) {
+            batch.push_back(999 - static_cast<uint32_t>(step) - i);
+          }
+          break;
+        case 2:  // above the current maximum
+          for (uint32_t i = 0; i < 7; ++i) {
+            batch.push_back(2000 + static_cast<uint32_t>(step) * 10 + i);
+          }
+          break;
+        case 3:  // a single row
+          batch.push_back(1000 + rng.Below(60));
+          break;
+        case 4:  // empty
+          break;
+        default:  // a mix, with in-batch duplicates
+          for (int i = 0; i < 12; ++i) batch.push_back(990 + rng.Below(80));
+          batch.push_back(batch.front());
+          break;
+      }
+      t.AppendRows({{"k", batch}});
+      model.insert(model.end(), batch.begin(), batch.end());
+      const SortIndex& incremental = t.GetSortIndex("k");
+      const SortIndex scratch(model, spec);
+      ASSERT_EQ(incremental.sorted_keys(), scratch.sorted_keys())
+          << spec_text << " step " << step;
+      ASSERT_EQ(incremental.rids(), scratch.rids())
+          << spec_text << " step " << step;
+      if (incremental.rids().capacity() != capacity) {
+        ++growths;
+        capacity = incremental.rids().capacity();
+      }
+    }
+    EXPECT_GE(growths, 2u) << spec_text;
+    EXPECT_EQ(t.GetSortIndex("k").Equal(999),
+              SortIndex(model, spec).Equal(999))
+        << spec_text;
   }
 }
 
@@ -899,9 +967,9 @@ TEST(Table, StringColumnIsAnIdColumnWithAnOrderPreservingDictionary) {
   // Decode-on-output: a query result's rows map back to values.
   std::vector<Rid> oslo = SelectEqual(t, "city", std::string("oslo"));
   EXPECT_EQ(oslo, (std::vector<Rid>{0, 2}));
-  for (Rid r : oslo) {
-    EXPECT_EQ(dom.Decode(t.View("city").At(r)), "oslo");
-  }
+  std::vector<uint32_t> ids(oslo.size());
+  t.View("city").Gather(oslo, ids);
+  for (uint32_t id : ids) EXPECT_EQ(dom.Decode(id), "oslo");
 }
 
 TEST(Query, StringPredicatesMatchScanOracleWithAndWithoutIndex) {
@@ -1066,7 +1134,9 @@ TEST(Table, InsertedStringIdsAreValidatedAgainstTheDictionary) {
   // Valid IDs still append (and decode) fine.
   t.AppendRows({{"fruit", {2, 0}}, {"kg", {4, 5}}});
   EXPECT_EQ(t.NumRows(), 5u);
-  EXPECT_EQ(t.StringDomainOf("fruit").Decode(t.View("fruit").At(3)), "quince");
+  uint32_t id = 0;
+  t.View("fruit").Read(3, std::span<uint32_t>(&id, 1));
+  EXPECT_EQ(t.StringDomainOf("fruit").Decode(id), "quince");
 }
 
 // Regression: SpaceBytes() reported vector capacity(), overstating the
