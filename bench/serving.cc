@@ -18,6 +18,13 @@
 // invariant — and on conservation: every row reports its lost or phantom
 // batches and its publishes beyond the batches applied, both gated to 0.
 //
+// A "domain" block then times the string dictionary a string table's
+// writer grows: AddBatch of 32 new values against FromValues of the same
+// dictionary, at 50K and 500K values shaped like the end-to-end rw_fresh
+// workload's ("v%010llu"). Gate domain_add_batch_vs_build caps their
+// ratio: a batch merges into the dictionary and must cost a small
+// fraction of rebuilding it.
+//
 //   $ ./bench_serving [--n=2000000] [--readers=2] [--find-batch=256]
 //                     [--update-keys=256] [--duration-ms=500]
 //                     [--spec=css:16] [--json=BENCH_serving.json] [--quick]
@@ -30,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "domain/domain.h"
 #include "harness.h"
 #include "serve/server.h"
 #include "util/rng.h"
@@ -183,6 +191,49 @@ ScenarioResult RunScenario(const std::string& scenario, const IndexSpec& spec,
   return result;
 }
 
+// Best of 5: a fresh array's page faults make single AddBatch timings
+// noisy on virtual machines.
+constexpr int kDomainRepeats = 5;
+constexpr size_t kDomainBatch = 32;  // rw_fresh's string batch
+
+struct DomainResult {
+  size_t values = 0;
+  size_t batch = 0;
+  double build_ms = 0;
+  double add_ms = 0;
+};
+
+std::string DomainValue(uint64_t x) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "v%010llu",
+                static_cast<unsigned long long>(x));
+  return buf;
+}
+
+/// FromValues over `values` distinct even-numbered values in ascending
+/// order, then AddBatch of kDomainBatch odd-numbered ones from the middle
+/// of the range, which renumbers half the old IDs.
+DomainResult RunDomain(size_t values) {
+  std::vector<std::string> column;
+  for (uint64_t x = 0; x < values; ++x) column.push_back(DomainValue(2 * x));
+  std::vector<std::string> fresh;
+  for (uint64_t q = 0; q < kDomainBatch; ++q) {
+    fresh.push_back(DomainValue(2 * (values / 2 + q) + 1));
+  }
+  DomainResult result{values, kDomainBatch, 1e300, 1e300};
+  for (int r = 0; r < kDomainRepeats; ++r) {
+    std::vector<std::string> input = column;
+    Timer build;
+    auto dictionary = domain::StringDomain::FromValues(std::move(input));
+    result.build_ms = std::min(result.build_ms, build.Millis());
+    Timer add;
+    const std::vector<uint32_t> remap = dictionary.AddBatch(fresh);
+    result.add_ms = std::min(result.add_ms, add.Millis());
+    bench::g_sink = bench::g_sink + remap.back() + dictionary.size();
+  }
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -232,6 +283,20 @@ int main(int argc, char** argv) {
               ", hardware threads=" +
               std::to_string(ThreadPool::HardwareThreads()));
 
+  std::vector<DomainResult> domains;
+  for (size_t values : {50'000, 500'000}) {
+    domains.push_back(RunDomain(values));
+  }
+  bench::Table domain_table({"values", "batch", "FromValues ms",
+                             "AddBatch ms", "add/build"});
+  for (const DomainResult& d : domains) {
+    domain_table.AddRow({std::to_string(d.values), std::to_string(d.batch),
+                         bench::Table::Num(d.build_ms, 3),
+                         bench::Table::Num(d.add_ms, 3),
+                         bench::Table::Num(d.add_ms / d.build_ms, 3)});
+  }
+  domain_table.Print("string dictionary growth vs rebuild");
+
   bench::Report report("serving", n);
   report.header()
       .Set("readers", readers)
@@ -257,6 +322,14 @@ int main(int argc, char** argv) {
         .Set("rejected_batches", r.queue.rejected_batches)
         .Set("lost_or_phantom_batches", r.LostOrPhantomBatches())
         .Set("publishes_beyond_applied", r.PublishesBeyondApplied());
+  }
+  for (const DomainResult& d : domains) {
+    report.AddRow("domain")
+        .Set("values", d.values)
+        .Set("batch", d.batch)
+        .Set("build_ms", d.build_ms)
+        .Set("add_ms", d.add_ms)
+        .Set("add_vs_build", d.add_ms / d.build_ms, 4);
   }
   return report.Write(json_path) ? 0 : 1;
 }

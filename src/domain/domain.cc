@@ -1,111 +1,89 @@
 #include "domain/domain.h"
 
-#include <algorithm>
+#include <numeric>
 
 namespace cssidx::domain {
 
-IntDomain IntDomain::FromValues(std::vector<uint32_t> values) {
-  IntDomain d;
+template <typename V>
+Domain<V> Domain<V>::FromValues(std::vector<V> values) {
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
-  d.values_ = std::move(values);
-  d.RebuildIndex();
-  return d;
+  return Domain(std::move(values));
 }
 
-void IntDomain::RebuildIndex() {
-  index_ = std::make_unique<FullCssTree<16>>(values_.data(), values_.size());
+template <typename V>
+std::optional<uint32_t> Domain<V>::Encode(const V& value) const {
+  const uint32_t id = LowerBoundId(value);
+  if (id == values_.size() || values_[id] != value) return std::nullopt;
+  return id;
 }
 
-std::optional<uint32_t> IntDomain::Encode(uint32_t value) const {
-  int64_t pos = index_->Find(value);
-  if (pos == kNotFound) return std::nullopt;
-  return static_cast<uint32_t>(pos);
-}
-
-std::vector<uint32_t> IntDomain::EncodeColumn(
-    const std::vector<uint32_t>& column, std::vector<size_t>* missing) const {
+template <typename V>
+std::vector<uint32_t> Domain<V>::EncodeColumn(
+    const std::vector<V>& column, std::vector<size_t>* missing) const {
   std::vector<uint32_t> ids(column.size());
   for (size_t i = 0; i < column.size(); ++i) {
-    int64_t pos = index_->Find(column[i]);
-    if (pos == kNotFound) {
-      if (missing != nullptr) missing->push_back(i);
-      ids[i] = static_cast<uint32_t>(-1);
-    } else {
-      ids[i] = static_cast<uint32_t>(pos);
-    }
+    ids[i] = Encode(column[i]).value_or(kAbsentId);
+    if (ids[i] == kAbsentId && missing != nullptr) missing->push_back(i);
   }
   return ids;
 }
 
-uint32_t IntDomain::LowerBoundId(uint32_t value) const {
-  return static_cast<uint32_t>(index_->LowerBound(value));
-}
-
-std::vector<uint32_t> IntDomain::AddBatch(
-    const std::vector<uint32_t>& new_values) {
-  std::vector<uint32_t> old_values = values_;
-  std::vector<uint32_t> merged = values_;
-  merged.insert(merged.end(), new_values.begin(), new_values.end());
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+template <typename V>
+std::vector<uint32_t> Domain<V>::AddBatch(const std::vector<V>& new_values) {
+  // Every allocation but the directory's runs before values_ changes, and
+  // the directory may throw only where a move leaves values_ intact (see
+  // the static_assert in the header), so a throw changes nothing.
+  std::vector<V> fresh = new_values;
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+  fresh.erase(std::remove_if(fresh.begin(), fresh.end(),
+                             [&](const V& v) { return Encode(v).has_value(); }),
+              fresh.end());
+  std::vector<uint32_t> remap(values_.size());
+  if (fresh.empty()) {
+    std::iota(remap.begin(), remap.end(), 0u);
+    return remap;
+  }
+  std::vector<V> merged;
+  merged.reserve(values_.size() + fresh.size());
+  // One merge pass into reserved space (no allocation): the run of old
+  // values below fresh value f moves as one block, and old ID i in that
+  // run becomes i + f.
+  size_t begin = 0;
+  for (size_t f = 0; f <= fresh.size(); ++f) {
+    const auto run_end =
+        f == fresh.size()
+            ? values_.end()
+            : std::lower_bound(values_.begin() + begin, values_.end(),
+                               fresh[f]);
+    const auto end = static_cast<size_t>(run_end - values_.begin());
+    for (size_t i = begin; i < end; ++i) {
+      remap[i] = static_cast<uint32_t>(i + f);
+    }
+    merged.insert(merged.end(),
+                  std::make_move_iterator(values_.begin() + begin),
+                  std::make_move_iterator(run_end));
+    if (f < fresh.size()) merged.push_back(std::move(fresh[f]));
+    begin = end;
+  }
+  Directory index(merged.data(), merged.size());
   values_ = std::move(merged);
-  RebuildIndex();
-  // Remap: each old ID's value found at its new sorted position.
-  std::vector<uint32_t> remap(old_values.size());
-  for (size_t i = 0; i < old_values.size(); ++i) {
-    remap[i] = static_cast<uint32_t>(
-        std::lower_bound(values_.begin(), values_.end(), old_values[i]) -
-        values_.begin());
-  }
+  index_ = std::move(index);
   return remap;
 }
 
-size_t IntDomain::SpaceBytes() const {
-  return values_.capacity() * sizeof(uint32_t) +
-         (index_ ? index_->SpaceBytes() : 0);
-}
-
-StringDomain StringDomain::FromValues(std::vector<std::string> values) {
-  StringDomain d;
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  d.values_ = std::move(values);
-  return d;
-}
-
-std::optional<uint32_t> StringDomain::Encode(const std::string& value) const {
-  auto it = std::lower_bound(values_.begin(), values_.end(), value);
-  if (it == values_.end() || *it != value) return std::nullopt;
-  return static_cast<uint32_t>(it - values_.begin());
-}
-
-uint32_t StringDomain::LowerBoundId(const std::string& value) const {
-  return static_cast<uint32_t>(
-      std::lower_bound(values_.begin(), values_.end(), value) -
-      values_.begin());
-}
-
-std::vector<uint32_t> StringDomain::AddBatch(
-    const std::vector<std::string>& new_values) {
-  std::vector<std::string> old_values = values_;
-  values_.insert(values_.end(), new_values.begin(), new_values.end());
-  std::sort(values_.begin(), values_.end());
-  values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
-  std::vector<uint32_t> remap(old_values.size());
-  for (size_t i = 0; i < old_values.size(); ++i) {
-    remap[i] = static_cast<uint32_t>(
-        std::lower_bound(values_.begin(), values_.end(), old_values[i]) -
-        values_.begin());
+template <typename V>
+size_t Domain<V>::SpaceBytes() const {
+  size_t bytes = values_.capacity() * sizeof(V) + index_.SpaceBytes();
+  if constexpr (std::is_same_v<V, std::string>) {
+    for (const std::string& s : values_) bytes += s.capacity();
   }
-  return remap;
-}
-
-size_t StringDomain::SpaceBytes() const {
-  size_t bytes = values_.capacity() * sizeof(std::string);
-  for (const auto& s : values_) bytes += s.capacity();
   return bytes;
 }
+
+template class Domain<uint32_t>;
+template class Domain<std::string>;
 
 std::vector<uint32_t> TranslateIds(const StringDomain& from,
                                    const StringDomain& to) {

@@ -1,10 +1,11 @@
 #ifndef CSSIDX_DOMAIN_DOMAIN_H_
 #define CSSIDX_DOMAIN_DOMAIN_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/full_css_tree.h"
@@ -17,8 +18,9 @@
 // IDs in place. Because the domain is sorted, IDs are order-preserving:
 // both equality and inequality predicates run on IDs without touching the
 // values. Loading data requires one domain search per cell — CSS-trees'
-// workload — and batch updates rebuild the dictionary, consistent with the
-// OLAP assumption.
+// workload. A batch update merges into the dictionary rather than
+// rebuilding it: only the batch is sorted, and one pass over the old values
+// moves them into place and writes the old-ID -> new-ID remap.
 
 namespace cssidx::domain {
 
@@ -28,70 +30,84 @@ namespace cssidx::domain {
 /// exactly the semantics of a missing value.
 inline constexpr uint32_t kAbsentId = UINT32_MAX;
 
-/// Sorted dictionary over 32-bit values, with a CSS-tree directory for
-/// encode lookups.
-class IntDomain {
+/// Sorted dictionary of distinct values of type V. uint32 domains encode
+/// through a CSS-tree directory (the paper's point that encoding is a
+/// CSS-tree search); other value types, such as variable-length strings
+/// (§2.1: rows store fixed 4-byte IDs regardless of value length),
+/// binary-search the sorted values. IDs are order-preserving either way.
+template <typename V>
+class Domain {
  public:
   /// Builds from raw (unsorted, possibly duplicated) values.
-  static IntDomain FromValues(std::vector<uint32_t> values);
+  static Domain FromValues(std::vector<V> values);
 
-  IntDomain(IntDomain&&) noexcept = default;
-  IntDomain& operator=(IntDomain&&) noexcept = default;
+  Domain(const Domain& other) : Domain(other.values_) {}
+  Domain(Domain&&) noexcept = default;
+  Domain& operator=(const Domain& other) { return *this = Domain(other); }
+  Domain& operator=(Domain&&) noexcept = default;
 
   /// ID of `value`, or nullopt if it is not in the domain.
-  std::optional<uint32_t> Encode(uint32_t value) const;
+  std::optional<uint32_t> Encode(const V& value) const;
 
   /// Value for an ID obtained from Encode. ID must be < size().
-  uint32_t Decode(uint32_t id) const { return values_[id]; }
+  const V& Decode(uint32_t id) const { return values_[id]; }
 
-  /// Encodes a column; values absent from the domain throw off OLAP
-  /// assumptions, so they are reported through `missing` (positions).
-  std::vector<uint32_t> EncodeColumn(const std::vector<uint32_t>& column,
+  /// Encodes a column. Positions of values absent from the domain go to
+  /// `missing` (if given) and encode as kAbsentId.
+  std::vector<uint32_t> EncodeColumn(const std::vector<V>& column,
                                      std::vector<size_t>* missing) const;
 
   /// First ID whose value is >= `value` — the ID-space image of a range
   /// predicate endpoint (IDs are order-preserving).
-  uint32_t LowerBoundId(uint32_t value) const;
+  uint32_t LowerBoundId(const V& value) const {
+    return static_cast<uint32_t>(index_.LowerBound(value));
+  }
 
-  /// Merges new values into the domain and rebuilds the dictionary
-  /// (batch update, §2.1: "we expect the data is updated infrequently").
-  /// Existing IDs are invalidated; returns the remap old-id -> new-id.
-  std::vector<uint32_t> AddBatch(const std::vector<uint32_t>& new_values);
+  /// Merges new values (unsorted, possibly duplicated or already present)
+  /// into the domain: a batch update (§2.1: "we expect the data is updated
+  /// infrequently"), O(n + b log n) for n values and a batch of b. Returns
+  /// the remap old-id -> new-id, which is strictly increasing. If it
+  /// throws, the domain is unchanged.
+  std::vector<uint32_t> AddBatch(const std::vector<V>& new_values);
 
   size_t size() const { return values_.size(); }
-  const std::vector<uint32_t>& values() const { return values_; }
+  const std::vector<V>& values() const { return values_; }
   size_t SpaceBytes() const;
 
  private:
-  IntDomain() = default;
-  void RebuildIndex();
+  /// Binary search over the sorted values, for types with no CSS node.
+  struct SortedSearch {
+    SortedSearch(const V* data, size_t n) noexcept : data_(data), n_(n) {}
+    size_t LowerBound(const V& v) const {
+      return static_cast<size_t>(std::lower_bound(data_, data_ + n_, v) -
+                                 data_);
+    }
+    size_t SpaceBytes() const { return 0; }
+    const V* data_;
+    size_t n_;
+  };
+  /// The encode directory over values_: it points into values_ and is
+  /// rebuilt whenever values_ is replaced (a vector move keeps the data).
+  using Directory = std::conditional_t<std::is_same_v<V, uint32_t>,
+                                       FullCssTree<16>, SortedSearch>;
+  // AddBatch builds the directory after moving the old values out of
+  // values_: a directory that may throw needs values a move leaves intact.
+  static_assert(std::is_nothrow_constructible_v<Directory, const V*, size_t> ||
+                std::is_trivially_copyable_v<V>);
 
-  std::vector<uint32_t> values_;  // sorted, distinct
-  // unique_ptr so the index can be rebuilt over the (moved) vector safely.
-  std::unique_ptr<FullCssTree<16>> index_;
+  /// `values` must be sorted and distinct.
+  explicit Domain(std::vector<V> values)
+      : values_(std::move(values)), index_(values_.data(), values_.size()) {}
+
+  std::vector<V> values_;  // sorted, distinct
+  Directory index_;
 };
 
-/// Sorted dictionary over strings (variable-length values — the §2.1 point
-/// that domains simplify variable-length handling: rows store fixed 4-byte
-/// IDs regardless of value length). Encode is binary search over the
-/// sorted values; IDs are order-preserving for string comparisons too.
-class StringDomain {
- public:
-  static StringDomain FromValues(std::vector<std::string> values);
+extern template class Domain<uint32_t>;
+extern template class Domain<std::string>;
 
-  std::optional<uint32_t> Encode(const std::string& value) const;
-  const std::string& Decode(uint32_t id) const { return values_[id]; }
-  uint32_t LowerBoundId(const std::string& value) const;
-  std::vector<uint32_t> AddBatch(const std::vector<std::string>& new_values);
-
-  size_t size() const { return values_.size(); }
-  size_t SpaceBytes() const;
-
- private:
-  StringDomain() = default;
-
-  std::vector<std::string> values_;  // sorted, distinct
-};
+using IntDomain = Domain<uint32_t>;
+using StringDomain = Domain<std::string>;
 
 /// Translates every ID of `from` into `to`'s ID space (kAbsentId where
 /// `to` lacks the value): entry i is the `to` ID of from.Decode(i). Two

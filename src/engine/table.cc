@@ -331,13 +331,11 @@ void Table::AddStringColumn(const std::string& name,
                             std::vector<std::string> values) {
   // One domain search per cell — §2.1's load path, and the workload the
   // search structures exist for. Every value is in the dictionary by
-  // construction, so Encode cannot fail here.
+  // construction, so no cell encodes as absent.
   auto dom = std::make_unique<domain::StringDomain>(
       domain::StringDomain::FromValues(values));
-  std::vector<uint32_t> ids;
-  ids.reserve(values.size());
-  for (const std::string& v : values) ids.push_back(*dom->Encode(v));
-  AddColumn(name, std::move(ids));  // validates the row count first
+  // AddColumn validates the row count first.
+  AddColumn(name, dom->EncodeColumn(values, nullptr));
   domains_[name] = std::move(dom);
 }
 

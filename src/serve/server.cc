@@ -65,9 +65,7 @@ uint32_t Server::CreateStringTable(const std::string& name,
   // path, and the workload CSS-trees were built for).
   auto dictionary = std::make_shared<const domain::StringDomain>(
       domain::StringDomain::FromValues(values));
-  std::vector<uint32_t> ids;
-  ids.reserve(values.size());
-  for (const std::string& v : values) ids.push_back(*dictionary->Encode(v));
+  std::vector<uint32_t> ids = dictionary->EncodeColumn(values, nullptr);
   return AddTable(name, spec.WithKeyWidth(4), std::move(ids),
                   std::move(dictionary));
 }
@@ -156,8 +154,8 @@ void Server::StringAdapter<KeyT>::Apply(BasicMaintainedIndex<KeyT>& index,
                                         const StringUpdateBatch& merged) {
   std::shared_ptr<const domain::StringDomain> dictionary =
       Snapshot()->dictionary;
-  // Inserts of values the dictionary has never seen force a dictionary
-  // rebuild (§2.1's batch-update model). Deletes never grow the domain: a
+  // Inserts of values the dictionary has never seen grow it and renumber
+  // its IDs (§2.1's batch-update model). Deletes never grow the domain: a
   // value absent from the dictionary has no rows, so its delete is a
   // no-op and is dropped at encode.
   std::vector<std::string> fresh_values;

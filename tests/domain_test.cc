@@ -1,12 +1,39 @@
 #include "domain/domain.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "util/rng.h"
 #include "workload/key_gen.h"
+
+// Allocation countdown for the fault-injection tests: while armed
+// (g_allocs_left >= 0), the allocation that finds it at 0 throws
+// std::bad_alloc and disarms it. The tests are single-threaded.
+namespace {
+long g_allocs_left = -1;
+
+void* CountedAlloc(std::size_t n) {
+  if (g_allocs_left == 0) {
+    g_allocs_left = -1;
+    throw std::bad_alloc();
+  }
+  if (g_allocs_left > 0) --g_allocs_left;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cssidx::domain {
 namespace {
@@ -53,26 +80,6 @@ TEST(IntDomain, LowerBoundIdForRangePredicates) {
   EXPECT_EQ(d.LowerBoundId(41), 4u);  // past the end
 }
 
-TEST(IntDomain, AddBatchRemapsOldIds) {
-  auto d = IntDomain::FromValues({10, 30, 50});
-  std::vector<uint32_t> old_values{10, 30, 50};
-  auto remap = d.AddBatch({20, 40});
-  EXPECT_EQ(d.size(), 5u);
-  // Every old ID's value is still reachable through the remap.
-  for (size_t old_id = 0; old_id < old_values.size(); ++old_id) {
-    EXPECT_EQ(d.Decode(remap[old_id]), old_values[old_id]);
-  }
-  // New values are encodable and ordering still holds.
-  EXPECT_TRUE(d.Encode(20).has_value());
-  EXPECT_LT(*d.Encode(20), *d.Encode(30));
-}
-
-TEST(IntDomain, AddBatchWithDuplicatesIsIdempotent) {
-  auto d = IntDomain::FromValues({1, 2, 3});
-  d.AddBatch({2, 3, 3, 4});
-  EXPECT_EQ(d.size(), 4u);
-}
-
 TEST(StringDomain, EncodeDecode) {
   auto d = StringDomain::FromValues({"cherry", "apple", "banana", "apple"});
   EXPECT_EQ(d.size(), 3u);
@@ -90,14 +97,6 @@ TEST(StringDomain, OrderPreservingForStrings) {
   // Range predicate name < "c" on IDs:
   uint32_t cutoff = d.LowerBoundId("c");
   EXPECT_EQ(cutoff, 2u);  // alpha, bravo are below
-}
-
-TEST(StringDomain, AddBatchRemap) {
-  auto d = StringDomain::FromValues({"b", "d"});
-  auto remap = d.AddBatch({"a", "c", "e"});
-  EXPECT_EQ(d.size(), 5u);
-  EXPECT_EQ(d.Decode(remap[0]), "b");
-  EXPECT_EQ(d.Decode(remap[1]), "d");
 }
 
 TEST(StringDomain, RandomValuesRoundTripAgainstSortedDistinctOracle) {
@@ -143,44 +142,6 @@ TEST(StringDomain, RandomValuesRoundTripAgainstSortedDistinctOracle) {
   }
 }
 
-TEST(StringDomain, AddBatchRemapIsStrictlyIncreasing) {
-  // The writer-side invariant the serving layer's string apply path leans
-  // on: growing the dictionary remaps old IDs STRICTLY upward (order
-  // preserved, no two old IDs collapse), so a sorted snapshot of ID keys
-  // stays sorted after remapping and feeds straight into ApplySortedBatch.
-  Pcg32 rng(0x5713);
-  const std::string alphabet = "mnopq";
-  auto random_word = [&] {
-    std::string w(1 + rng.Below(5), 'a');
-    for (auto& c : w) c = alphabet[rng.Below(5)];
-    return w;
-  };
-  std::vector<std::string> base(300), grow(300);
-  for (auto& v : base) v = random_word();
-  for (auto& v : grow) v = random_word();
-
-  auto d = StringDomain::FromValues(base);
-  std::vector<std::string> old_values(d.size());
-  for (uint32_t id = 0; id < d.size(); ++id) old_values[id] = d.Decode(id);
-
-  auto remap = d.AddBatch(grow);
-  ASSERT_EQ(remap.size(), old_values.size());
-  for (size_t id = 0; id < remap.size(); ++id) {
-    // Old values stay reachable at their remapped IDs...
-    ASSERT_EQ(d.Decode(remap[id]), old_values[id]);
-    // ...and the remap is strictly increasing.
-    if (id > 0) {
-      ASSERT_GT(remap[id], remap[id - 1]);
-    }
-  }
-  // Every grown-in value is now encodable, and the whole dictionary is
-  // still sorted-distinct.
-  for (const auto& v : grow) ASSERT_TRUE(d.Encode(v).has_value()) << v;
-  for (uint32_t id = 1; id < d.size(); ++id) {
-    ASSERT_LT(d.Decode(id - 1), d.Decode(id));
-  }
-}
-
 TEST(IntDomain, LargeDomainEncodeThroughput) {
   // Sanity-scale test: a million-value domain encodes a column correctly.
   auto values = workload::DistinctSortedKeys(1'000'000, 7, 4);
@@ -195,6 +156,240 @@ TEST(IntDomain, LargeDomainEncodeThroughput) {
   for (size_t i = 0; i < column.size(); ++i) {
     ASSERT_EQ(d.Decode(ids[i]), column[i]);
   }
+}
+
+// ------------------------------------------- AddBatch, both value types
+
+/// Value generators for the typed tests. Make(x) is strictly increasing in
+/// x, so tests place values by their x; Extremes() are the edges of the
+/// value type (the smallest value, the largest or longest ones); Random()
+/// draws from a small space, so batches hit old values (for strings:
+/// words of 0-5 letters, so prefixes of each other too).
+template <typename V>
+struct Values;
+
+template <>
+struct Values<uint32_t> {
+  static uint32_t Make(uint64_t x) { return static_cast<uint32_t>(1 + x); }
+  static std::vector<uint32_t> Extremes() { return {0, UINT32_MAX}; }
+  static uint32_t Random(Pcg32& rng) { return rng.Below(4096); }
+};
+
+template <>
+struct Values<std::string> {
+  static std::string Make(uint64_t x) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "v%010llu",
+                  static_cast<unsigned long long>(x));
+    return buf;
+  }
+  // Long strings live on the heap, so copying them allocates.
+  static std::vector<std::string> Extremes() {
+    return {"", std::string(300, 'z'), "v" + std::string(100, '0') + "1"};
+  }
+  static std::string Random(Pcg32& rng) {
+    std::string w(rng.Below(6), 'm');
+    for (char& c : w) c = static_cast<char>('m' + rng.Below(5));
+    return w;
+  }
+};
+
+template <typename V>
+std::vector<V> Make(std::initializer_list<uint64_t> xs) {
+  std::vector<V> out;
+  for (uint64_t x : xs) out.push_back(Values<V>::Make(x));
+  return out;
+}
+
+template <typename V>
+std::vector<V> SortedDistinct(std::vector<V> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+/// Grows FromValues(base) by `batch` and checks it against the oracle: the
+/// dictionary is the sorted-distinct union, remap[i] is the lower_bound of
+/// old value i in it (so strictly increasing), and Encode / LowerBoundId
+/// agree with the oracle on every value and on probes between them — for
+/// uint32 that proves the CSS directory covers the merged array.
+template <typename V>
+void ExpectAddBatchMatchesOracle(const std::vector<V>& base,
+                                 const std::vector<V>& batch) {
+  auto d = Domain<V>::FromValues(base);
+  const std::vector<V> old = d.values();
+  std::vector<V> oracle = old;
+  oracle.insert(oracle.end(), batch.begin(), batch.end());
+  oracle = SortedDistinct(std::move(oracle));
+
+  const std::vector<uint32_t> remap = d.AddBatch(batch);
+  ASSERT_EQ(d.values(), oracle);
+  ASSERT_EQ(d.size(), oracle.size());
+  ASSERT_EQ(remap.size(), old.size());
+  for (size_t i = 0; i < old.size(); ++i) {
+    const auto at = std::lower_bound(oracle.begin(), oracle.end(), old[i]);
+    ASSERT_EQ(remap[i], static_cast<uint32_t>(at - oracle.begin())) << i;
+    if (i > 0) {
+      ASSERT_GT(remap[i], remap[i - 1]) << i;
+    }
+  }
+  for (uint32_t id = 0; id < oracle.size(); ++id) {
+    ASSERT_EQ(d.Encode(oracle[id]), std::optional<uint32_t>(id));
+    ASSERT_EQ(d.LowerBoundId(oracle[id]), id);
+    ASSERT_EQ(d.Decode(id), oracle[id]);
+  }
+  std::vector<V> probes = Values<V>::Extremes();
+  Pcg32 rng(0x9e37);
+  for (uint64_t x = 0; x < 64; ++x) {
+    probes.push_back(Values<V>::Make(x));
+    probes.push_back(Values<V>::Random(rng));
+  }
+  for (const V& p : probes) {
+    const auto at = std::lower_bound(oracle.begin(), oracle.end(), p);
+    ASSERT_EQ(d.LowerBoundId(p), static_cast<uint32_t>(at - oracle.begin()));
+    ASSERT_EQ(d.Encode(p).has_value(), at != oracle.end() && *at == p);
+  }
+  const std::vector<uint32_t> ids = d.EncodeColumn(oracle, nullptr);
+  for (uint32_t id = 0; id < ids.size(); ++id) ASSERT_EQ(ids[id], id);
+}
+
+template <typename V>
+class DomainAddBatch : public ::testing::Test {};
+using ValueTypes = ::testing::Types<uint32_t, std::string>;
+TYPED_TEST_SUITE(DomainAddBatch, ValueTypes);
+
+TYPED_TEST(DomainAddBatch, DuplicatesInsideTheBatch) {
+  ExpectAddBatchMatchesOracle(Make<TypeParam>({2, 10, 20}),
+                              Make<TypeParam>({5, 5, 15, 5, 25, 15, 1, 1}));
+}
+
+TYPED_TEST(DomainAddBatch, ValuesAlreadyPresent) {
+  ExpectAddBatchMatchesOracle(Make<TypeParam>({2, 10, 20, 30}),
+                              Make<TypeParam>({10, 11, 30, 2, 31, 10}));
+  // A batch of present values only changes nothing.
+  ExpectAddBatchMatchesOracle(Make<TypeParam>({2, 10, 20, 30}),
+                              Make<TypeParam>({30, 2, 2, 20}));
+}
+
+TYPED_TEST(DomainAddBatch, EmptyBatchIsTheIdentity) {
+  const std::vector<TypeParam> base = Make<TypeParam>({7, 3, 9, 3});
+  auto d = Domain<TypeParam>::FromValues(base);
+  const std::vector<TypeParam> before = d.values();
+  EXPECT_EQ(d.AddBatch({}), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(d.values(), before);
+  ExpectAddBatchMatchesOracle(base, {});
+}
+
+TYPED_TEST(DomainAddBatch, EmptyDictionary) {
+  ExpectAddBatchMatchesOracle<TypeParam>({}, Make<TypeParam>({4, 1, 4, 9}));
+  ExpectAddBatchMatchesOracle<TypeParam>({}, {});
+}
+
+TYPED_TEST(DomainAddBatch, ExtremeValues) {
+  const std::vector<TypeParam> extremes = Values<TypeParam>::Extremes();
+  ExpectAddBatchMatchesOracle(Make<TypeParam>({3, 8, 40}), extremes);
+  ExpectAddBatchMatchesOracle(extremes, Make<TypeParam>({3, 8, 40}));
+  std::vector<TypeParam> both = extremes;
+  both.push_back(Values<TypeParam>::Make(5));
+  ExpectAddBatchMatchesOracle(both, both);
+}
+
+TYPED_TEST(DomainAddBatch, RandomBatchesAgainstTheOracle) {
+  // Up to 2000 old values, so the uint32 directory has several levels.
+  Pcg32 rng(0xd0a1);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<TypeParam> base, batch;
+    for (uint32_t i = rng.Below(2000); i > 0; --i) {
+      base.push_back(Values<TypeParam>::Random(rng));
+    }
+    for (uint32_t i = rng.Below(300); i > 0; --i) {
+      batch.push_back(Values<TypeParam>::Random(rng));
+    }
+    ExpectAddBatchMatchesOracle(base, batch);
+  }
+}
+
+TYPED_TEST(DomainAddBatch, IsAllOrNothingUnderAllocationFailure) {
+  // Fails the k-th allocation of AddBatch for k = 0, 1, ... until the call
+  // succeeds; every failed call must leave the domain exactly as it was.
+  std::vector<TypeParam> base, batch = Values<TypeParam>::Extremes();
+  for (uint64_t x = 0; x < 1000; ++x) {
+    base.push_back(Values<TypeParam>::Make(2 * x));
+  }
+  for (uint64_t x = 0; x < 32; ++x) {
+    batch.push_back(Values<TypeParam>::Make(61 * x + 1));
+  }
+  auto d = Domain<TypeParam>::FromValues(base);
+  const std::vector<TypeParam> before = d.values();
+  int failures = 0;
+  for (long k = 0;; ++k) {
+    bool threw = false;
+    g_allocs_left = k;
+    try {
+      d.AddBatch(batch);
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    g_allocs_left = -1;
+    if (!threw) break;
+    ++failures;
+    ASSERT_EQ(d.size(), before.size()) << "allocation " << k;
+    for (uint32_t id = 0; id < before.size(); ++id) {
+      ASSERT_EQ(d.Decode(id), before[id]) << "allocation " << k;
+      ASSERT_EQ(d.Encode(before[id]), std::optional<uint32_t>(id))
+          << "allocation " << k;
+    }
+  }
+  EXPECT_GT(failures, 0);
+  std::vector<TypeParam> oracle = before;
+  oracle.insert(oracle.end(), batch.begin(), batch.end());
+  EXPECT_EQ(d.values(), SortedDistinct(std::move(oracle)));
+}
+
+TYPED_TEST(DomainAddBatch, CopiesAreIndependent) {
+  // The serving layer grows a copy of the published dictionary.
+  auto d = Domain<TypeParam>::FromValues(Make<TypeParam>({1, 3, 5}));
+  Domain<TypeParam> grown = d;
+  grown.AddBatch(Make<TypeParam>({2, 4}));
+  EXPECT_EQ(d.values(), Make<TypeParam>({1, 3, 5}));
+  EXPECT_EQ(d.Encode(Values<TypeParam>::Make(5)), std::optional<uint32_t>(2));
+  EXPECT_EQ(grown.Encode(Values<TypeParam>::Make(5)),
+            std::optional<uint32_t>(4));
+}
+
+// ------------------------------------------------------------ TranslateIds
+
+void ExpectTranslateMatchesEncode(const StringDomain& from,
+                                  const StringDomain& to) {
+  const std::vector<uint32_t> ids = TranslateIds(from, to);
+  ASSERT_EQ(ids.size(), from.size());
+  for (uint32_t i = 0; i < from.size(); ++i) {
+    EXPECT_EQ(ids[i], to.Encode(from.Decode(i)).value_or(kAbsentId)) << i;
+  }
+}
+
+TEST(TranslateIds, EntryIsTheOtherDictionarysIdOrAbsent) {
+  const auto abc = StringDomain::FromValues({"a", "b", "c"});
+  const auto xyz = StringDomain::FromValues({"x", "y", "z"});
+  const auto bcd = StringDomain::FromValues({"b", "c", "d", "e"});
+  const auto empty = StringDomain::FromValues({});
+  const StringDomain* domains[] = {&abc, &xyz, &bcd, &empty};
+  for (const StringDomain* from : domains) {
+    for (const StringDomain* to : domains) {
+      ExpectTranslateMatchesEncode(*from, *to);
+    }
+  }
+  // Spelled out: disjoint, overlapping, identical and empty.
+  EXPECT_EQ(TranslateIds(abc, xyz),
+            (std::vector<uint32_t>{kAbsentId, kAbsentId, kAbsentId}));
+  EXPECT_EQ(TranslateIds(abc, bcd),
+            (std::vector<uint32_t>{kAbsentId, 0, 1}));
+  EXPECT_EQ(TranslateIds(bcd, abc),
+            (std::vector<uint32_t>{1, 2, kAbsentId, kAbsentId}));
+  EXPECT_EQ(TranslateIds(abc, abc), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(TranslateIds(empty, abc).empty());
+  EXPECT_EQ(TranslateIds(abc, empty),
+            (std::vector<uint32_t>{kAbsentId, kAbsentId, kAbsentId}));
 }
 
 }  // namespace

@@ -55,7 +55,8 @@ def select(doc, gate):
                 all(str(row.get(k, "")).startswith(p)
                     for k, p in gate.get("prefix", {}).items())):
             ident = [f"{k}={row[k]}" for k in ("spec", "scenario", "mix",
-                                               "batch", "buffer_pages")
+                                               "values", "batch",
+                                               "buffer_pages")
                      if k in row]
             yield " ".join([f"{block}[{i}]"] + ident), row
 
