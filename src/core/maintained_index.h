@@ -2,6 +2,7 @@
 #define CSSIDX_CORE_MAINTAINED_INDEX_H_
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -34,9 +35,14 @@
 //     reader.
 //   - A SINGLE writer merges each batch via workload::ApplyBatch, builds
 //     the fresh version entirely off to the side, and publishes it with
-//     one pointer swap. Concurrent writers must be serialized
-//     externally. Readers never wait on a rebuild — only on another
-//     pointer copy.
+//     one pointer swap, then bumps the publish epoch (release). Concurrent
+//     writers must be serialized externally. Readers never wait on a
+//     rebuild — only on another pointer copy.
+//   - A reader that probes often caches its snapshot and checks
+//     PublishEpoch() (one acquire load, on a cache line of its own)
+//     before each use, re-pinning only when it moved. Between publishes
+//     such a reader takes no lock and writes nothing shared: neither the
+//     mutex nor the version's reference count.
 //
 // For partitioned specs the full-rebuild cost is avoidable: the batch
 // routes through the fence table exactly like probes do, so only the
@@ -138,6 +144,16 @@ class BasicMaintainedIndex {
   std::shared_ptr<const Version> Snapshot() const {
     std::lock_guard<std::mutex> lock(current_mu_);
     return current_;
+  }
+
+  /// Publish epoch: +1 after every publish (version swap), so 1 once
+  /// constructed. One acquire load, no write: a reader that cached a
+  /// Snapshot() taken after seeing epoch e may keep using it for as long
+  /// as the epoch still reads e, and re-pins only when it has moved. A
+  /// Snapshot() taken after an acquire load that returned e is at least
+  /// the version whose publish made the epoch e.
+  uint64_t PublishEpoch() const {
+    return publish_epoch_.load(std::memory_order_acquire);
   }
 
   /// Writer: merge the batch and publish the refreshed version —
@@ -259,8 +275,11 @@ class BasicMaintainedIndex {
                    const std::vector<KeyT>& sorted_deletes);
 
   void Publish(std::shared_ptr<const Version> fresh) {
-    std::lock_guard<std::mutex> lock(current_mu_);
-    current_ = std::move(fresh);
+    {
+      std::lock_guard<std::mutex> lock(current_mu_);
+      current_ = std::move(fresh);
+    }
+    publish_epoch_.fetch_add(1, std::memory_order_release);
   }
 
   IndexSpec spec_;
@@ -273,6 +292,9 @@ class BasicMaintainedIndex {
   /// never across a rebuild); Version contents are immutable.
   mutable std::mutex current_mu_;
   std::shared_ptr<const Version> current_;
+  /// Bumped after every pointer swap; on its own cache line, so readers
+  /// polling it share the line with nothing the writer or a re-pin writes.
+  alignas(64) std::atomic<uint64_t> publish_epoch_{0};
 };
 
 using MaintainedIndex = BasicMaintainedIndex<Key>;

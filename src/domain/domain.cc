@@ -12,7 +12,7 @@ Domain<V> Domain<V>::FromValues(std::vector<V> values) {
 }
 
 template <typename V>
-std::optional<uint32_t> Domain<V>::Encode(const V& value) const {
+std::optional<uint32_t> Domain<V>::Encode(Lookup value) const {
   const uint32_t id = LowerBoundId(value);
   if (id == values_.size() || values_[id] != value) return std::nullopt;
   return id;

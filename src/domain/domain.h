@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -46,8 +47,14 @@ class Domain {
   Domain& operator=(const Domain& other) { return *this = Domain(other); }
   Domain& operator=(Domain&&) noexcept = default;
 
+  /// What a lookup takes: a string domain accepts any std::string_view,
+  /// so a token inside a larger buffer encodes without building a
+  /// std::string; other domains take a V.
+  using Lookup =
+      std::conditional_t<std::is_same_v<V, std::string>, std::string_view, V>;
+
   /// ID of `value`, or nullopt if it is not in the domain.
-  std::optional<uint32_t> Encode(const V& value) const;
+  std::optional<uint32_t> Encode(Lookup value) const;
 
   /// Value for an ID obtained from Encode. ID must be < size().
   const V& Decode(uint32_t id) const { return values_[id]; }
@@ -59,7 +66,7 @@ class Domain {
 
   /// First ID whose value is >= `value` — the ID-space image of a range
   /// predicate endpoint (IDs are order-preserving).
-  uint32_t LowerBoundId(const V& value) const {
+  uint32_t LowerBoundId(Lookup value) const {
     return static_cast<uint32_t>(index_.LowerBound(value));
   }
 
@@ -78,7 +85,7 @@ class Domain {
   /// Binary search over the sorted values, for types with no CSS node.
   struct SortedSearch {
     SortedSearch(const V* data, size_t n) noexcept : data_(data), n_(n) {}
-    size_t LowerBound(const V& v) const {
+    size_t LowerBound(Lookup v) const {
       return static_cast<size_t>(std::lower_bound(data_, data_ + n_, v) -
                                  data_);
     }

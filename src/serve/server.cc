@@ -138,14 +138,16 @@ const IndexSpec& Server::TableSpec(const std::string& name) const {
                     GetTable(name));
 }
 
-const Server::Table* Server::FindTable(const std::string& name) const {
+const Server::Table* Server::FindTable(std::string_view name) const {
   auto it = table_ids_.find(name);
   return it == table_ids_.end() ? nullptr : &tables_[it->second];
 }
 
-const Server::Table& Server::GetTable(const std::string& name) const {
+const Server::Table& Server::GetTable(std::string_view name) const {
   const Table* table = FindTable(name);
-  if (table == nullptr) throw std::out_of_range("unknown table " + name);
+  if (table == nullptr) {
+    throw std::out_of_range("unknown table " + std::string(name));
+  }
   return *table;
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,9 +28,22 @@
 //
 // The concurrency contract, end to end:
 //   - Every read statement resolves against ONE snapshot per table it
-//     touches (one wait-free pointer copy), so its results are
-//     consistent-as-of that version — reported back as the result's
-//     sequence number. Readers never block on maintenance.
+//     touches, so its results are consistent-as-of that version —
+//     reported back as the result's sequence number. Readers never block
+//     on maintenance.
+//   - Each table has a publish epoch on a cache line of its own, which
+//     the writer bumps (release) after each pointer swap. A Session
+//     keeps one cached pin per table it has read: the epoch it pinned
+//     at, the owning pointer and, for a string table, the dictionary.
+//     A read does one acquire load of the epoch and re-pins (a short
+//     mutex-guarded pointer copy) only when it has moved, so a statement
+//     sees the latest version published before its load. Between
+//     publishes a read takes no lock and writes no cache line another
+//     Session touches (with Options::collect_stats off: the stats
+//     collector is one shared set of counters per table).
+//   - The cost of that: an idle Session keeps at most one old version
+//     alive per table it has read, until its next statement on that
+//     table or its destruction.
 //   - Writes (INSERT/DELETE) enqueue and return; the single writer
 //     drains the whole backlog per cycle, coalesces adjacent batches for
 //     the same table into one sorted batch, and publishes one refreshed
@@ -168,9 +182,6 @@ class Server {
   // Introspection (tests, bench, example).
   QueueStats queue_stats() const { return queue_.stats(); }
   ServerStats writer_stats() const;
-  uint64_t probes_served() const {
-    return probes_served_.load(std::memory_order_relaxed);
-  }
   /// The journal (Options::journal). Call only after Stop().
   const std::vector<AppliedGroup>& applied_groups() const { return journal_; }
   /// Current snapshot of a table's index (by name; throws if unknown or
@@ -206,8 +217,11 @@ class Server {
   /// index. A new value grows the dictionary, which renumbers IDs, so a
   /// reader pairing an old dictionary with a new index (or vice versa)
   /// would translate into the wrong ID space: the adapter publishes the
-  /// {dictionary, index version} pair behind one mutex-guarded pointer,
-  /// with the discipline (and TSan rationale) of MaintainedIndex's.
+  /// {dictionary, index version} pair behind one mutex-guarded pointer
+  /// and its own publish epoch, with the discipline (and TSan rationale)
+  /// of MaintainedIndex's. Readers key on this epoch, not the index's:
+  /// the index publishes before the pair does, so a pin keyed on the
+  /// index epoch would cache the old pair under the new epoch.
   template <typename KeyT>
   struct StringAdapter {
     struct Pair {
@@ -216,6 +230,7 @@ class Server {
     };
     mutable std::mutex mu;
     std::shared_ptr<const Pair> current;
+    alignas(64) std::atomic<uint64_t> epoch{0};  // +1 per Publish
 
     std::shared_ptr<const Pair> Snapshot() const {
       std::lock_guard<std::mutex> lock(mu);
@@ -225,8 +240,11 @@ class Server {
                  const BasicMaintainedIndex<KeyT>& index) {
       auto fresh = std::make_shared<const Pair>(
           Pair{std::move(dictionary), index.Snapshot()});
-      std::lock_guard<std::mutex> lock(mu);
-      current = std::move(fresh);
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        current = std::move(fresh);
+      }
+      epoch.fetch_add(1, std::memory_order_release);
     }
     /// Writer: encodes one coalesced batch into IDs, growing the
     /// dictionary first when inserts bring new values, applies it to
@@ -235,23 +253,47 @@ class Server {
                const StringUpdateBatch& merged);
   };
 
+  /// One Session's cached pin of one table (see the contract above).
+  struct TablePin {
+    uint64_t epoch = 0;  // publish epochs start at 1: 0 is "never pinned"
+    std::shared_ptr<const void> version;  // owns the pinned Version
+    const domain::StringDomain* dictionary = nullptr;
+  };
+
   /// A table whose key type is KeyT: its maintained index, plus the
   /// dictionary adapter when it is a string table (KeyT = 4-byte IDs).
   template <typename KeyT>
   struct Keyed {
+    using Version = typename BasicMaintainedIndex<KeyT>::Version;
+
     std::unique_ptr<BasicMaintainedIndex<KeyT>> index;
     std::unique_ptr<StringAdapter<KeyT>> strings;
 
-    /// One statement's view of the table from one snapshot pointer copy:
-    /// the version its probes resolve against and, for a string table,
-    /// the dictionary published with it (the version pointer then
-    /// aliases the adapter's pair, keeping both alive).
+    /// The table's view from one snapshot pointer copy: the version its
+    /// probes resolve against and, for a string table, the dictionary
+    /// published with it (the version pointer then aliases the adapter's
+    /// pair, keeping both alive).
     std::pair<VersionPtr<KeyT>, const domain::StringDomain*> Pin() const {
       if (!strings) return {index->Snapshot(), nullptr};
       auto pair = strings->Snapshot();
       const domain::StringDomain* dictionary = pair->dictionary.get();
       const auto* version = pair->ids.get();
       return {{std::move(pair), version}, dictionary};
+    }
+
+    /// One statement's view through a Session's cached pin: one acquire
+    /// load of the publish epoch, and a Pin() only when it has moved. The
+    /// pointers stay valid until `pin` is next re-pinned.
+    std::pair<const Version*, const domain::StringDomain*> Pin(
+        TablePin& pin) const {
+      const uint64_t epoch =
+          strings ? strings->epoch.load(std::memory_order_acquire)
+                  : index->PublishEpoch();
+      if (epoch != pin.epoch) {
+        auto [version, dictionary] = Pin();
+        pin = TablePin{epoch, std::move(version), dictionary};
+      }
+      return {static_cast<const Version*>(pin.version.get()), pin.dictionary};
     }
   };
 
@@ -266,9 +308,9 @@ class Server {
 
   /// nullptr when the name is unknown. Safe lock-free: tables_ is
   /// immutable after Start().
-  const Table* FindTable(const std::string& name) const;
+  const Table* FindTable(std::string_view name) const;
   /// FindTable that throws std::out_of_range for an unknown name.
-  const Table& GetTable(const std::string& name) const;
+  const Table& GetTable(std::string_view name) const;
 
   void WriterLoop();
   /// Writer thread: one table's share of a drain cycle. Its data batches
@@ -281,19 +323,20 @@ class Server {
   const Options options_;
   UpdateQueue queue_;
   std::vector<Table> tables_;
-  std::map<std::string, uint32_t> table_ids_;
+  std::map<std::string, uint32_t, std::less<>> table_ids_;
   std::thread writer_;
   bool started_ = false;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;
   std::vector<AppliedGroup> journal_;  // writer-appended; read after Stop
-  std::atomic<uint64_t> probes_served_{0};
 };
 
 /// Per-client statement executor. Cheap to create, holds no locks; one
-/// Session is for ONE thread (its stats are unsynchronized), but any
-/// number of Sessions run concurrently against the same Server.
+/// Session is for ONE thread (its stats, parsed statement and cached pins
+/// are unsynchronized), but any number of Sessions run concurrently
+/// against the same Server. Its cached pins keep at most one version per
+/// table alive; destroying the Session releases them.
 class Session {
  public:
   struct SessionStats {
@@ -319,13 +362,18 @@ class Session {
                  const Server::Keyed<KeyT>& table, StatementResult& result);
   /// Queues a write (or hot-swap); a refused push fails `result`.
   void Enqueue(QueuedUpdate update, StatementResult& result);
-  void CountProbes(uint64_t n) {
-    stats_.probes += n;
-    server_->probes_served_.fetch_add(n, std::memory_order_relaxed);
+  /// Table `id`'s view for this statement, through its cached pin.
+  template <typename KeyT>
+  auto Pin(const Server::Keyed<KeyT>& table, uint32_t id) {
+    if (id >= pins_.size()) pins_.resize(server_->tables_.size());
+    return table.Pin(pins_[id]);
   }
 
   Server* server_;
   SessionStats stats_;
+  Statement statement_;  // re-parsed in place by every Execute
+  std::vector<Server::TablePin> pins_;  // by table id, grown on first use
+  std::vector<Key> probe_keys_;  // a 4-byte table's FIND/COUNT keys
 };
 
 }  // namespace cssidx::serve

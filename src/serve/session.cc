@@ -32,15 +32,16 @@ bool TypeKeys(const Statement& stmt, KeyT* out, StatementResult& result) {
   for (size_t i = 0; i < stmt.keys.size(); ++i) {
     if (!stmt.keys_numeric[i]) {
       Fail(result, StatementStatus::kBadKey,
-           "bad key '" + stmt.key_tokens[i] + "': table '" + stmt.table +
-               "' holds integer keys");
+           "bad key '" + std::string(stmt.key_tokens[i]) + "': table '" +
+               std::string(stmt.table) + "' holds integer keys");
       return false;
     }
     if (stmt.keys[i] > kMax) {
       Fail(result, StatementStatus::kBadKey,
-           "key '" + stmt.key_tokens[i] + "' out of range for " +
+           "key '" + std::string(stmt.key_tokens[i]) + "' out of range for " +
                std::to_string(8 * sizeof(KeyT)) + "-bit table '" +
-               stmt.table + "' (max " + std::to_string(kMax) + ")");
+               std::string(stmt.table) + "' (max " + std::to_string(kMax) +
+               ")");
       return false;
     }
     if (out != nullptr) out[i] = static_cast<KeyT>(stmt.keys[i]);
@@ -51,26 +52,27 @@ bool TypeKeys(const Statement& stmt, KeyT* out, StatementResult& result) {
 /// A FIND/COUNT's operands as KeyT keys (`result` set if one doesn't fit):
 /// 8-byte keys in place, 4-byte keys narrowed into `scratch`, a string
 /// table's raw tokens encoded into `scratch` (kAbsentId if unseen).
+/// String tables hold 4-byte IDs, so an 8-byte table has no dictionary.
 template <typename KeyT>
 std::span<const KeyT> ProbeKeys(const Statement& stmt,
                                 const domain::StringDomain* dictionary,
-                                std::vector<KeyT>& scratch,
+                                std::vector<Key>& scratch,
                                 StatementResult& result) {
-  if (dictionary != nullptr) {
+  if constexpr (std::is_same_v<KeyT, uint64_t>) {  // the parsed width
+    TypeKeys<KeyT>(stmt, nullptr, result);
+    return stmt.keys;
+  } else {
     scratch.resize(stmt.key_tokens.size());
+    if (dictionary == nullptr) {
+      TypeKeys(stmt, scratch.data(), result);
+      return scratch;
+    }
     for (size_t i = 0; i < scratch.size(); ++i) {
       scratch[i] =
           dictionary->Encode(stmt.key_tokens[i]).value_or(domain::kAbsentId);
     }
     return scratch;
   }
-  if constexpr (std::is_same_v<KeyT, uint64_t>) {  // the parsed width
-    TypeKeys<KeyT>(stmt, nullptr, result);
-    return stmt.keys;
-  }
-  scratch.resize(stmt.keys.size());
-  TypeKeys(stmt, scratch.data(), result);
-  return scratch;
 }
 
 }  // namespace
@@ -81,20 +83,20 @@ StatementResult Session::Execute(std::string_view text) {
   // of it on the way out.
   StatementResult result;
   std::string error;
-  const std::optional<Statement> stmt = ParseStatement(text, &error);
-  if (!stmt) {
+  if (!statement_.Parse(text, &error)) {
     ++stats_.parse_errors;
     Fail(result, StatementStatus::kParseError, std::move(error));
-  } else if (const Server::Table* table = server_->FindTable(stmt->table)) {
+  } else if (const Server::Table* table =
+                 server_->FindTable(statement_.table)) {
     const auto id = static_cast<uint32_t>(table - server_->tables_.data());
     // The one per-statement dispatch: the table's key type picks the
     // executor; nothing below branches per key.
     std::visit(
-        [&](const auto& keyed) { ExecuteOn(*stmt, id, keyed, result); },
+        [&](const auto& keyed) { ExecuteOn(statement_, id, keyed, result); },
         *table);
   } else {
     Fail(result, StatementStatus::kUnknownTable,
-         "unknown table " + stmt->table);
+         "unknown table " + std::string(statement_.table));
   }
   return result;
 }
@@ -106,9 +108,8 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
   switch (stmt.verb) {
     case Verb::kFind:
     case Verb::kCount: {
-      const auto [version, dictionary] = table.Pin();
-      std::vector<KeyT> scratch;
-      const auto keys = ProbeKeys(stmt, dictionary, scratch, result);
+      const auto [version, dictionary] = Pin(table, id);
+      const auto keys = ProbeKeys<KeyT>(stmt, dictionary, probe_keys_, result);
       if (!result.ok()) return;
       if (stmt.verb == Verb::kFind) {
         result.positions.resize(keys.size());
@@ -119,11 +120,11 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
         for (size_t c : result.counts) result.count += c;
       }
       result.version = version->sequence();
-      CountProbes(keys.size());
+      stats_.probes += keys.size();
       return;
     }
     case Verb::kRange: {
-      const auto [version, dictionary] = table.Pin();
+      const auto [version, dictionary] = Pin(table, id);
       // The bounds as ordered images: the parsed values, or on a string
       // table the ID image of the value range (§2.1: IDs are
       // order-preserving), so bounds need not be in the dictionary.
@@ -133,8 +134,9 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
         hi = dictionary->LowerBoundId(stmt.hi_token);
       } else if (!stmt.bounds_numeric) {
         return Fail(result, StatementStatus::kBadKey,
-                    "bad bounds '" + stmt.lo_token + "' '" + stmt.hi_token +
-                        "': table '" + stmt.table + "' holds integer keys");
+                    "bad bounds '" + std::string(stmt.lo_token) + "' '" +
+                        std::string(stmt.hi_token) + "': table '" +
+                        std::string(stmt.table) + "' holds integer keys");
       }
       // A bound past the table's max key clamps to end-of-array, so
       // "RANGE t 0 4294967296" covers a whole 32-bit table.
@@ -149,29 +151,35 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
         result.count = result.range_end - result.range_begin;
       }
       result.version = version->sequence();
-      CountProbes(2);
+      stats_.probes += 2;
       return;
     }
     case Verb::kJoin: {
       const Server::Table* inner_table = server_->FindTable(stmt.table2);
       if (inner_table == nullptr) {
         return Fail(result, StatementStatus::kUnknownTable,
-                    "unknown table " + stmt.table2);
+                    "unknown table " + std::string(stmt.table2));
       }
       const auto* inner = std::get_if<Server::Keyed<KeyT>>(inner_table);
       if (inner == nullptr ||
           (inner->strings == nullptr) != (table.strings == nullptr)) {
         return Fail(result, StatementStatus::kBadKey,
                     "JOIN requires both tables to hold the same key type: '" +
-                        stmt.table + "' and '" + stmt.table2 + "' differ");
+                        std::string(stmt.table) + "' and '" +
+                        std::string(stmt.table2) + "' differ");
       }
       // Both sides pinned to one snapshot each; the outer's sorted keys
       // stream through the inner's CountEqualBatch a block at a time, so
       // the pair cardinality is consistent-as-of (version, version2). Two
       // string tables have two dictionaries, so outer IDs are translated
-      // into the inner's ID space first.
-      const auto [outer, outer_dictionary] = table.Pin();
-      const auto [probed, inner_dictionary] = inner->Pin();
+      // into the inner's ID space first. A self-join pins once: both
+      // sides share one cached pin, which a second Pin could replace.
+      const auto inner_id =
+          static_cast<uint32_t>(inner_table - server_->tables_.data());
+      const auto [outer, outer_dictionary] = Pin(table, id);
+      const auto [probed, inner_dictionary] =
+          inner_id == id ? std::pair(outer, outer_dictionary)
+                         : Pin(*inner, inner_id);
       std::vector<uint32_t> translate;
       if (outer_dictionary != nullptr) {
         translate = domain::TranslateIds(*outer_dictionary, *inner_dictionary);
@@ -193,7 +201,7 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
       }
       result.version = outer->sequence();
       result.version2 = probed->sequence();
-      CountProbes(outer_keys.size());
+      stats_.probes += outer_keys.size();
       return;
     }
     case Verb::kAdvise: {
@@ -209,7 +217,7 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
       const advisor::AdvisorOptions opts{
           .space_budget_bytes = server_->options_.advise_space_budget_bytes,
           .key_width = static_cast<int>(sizeof(KeyT))};
-      const auto version = table.Pin().first;
+      const auto* version = Pin(table, id).first;
       advisor::Recommendation rec =
           advisor::Advise(collector->Profile(), version->keys().size(), opts);
       if (!rec.ok) {
@@ -233,7 +241,8 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
       const bool insert = stmt.verb == Verb::kInsert;
       if (table.strings) {
         StringUpdateBatch batch;
-        (insert ? batch.inserts : batch.deletes) = stmt.key_tokens;
+        (insert ? batch.inserts : batch.deletes)
+            .assign(stmt.key_tokens.begin(), stmt.key_tokens.end());
         update.payload = std::move(batch);
       } else {
         workload::BasicUpdateBatch<KeyT> batch;

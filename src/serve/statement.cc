@@ -1,22 +1,32 @@
 #include "serve/statement.h"
 
-#include <cstdlib>
 #include <limits>
+#include <utility>
 
 namespace cssidx::serve {
 namespace {
 
-std::vector<std::string_view> Tokenize(std::string_view text) {
-  std::vector<std::string_view> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    size_t begin = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t') ++i;
-    if (i > begin) tokens.push_back(text.substr(begin, i - begin));
+/// A cursor over a statement's tokens: runs of anything but blanks
+/// (space, tab).
+class Tokens {
+ public:
+  explicit Tokens(std::string_view text) : text_(text) {}
+
+  /// The next token, or an empty view once the text is used up (a token
+  /// is never empty).
+  std::string_view Next() {
+    while (pos_ < text_.size() && IsBlank(text_[pos_])) ++pos_;
+    const size_t begin = pos_;
+    while (pos_ < text_.size() && !IsBlank(text_[pos_])) ++pos_;
+    return text_.substr(begin, pos_ - begin);
   }
-  return tokens;
-}
+
+ private:
+  static bool IsBlank(char c) { return c == ' ' || c == '\t'; }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
 
 enum class NumberParse {
   kOk,          // all digits, fits in uint64
@@ -39,9 +49,9 @@ NumberParse ParseU64(std::string_view token, uint64_t* out) {
   return NumberParse::kOk;
 }
 
-std::optional<Statement> Fail(std::string* error, std::string message) {
+bool Fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
-  return std::nullopt;
+  return false;
 }
 
 std::string OutOfRangeMessage(std::string_view token) {
@@ -49,88 +59,102 @@ std::string OutOfRangeMessage(std::string_view token) {
          "' out of range: exceeds 18446744073709551615 (2^64-1)";
 }
 
+bool ParseVerb(std::string_view token, Verb* verb) {
+  static constexpr std::pair<std::string_view, Verb> kVerbs[] = {
+      {"FIND", Verb::kFind},     {"COUNT", Verb::kCount},
+      {"RANGE", Verb::kRange},   {"JOIN", Verb::kJoin},
+      {"INSERT", Verb::kInsert}, {"DELETE", Verb::kDelete},
+      {"ADVISE", Verb::kAdvise}};
+  for (const auto& [name, value] : kVerbs) {
+    if (token == name) {
+      *verb = value;
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
-std::optional<Statement> ParseStatement(std::string_view text,
-                                        std::string* error) {
-  std::vector<std::string_view> tokens = Tokenize(text);
-  if (tokens.empty()) return Fail(error, "empty statement");
-  Statement stmt;
-  const std::string_view verb = tokens[0];
-  if (verb == "FIND") {
-    stmt.verb = Verb::kFind;
-  } else if (verb == "COUNT") {
-    stmt.verb = Verb::kCount;
-  } else if (verb == "RANGE") {
-    stmt.verb = Verb::kRange;
-  } else if (verb == "JOIN") {
-    stmt.verb = Verb::kJoin;
-  } else if (verb == "INSERT") {
-    stmt.verb = Verb::kInsert;
-  } else if (verb == "DELETE") {
-    stmt.verb = Verb::kDelete;
-  } else if (verb == "ADVISE") {
-    stmt.verb = Verb::kAdvise;
-  } else {
-    return Fail(error, "unknown verb '" + std::string(verb) + "'");
-  }
-  if (tokens.size() < 2) return Fail(error, "missing table name");
-  stmt.table = std::string(tokens[1]);
+bool Statement::Parse(std::string_view text, std::string* error) {
+  // Reset every field; the vectors keep their capacity for the next key
+  // list.
+  table = table2 = lo_token = hi_token = {};
+  key_tokens.clear();
+  keys.clear();
+  keys_numeric.clear();
+  lo = hi = 0;
+  bounds_numeric = apply = false;
 
-  switch (stmt.verb) {
-    case Verb::kAdvise:
-      if (tokens.size() == 3 && tokens[2] == "APPLY") {
-        stmt.apply = true;
-      } else if (tokens.size() != 2) {
+  Tokens tokens(text);
+  const std::string_view verb_token = tokens.Next();
+  if (verb_token.empty()) return Fail(error, "empty statement");
+  if (!ParseVerb(verb_token, &verb)) {
+    return Fail(error, "unknown verb '" + std::string(verb_token) + "'");
+  }
+  table = tokens.Next();
+  if (table.empty()) return Fail(error, "missing table name");
+
+  switch (verb) {
+    case Verb::kAdvise: {
+      const std::string_view option = tokens.Next();
+      apply = option == "APPLY" && tokens.Next().empty();
+      if (!option.empty() && !apply) {
         return Fail(error, "ADVISE takes a table name and an optional APPLY");
       }
-      return stmt;
+      return true;
+    }
     case Verb::kJoin:
-      if (tokens.size() != 3) {
+      table2 = tokens.Next();
+      if (table2.empty() || !tokens.Next().empty()) {
         return Fail(error, "JOIN takes exactly two table names");
       }
-      stmt.table2 = std::string(tokens[2]);
-      return stmt;
+      return true;
     case Verb::kRange: {
-      if (tokens.size() != 4) return Fail(error, "RANGE takes <lo> <hi>");
-      stmt.lo_token = std::string(tokens[2]);
-      stmt.hi_token = std::string(tokens[3]);
-      const NumberParse lo = ParseU64(tokens[2], &stmt.lo);
-      const NumberParse hi = ParseU64(tokens[3], &stmt.hi);
-      if (lo == NumberParse::kOutOfRange) {
-        return Fail(error, OutOfRangeMessage(tokens[2]));
+      lo_token = tokens.Next();
+      hi_token = tokens.Next();
+      if (hi_token.empty() || !tokens.Next().empty()) {
+        return Fail(error, "RANGE takes <lo> <hi>");
       }
-      if (hi == NumberParse::kOutOfRange) {
-        return Fail(error, OutOfRangeMessage(tokens[3]));
+      const NumberParse lo_parse = ParseU64(lo_token, &lo);
+      const NumberParse hi_parse = ParseU64(hi_token, &hi);
+      if (lo_parse == NumberParse::kOutOfRange) {
+        return Fail(error, OutOfRangeMessage(lo_token));
       }
-      stmt.bounds_numeric =
-          lo == NumberParse::kOk && hi == NumberParse::kOk;
-      return stmt;
+      if (hi_parse == NumberParse::kOutOfRange) {
+        return Fail(error, OutOfRangeMessage(hi_token));
+      }
+      bounds_numeric =
+          lo_parse == NumberParse::kOk && hi_parse == NumberParse::kOk;
+      return true;
     }
     default: {
       // FIND/COUNT/INSERT/DELETE: one or more keys. A key token is kept
       // raw (string tables) and parsed as uint64 when it is a decimal
       // number; only a digit string too wide for ANY table is a parse
       // error, with a message distinct from a malformed statement.
-      if (tokens.size() < 3) {
-        return Fail(error, "expected at least one key");
-      }
-      stmt.key_tokens.reserve(tokens.size() - 2);
-      stmt.keys.reserve(tokens.size() - 2);
-      stmt.keys_numeric.reserve(tokens.size() - 2);
-      for (size_t i = 2; i < tokens.size(); ++i) {
+      for (std::string_view token = tokens.Next(); !token.empty();
+           token = tokens.Next()) {
         uint64_t key = 0;
-        const NumberParse parse = ParseU64(tokens[i], &key);
+        const NumberParse parse = ParseU64(token, &key);
         if (parse == NumberParse::kOutOfRange) {
-          return Fail(error, OutOfRangeMessage(tokens[i]));
+          return Fail(error, OutOfRangeMessage(token));
         }
-        stmt.key_tokens.emplace_back(tokens[i]);
-        stmt.keys.push_back(key);
-        stmt.keys_numeric.push_back(parse == NumberParse::kOk);
+        key_tokens.push_back(token);
+        keys.push_back(key);
+        keys_numeric.push_back(parse == NumberParse::kOk);
       }
-      return stmt;
+      if (key_tokens.empty()) return Fail(error, "expected at least one key");
+      return true;
     }
   }
+}
+
+std::optional<Statement> ParseStatement(std::string_view text,
+                                        std::string* error) {
+  std::optional<Statement> stmt(std::in_place);
+  if (!stmt->Parse(text, error)) return std::nullopt;
+  return stmt;
 }
 
 const char* StatementGrammarHelp() {

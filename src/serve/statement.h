@@ -37,25 +37,36 @@ namespace cssidx::serve {
 
 enum class Verb { kFind, kCount, kRange, kJoin, kInsert, kDelete, kAdvise };
 
+/// One parsed statement. Every text field is a view into the text it was
+/// parsed from: a Statement is valid only while that text lives and stays
+/// unchanged. A Session owns one and re-parses into it for every
+/// statement, so its vectors keep their capacity and a read statement
+/// allocates nothing per key.
 struct Statement {
   Verb verb = Verb::kFind;
-  std::string table;   // first table operand
-  std::string table2;  // JOIN only: the inner table
+  std::string_view table;   // first table operand
+  std::string_view table2;  // JOIN only: the inner table
   // FIND/COUNT/INSERT/DELETE operands, raw. String tables probe on the
   // token itself; numeric tables use the parallel parsed form below.
-  std::vector<std::string> key_tokens;
+  std::vector<std::string_view> key_tokens;
   // keys[i] is key_tokens[i] parsed as decimal uint64 where
   // keys_numeric[i]; 0 (and not meaningful) otherwise.
   std::vector<uint64_t> keys;
   std::vector<bool> keys_numeric;
-  std::string lo_token, hi_token;  // RANGE only, raw
-  uint64_t lo = 0, hi = 0;         // parsed forms, valid iff bounds_numeric
+  std::string_view lo_token, hi_token;  // RANGE only, raw
+  uint64_t lo = 0, hi = 0;  // parsed forms, valid iff bounds_numeric
   bool bounds_numeric = false;
   bool apply = false;  // ADVISE only: enqueue the recommended hot-swap
+
+  /// Parses `text` into this statement in place, in one pass over it.
+  /// Returns false on malformed input and, when `error` is non-null,
+  /// sets it to a one-line description of what went wrong; the fields
+  /// are then unspecified.
+  bool Parse(std::string_view text, std::string* error = nullptr);
 };
 
-/// Parses one statement. Returns nullopt on malformed input and, when
-/// `error` is non-null, a one-line description of what went wrong.
+/// Parses one statement into a fresh Statement (which views `text`).
+/// Returns nullopt on malformed input, with the error as in Parse.
 std::optional<Statement> ParseStatement(std::string_view text,
                                         std::string* error = nullptr);
 

@@ -121,6 +121,16 @@ class GateTest(unittest.TestCase):
         self.assertEqual((code, failed), (0, set()), out)
         self.assertIn("skipped: report header matches", out)
 
+    def test_reader_scaling_skipped_below_four_threads(self):
+        reports = current_reports()
+        serving = reports["serving"]
+        serving["reader_scaling_gated"] = False
+        for row in serving["reader_scaling"]:
+            row["scaling_vs_1"] = 1.0  # readers share too few cores
+        code, out, failed = self.run_gates(reports)
+        self.assertEqual((code, failed), (0, set()), out)
+        self.assertIn("skipped: report header matches", out)
+
     def test_no_comparable_rows_fails_the_baseline_gate(self):
         renamed = {"bench": "batch_lookup", "results": [
             {"spec": "renamed", "batch": 1, "threads": 1, "speedup": 0.1}]}

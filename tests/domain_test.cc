@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -97,6 +99,27 @@ TEST(StringDomain, OrderPreservingForStrings) {
   // Range predicate name < "c" on IDs:
   uint32_t cutoff = d.LowerBoundId("c");
   EXPECT_EQ(cutoff, 2u);  // alpha, bravo are below
+}
+
+TEST(StringDomain, LooksUpViewsIntoALargerBufferWithoutAllocating) {
+  auto d = StringDomain::FromValues({"ant", "bee", "beetle", "cat"});
+  // A statement's tokens are views into its text: no NUL after a token,
+  // and the bytes that follow belong to the next one.
+  const char text[] = {'b', 'e', 'e', 't', 'l', 'e', 'c', 'a'};
+  const std::string_view bee(text, 3), beet(text, 4), beetle(text, 6);
+  const std::string_view ca(text + 6, 2);
+  g_allocs_left = 0;  // any allocation below throws
+  const std::optional<uint32_t> bee_id = d.Encode(bee);
+  const std::optional<uint32_t> beetle_id = d.Encode(beetle);
+  const std::optional<uint32_t> beet_id = d.Encode(beet);
+  const uint32_t beet_bound = d.LowerBoundId(beet);
+  const uint32_t ca_bound = d.LowerBoundId(ca);
+  g_allocs_left = -1;
+  EXPECT_EQ(bee_id, 1u);
+  EXPECT_EQ(beetle_id, 2u);
+  EXPECT_FALSE(beet_id.has_value());
+  EXPECT_EQ(beet_bound, 2u);  // between "bee" and "beetle"
+  EXPECT_EQ(ca_bound, 3u);    // below "cat"
 }
 
 TEST(StringDomain, RandomValuesRoundTripAgainstSortedDistinctOracle) {

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -50,7 +52,8 @@ TEST(Statement, ParsesEveryVerb) {
   EXPECT_EQ(find->verb, Verb::kFind);
   EXPECT_EQ(find->table, "t");
   EXPECT_EQ(find->keys, (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(find->key_tokens, (std::vector<std::string>{"1", "2", "3"}));
+  EXPECT_EQ(find->key_tokens,
+            (std::vector<std::string_view>{"1", "2", "3"}));
   EXPECT_EQ(find->keys_numeric, (std::vector<bool>{true, true, true}));
 
   auto count = ParseStatement("COUNT orders 42");
@@ -98,7 +101,7 @@ TEST(Statement, GrammarIsKeyWidthAgnostic) {
   // Non-numeric tokens are string-table keys, kept raw.
   auto raw = ParseStatement("FIND t alpha -1");
   ASSERT_TRUE(raw.has_value());
-  EXPECT_EQ(raw->key_tokens, (std::vector<std::string>{"alpha", "-1"}));
+  EXPECT_EQ(raw->key_tokens, (std::vector<std::string_view>{"alpha", "-1"}));
   EXPECT_EQ(raw->keys_numeric, (std::vector<bool>{false, false}));
 
   // RANGE keeps raw bound tokens for string tables.
@@ -675,7 +678,9 @@ void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
       Session session = server.OpenSession();
       Pcg32 rng(0x4ead + t);
       // Keep reading until the producers finish, then a few more
-      // statements against the final drained state.
+      // statements against the final drained state. A Session's cached
+      // pin never goes back: its versions never decrease.
+      uint64_t last_version = 0;
       for (int s = 0; s < 150 || (!writers_done.load() && s < 100'000); ++s) {
         RecordedRead<KeyT> r;
         r.version = 0;
@@ -716,6 +721,8 @@ void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
             break;
           }
         }
+        ASSERT_GE(r.version, last_version) << "reader " << t << " at " << s;
+        last_version = r.version;
         recorded[t].push_back(std::move(r));
       }
     });
@@ -808,6 +815,234 @@ TEST(Server, JoinIsConsistentAcrossTwoSnapshots) {
     }
     ASSERT_EQ(joins[i].count, expected) << "join " << i;
   }
+}
+
+// ------------------------------------------------ cached pins and parsing
+
+/// Spins until `sequence()` reaches `target`: a wait on the published
+/// version itself, never a sleep.
+template <typename Sequence>
+void WaitForSequence(Sequence&& sequence, uint64_t target) {
+  while (sequence() < target) std::this_thread::yield();
+}
+
+TEST(Server, SessionSeesEachPublishAfterItsCachedPin) {
+  // A Session that read a table at version v caches that pin. After the
+  // writer publishes, its next statement must re-pin: version >= v+1 and
+  // the new key visible. One table per key path; the string insert
+  // brings a value the dictionary has never seen, so the dictionary
+  // grows and every ID renumbers.
+  Server server;
+  server.CreateTable("u", {10, 20, 30});
+  server.CreateTable64("w", {uint64_t{1} << 40, (uint64_t{1} << 40) + 2});
+  server.CreateStringTable("s", {"ada", "cobol", "forth"});
+  server.Start();
+  Session reader = server.OpenSession();
+  Session writer = server.OpenSession();
+
+  const StatementResult u0 = reader.Execute("FIND u 25");
+  ASSERT_TRUE(u0.ok());
+  EXPECT_EQ(u0.positions, (std::vector<int64_t>{-1}));
+  ASSERT_TRUE(writer.Execute("INSERT u 25").ok());
+  WaitForSequence([&] { return server.TableSnapshot("u")->sequence(); },
+                  u0.version + 1);
+  const StatementResult u1 = reader.Execute("FIND u 25");
+  ASSERT_TRUE(u1.ok());
+  EXPECT_GE(u1.version, u0.version + 1);
+  EXPECT_EQ(u1.positions, (std::vector<int64_t>{2}));
+
+  const std::string wide = std::to_string((uint64_t{1} << 40) + 1);
+  const StatementResult w0 = reader.Execute("COUNT w " + wide);
+  ASSERT_TRUE(w0.ok());
+  EXPECT_EQ(w0.count, 0u);
+  ASSERT_TRUE(writer.Execute("INSERT w " + wide).ok());
+  WaitForSequence([&] { return server.TableSnapshot64("w")->sequence(); },
+                  w0.version + 1);
+  const StatementResult w1 = reader.Execute("COUNT w " + wide);
+  ASSERT_TRUE(w1.ok());
+  EXPECT_GE(w1.version, w0.version + 1);
+  EXPECT_EQ(w1.count, 1u);
+
+  const StatementResult s0 = reader.Execute("RANGE s basic c");
+  ASSERT_TRUE(s0.ok());
+  EXPECT_EQ(s0.count, 0u);
+  ASSERT_TRUE(writer.Execute("INSERT s basic").ok());
+  WaitForSequence([&] { return server.TableSnapshot("s")->sequence(); },
+                  s0.version + 1);
+  EXPECT_EQ(server.TableDomain("s")->size(), 4u);
+  const StatementResult s1 = reader.Execute("FIND s basic forth");
+  ASSERT_TRUE(s1.ok());
+  EXPECT_GE(s1.version, s0.version + 1);
+  EXPECT_EQ(s1.positions, (std::vector<int64_t>{1, 3}));
+  const StatementResult s2 = reader.Execute("RANGE s basic c");
+  ASSERT_TRUE(s2.ok());
+  EXPECT_EQ(s2.count, 1u);
+  server.Stop();
+}
+
+TEST(Server, JoinRepinsItsInnerSideAfterAPublish) {
+  Server server;
+  server.CreateTable("outer", {1, 2, 3});
+  server.CreateTable("inner", {2, 9});
+  server.CreateStringTable("so", {"ada", "cobol"});
+  server.CreateStringTable("si", {"cobol", "forth"});
+  server.Start();
+  Session reader = server.OpenSession();
+  Session writer = server.OpenSession();
+
+  const StatementResult j0 = reader.Execute("JOIN outer inner");
+  ASSERT_TRUE(j0.ok());
+  EXPECT_EQ(j0.count, 1u);
+  ASSERT_TRUE(writer.Execute("INSERT inner 3 3").ok());
+  WaitForSequence([&] { return server.TableSnapshot("inner")->sequence(); },
+                  j0.version2 + 1);
+  const StatementResult j1 = reader.Execute("JOIN outer inner");
+  ASSERT_TRUE(j1.ok());
+  EXPECT_EQ(j1.version, j0.version);
+  EXPECT_GE(j1.version2, j0.version2 + 1);
+  EXPECT_EQ(j1.count, 3u);
+
+  // The string inner side grows its dictionary: the outer's IDs must be
+  // translated through the inner's new one.
+  const StatementResult k0 = reader.Execute("JOIN so si");
+  ASSERT_TRUE(k0.ok());
+  EXPECT_EQ(k0.count, 1u);
+  ASSERT_TRUE(writer.Execute("INSERT si ada basic").ok());
+  WaitForSequence([&] { return server.TableSnapshot("si")->sequence(); },
+                  k0.version2 + 1);
+  const StatementResult k1 = reader.Execute("JOIN so si");
+  ASSERT_TRUE(k1.ok());
+  EXPECT_GE(k1.version2, k0.version2 + 1);
+  EXPECT_EQ(k1.count, 2u);
+
+  // A self-join pins the table once for both sides.
+  const StatementResult self = reader.Execute("JOIN inner inner");
+  ASSERT_TRUE(self.ok());
+  EXPECT_EQ(self.version, self.version2);
+  EXPECT_EQ(self.count, 6u);  // 2, 3, 3, 9: 1 + 4 + 1
+  server.Stop();
+}
+
+TEST(Server, CachedPinRetainsAtMostOneOldVersion) {
+  Server server;
+  server.CreateTable("t", {1, 2, 3});
+  server.Start();
+  Session writer = server.OpenSession();
+  // Waits for the writer to publish and return from the drain cycle, so
+  // only Sessions can still hold an old version.
+  uint64_t published = 0;
+  const auto write = [&](const char* statement) {
+    const uint64_t target = server.TableSnapshot("t")->sequence() + 1;
+    ASSERT_TRUE(writer.Execute(statement).ok());
+    WaitForSequence([&] { return server.TableSnapshot("t")->sequence(); },
+                    target);
+    ++published;
+    while (server.writer_stats().groups_published < published) {
+      std::this_thread::yield();
+    }
+  };
+
+  Session reader = server.OpenSession();
+  ASSERT_EQ(reader.Execute("FIND t 1").version, 1u);
+  std::weak_ptr<const MaintainedIndex::Version> v1 = server.TableSnapshot("t");
+  write("INSERT t 4");
+  EXPECT_FALSE(v1.expired());  // the reader's cached pin
+  ASSERT_EQ(reader.Execute("FIND t 4").version, 2u);
+  EXPECT_TRUE(v1.expired());  // one statement later, released
+
+  // An idle Session keeps its pin until it is destroyed.
+  std::weak_ptr<const MaintainedIndex::Version> v2 = server.TableSnapshot("t");
+  {
+    Session idle = server.OpenSession();
+    ASSERT_EQ(idle.Execute("COUNT t 4").version, 2u);
+    write("DELETE t 4");
+    ASSERT_EQ(reader.Execute("COUNT t 4").version, 3u);
+    EXPECT_FALSE(v2.expired());
+  }
+  EXPECT_TRUE(v2.expired());
+  server.Stop();
+}
+
+bool SameResult(const StatementResult& a, const StatementResult& b) {
+  return a.status == b.status && a.error == b.error &&
+         a.version == b.version && a.version2 == b.version2 &&
+         a.positions == b.positions && a.counts == b.counts &&
+         a.range_begin == b.range_begin && a.range_end == b.range_end &&
+         a.count == b.count && a.advice == b.advice &&
+         a.recommended_spec == b.recommended_spec && a.applied == b.applied;
+}
+
+TEST(Session, ReusedStatementAnswersLikeAFreshSession) {
+  // One Session parses every statement into the same Statement. Whatever
+  // the previous statement left behind (more keys, string bounds, an
+  // APPLY, a failed parse), each result must equal a fresh Session's.
+  Server::Options options;
+  options.collect_stats = true;
+  options.allow_spec_swap = true;
+  Server server(options);
+  server.CreateTable("t", {1, 2, 2, 3, 5, 8});
+  server.CreateTable("t2", {2, 3, 3, 13});
+  server.CreateTable("a", workload::DistinctSortedKeys(1'000, 3, 4));
+  server.CreateStringTable("s", {"ada", "cobol", "forth", "lisp"});
+  // Not started: writes queue up unapplied, so every table stays at
+  // version 1 and both Sessions read the same state.
+  const std::vector<std::string> statements = {
+      "FIND t 1 2 3 4 5 6 7 8",
+      "RANGE s basic go",
+      "FIND t 5",
+      "FIND s lisp ada zz",
+      "RANGE t 1",
+      "FIND t 99999999999999999999",
+      "FIND t alpha",
+      "RANGE t 2 9",
+      "JOIN t t2",
+      "JOIN s t",
+      "ADVISE a APPLY",
+      "ADVISE a",
+      "COUNT t 2 3",
+      "INSERT t 7",
+      "INSERT s pascal",
+      "DELETE t 4294967296",
+      "FIND nosuch 1",
+      "",
+      "COUNT s cobol",
+  };
+  Session reused = server.OpenSession();
+  for (const std::string& text : statements) {
+    Session fresh = server.OpenSession();
+    const StatementResult expected = fresh.Execute(text);
+    const StatementResult got = reused.Execute(text);
+    EXPECT_TRUE(SameResult(got, expected))
+        << "'" << text << "': " << got.error << " vs " << expected.error;
+  }
+  EXPECT_EQ(reused.stats().statements, statements.size());
+  EXPECT_EQ(reused.stats().parse_errors, 3u);
+
+  // Error messages, byte for byte.
+  EXPECT_EQ(reused.Execute("RANGE t 1").error, "RANGE takes <lo> <hi>");
+  EXPECT_EQ(reused.Execute("FIND t 99999999999999999999").error,
+            "key '99999999999999999999' out of range: exceeds "
+            "18446744073709551615 (2^64-1)");
+  EXPECT_EQ(reused.Execute("FIND t alpha").error,
+            "bad key 'alpha': table 't' holds integer keys");
+  EXPECT_EQ(reused.Execute("DELETE t 4294967296").error,
+            "key '4294967296' out of range for 32-bit table 't' (max "
+            "4294967295)");
+  EXPECT_EQ(reused.Execute("RANGE t a b").error,
+            "bad bounds 'a' 'b': table 't' holds integer keys");
+  EXPECT_EQ(reused.Execute("JOIN s t").error,
+            "JOIN requires both tables to hold the same key type: 's' and "
+            "'t' differ");
+  EXPECT_EQ(reused.Execute("JOIN t nosuch").error, "unknown table nosuch");
+  EXPECT_EQ(reused.Execute("FIND nosuch 1").error, "unknown table nosuch");
+  EXPECT_EQ(reused.Execute("  ").error, "empty statement");
+  EXPECT_EQ(reused.Execute("SELECT t").error, "unknown verb 'SELECT'");
+  EXPECT_EQ(reused.Execute("FIND").error, "missing table name");
+  EXPECT_EQ(reused.Execute("FIND t").error, "expected at least one key");
+  EXPECT_EQ(reused.Execute("JOIN t").error,
+            "JOIN takes exactly two table names");
+  EXPECT_EQ(reused.Execute("ADVISE t APPLY NOW").error,
+            "ADVISE takes a table name and an optional APPLY");
 }
 
 // ------------------------------------------------------------- the advisor
