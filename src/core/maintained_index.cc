@@ -12,35 +12,35 @@ template <typename KeyT>
 std::shared_ptr<const typename BasicMaintainedIndex<KeyT>::Version>
 BasicMaintainedIndex<KeyT>::MakeVersion(
     const IndexSpec& spec, std::shared_ptr<const std::vector<KeyT>> keys,
-    uint64_t sequence) const {
+    uint64_t sequence, std::shared_ptr<const void> payload) const {
+  std::shared_ptr<const BasicPartitionedIndex<KeyT>> part;
+  BasicAnyIndex<KeyT> index;
   if (spec.partitioned() && spec.OnMenu() &&
       spec.key_width() == static_cast<int>(sizeof(KeyT))) {
     // Owned build: each shard's keys in their own buffer, so a later
     // RefreshWithSortedBatch can reuse untouched shards by shared ownership.
-    auto part = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys->data(),
-                                                        keys->size());
-    BasicAnyIndex<KeyT> index =
-        part->ok() ? BasicAnyIndex<KeyT>(spec, part) : BasicAnyIndex<KeyT>();
-    if (index) index.AttachStats(stats_collector_);
-    return std::make_shared<const Version>(std::move(keys), std::move(part),
-                                           std::move(index), sequence);
+    part = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys->data(),
+                                                   keys->size());
+    if (part->ok()) index = BasicAnyIndex<KeyT>(spec, part);
+  } else {
+    index = BuildIndexT<KeyT>(spec, keys->data(), keys->size());
   }
-  BasicAnyIndex<KeyT> index = BuildIndexT<KeyT>(spec, keys->data(),
-                                                keys->size());
   if (index) index.AttachStats(stats_collector_);
-  return std::make_shared<const Version>(std::move(keys), nullptr,
-                                         std::move(index), sequence);
+  return std::make_shared<const Version>(std::move(keys), std::move(part),
+                                         std::move(index), sequence,
+                                         std::move(payload));
 }
 
 template <typename KeyT>
-BasicMaintainedIndex<KeyT>::BasicMaintainedIndex(const IndexSpec& spec,
-                                                 std::vector<KeyT> sorted_keys)
+BasicMaintainedIndex<KeyT>::BasicMaintainedIndex(
+    const IndexSpec& spec, std::vector<KeyT> sorted_keys,
+    std::shared_ptr<const void> payload)
     : spec_(spec) {
   assert(std::is_sorted(sorted_keys.begin(), sorted_keys.end()));
   Publish(MakeVersion(spec_,
                       std::make_shared<const std::vector<KeyT>>(
                           std::move(sorted_keys)),
-                      ++sequence_));
+                      1, std::move(payload)));
 }
 
 template <typename KeyT>
@@ -54,16 +54,15 @@ void BasicMaintainedIndex<KeyT>::ApplyBatch(
 }
 
 template <typename KeyT>
-bool BasicMaintainedIndex<KeyT>::RecordBatch(
+void BasicMaintainedIndex<KeyT>::CommitBatch(
     const std::vector<KeyT>& keys, const std::vector<KeyT>& sorted_inserts,
-    const std::vector<KeyT>& sorted_deletes) {
-  assert(std::is_sorted(sorted_inserts.begin(), sorted_inserts.end()));
-  assert(std::is_sorted(sorted_deletes.begin(), sorted_deletes.end()));
+    const std::vector<KeyT>& sorted_deletes,
+    std::shared_ptr<const Version> fresh) {
   ++stats_.batches;
-  if (sorted_inserts.empty() && sorted_deletes.empty()) return false;
   stats_.keys_inserted += sorted_inserts.size();
   stats_.keys_deleted += sorted_deletes.size();
-  if (stats_collector_) {
+  if (stats_collector_ &&
+      (!sorted_inserts.empty() || !sorted_deletes.empty())) {
     // Batch key span over full key range — both lists are sorted, so the
     // extremes are at the ends. Feeds the advisor's part:K touched-shards
     // estimate (a narrow span touches few shards).
@@ -83,19 +82,29 @@ bool BasicMaintainedIndex<KeyT>::RecordBatch(
     stats_collector_->RecordUpdate(sorted_inserts.size(),
                                    sorted_deletes.size(), span_fraction);
   }
-  return true;
+  Publish(std::move(fresh));
 }
 
 template <typename KeyT>
 void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
     std::vector<KeyT> sorted_inserts, std::vector<KeyT> sorted_deletes) {
   assert(ok());
+  assert(std::is_sorted(sorted_inserts.begin(), sorted_inserts.end()));
+  assert(std::is_sorted(sorted_deletes.begin(), sorted_deletes.end()));
+  if (sorted_inserts.empty() && sorted_deletes.empty()) {
+    ++stats_.batches;  // counted, but there is nothing to publish
+    return;
+  }
   auto old = Snapshot();
-  if (!RecordBatch(old->keys(), sorted_inserts, sorted_deletes)) return;
   std::shared_ptr<const Version> fresh;
   if (const BasicPartitionedIndex<KeyT>* part = old->partitioned()) {
     typename BasicPartitionedIndex<KeyT>::Refreshed refreshed =
         part->RefreshWithSortedBatch(sorted_inserts, sorted_deletes);
+    BasicAnyIndex<KeyT> facade(spec_, refreshed.index);
+    facade.AttachStats(stats_collector_);
+    fresh = std::make_shared<const Version>(
+        std::move(refreshed.merged_keys), refreshed.index, std::move(facade),
+        sequence_ + 1, old->payload());
     if (refreshed.rebalanced) {
       ++stats_.full_rebuilds;
       ++stats_.rebalances;
@@ -103,41 +112,44 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
       ++stats_.incremental_refreshes;
     }
     stats_.shards_rebuilt += refreshed.shards_rebuilt;
-    BasicAnyIndex<KeyT> facade(spec_, refreshed.index);
-    facade.AttachStats(stats_collector_);
-    fresh = std::make_shared<const Version>(std::move(refreshed.merged_keys),
-                                            refreshed.index, std::move(facade),
-                                            ++sequence_);
   } else {
-    ++stats_.full_rebuilds;
     fresh = MakeVersion(
         spec_,
         std::make_shared<const std::vector<KeyT>>(
             workload::ApplySortedBatch<KeyT>(old->keys(), sorted_inserts,
                                              sorted_deletes)),
-        ++sequence_);
+        sequence_ + 1, old->payload());
+    ++stats_.full_rebuilds;
   }
-  Publish(std::move(fresh));
+  CommitBatch(old->keys(), sorted_inserts, sorted_deletes, std::move(fresh));
 }
 
 template <typename KeyT>
 void BasicMaintainedIndex<KeyT>::Rebuild(std::vector<KeyT> sorted_keys) {
   assert(std::is_sorted(sorted_keys.begin(), sorted_keys.end()));
+  auto fresh = MakeVersion(spec_,
+                           std::make_shared<const std::vector<KeyT>>(
+                               std::move(sorted_keys)),
+                           sequence_ + 1, Snapshot()->payload());
   ++stats_.full_rebuilds;
-  Publish(MakeVersion(spec_,
-                      std::make_shared<const std::vector<KeyT>>(
-                          std::move(sorted_keys)),
-                      ++sequence_));
+  Publish(std::move(fresh));
 }
 
 template <typename KeyT>
 void BasicMaintainedIndex<KeyT>::RebuildWithSortedBatch(
     std::vector<KeyT> sorted_base, std::vector<KeyT> sorted_inserts,
-    std::vector<KeyT> sorted_deletes) {
+    std::vector<KeyT> sorted_deletes, std::shared_ptr<const void> payload) {
   assert(std::is_sorted(sorted_base.begin(), sorted_base.end()));
-  RecordBatch(sorted_base, sorted_inserts, sorted_deletes);
-  Rebuild(workload::ApplySortedBatch<KeyT>(sorted_base, sorted_inserts,
-                                           sorted_deletes));
+  assert(std::is_sorted(sorted_inserts.begin(), sorted_inserts.end()));
+  assert(std::is_sorted(sorted_deletes.begin(), sorted_deletes.end()));
+  auto fresh = MakeVersion(spec_,
+                           std::make_shared<const std::vector<KeyT>>(
+                               workload::ApplySortedBatch<KeyT>(
+                                   sorted_base, sorted_inserts,
+                                   sorted_deletes)),
+                           sequence_ + 1, std::move(payload));
+  ++stats_.full_rebuilds;
+  CommitBatch(sorted_base, sorted_inserts, sorted_deletes, std::move(fresh));
 }
 
 template <typename KeyT>
@@ -145,10 +157,10 @@ bool BasicMaintainedIndex<KeyT>::RebuildWithSpec(const IndexSpec& new_spec) {
   IndexSpec forced = new_spec.WithKeyWidth(static_cast<int>(sizeof(KeyT)));
   if (!forced.OnMenu()) return false;
   auto old = Snapshot();
-  auto fresh = MakeVersion(forced, old->keys_ptr(), sequence_ + 1);
+  auto fresh =
+      MakeVersion(forced, old->keys_ptr(), sequence_ + 1, old->payload());
   if (!fresh->index()) return false;  // builder refused the spec
   spec_ = forced;
-  ++sequence_;
   ++stats_.full_rebuilds;
   ++stats_.spec_swaps;
   Publish(std::move(fresh));
@@ -174,8 +186,8 @@ std::shared_ptr<ProbeStatsCollector> BasicMaintainedIndex<KeyT>::EnableStats() {
         old, old->partitioned());
   }
   Publish(std::make_shared<const Version>(old->keys_ptr(), std::move(part),
-                                          std::move(facade),
-                                          old->sequence()));
+                                          std::move(facade), old->sequence(),
+                                          old->payload()));
   return stats_collector_;
 }
 

@@ -43,6 +43,16 @@
 //     before each use, re-pinning only when it moved. Between publishes
 //     such a reader takes no lock and writes nothing shared: neither the
 //     mutex nor the version's reference count.
+//   - A version may carry a payload the writer attaches and this class
+//     never reads (a string table's dictionary, whose IDs keys() holds).
+//     It rides the same pointer swap as the keys, so a reader can never
+//     pair it with another version's keys. Refreshes, spec swaps and
+//     EnableStats carry the current payload forward; the constructor and
+//     RebuildWithSortedBatch, whose keys may be relabelled, take a new one.
+//   - Each publish is all-or-nothing: the fresh version is built before
+//     any writer state changes, so a build that throws leaves the
+//     current version, the sequence, the stats and the collector as
+//     they were.
 //
 // For partitioned specs the full-rebuild cost is avoidable: the batch
 // routes through the fence table exactly like probes do, so only the
@@ -86,9 +96,11 @@ class BasicMaintainedIndex {
    public:
     Version(std::shared_ptr<const std::vector<KeyT>> keys,
             std::shared_ptr<const BasicPartitionedIndex<KeyT>> part,
-            BasicAnyIndex<KeyT> index, uint64_t sequence = 0)
+            BasicAnyIndex<KeyT> index, uint64_t sequence = 0,
+            std::shared_ptr<const void> payload = nullptr)
         : keys_(std::move(keys)), part_(std::move(part)),
-          index_(std::move(index)), sequence_(sequence) {}
+          index_(std::move(index)), sequence_(sequence),
+          payload_(std::move(payload)) {}
     Version(const Version&) = delete;
     Version& operator=(const Version&) = delete;
 
@@ -116,12 +128,16 @@ class BasicMaintainedIndex {
     const std::shared_ptr<const std::vector<KeyT>>& keys_ptr() const {
       return keys_;
     }
+    /// The writer's payload published with this version (see the header
+    /// comment); null unless the writer set one.
+    const std::shared_ptr<const void>& payload() const { return payload_; }
 
    private:
     std::shared_ptr<const std::vector<KeyT>> keys_;
     std::shared_ptr<const BasicPartitionedIndex<KeyT>> part_;
     BasicAnyIndex<KeyT> index_;
     uint64_t sequence_ = 0;
+    std::shared_ptr<const void> payload_;
   };
 
   /// Nested alias for the shared counters type, kept so existing
@@ -131,8 +147,9 @@ class BasicMaintainedIndex {
   /// Builds the initial version over `sorted_keys`. An off-menu spec
   /// (including one whose key width disagrees with KeyT) yields
   /// ok() == false (probing then asserts, as for a falsy AnyIndex). The
-  /// index owns its key array from here on.
-  BasicMaintainedIndex(const IndexSpec& spec, std::vector<KeyT> sorted_keys);
+  /// index owns its key array from here on; `payload` rides version 1.
+  BasicMaintainedIndex(const IndexSpec& spec, std::vector<KeyT> sorted_keys,
+                       std::shared_ptr<const void> payload = nullptr);
 
   BasicMaintainedIndex(const BasicMaintainedIndex&) = delete;
   BasicMaintainedIndex& operator=(const BasicMaintainedIndex&) = delete;
@@ -175,14 +192,16 @@ class BasicMaintainedIndex {
   void Rebuild(std::vector<KeyT> sorted_keys);
 
   /// Writer: replace the dataset with `sorted_base` and apply one sorted
-  /// batch on top, as one full rebuild and one publish. For writers whose
-  /// batch invalidates the current keys themselves — a growing string
-  /// dictionary renumbers every ID, so the base is the current keys
-  /// relabelled. Counted (stats, probe-stats update rate) exactly like
+  /// batch on top, as one full rebuild and one publish carrying
+  /// `payload`. For writers whose batch invalidates the current keys
+  /// themselves — a growing string dictionary renumbers every ID, so the
+  /// base is the current keys relabelled and the payload the grown
+  /// dictionary. Counted (stats, probe-stats update rate) exactly like
   /// an ApplySortedBatch of the same lists.
   void RebuildWithSortedBatch(std::vector<KeyT> sorted_base,
                               std::vector<KeyT> sorted_inserts,
-                              std::vector<KeyT> sorted_deletes);
+                              std::vector<KeyT> sorted_deletes,
+                              std::shared_ptr<const void> payload);
 
   /// Writer: hot-swap the index onto a different spec — the advisor's
   /// apply path. Rebuilds the CURRENT keys (shared, no copy) under
@@ -266,15 +285,19 @@ class BasicMaintainedIndex {
   /// Non-static: stamps stats_collector_ onto the fresh version's facade.
   std::shared_ptr<const Version> MakeVersion(
       const IndexSpec& spec, std::shared_ptr<const std::vector<KeyT>> keys,
-      uint64_t sequence) const;
+      uint64_t sequence, std::shared_ptr<const void> payload) const;
 
-  /// Counts one batch against `keys` (the key array it applies to) in
-  /// stats_ and the probe-stats collector. False when the batch is empty.
-  bool RecordBatch(const std::vector<KeyT>& keys,
+  /// Commits a batch whose version `fresh` (at sequence_ + 1) is built:
+  /// counts it against `keys` (the key array it applied to) in stats_ and
+  /// the probe-stats collector, then publishes. Throws nothing.
+  void CommitBatch(const std::vector<KeyT>& keys,
                    const std::vector<KeyT>& sorted_inserts,
-                   const std::vector<KeyT>& sorted_deletes);
+                   const std::vector<KeyT>& sorted_deletes,
+                   std::shared_ptr<const Version> fresh);
 
+  /// Swaps `fresh` in as the current version (sequence_ follows it).
   void Publish(std::shared_ptr<const Version> fresh) {
+    sequence_ = fresh->sequence();
     {
       std::lock_guard<std::mutex> lock(current_mu_);
       current_ = std::move(fresh);
@@ -285,7 +308,8 @@ class BasicMaintainedIndex {
   IndexSpec spec_;
   MaintenanceStats stats_;
   std::shared_ptr<ProbeStatsCollector> stats_collector_;
-  /// Next publish's sequence number, minus one. Writer-side state, like
+  /// The current version's sequence; a build for the next publish uses
+  /// sequence_ + 1, and only Publish advances it. Writer-side state, like
   /// stats_: only the single writer (and the constructor) touch it.
   uint64_t sequence_ = 0;
   /// Guards only the current_ pointer itself (held for one copy/swap,

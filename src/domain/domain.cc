@@ -1,7 +1,5 @@
 #include "domain/domain.h"
 
-#include <numeric>
-
 namespace cssidx::domain {
 
 template <typename V>
@@ -30,26 +28,19 @@ std::vector<uint32_t> Domain<V>::EncodeColumn(
 }
 
 template <typename V>
-std::vector<uint32_t> Domain<V>::AddBatch(const std::vector<V>& new_values) {
-  // Every allocation but the directory's runs before values_ changes, and
-  // the directory may throw only where a move leaves values_ intact (see
-  // the static_assert in the header), so a throw changes nothing.
+Domain<V> Domain<V>::Grown(const std::vector<V>& new_values,
+                           std::vector<uint32_t>* remap) const {
   std::vector<V> fresh = new_values;
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
   fresh.erase(std::remove_if(fresh.begin(), fresh.end(),
                              [&](const V& v) { return Encode(v).has_value(); }),
               fresh.end());
-  std::vector<uint32_t> remap(values_.size());
-  if (fresh.empty()) {
-    std::iota(remap.begin(), remap.end(), 0u);
-    return remap;
-  }
+  remap->resize(values_.size());
   std::vector<V> merged;
   merged.reserve(values_.size() + fresh.size());
-  // One merge pass into reserved space (no allocation): the run of old
-  // values below fresh value f moves as one block, and old ID i in that
-  // run becomes i + f.
+  // One merge pass into reserved space: the run of old values below fresh
+  // value f copies as one block, and old ID i in that run becomes i + f.
   size_t begin = 0;
   for (size_t f = 0; f <= fresh.size(); ++f) {
     const auto run_end =
@@ -59,18 +50,13 @@ std::vector<uint32_t> Domain<V>::AddBatch(const std::vector<V>& new_values) {
                                fresh[f]);
     const auto end = static_cast<size_t>(run_end - values_.begin());
     for (size_t i = begin; i < end; ++i) {
-      remap[i] = static_cast<uint32_t>(i + f);
+      (*remap)[i] = static_cast<uint32_t>(i + f);
     }
-    merged.insert(merged.end(),
-                  std::make_move_iterator(values_.begin() + begin),
-                  std::make_move_iterator(run_end));
+    merged.insert(merged.end(), values_.begin() + begin, run_end);
     if (f < fresh.size()) merged.push_back(std::move(fresh[f]));
     begin = end;
   }
-  Directory index(merged.data(), merged.size());
-  values_ = std::move(merged);
-  index_ = std::move(index);
-  return remap;
+  return Domain(std::move(merged));
 }
 
 template <typename V>

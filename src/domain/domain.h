@@ -70,12 +70,22 @@ class Domain {
     return static_cast<uint32_t>(index_.LowerBound(value));
   }
 
-  /// Merges new values (unsorted, possibly duplicated or already present)
-  /// into the domain: a batch update (§2.1: "we expect the data is updated
-  /// infrequently"), O(n + b log n) for n values and a batch of b. Returns
-  /// the remap old-id -> new-id, which is strictly increasing. If it
-  /// throws, the domain is unchanged.
-  std::vector<uint32_t> AddBatch(const std::vector<V>& new_values);
+  /// The domain with new values (unsorted, possibly duplicated or already
+  /// present) merged in: a batch update (§2.1: "we expect the data is
+  /// updated infrequently"), O(n + b log n) for n values and a batch of b,
+  /// built in one pass that reads *this and leaves it unchanged, so a
+  /// published dictionary grows without first being copied. Writes the
+  /// remap old-id -> new-id, which is strictly increasing, to `remap`.
+  Domain Grown(const std::vector<V>& new_values,
+               std::vector<uint32_t>* remap) const;
+
+  /// Grows this domain in place (Grown, then a noexcept move): returns
+  /// the remap. If it throws, the domain is unchanged.
+  std::vector<uint32_t> AddBatch(const std::vector<V>& new_values) {
+    std::vector<uint32_t> remap;
+    *this = Grown(new_values, &remap);
+    return remap;
+  }
 
   size_t size() const { return values_.size(); }
   const std::vector<V>& values() const { return values_; }
@@ -97,10 +107,6 @@ class Domain {
   /// rebuilt whenever values_ is replaced (a vector move keeps the data).
   using Directory = std::conditional_t<std::is_same_v<V, uint32_t>,
                                        FullCssTree<16>, SortedSearch>;
-  // AddBatch builds the directory after moving the old values out of
-  // values_: a directory that may throw needs values a move leaves intact.
-  static_assert(std::is_nothrow_constructible_v<Directory, const V*, size_t> ||
-                std::is_trivially_copyable_v<V>);
 
   /// `values` must be sorted and distinct.
   explicit Domain(std::vector<V> values)

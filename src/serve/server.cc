@@ -28,17 +28,14 @@ uint32_t Server::AddTable(
   }
   std::sort(keys.begin(), keys.end());
   Keyed<KeyT> table;
-  table.index =
-      std::make_unique<BasicMaintainedIndex<KeyT>>(spec, std::move(keys));
+  table.strings = dictionary != nullptr;
+  table.index = std::make_unique<BasicMaintainedIndex<KeyT>>(
+      spec, std::move(keys), std::move(dictionary));
   if (!table.index->ok()) {
     throw std::invalid_argument("index spec off the menu: " +
                                 spec.ToString());
   }
   if (options_.collect_stats) table.index->EnableStats();
-  if (dictionary) {
-    table.strings = std::make_unique<StringAdapter<KeyT>>();
-    table.strings->Publish(std::move(dictionary), *table.index);
-  }
   const auto id = static_cast<uint32_t>(tables_.size());
   tables_.push_back(std::move(table));
   table_ids_[name] = id;
@@ -95,7 +92,7 @@ std::shared_ptr<const MaintainedIndex::Version> Server::TableSnapshot(
     throw std::out_of_range("table " + name +
                             " holds 8-byte keys; use TableSnapshot64");
   }
-  return table->Pin().first;
+  return table->index->Snapshot();
 }
 
 std::shared_ptr<const MaintainedIndex64::Version> Server::TableSnapshot64(
@@ -104,7 +101,7 @@ std::shared_ptr<const MaintainedIndex64::Version> Server::TableSnapshot64(
   if (table == nullptr) {
     throw std::out_of_range("table " + name + " does not hold 8-byte keys");
   }
-  return table->Pin().first;
+  return table->index->Snapshot();
 }
 
 std::shared_ptr<const domain::StringDomain> Server::TableDomain(
@@ -113,7 +110,8 @@ std::shared_ptr<const domain::StringDomain> Server::TableDomain(
   if (table == nullptr || !table->strings) {
     throw std::out_of_range("table " + name + " is not a string table");
   }
-  return table->strings->Snapshot()->dictionary;
+  return std::static_pointer_cast<const domain::StringDomain>(
+      table->index->Snapshot()->payload());
 }
 
 const MaintenanceStats& Server::TableMaintenanceStats(
@@ -151,54 +149,58 @@ const Server::Table& Server::GetTable(std::string_view name) const {
   return *table;
 }
 
-template <typename KeyT>
-void Server::StringAdapter<KeyT>::Apply(BasicMaintainedIndex<KeyT>& index,
-                                        const StringUpdateBatch& merged) {
-  std::shared_ptr<const domain::StringDomain> dictionary =
-      Snapshot()->dictionary;
+namespace {
+
+/// Writer: one coalesced batch on a string table (§2.1), as one publish
+/// of the IDs together with the dictionary they are encoded in.
+void ApplyStringBatch(MaintainedIndex& index, const StringUpdateBatch& merged) {
+  const auto snapshot = index.Snapshot();
+  const auto& dictionary =
+      *static_cast<const domain::StringDomain*>(snapshot->payload().get());
   // Inserts of values the dictionary has never seen grow it and renumber
   // its IDs (§2.1's batch-update model). Deletes never grow the domain: a
   // value absent from the dictionary has no rows, so its delete is a
   // no-op and is dropped at encode.
   std::vector<std::string> fresh_values;
   for (const std::string& v : merged.inserts) {
-    if (!dictionary->Encode(v)) fresh_values.push_back(v);
+    if (!dictionary.Encode(v)) fresh_values.push_back(v);
   }
   std::vector<uint32_t> remap;
+  std::shared_ptr<const domain::StringDomain> grown;
   if (!fresh_values.empty()) {
-    auto grown = std::make_shared<domain::StringDomain>(*dictionary);
-    remap = grown->AddBatch(fresh_values);
-    dictionary = std::move(grown);
+    grown = std::make_shared<const domain::StringDomain>(
+        dictionary.Grown(fresh_values, &remap));
   }
-  std::vector<KeyT> inserts, deletes;
+  const domain::StringDomain& encoder = grown ? *grown : dictionary;
+  std::vector<Key> inserts, deletes;
   inserts.reserve(merged.inserts.size());
   for (const std::string& v : merged.inserts) {
-    inserts.push_back(*dictionary->Encode(v));
+    inserts.push_back(*encoder.Encode(v));
   }
   for (const std::string& v : merged.deletes) {
-    if (auto id = dictionary->Encode(v)) deletes.push_back(*id);
+    if (auto id = encoder.Encode(v)) deletes.push_back(*id);
   }
   std::sort(inserts.begin(), inserts.end());
   std::sort(deletes.begin(), deletes.end());
-  if (fresh_values.empty()) {
+  if (!grown) {
     // Every value already has an ID: apply like any integer batch
     // (shard-incremental for part:K specs).
     index.ApplySortedBatch(std::move(inserts), std::move(deletes));
-  } else {
-    // The remap is strictly increasing (the dictionary is
-    // order-preserving), so the relabelled snapshot keys are still sorted
-    // and feed straight into the sorted-batch merge; the ID index is
-    // rebuilt over the result — renumbering invalidates every shard
-    // anyway, so there is nothing incremental to salvage.
-    const VersionPtr<KeyT> snap = index.Snapshot();
-    std::vector<KeyT> relabelled;
-    relabelled.reserve(snap->keys().size());
-    for (KeyT id : snap->keys()) relabelled.push_back(remap[id]);
-    index.RebuildWithSortedBatch(std::move(relabelled), std::move(inserts),
-                                 std::move(deletes));
+    return;
   }
-  Publish(std::move(dictionary), index);
+  // The remap is strictly increasing (the dictionary is order-preserving),
+  // so the relabelled snapshot keys are still sorted and feed straight
+  // into the sorted-batch merge; the ID index is rebuilt over the result —
+  // renumbering invalidates every shard anyway, so there is nothing
+  // incremental to salvage.
+  std::vector<Key> relabelled;
+  relabelled.reserve(snapshot->keys().size());
+  for (Key id : snapshot->keys()) relabelled.push_back(remap[id]);
+  index.RebuildWithSortedBatch(std::move(relabelled), std::move(inserts),
+                               std::move(deletes), std::move(grown));
 }
+
+}  // namespace
 
 void Server::WriterLoop() {
   std::vector<QueuedUpdate> drained;
@@ -218,11 +220,12 @@ void Server::WriterLoop() {
     for (uint32_t id : order) {
       std::visit(
           [&]<typename KeyT>(Keyed<KeyT>& table) {
-            if (table.strings) {
-              ApplyGroup<std::string>(table, id, groups[id], &delta);
-            } else {
-              ApplyGroup<KeyT>(table, id, groups[id], &delta);
+            if constexpr (std::is_same_v<KeyT, Key>) {
+              if (table.strings) {
+                return ApplyGroup<std::string>(table, id, groups[id], &delta);
+              }
             }
+            ApplyGroup<KeyT>(table, id, groups[id], &delta);
           },
           tables_[id]);
     }
@@ -260,7 +263,7 @@ void Server::ApplyGroup(Keyed<KeyT>& table, uint32_t id,
     delta->keys_deleted += merged.deletes.size();
     const uint64_t before = table.index->sequence();
     if constexpr (std::is_same_v<ValueT, std::string>) {
-      table.strings->Apply(*table.index, merged);
+      ApplyStringBatch(*table.index, merged);
     } else {
       std::sort(merged.inserts.begin(), merged.inserts.end());
       table.index->ApplySortedBatch(std::move(merged.inserts),
@@ -273,12 +276,6 @@ void Server::ApplyGroup(Keyed<KeyT>& table, uint32_t id,
     }
   }
   if (!respec || !table.index->RebuildWithSpec(*respec)) return;
-  // A string table's IDs don't renumber, but the (dictionary, index) pair
-  // republishes together so readers see the swap as one version step.
-  if (table.strings) {
-    table.strings->Publish(table.strings->Snapshot()->dictionary,
-                           *table.index);
-  }
   ++delta->groups_published;
   if (options_.journal) {
     journal_.push_back(AppliedGroup{id, table.index->sequence(), *respec});

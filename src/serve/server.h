@@ -1,7 +1,6 @@
 #ifndef CSSIDX_SERVE_SERVER_H_
 #define CSSIDX_SERVE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -31,10 +30,13 @@
 //     touches, so its results are consistent-as-of that version —
 //     reported back as the result's sequence number. Readers never block
 //     on maintenance.
-//   - Each table has a publish epoch on a cache line of its own, which
-//     the writer bumps (release) after each pointer swap. A Session
-//     keeps one cached pin per table it has read: the epoch it pinned
-//     at, the owning pointer and, for a string table, the dictionary.
+//   - Every table, string tables included, publishes one way: the
+//     MaintainedIndex's pointer swap, then a bump (release) of its
+//     publish epoch, which sits on a cache line of its own. A string
+//     table's version carries the dictionary its IDs were encoded with,
+//     so one swap publishes both and no reader can pair a dictionary
+//     with another version's IDs. A Session keeps one cached pin per
+//     table it has read: the epoch it pinned at and the owning pointer.
 //     A read does one acquire load of the epoch and re-pins (a short
 //     mutex-guarded pointer copy) only when it has moved, so a statement
 //     sees the latest version published before its load. Between
@@ -185,15 +187,16 @@ class Server {
   /// The journal (Options::journal). Call only after Stop().
   const std::vector<AppliedGroup>& applied_groups() const { return journal_; }
   /// Current snapshot of a table's index (by name; throws if unknown or
-  /// 8-byte — string tables report their ID index here).
+  /// 8-byte). A string table's version holds its IDs, and its payload()
+  /// is the dictionary they were encoded with.
   std::shared_ptr<const MaintainedIndex::Version> TableSnapshot(
       const std::string& name) const;
   /// Current snapshot of an 8-byte table's index.
   std::shared_ptr<const MaintainedIndex64::Version> TableSnapshot64(
       const std::string& name) const;
-  /// The domain dictionary behind a string table (throws otherwise).
-  /// Shared ownership because the writer can replace the dictionary when
-  /// an insert brings a new value — the returned snapshot stays valid.
+  /// The dictionary of one TableSnapshot of a string table (throws
+  /// otherwise): the version's payload, shared, so it stays valid after
+  /// an insert of a new value publishes a grown one.
   std::shared_ptr<const domain::StringDomain> TableDomain(
       const std::string& name) const;
   const MaintenanceStats& TableMaintenanceStats(
@@ -209,91 +212,32 @@ class Server {
  private:
   friend class Session;
 
-  template <typename KeyT>
-  using VersionPtr =
-      std::shared_ptr<const typename BasicMaintainedIndex<KeyT>::Version>;
-
-  /// A string table's dictionary adapter (§2.1), in front of its ID
-  /// index. A new value grows the dictionary, which renumbers IDs, so a
-  /// reader pairing an old dictionary with a new index (or vice versa)
-  /// would translate into the wrong ID space: the adapter publishes the
-  /// {dictionary, index version} pair behind one mutex-guarded pointer
-  /// and its own publish epoch, with the discipline (and TSan rationale)
-  /// of MaintainedIndex's. Readers key on this epoch, not the index's:
-  /// the index publishes before the pair does, so a pin keyed on the
-  /// index epoch would cache the old pair under the new epoch.
-  template <typename KeyT>
-  struct StringAdapter {
-    struct Pair {
-      std::shared_ptr<const domain::StringDomain> dictionary;
-      VersionPtr<KeyT> ids;
-    };
-    mutable std::mutex mu;
-    std::shared_ptr<const Pair> current;
-    alignas(64) std::atomic<uint64_t> epoch{0};  // +1 per Publish
-
-    std::shared_ptr<const Pair> Snapshot() const {
-      std::lock_guard<std::mutex> lock(mu);
-      return current;
-    }
-    void Publish(std::shared_ptr<const domain::StringDomain> dictionary,
-                 const BasicMaintainedIndex<KeyT>& index) {
-      auto fresh = std::make_shared<const Pair>(
-          Pair{std::move(dictionary), index.Snapshot()});
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        current = std::move(fresh);
-      }
-      epoch.fetch_add(1, std::memory_order_release);
-    }
-    /// Writer: encodes one coalesced batch into IDs, growing the
-    /// dictionary first when inserts bring new values, applies it to
-    /// `index`, and publishes the pair.
-    void Apply(BasicMaintainedIndex<KeyT>& index,
-               const StringUpdateBatch& merged);
-  };
-
   /// One Session's cached pin of one table (see the contract above).
   struct TablePin {
     uint64_t epoch = 0;  // publish epochs start at 1: 0 is "never pinned"
     std::shared_ptr<const void> version;  // owns the pinned Version
-    const domain::StringDomain* dictionary = nullptr;
   };
 
-  /// A table whose key type is KeyT: its maintained index, plus the
-  /// dictionary adapter when it is a string table (KeyT = 4-byte IDs).
+  /// A table whose key type is KeyT: its maintained index, whose versions
+  /// carry the dictionary when it is a string table (KeyT = 4-byte IDs).
   template <typename KeyT>
   struct Keyed {
     using Version = typename BasicMaintainedIndex<KeyT>::Version;
 
     std::unique_ptr<BasicMaintainedIndex<KeyT>> index;
-    std::unique_ptr<StringAdapter<KeyT>> strings;
-
-    /// The table's view from one snapshot pointer copy: the version its
-    /// probes resolve against and, for a string table, the dictionary
-    /// published with it (the version pointer then aliases the adapter's
-    /// pair, keeping both alive).
-    std::pair<VersionPtr<KeyT>, const domain::StringDomain*> Pin() const {
-      if (!strings) return {index->Snapshot(), nullptr};
-      auto pair = strings->Snapshot();
-      const domain::StringDomain* dictionary = pair->dictionary.get();
-      const auto* version = pair->ids.get();
-      return {{std::move(pair), version}, dictionary};
-    }
+    bool strings = false;
 
     /// One statement's view through a Session's cached pin: one acquire
-    /// load of the publish epoch, and a Pin() only when it has moved. The
-    /// pointers stay valid until `pin` is next re-pinned.
+    /// load of the publish epoch, and a Snapshot() only when it has
+    /// moved. Returns the version and its dictionary (null unless a
+    /// string table), valid until `pin` is next re-pinned.
     std::pair<const Version*, const domain::StringDomain*> Pin(
         TablePin& pin) const {
-      const uint64_t epoch =
-          strings ? strings->epoch.load(std::memory_order_acquire)
-                  : index->PublishEpoch();
-      if (epoch != pin.epoch) {
-        auto [version, dictionary] = Pin();
-        pin = TablePin{epoch, std::move(version), dictionary};
-      }
-      return {static_cast<const Version*>(pin.version.get()), pin.dictionary};
+      const uint64_t epoch = index->PublishEpoch();
+      if (epoch != pin.epoch) pin = TablePin{epoch, index->Snapshot()};
+      const auto* version = static_cast<const Version*>(pin.version.get());
+      return {version, static_cast<const domain::StringDomain*>(
+                           version->payload().get())};
     }
   };
 

@@ -127,11 +127,15 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
       const auto [version, dictionary] = Pin(table, id);
       // The bounds as ordered images: the parsed values, or on a string
       // table the ID image of the value range (§2.1: IDs are
-      // order-preserving), so bounds need not be in the dictionary.
+      // order-preserving), so bounds need not be in the dictionary. The
+      // range is empty when the bounds themselves are out of order; bounds
+      // whose images coincide still report the position they share.
       uint64_t lo = stmt.lo, hi = stmt.hi;
+      bool ordered = hi > lo;
       if (dictionary != nullptr) {
         lo = dictionary->LowerBoundId(stmt.lo_token);
         hi = dictionary->LowerBoundId(stmt.hi_token);
+        ordered = stmt.hi_token > stmt.lo_token;
       } else if (!stmt.bounds_numeric) {
         return Fail(result, StatementStatus::kBadKey,
                     "bad bounds '" + std::string(stmt.lo_token) + "' '" +
@@ -145,7 +149,7 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
                    ? version->keys().size()
                    : version->LowerBound(static_cast<KeyT>(bound));
       };
-      if (hi > lo) {
+      if (ordered) {
         result.range_begin = position(lo);
         result.range_end = position(hi);
         result.count = result.range_end - result.range_begin;
@@ -161,8 +165,7 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
                     "unknown table " + std::string(stmt.table2));
       }
       const auto* inner = std::get_if<Server::Keyed<KeyT>>(inner_table);
-      if (inner == nullptr ||
-          (inner->strings == nullptr) != (table.strings == nullptr)) {
+      if (inner == nullptr || inner->strings != table.strings) {
         return Fail(result, StatementStatus::kBadKey,
                     "JOIN requires both tables to hold the same key type: '" +
                         std::string(stmt.table) + "' and '" +

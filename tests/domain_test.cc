@@ -2,40 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <new>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "alloc_countdown.h"
 #include "gtest/gtest.h"
 #include "util/rng.h"
 #include "workload/key_gen.h"
-
-// Allocation countdown for the fault-injection tests: while armed
-// (g_allocs_left >= 0), the allocation that finds it at 0 throws
-// std::bad_alloc and disarms it. The tests are single-threaded.
-namespace {
-long g_allocs_left = -1;
-
-void* CountedAlloc(std::size_t n) {
-  if (g_allocs_left == 0) {
-    g_allocs_left = -1;
-    throw std::bad_alloc();
-  }
-  if (g_allocs_left > 0) --g_allocs_left;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cssidx::domain {
 namespace {

@@ -8,17 +8,22 @@
 // multiset flattened) after each cycle. The concurrency tests run under
 // the TSan CI lane: readers snapshot while the writer merges, rebuilds,
 // and publishes, and every probe batch must observe exactly one coherent
-// version — no torn keys, no torn directory.
+// version — no torn keys, no torn directory. A fault test fails each
+// allocation of a batch in turn: a failed publish must change nothing.
 
 #include "core/maintained_index.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_countdown.h"
 #include "core/builder.h"
 #include "core/partitioned_index.h"
 #include "gtest/gtest.h"
@@ -275,7 +280,7 @@ TEST(MaintainedIndex, RebuildWithSortedBatchCountsLikeApplySortedBatch) {
     index.EnableStats();
     const uint64_t before = index.sequence();
     if (rebase) {
-      index.RebuildWithSortedBatch({11, 21, 31, 41}, {15, 25}, {21});
+      index.RebuildWithSortedBatch({11, 21, 31, 41}, {15, 25}, {21}, nullptr);
       EXPECT_EQ(index.Snapshot()->keys(),
                 (std::vector<Key>{11, 15, 25, 31, 41}));
       EXPECT_EQ(index.stats().full_rebuilds, 1u);
@@ -292,6 +297,84 @@ TEST(MaintainedIndex, RebuildWithSortedBatchCountsLikeApplySortedBatch) {
     EXPECT_EQ(profile.update_batches, 1u);
     EXPECT_EQ(profile.keys_inserted, 2u);
     EXPECT_EQ(profile.keys_deleted, 1u);
+  }
+}
+
+TEST(MaintainedIndex, PayloadRidesEveryPublish) {
+  // The writer's payload (a string table's dictionary) is published in
+  // the same swap as the keys: refreshes, spec swaps, EnableStats and
+  // Rebuild carry it forward; RebuildWithSortedBatch replaces it.
+  const auto first = std::make_shared<const int>(1);
+  const auto second = std::make_shared<const int>(2);
+  MaintainedIndex index(*IndexSpec::Parse("part:4/css:16"),
+                        {10, 20, 30, 40}, first);
+  EXPECT_EQ(index.Snapshot()->payload(), first);
+  index.ApplySortedBatch({15}, {});
+  index.EnableStats();
+  ASSERT_TRUE(index.RebuildWithSpec(*IndexSpec::Parse("css:16")));
+  index.ApplySortedBatch({25}, {10});
+  EXPECT_EQ(index.Snapshot()->payload(), first);
+  index.RebuildWithSortedBatch({11, 21}, {16}, {}, second);
+  EXPECT_EQ(index.Snapshot()->payload(), second);
+  index.Rebuild({1, 2});
+  EXPECT_EQ(index.Snapshot()->payload(), second);
+  EXPECT_EQ(index.sequence(), 6u);
+}
+
+TEST(MaintainedIndex, FailedPublishBurnsNoSequenceAndCountsNoBatch) {
+  // Fails the k-th allocation of one batch for k = 0, 1, ... until the
+  // call succeeds. Every failed call must leave the current version, the
+  // sequence, the stats and the probe-stats collector as they were, so
+  // the one call that succeeds publishes sequence 2 and counts 1 batch.
+  const std::vector<Key> base = workload::DistinctSortedKeys(1'000, 3, 4);
+  const auto payload = std::make_shared<const int>(1);
+  const auto grown = std::make_shared<const int>(2);
+  std::vector<Key> expected = base;
+  expected.insert(expected.end(), {7, 999});
+  std::sort(expected.begin(), expected.end());
+  for (const char* spec_text : {"css:16", "part:4/css:16"}) {
+    for (bool rebase : {false, true}) {
+      SCOPED_TRACE(std::string(spec_text) +
+                   (rebase ? " RebuildWithSortedBatch" : " ApplySortedBatch"));
+      MaintainedIndex index(*IndexSpec::Parse(spec_text), base, payload);
+      index.EnableStats();
+      const auto before = index.Snapshot();
+      int failures = 0;
+      for (long k = 0;; ++k) {
+        std::vector<Key> inserts = {7, 999}, rebased = base;
+        bool threw = false;
+        g_allocs_left = k;
+        try {
+          if (rebase) {
+            index.RebuildWithSortedBatch(std::move(rebased),
+                                         std::move(inserts), {}, grown);
+          } else {
+            index.ApplySortedBatch(std::move(inserts), {});
+          }
+        } catch (const std::bad_alloc&) {
+          threw = true;
+        }
+        g_allocs_left = -1;
+        if (!threw) break;
+        ++failures;
+        ASSERT_EQ(index.Snapshot(), before) << "allocation " << k;
+        ASSERT_EQ(index.sequence(), 1u) << "allocation " << k;
+        ASSERT_EQ(index.stats().batches, 0u) << "allocation " << k;
+        ASSERT_EQ(index.stats().keys_inserted, 0u) << "allocation " << k;
+        ASSERT_EQ(index.stats().full_rebuilds, 0u) << "allocation " << k;
+        ASSERT_EQ(index.stats().incremental_refreshes, 0u)
+            << "allocation " << k;
+        ASSERT_EQ(index.stats_collector()->Profile().update_batches, 0u)
+            << "allocation " << k;
+      }
+      EXPECT_GT(failures, 0);
+      EXPECT_EQ(index.sequence(), 2u);
+      EXPECT_EQ(index.stats().batches, 1u);
+      EXPECT_EQ(index.stats().keys_inserted, 2u);
+      EXPECT_EQ(index.stats_collector()->Profile().update_batches, 1u);
+      EXPECT_EQ(index.Snapshot()->keys(), expected);
+      EXPECT_EQ(index.Snapshot()->payload(), rebase ? grown : payload);
+    }
   }
 }
 

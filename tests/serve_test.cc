@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -28,11 +30,15 @@
 namespace cssidx::serve {
 namespace {
 
+/// A key's statement token: the number, or a string value as is.
+std::string Token(uint64_t key) { return std::to_string(key); }
+const std::string& Token(const std::string& value) { return value; }
+
 template <typename KeyT>
 std::string KeysStatement(const char* verb, const char* table,
                           const std::vector<KeyT>& keys) {
   std::string text = std::string(verb) + " " + table;
-  for (KeyT k : keys) text += " " + std::to_string(k);
+  for (const KeyT& k : keys) text += " " + Token(k);
   return text;
 }
 
@@ -561,7 +567,7 @@ struct RecordedRead {
   char kind = 'F';  // F[ind] / C[ount] / R[ange]
   uint64_t version = 0;
   std::vector<KeyT> keys;              // FIND/COUNT
-  KeyT lo = 0, hi = 0;                 // RANGE
+  KeyT lo{}, hi{};                     // RANGE
   std::vector<int64_t> positions;      // FIND
   std::vector<size_t> counts;          // COUNT
   size_t range_begin = 0, range_end = 0;
@@ -635,24 +641,33 @@ void VerifyAgainstOracle(const std::vector<RecordedRead<KeyT>>& reads,
 /// producers push INSERT/DELETE through a tight queue (so the writer
 /// coalesces under real pressure), journal on. Afterwards every recorded
 /// probe must be bit-identical to the serial oracle at the version the
-/// read reported. Keys are `base` plus a value below 500; reads probe up
-/// to base + 520 so some miss.
-template <typename KeyT>
-void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
+/// read reported. Values are value(x) for x below 500, strictly
+/// increasing in x; reads probe x up to 520 so some miss. On a string
+/// table the `initial_size` values cover only part of that range, so
+/// inserts bring values the dictionary has never seen: it grows and
+/// every ID renumbers while readers probe. IDs preserve order, so the
+/// oracle is the sorted multiset of the values themselves.
+template <typename ValueT, typename MakeValue>
+void RunConcurrentReadersDifferential(const char* spec_text, MakeValue value,
+                                      size_t initial_size = 2'000) {
   SCOPED_TRACE(spec_text);
+  constexpr bool kStrings = std::is_same_v<ValueT, std::string>;
   Server::Options options;
   options.queue_capacity = 4;  // tight: forces blocking + deep coalesces
   options.admission = Admission::kBlock;
   options.journal = true;
   Server server(options);
   Pcg32 seed_rng(0xd1f);
-  std::vector<KeyT> initial(2'000);
-  for (auto& k : initial) k = base + seed_rng.Below(500);
+  std::vector<ValueT> initial(initial_size);
+  for (auto& k : initial) k = value(seed_rng.Below(500));
+  const IndexSpec spec = *IndexSpec::Parse(spec_text);
   uint32_t table_id = 0;
-  if constexpr (sizeof(KeyT) == 8) {
-    table_id = server.CreateTable64("t", initial, *IndexSpec::Parse(spec_text));
+  if constexpr (kStrings) {
+    table_id = server.CreateStringTable("t", initial, spec);
+  } else if constexpr (sizeof(ValueT) == 8) {
+    table_id = server.CreateTable64("t", initial, spec);
   } else {
-    table_id = server.CreateTable("t", initial, *IndexSpec::Parse(spec_text));
+    table_id = server.CreateTable("t", initial, spec);
   }
   server.Start();
 
@@ -663,15 +678,15 @@ void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
       Session session = server.OpenSession();
       Pcg32 rng(0x9000 + p);
       for (int s = 0; s < 40; ++s) {
-        std::vector<KeyT> keys(6);
-        for (auto& k : keys) k = base + rng.Below(500);
+        std::vector<ValueT> keys(6);
+        for (auto& k : keys) k = value(rng.Below(500));
         const char* verb = (s % 2 == p % 2) ? "INSERT" : "DELETE";
         ASSERT_TRUE(session.Execute(KeysStatement(verb, "t", keys)).ok());
       }
     });
   }
 
-  std::vector<std::vector<RecordedRead<KeyT>>> recorded(3);
+  std::vector<std::vector<RecordedRead<ValueT>>> recorded(3);
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
@@ -682,13 +697,13 @@ void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
       // pin never goes back: its versions never decrease.
       uint64_t last_version = 0;
       for (int s = 0; s < 150 || (!writers_done.load() && s < 100'000); ++s) {
-        RecordedRead<KeyT> r;
+        RecordedRead<ValueT> r;
         r.version = 0;
         switch (s % 3) {
           case 0: {
             r.kind = 'F';
             r.keys.resize(8);
-            for (auto& k : r.keys) k = base + rng.Below(520);
+            for (auto& k : r.keys) k = value(rng.Below(520));
             StatementResult res =
                 session.Execute(KeysStatement("FIND", "t", r.keys));
             ASSERT_TRUE(res.ok());
@@ -699,7 +714,7 @@ void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
           case 1: {
             r.kind = 'C';
             r.keys.resize(8);
-            for (auto& k : r.keys) k = base + rng.Below(520);
+            for (auto& k : r.keys) k = value(rng.Below(520));
             StatementResult res =
                 session.Execute(KeysStatement("COUNT", "t", r.keys));
             ASSERT_TRUE(res.ok());
@@ -709,10 +724,10 @@ void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
           }
           default: {
             r.kind = 'R';
-            r.lo = base + rng.Below(520);
-            r.hi = base + rng.Below(520);
-            StatementResult res = session.Execute(
-                "RANGE t " + std::to_string(r.lo) + " " + std::to_string(r.hi));
+            r.lo = value(rng.Below(520));
+            r.hi = value(rng.Below(520));
+            StatementResult res = session.Execute("RANGE t " + Token(r.lo) +
+                                                  " " + Token(r.hi));
             ASSERT_TRUE(res.ok());
             r.version = res.version;
             r.range_begin = res.range_begin;
@@ -747,21 +762,50 @@ void RunConcurrentReadersDifferential(const char* spec_text, KeyT base) {
                             std::to_string(t));
   }
   // Final published state equals the full serial application.
-  if constexpr (sizeof(KeyT) == 8) {
+  if constexpr (kStrings) {
+    const auto snapshot = server.TableSnapshot("t");
+    const auto& dictionary = *server.TableDomain("t");
+    std::vector<std::string> decoded;
+    for (uint32_t id : snapshot->keys()) {
+      decoded.push_back(dictionary.Decode(id));
+    }
+    EXPECT_EQ(decoded, states.rbegin()->second);
+    // The dictionary did grow under the readers.
+    std::sort(initial.begin(), initial.end());
+    EXPECT_GT(dictionary.size(), static_cast<size_t>(
+        std::unique(initial.begin(), initial.end()) - initial.begin()));
+  } else if constexpr (sizeof(ValueT) == 8) {
     EXPECT_EQ(server.TableSnapshot64("t")->keys(), states.rbegin()->second);
   } else {
     EXPECT_EQ(server.TableSnapshot("t")->keys(), states.rbegin()->second);
   }
 }
 
+/// A string value for x: zero-padded, so the order follows x.
+std::string StringValue(uint32_t x) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "v%03u", x);
+  return buf;
+}
+
 TEST(Server, ConcurrentReadersSeeOracleStateAtEveryVersion) {
   // For an ordered spec, a partitioned spec, and hash at 4 bytes, and a
   // partitioned 8-byte table whose keys straddle 2^32.
   for (const char* spec_text : {"css:16", "part:8/css:16", "hash:10"}) {
-    RunConcurrentReadersDifferential<uint32_t>(spec_text, 0);
+    RunConcurrentReadersDifferential<uint32_t>(spec_text,
+                                               [](uint32_t x) { return x; });
   }
-  RunConcurrentReadersDifferential<uint64_t>("part:8/css64:16",
-                                             (uint64_t{1} << 32) - 250);
+  RunConcurrentReadersDifferential<uint64_t>(
+      "part:8/css64:16",
+      [](uint32_t x) { return (uint64_t{1} << 32) - 250 + x; });
+}
+
+TEST(Server, ConcurrentReadersSeeOracleStateOnAGrowingStringTable) {
+  // 200 initial values leave most of the 500 unseen, so most insert
+  // batches grow the dictionary; the rest apply shard-incrementally.
+  for (const char* spec_text : {"css:16", "part:8/css:16"}) {
+    RunConcurrentReadersDifferential<std::string>(spec_text, StringValue, 200);
+  }
 }
 
 TEST(Server, JoinIsConsistentAcrossTwoSnapshots) {
@@ -926,15 +970,16 @@ TEST(Server, JoinRepinsItsInnerSideAfterAPublish) {
 TEST(Server, CachedPinRetainsAtMostOneOldVersion) {
   Server server;
   server.CreateTable("t", {1, 2, 3});
+  server.CreateStringTable("s", {"ada", "cobol"});
   server.Start();
   Session writer = server.OpenSession();
   // Waits for the writer to publish and return from the drain cycle, so
   // only Sessions can still hold an old version.
   uint64_t published = 0;
-  const auto write = [&](const char* statement) {
-    const uint64_t target = server.TableSnapshot("t")->sequence() + 1;
+  const auto write = [&](const char* table, const std::string& statement) {
+    const uint64_t target = server.TableSnapshot(table)->sequence() + 1;
     ASSERT_TRUE(writer.Execute(statement).ok());
-    WaitForSequence([&] { return server.TableSnapshot("t")->sequence(); },
+    WaitForSequence([&] { return server.TableSnapshot(table)->sequence(); },
                     target);
     ++published;
     while (server.writer_stats().groups_published < published) {
@@ -945,17 +990,29 @@ TEST(Server, CachedPinRetainsAtMostOneOldVersion) {
   Session reader = server.OpenSession();
   ASSERT_EQ(reader.Execute("FIND t 1").version, 1u);
   std::weak_ptr<const MaintainedIndex::Version> v1 = server.TableSnapshot("t");
-  write("INSERT t 4");
+  write("t", "INSERT t 4");
   EXPECT_FALSE(v1.expired());  // the reader's cached pin
   ASSERT_EQ(reader.Execute("FIND t 4").version, 2u);
   EXPECT_TRUE(v1.expired());  // one statement later, released
+
+  // A string table's version owns the dictionary it was published with:
+  // after an insert that grows the dictionary, one re-pin releases both.
+  ASSERT_EQ(reader.Execute("FIND s ada").version, 1u);
+  std::weak_ptr<const MaintainedIndex::Version> s1 = server.TableSnapshot("s");
+  std::weak_ptr<const domain::StringDomain> d1 = server.TableDomain("s");
+  write("s", "INSERT s basic");
+  EXPECT_FALSE(s1.expired());
+  EXPECT_FALSE(d1.expired());
+  ASSERT_EQ(reader.Execute("FIND s basic").version, 2u);
+  EXPECT_TRUE(s1.expired());
+  EXPECT_TRUE(d1.expired());
 
   // An idle Session keeps its pin until it is destroyed.
   std::weak_ptr<const MaintainedIndex::Version> v2 = server.TableSnapshot("t");
   {
     Session idle = server.OpenSession();
     ASSERT_EQ(idle.Execute("COUNT t 4").version, 2u);
-    write("DELETE t 4");
+    write("t", "DELETE t 4");
     ASSERT_EQ(reader.Execute("COUNT t 4").version, 3u);
     EXPECT_FALSE(v2.expired());
   }
@@ -1181,6 +1238,55 @@ TEST(Server, AdviseApplyHotSwapsUnderLiveReadersBitIdentically) {
   WorkloadProfile profile = server.TableWorkloadProfile("t");
   EXPECT_GE(profile.point_probes,
             probe_keys.size() * (reads.load() + 32));
+}
+
+TEST(Server, AdviseApplyOnAStringTableCarriesItsDictionary) {
+  // A hot swap rebuilds the same IDs under the recommended spec as one
+  // publish, and the new version carries the dictionary forward: every
+  // key decodes to the value it held before the swap.
+  Server::Options options;
+  options.collect_stats = true;
+  options.allow_spec_swap = true;
+  options.journal = true;
+  Server server(options);
+  std::vector<std::string> values;
+  for (uint32_t i = 0; i < 3'000; ++i) values.push_back(StringValue(i % 700));
+  server.CreateStringTable("s", values, *IndexSpec::Parse("part:4/css:16"));
+  const auto before = server.TableSnapshot("s");
+  const auto dictionary = server.TableDomain("s");
+  std::vector<std::string> decoded_before;
+  for (uint32_t id : before->keys()) {
+    decoded_before.push_back(dictionary->Decode(id));
+  }
+
+  Session session = server.OpenSession();
+  const std::string find = "FIND s v005 v123 v699 v700";
+  const StatementResult found = session.Execute(find);
+  ASSERT_TRUE(found.ok());
+  for (int i = 0; i < 31; ++i) ASSERT_TRUE(session.Execute(find).ok());
+  const StatementResult applied = session.Execute("ADVISE s APPLY");
+  ASSERT_EQ(applied.status, StatementStatus::kOk) << applied.error;
+  ASSERT_TRUE(applied.applied);
+  server.Start();
+  server.Stop();
+
+  const auto after = server.TableSnapshot("s");
+  EXPECT_EQ(after->sequence(), before->sequence() + 1);
+  EXPECT_EQ(server.TableSpec("s").ToString(), applied.recommended_spec);
+  EXPECT_EQ(server.TableDomain("s"), dictionary);  // the same dictionary
+  std::vector<std::string> decoded_after;
+  for (uint32_t id : after->keys()) {
+    decoded_after.push_back(server.TableDomain("s")->Decode(id));
+  }
+  EXPECT_EQ(decoded_after, decoded_before);
+  ASSERT_EQ(server.applied_groups().size(), 1u);
+  EXPECT_TRUE(
+      std::holds_alternative<IndexSpec>(server.applied_groups()[0].applied));
+  EXPECT_EQ(server.writer_stats().groups_published, 1u);
+  const StatementResult refound = session.Execute(find);
+  ASSERT_TRUE(refound.ok());
+  EXPECT_EQ(refound.version, after->sequence());
+  EXPECT_EQ(refound.positions, found.positions);
 }
 
 }  // namespace
