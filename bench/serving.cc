@@ -305,29 +305,49 @@ int main(int argc, char** argv) {
 
   // Aggregate read throughput against the reader count: short statements,
   // so a shared cache line written per statement would show as lost
-  // scaling. Reader counts alternate, best of kScalingRepeats each: a
-  // single window swings by up to 2x on a shared VM.
+  // scaling. Each round runs 1, 2 and 3 readers back to back and divides
+  // within the round; a row reports the median over kScalingRounds rounds.
+  // A single window swings by up to 2x on a shared VM, and a ratio of two
+  // best-of-N windows taken in different rounds inherits that swing.
   constexpr size_t kScalingBatch = 8;
-  constexpr int kScalingRepeats = 3;
-  std::vector<ScenarioResult> scaling(3);
-  for (int repeat = 0; repeat < kScalingRepeats; ++repeat) {
-    for (int r = 1; r <= 3; ++r) {
+  constexpr int kScalingRounds = 5;
+  constexpr int kMaxReaders = 3;
+  struct ScalingRow {
+    int readers = 0;
+    std::vector<double> per_sec;  // one per round
+    std::vector<double> vs_1;     // per_sec / the same round's 1-reader rate
+  };
+  std::vector<ScalingRow> scaling(kMaxReaders);
+  for (int round = 0; round < kScalingRounds; ++round) {
+    double one_reader = 0;
+    for (int r = 1; r <= kMaxReaders; ++r) {
       ScenarioResult run = RunScenario("read_only", *spec, n, r, kScalingBatch,
                                        update_keys, duration_ms, options.seed);
-      ScenarioResult& best = scaling[r - 1];
-      if (run.StatementsPerSec() > best.StatementsPerSec()) best = run;
+      if (r == 1) one_reader = run.StatementsPerSec();
+      ScalingRow& row = scaling[r - 1];
+      row.readers = r;
+      row.per_sec.push_back(run.StatementsPerSec());
+      row.vs_1.push_back(run.StatementsPerSec() / one_reader);
     }
   }
-  const double one_reader = scaling.front().StatementsPerSec();
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  auto [min_it, max_it] = std::minmax_element(scaling.back().vs_1.begin(),
+                                              scaling.back().vs_1.end());
   bench::Table scaling_table({"readers", "Mstatements/s", "scaling_vs_1"});
-  for (const ScenarioResult& r : scaling) {
+  for (const ScalingRow& r : scaling) {
     scaling_table.AddRow({std::to_string(r.readers),
-                          bench::Table::Num(r.StatementsPerSec() / 1e6, 3),
-                          bench::Table::Num(r.StatementsPerSec() / one_reader,
-                                            2)});
+                          bench::Table::Num(median(r.per_sec) / 1e6, 3),
+                          bench::Table::Num(median(r.vs_1), 2)});
   }
   scaling_table.Print("reader scaling, read_only, " +
-                      std::to_string(kScalingBatch) + "-key FINDs");
+                      std::to_string(kScalingBatch) + "-key FINDs, median of " +
+                      std::to_string(kScalingRounds) + " rounds (" +
+                      std::to_string(kMaxReaders) + " readers: " +
+                      bench::Table::Num(*min_it, 2) + "-" +
+                      bench::Table::Num(*max_it, 2) + ")");
 
   std::vector<DomainResult> domains;
   for (size_t values : {50'000, 500'000}) {
@@ -370,14 +390,14 @@ int main(int argc, char** argv) {
         .Set("lost_or_phantom_batches", r.LostOrPhantomBatches())
         .Set("publishes_beyond_applied", r.PublishesBeyondApplied());
   }
-  for (const ScenarioResult& r : scaling) {
+  for (const ScalingRow& r : scaling) {
     report.AddRow("reader_scaling")
-        .Set("scenario", r.scenario)
+        .Set("scenario", "read_only")
         .Set("readers", r.readers)
         .Set("find_batch", kScalingBatch)
-        .Set("statements", r.statements)
-        .Set("statements_per_sec", r.StatementsPerSec(), 0)
-        .Set("scaling_vs_1", r.StatementsPerSec() / one_reader);
+        .Set("rounds", kScalingRounds)
+        .Set("statements_per_sec", median(r.per_sec), 0)
+        .Set("scaling_vs_1", median(r.vs_1));
   }
   for (const DomainResult& d : domains) {
     report.AddRow("domain")

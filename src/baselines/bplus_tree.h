@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/index.h"
@@ -45,7 +46,7 @@ class BPlusTree {
   /// `kFanout - 1` keys (one slot unused when Slots is even).
   static constexpr int kFanout = (Slots + 1) / 2;
   static constexpr int kRoutingKeys = kFanout - 1;
-  static constexpr size_t kGroupProbes = 8;
+  static constexpr size_t kNodeBytes = Slots * sizeof(KeyT);
 
   BPlusTree(const KeyT* keys, size_t n) : a_(keys), n_(n) { Build(); }
   explicit BPlusTree(const std::vector<KeyT>& keys)
@@ -77,39 +78,48 @@ class BPlusTree {
 
   /// Batched LowerBound: group probing with software prefetch. Every probe
   /// descends the same number of levels (bulk-loaded tree), so the group
-  /// walks down in lockstep; each level's node fetches are prefetched one
-  /// level ahead across the whole group.
+  /// walks down in lockstep; each level's node fetches, and then every line
+  /// of each probe's leaf chunk, are prefetched one level ahead across the
+  /// whole group. The last group may be partial and descends the same way;
+  /// a whole batch of at most kScalarBatchMax probes runs the scalar
+  /// descent (see the CSS-tree kernel).
   void LowerBoundBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const {
     assert(out.size() >= keys.size());
     const size_t count = keys.size();
+    if (count <= kScalarBatchMax) {
+      for (size_t i = 0; i < count; ++i) out[i] = LowerBound(keys[i]);
+      return;
+    }
     if (CSSIDX_UNLIKELY(n_ == 0)) {
       for (size_t i = 0; i < count; ++i) out[i] = 0;
       return;
     }
-    size_t i = 0;
-    for (; i + kGroupProbes <= count; i += kGroupProbes) {
+    for (size_t i = 0; i < count; i += kGroupProbes) {
+      const size_t width = std::min(count - i, kGroupProbes);
+      const KeyT* probe = keys.data() + i;
       uint32_t node[kGroupProbes];
-      for (size_t g = 0; g < kGroupProbes; ++g) node[g] = root_;
+      std::fill_n(node, width, root_);
       for (int level = height_; level > 0; --level) {
-        for (size_t g = 0; g < kGroupProbes; ++g) {
+        for (size_t g = 0; g < width; ++g) {
           const KeyT* slots =
               arena_ptr_ + static_cast<size_t>(node[g]) * Slots;
           int j = DispatchedLowerBound<kRoutingKeys, 2, KeyT>(slots + 1,
-                                                              keys[i + g]);
+                                                              probe[g]);
           node[g] = static_cast<uint32_t>(slots[2 * j]);
           if (level > 1) {
-            CSSIDX_PREFETCH(arena_ptr_ + static_cast<size_t>(node[g]) * Slots);
+            PrefetchLines(arena_ptr_ + static_cast<size_t>(node[g]) * Slots,
+                          kNodeBytes);
           } else {
-            CSSIDX_PREFETCH(a_ + static_cast<size_t>(node[g]) * Slots);
+            auto [start, end] = ChunkRange(node[g]);
+            PrefetchLines(a_ + start, (end - start) * sizeof(KeyT));
           }
         }
       }
-      for (size_t g = 0; g < kGroupProbes; ++g) {
-        out[i + g] = SearchChunk(node[g], keys[i + g]);
+      for (size_t g = 0; g < width; ++g) {
+        out[i + g] = SearchChunk(node[g], probe[g]);
       }
     }
-    for (; i < count; ++i) out[i] = LowerBound(keys[i]);
   }
 
   /// Batched Find over the same group-probing kernel.
@@ -242,9 +252,14 @@ class BPlusTree {
     root_ = child_ids[0];
   }
 
-  CSSIDX_ALWAYS_INLINE size_t SearchChunk(uint32_t chunk, KeyT k) const {
+  /// [start, end) array range of a (possibly partial trailing) leaf chunk.
+  std::pair<size_t, size_t> ChunkRange(uint32_t chunk) const {
     size_t start = static_cast<size_t>(chunk) * Slots;
-    size_t end = start + Slots < n_ ? start + Slots : n_;
+    return {start, start + Slots < n_ ? start + Slots : n_};
+  }
+
+  CSSIDX_ALWAYS_INLINE size_t SearchChunk(uint32_t chunk, KeyT k) const {
+    auto [start, end] = ChunkRange(chunk);
     int j;
     if (CSSIDX_LIKELY(end - start == Slots)) {
       j = DispatchedLowerBound<Slots, 1, KeyT>(a_ + start, k);

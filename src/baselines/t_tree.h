@@ -1,7 +1,9 @@
 #ifndef CSSIDX_BASELINES_T_TREE_H_
 #define CSSIDX_BASELINES_T_TREE_H_
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -42,9 +44,6 @@ class TTreeIndex {
   using NodeRef = uint32_t;
 #endif
   static constexpr NodeRef kNull = static_cast<NodeRef>(-1);
-  /// Probes descended in lockstep by LowerBoundBatch (see the CSS-tree
-  /// kernel for the rationale behind the group width).
-  static constexpr size_t kGroupProbes = 8;
 
   struct Node {
     NodeRef left;
@@ -53,6 +52,9 @@ class TTreeIndex {
     KeyT keys[Entries];     // keys[0] shares a line with the child refs
     uint32_t rids[Entries];
   };
+  /// The child refs and the min key: all the improved descent reads of a
+  /// node. Nodes are not line-aligned, so these bytes can span two lines.
+  static constexpr size_t kHeaderBytes = offsetof(Node, keys) + sizeof(KeyT);
 
   TTreeIndex(const KeyT* keys, size_t n) : a_(keys), n_(n) {
     size_t chunks = (n + Entries - 1) / Entries;
@@ -88,27 +90,36 @@ class TTreeIndex {
   /// slow is also what kept this method on the scalar fallback path — a
   /// probe's next node is unknowable until the current header line
   /// arrives. Group probing sidesteps that: kGroupProbes descents advance
-  /// in lockstep, and each probe's next child header/min-key line is
-  /// prefetched the moment its ref is read, so the miss overlaps the other
-  /// probes' compares exactly as in the CSS-tree kernel. Results are
+  /// in lockstep, and the lines holding each probe's next child refs and
+  /// min key are prefetched the moment its ref is read, so the miss
+  /// overlaps the other probes' compares exactly as in the CSS-tree kernel.
+  /// The last group may be partial and descends the same way; a whole batch
+  /// of at most kScalarBatchMax probes runs the scalar descent. Results are
   /// identical to scalar LowerBound.
   void LowerBoundBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const {
     assert(out.size() >= keys.size());
     const size_t count = keys.size();
-    size_t i = 0;
-    for (; i + kGroupProbes <= count; i += kGroupProbes) {
+    if (count <= kScalarBatchMax) {
+      for (size_t i = 0; i < count; ++i) out[i] = LowerBound(keys[i]);
+      return;
+    }
+    for (size_t i = 0; i < count; i += kGroupProbes) {
+      const size_t width = std::min(count - i, kGroupProbes);
+      const KeyT* probe = keys.data() + i;
       NodeRef cur[kGroupProbes];
-      const Node* bounding[kGroupProbes] = {};
-      const Node* successor[kGroupProbes] = {};
-      for (size_t g = 0; g < kGroupProbes; ++g) cur[g] = root_;
+      const Node* bounding[kGroupProbes];
+      const Node* successor[kGroupProbes];
+      std::fill_n(cur, width, root_);
+      std::fill_n(bounding, width, nullptr);
+      std::fill_n(successor, width, nullptr);
       bool descending = root_ != kNull;
       while (descending) {
         descending = false;
-        for (size_t g = 0; g < kGroupProbes; ++g) {
+        for (size_t g = 0; g < width; ++g) {
           if (cur[g] == kNull) continue;
           const Node& node = nodes_[cur[g]];
-          if (keys[i + g] <= node.keys[0]) {
+          if (probe[g] <= node.keys[0]) {
             successor[g] = &node;
             cur[g] = node.left;
           } else {
@@ -116,18 +127,15 @@ class TTreeIndex {
             cur[g] = node.right;
           }
           if (cur[g] != kNull) {
-            // The child-ref/min-key header line — the only line the
-            // improved descent touches per node.
-            CSSIDX_PREFETCH(&nodes_[cur[g]]);
+            PrefetchLines(&nodes_[cur[g]], kHeaderBytes);
             descending = true;
           }
         }
       }
-      for (size_t g = 0; g < kGroupProbes; ++g) {
-        out[i + g] = ResolveLowerBound(bounding[g], successor[g], keys[i + g]);
+      for (size_t g = 0; g < width; ++g) {
+        out[i + g] = ResolveLowerBound(bounding[g], successor[g], probe[g]);
       }
     }
-    for (; i < count; ++i) out[i] = LowerBound(keys[i]);
   }
 
   /// Batched Find over the same group-probing kernel.
@@ -177,7 +185,7 @@ class TTreeIndex {
       const Node& node = nodes_[cur];
       // Header + min key live on one line (the LC86b layout win); the
       // improved search touches nothing else on the way down.
-      tracer.Touch(&node, offsetof(Node, keys) + sizeof(KeyT));
+      tracer.Touch(&node, kHeaderBytes);
       if (k <= node.keys[0]) {
         successor = &node;
         cur = node.left;

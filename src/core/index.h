@@ -26,6 +26,29 @@ using Key64 = uint64_t;
 /// Returned by Find when the key is absent.
 inline constexpr int64_t kNotFound = -1;
 
+/// Probes every tree batch kernel (CSS, record CSS, B+-tree, T-tree)
+/// descends in lockstep. Each probe's next node is prefetched as soon as
+/// it is known, so a group of G probes keeps up to G misses in flight and
+/// the compares of the other G - 1 probes cover each one's latency. A DRAM
+/// miss needs more cover than 8 probes give. Width sweep on the end-to-end
+/// `bulk_cold` workload (1024-key FINDs on 100M u32 keys, past the L3; a
+/// 4-vCPU Xeon VM, seeds 11-13), statements/s against the previous 8-wide
+/// kernel: 8 -> -3..+6%, 16 -> +8..+18%, 32 -> +24..+40%, 64 -> +30..+37%.
+/// `bench_batch_lookup` (css:16, n = 10M, which fits that VM's L3) read
+/// 43-86 ns per probe at batch 1024 across widths 8-64, one run each:
+/// spread, not a trend. 32 is kept: 64 was not faster on `bulk_cold`.
+inline constexpr size_t kGroupProbes = 32;
+
+/// Batches of at most this many probes skip grouping and run the scalar
+/// descent per probe. A group that narrow has too little to overlap, and
+/// its bookkeeping is dearer than the out-of-order core's own overlap of
+/// short independent scalar descents: on a 32M-key css:16 tree (a 4-vCPU
+/// Xeon VM), a batch of one cost 510-540 ns per probe as a group against
+/// 185-280 ns scalar, a batch of two 265-290 ns against 195-250 ns. From
+/// three probes on the group is ahead. A scalar AnyIndex probe is a batch
+/// of one, so this is every scalar probe's path.
+inline constexpr size_t kScalarBatchMax = 2;
+
 /// A half-open [begin, end) span of positions in the sorted key array —
 /// the result type of every range probe. Duplicates are contiguous in a
 /// sorted array, so a key's whole duplicate run is one such span:

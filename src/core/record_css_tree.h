@@ -40,9 +40,6 @@ class RecordCssTree {
  public:
   static constexpr int kStride = NodeKeys;
   static constexpr int kFanout = NodeKeys + 1;  // full-CSS shape
-  /// Probes descended in lockstep by the batch kernels (same group width
-  /// as the key-array CSS-tree).
-  static constexpr size_t kGroupProbes = 8;
 
   RecordCssTree(const Record* records, size_t n) : a_(records), n_(n) {
     Build();
@@ -66,44 +63,50 @@ class RecordCssTree {
   /// Batched LowerBound: the same level-synchronous group-probing +
   /// prefetch kernel as the plain CSS-tree — the directory is identical
   /// (bare keys, no pointers); only the leaf search dereferences records,
-  /// and each probe's leaf line is prefetched as soon as its leaf is
-  /// known. Results are identical to scalar LowerBound.
+  /// and every line of each probe's leaf records is prefetched as soon as
+  /// its leaf is known. The last group may be partial and descends the
+  /// same way; a whole batch of at most kScalarBatchMax probes runs the
+  /// scalar descent. Results are identical to scalar LowerBound.
   void LowerBoundBatch(std::span<const Key> keys,
                        std::span<size_t> out) const {
     assert(out.size() >= keys.size());
     const size_t count = keys.size();
+    if (count <= kScalarBatchMax) {
+      for (size_t i = 0; i < count; ++i) out[i] = LowerBound(keys[i]);
+      return;
+    }
     if (CSSIDX_UNLIKELY(n_ == 0)) {
       for (size_t i = 0; i < count; ++i) out[i] = 0;
       return;
     }
     const uint64_t internal = layout_.internal_nodes;
     const Key* dir = dir_keys_;
-    size_t i = 0;
-    for (; i + kGroupProbes <= count; i += kGroupProbes) {
-      uint64_t d[kGroupProbes] = {};
-      if (internal > 0) {
-        bool descending = true;
-        while (descending) {
-          descending = false;
-          for (size_t g = 0; g < kGroupProbes; ++g) {
-            if (d[g] >= internal) continue;
-            const Key* node = dir + d[g] * kStride;
-            int j = DispatchedLowerBound<kStride>(node, keys[i + g]);
-            d[g] = d[g] * kFanout + 1 + static_cast<uint64_t>(j);
-            if (d[g] < internal) {
-              CSSIDX_PREFETCH(dir + d[g] * kStride);
-              descending = true;
-            } else {
-              CSSIDX_PREFETCH(a_ + LeafRange(d[g]).first);
-            }
+    for (size_t i = 0; i < count; i += kGroupProbes) {
+      const size_t width = std::min(count - i, kGroupProbes);
+      const Key* probe = keys.data() + i;
+      uint64_t d[kGroupProbes];
+      std::fill_n(d, width, uint64_t{0});
+      bool descending = internal > 0;
+      while (descending) {
+        descending = false;
+        for (size_t g = 0; g < width; ++g) {
+          if (d[g] >= internal) continue;
+          const Key* node = dir + d[g] * kStride;
+          int j = DispatchedLowerBound<kStride>(node, probe[g]);
+          d[g] = d[g] * kFanout + 1 + static_cast<uint64_t>(j);
+          if (d[g] < internal) {
+            PrefetchLines(dir + d[g] * kStride, kStride * sizeof(Key));
+            descending = true;
+          } else {
+            auto [lo, hi] = LeafRange(d[g]);
+            PrefetchLines(a_ + lo, (hi - lo) * sizeof(Record));
           }
         }
       }
-      for (size_t g = 0; g < kGroupProbes; ++g) {
-        out[i + g] = SearchLeaf(d[g], keys[i + g]);
+      for (size_t g = 0; g < width; ++g) {
+        out[i + g] = SearchLeaf(d[g], probe[g]);
       }
     }
-    for (; i < count; ++i) out[i] = LowerBound(keys[i]);
   }
 
   /// Position of the leftmost record whose key equals `k`, or kNotFound.

@@ -1,6 +1,9 @@
 #ifndef CSSIDX_UTIL_MACROS_H_
 #define CSSIDX_UTIL_MACROS_H_
 
+#include <cstddef>
+#include <cstdint>
+
 // Project-wide function attributes and constants.
 //
 // The hot search paths in this library are small enough that inlining
@@ -28,6 +31,19 @@ namespace cssidx {
 // runtime/compile-time configurable; this is only the default. 64 bytes
 // matches every mainstream x86-64 and most AArch64 parts.
 inline constexpr int kCacheLineBytes = 64;
+
+/// Prefetches every cache line that [p, p + bytes) touches. A node or leaf
+/// that starts off a line boundary spans one line more than its size
+/// suggests (a 64-byte leaf 16 bytes into a line spans two), and a search
+/// that reads the whole node stalls on whichever line was not prefetched.
+CSSIDX_ALWAYS_INLINE void PrefetchLines(const void* p, size_t bytes) {
+  const auto begin = reinterpret_cast<uintptr_t>(p);
+  const uintptr_t end = begin + bytes;
+  for (uintptr_t line = begin & ~uintptr_t{kCacheLineBytes - 1}; line < end;
+       line += kCacheLineBytes) {
+    CSSIDX_PREFETCH(reinterpret_cast<const void*>(line));
+  }
+}
 
 }  // namespace cssidx
 

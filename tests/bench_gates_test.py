@@ -33,14 +33,8 @@ BASELINE = load("BENCH_batch_lookup.json")
 
 def current_reports():
     """One CURRENT report per gated bench, as the benches write them now."""
-    batch = copy.deepcopy(BASELINE)
-    # The baseline predates the shared writer, which emits the key-width
-    # space pair as a one-row block carrying the model deviation.
-    space = batch["key_width_space"]
-    space["model_deviation"] = abs(
-        space["measured_ratio"] / space["model_ratio"] - 1.0)
-    batch["key_width_space"] = [space]
-    return {"batch_lookup": batch, "serving": load("BENCH_serving.json"),
+    return {"batch_lookup": copy.deepcopy(BASELINE),
+            "serving": load("BENCH_serving.json"),
             "paged": load("BENCH_paged.json"),
             "advisor": load("BENCH_advisor.json")}
 

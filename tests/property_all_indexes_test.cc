@@ -8,6 +8,10 @@
 // implementation plays underneath.
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "core/range.h"
 #include "gtest/gtest.h"
 #include "spec_menu.h"
+#include "util/macros.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
@@ -171,6 +176,107 @@ TEST_P(AllIndexesProperty, AgreesWithStlOracles) {
             << index.Name() << " n=" << n << " lo=" << lo_key
             << " hi=" << hi_key;
       }
+    }
+  }
+}
+
+/// A copy of sorted keys that starts `offset` bytes past a cache-line
+/// boundary and ends exactly where its allocation ends, so a kernel read
+/// past the last key lands in the sanitizers' redzone. Served key arrays
+/// are `std::vector` buffers, which glibc places 16 bytes off a line, so a
+/// full leaf there spans two lines.
+template <typename KeyT>
+class OffsetKeys {
+ public:
+  OffsetKeys(const std::vector<KeyT>& keys, size_t offset)
+      : raw_(static_cast<std::byte*>(::operator new(
+            offset + keys.size() * sizeof(KeyT), kLine))),
+        offset_(offset),
+        size_(keys.size()) {
+    std::memcpy(data(), keys.data(), keys.size() * sizeof(KeyT));
+  }
+  ~OffsetKeys() { ::operator delete(raw_, kLine); }
+  OffsetKeys(const OffsetKeys&) = delete;
+  OffsetKeys& operator=(const OffsetKeys&) = delete;
+
+  KeyT* data() const { return reinterpret_cast<KeyT*>(raw_ + offset_); }
+  size_t size() const { return size_; }
+
+ private:
+  static constexpr std::align_val_t kLine{kCacheLineBytes};
+  std::byte* raw_;
+  size_t offset_;
+  size_t size_;
+};
+
+/// Every batch size from 0 to 2 * kGroupProbes + 1 (empty, every partial
+/// group, one and two full groups, and a group plus a remainder), over a
+/// key array placed off a cache line: the batch kernels' prefetches of
+/// every line a node or leaf spans, and their partial last group, must
+/// give exactly std::lower_bound.
+template <typename KeyT>
+void CheckBatchesOnOffsetArray(const IndexSpec& spec,
+                               const std::vector<KeyT>& keys,
+                               const std::vector<KeyT>& probes,
+                               size_t offset) {
+  OffsetKeys<KeyT> placed(keys, offset);
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(placed.data()) % kCacheLineBytes,
+            offset);
+  BasicAnyIndex<KeyT> index =
+      BuildIndexT<KeyT>(spec, placed.data(), placed.size());
+  ASSERT_TRUE(index) << spec.ToString();
+  std::vector<size_t> lower(probes.size());
+  std::vector<int64_t> found(probes.size());
+  for (size_t batch = 0; batch <= 2 * kGroupProbes + 1; ++batch) {
+    std::span<const KeyT> in(probes.data(), batch);
+    index.FindBatch(in, std::span<int64_t>(found.data(), batch));
+    if (index.SupportsOrderedAccess()) {
+      index.LowerBoundBatch(in, std::span<size_t>(lower.data(), batch));
+    }
+    for (size_t i = 0; i < batch; ++i) {
+      auto lo = std::lower_bound(keys.begin(), keys.end(), probes[i]);
+      auto want = static_cast<size_t>(lo - keys.begin());
+      bool present = lo != keys.end() && *lo == probes[i];
+      ASSERT_EQ(found[i], present ? static_cast<int64_t>(want) : kNotFound)
+          << index.Name() << " offset=" << offset << " batch=" << batch
+          << " i=" << i;
+      if (index.SupportsOrderedAccess()) {
+        ASSERT_EQ(lower[i], want) << index.Name() << " offset=" << offset
+                                  << " batch=" << batch << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, AgreeWithStlOnOffsetArraysAtEveryGroupSize) {
+  const size_t n = 10007;  // several levels at every menu node size
+  const size_t probe_count = 2 * kGroupProbes + 1;
+  const std::vector<Key> keys = workload::DistinctSortedKeys(n, 42, 4);
+  // Hits interleaved with misses, so a group's probes end in different
+  // leaves.
+  const auto hits = workload::MatchingLookups(keys, probe_count, 43);
+  const auto misses = workload::MissingLookups(keys, probe_count, 44);
+  std::vector<Key> probes;
+  for (size_t i = 0; i < probe_count; ++i) {
+    probes.push_back(i % 3 == 2 ? misses[i] : hits[i]);
+  }
+  for (const IndexSpec& spec : test_menu::MenuSpecs(16, 8)) {
+    for (size_t offset : {4, 16, 36, 60}) {
+      CheckBatchesOnOffsetArray(spec, keys, probes, offset);
+    }
+  }
+  // 8-byte keys: a 16-key node or leaf is 128 bytes, two or three lines.
+  // The widening is order-preserving, so hits stay hits.
+  auto widen = [](Key k) { return (Key64{k} << 31) + k; };
+  std::vector<Key64> keys64(keys.size());
+  std::vector<Key64> probes64(probes.size());
+  std::transform(keys.begin(), keys.end(), keys64.begin(), widen);
+  std::transform(probes.begin(), probes.end(), probes64.begin(), widen);
+  for (const IndexSpec& spec : test_menu::MenuSpecs(16, 8)) {
+    IndexSpec wide = spec.WithKeyWidth(8);
+    if (!wide.OnMenu()) continue;  // hash has no 8-byte build
+    for (size_t offset : {8, 16, 40, 56}) {
+      CheckBatchesOnOffsetArray(wide, keys64, probes64, offset);
     }
   }
 }
