@@ -12,143 +12,71 @@
 #include <string>
 #include <vector>
 
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
 #include "core/simd_node_search.h"
 #include "harness.h"
-#include "util/timer.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-template <typename TreeT>
-double MinGenericSeconds(const TreeT& tree, const std::vector<Key>& lookups,
-                         int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    uint64_t sum = 0;
-    cssidx::Timer timer;
-    for (Key k : lookups) sum += tree.LowerBoundGeneric(k);
-    double sec = timer.Seconds();
-    g_sink = g_sink + sum;
-    if (sec < best) best = sec;
-  }
-  return best;
-}
-
-template <typename TreeT>
-double MinUnrolledSeconds(const TreeT& tree, const std::vector<Key>& lookups,
-                          int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    uint64_t sum = 0;
-    cssidx::Timer timer;
-    for (Key k : lookups) sum += tree.LowerBound(k);
-    double sec = timer.Seconds();
-    g_sink = g_sink + sum;
-    if (sec < best) best = sec;
-  }
-  return best;
-}
-
-template <int M>
-void Run(Table& table, const std::vector<Key>& keys,
-         const std::vector<Key>& lookups, int repeats, bool level) {
-  if (level) {
-    cssidx::LevelCssTree<M> tree(keys);
-    double hard = MinUnrolledSeconds(tree, lookups, repeats);
-    double generic = MinGenericSeconds(tree, lookups, repeats);
-    table.AddRow({"level CSS-tree/m=" + std::to_string(M), Table::Num(hard),
-                  Table::Num(generic),
-                  Table::Num(100.0 * (generic - hard) / hard, 3) + "%"});
-  } else {
-    cssidx::FullCssTree<M> tree(keys);
-    double hard = MinUnrolledSeconds(tree, lookups, repeats);
-    double generic = MinGenericSeconds(tree, lookups, repeats);
-    table.AddRow({"full CSS-tree/m=" + std::to_string(M), Table::Num(hard),
-                  Table::Num(generic),
-                  Table::Num(100.0 * (generic - hard) / hard, 3) + "%"});
-  }
-}
-
-template <typename TreeT>
-double MinBatchedSeconds(const TreeT& tree, const std::vector<Key>& lookups,
-                         int repeats) {
-  std::vector<size_t> out(lookups.size());
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    cssidx::Timer timer;
-    tree.LowerBoundBatch(lookups, out);
-    double sec = timer.Seconds();
-    g_sink = g_sink + out[out.size() / 2];
-    if (sec < best) best = sec;
-  }
-  return best;
-}
-
-template <int M>
-void RunSimd(Table& table, const std::vector<Key>& keys,
-             const std::vector<Key>& lookups, int repeats, bool level) {
-  const cssidx::NodeSearchPath simd = cssidx::DetectedNodeSearchPath();
-  auto measure = [&](const auto& tree) {
-    cssidx::SetNodeSearchPath(cssidx::NodeSearchPath::kScalar);
-    double scalar_probe = MinUnrolledSeconds(tree, lookups, repeats);
-    double scalar_batch = MinBatchedSeconds(tree, lookups, repeats);
-    cssidx::SetNodeSearchPath(simd);
-    double simd_probe = MinUnrolledSeconds(tree, lookups, repeats);
-    double simd_batch = MinBatchedSeconds(tree, lookups, repeats);
-    std::string name = std::string(level ? "level" : "full") +
-                       " CSS-tree/m=" + std::to_string(M);
-    table.AddRow({name, "scalar probes", Table::Num(scalar_probe),
-                  Table::Num(simd_probe),
-                  Table::Num(scalar_probe / simd_probe, 3) + "x"});
-    table.AddRow({name, "batched", Table::Num(scalar_batch),
-                  Table::Num(simd_batch),
-                  Table::Num(scalar_batch / simd_batch, 3) + "x"});
-  };
-  if (level) {
-    measure(cssidx::LevelCssTree<M>(keys));
-  } else {
-    measure(cssidx::FullCssTree<M>(keys));
-  }
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Ablation: hard-coded vs generic node search",
-              "the paper's 20-45% specialization claim (§6.2)", options);
-  size_t n = options.n ? options.n : 2'000'000;
-  if (options.quick) n = 300'000;
-  auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  auto lookups = cssidx::workload::MatchingLookups(keys, options.lookups,
-                                                   options.seed + 1);
+  const size_t n = options.N(300'000, 2'000'000);
+  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto lookups =
+      workload::MatchingLookups(keys, options.lookups, options.seed + 1);
+  Report report("ablation_node_search", n);
+  report.header()
+      .Set("figure", "Ablation: hard-coded vs generic vs SIMD node search "
+                     "(§6.2's 20-45% specialization claim)")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
 
-  Table table({"tree", "hard-coded (s)", "generic loop (s)", "slowdown"});
-  Run<8>(table, keys, lookups, options.repeats, false);
-  Run<16>(table, keys, lookups, options.repeats, false);
-  Run<32>(table, keys, lookups, options.repeats, false);
-  Run<16>(table, keys, lookups, options.repeats, true);
-  Run<32>(table, keys, lookups, options.repeats, true);
-  table.Print("Node-search ablation, n = " + std::to_string(n));
+  const int r = options.repeats;
+  const NodeSearchPath simd = DetectedNodeSearchPath();
+  std::vector<size_t> out(lookups.size());
+  for (const char* spec : {"css:8", "css:16", "css:32", "lcss:16", "lcss:32"}) {
+    Visit(spec, keys, [&](const auto& tree) {
+      if constexpr (requires { tree.LowerBoundGeneric(Key{}); }) {
+        auto scalar_probes = [&] {
+          uint64_t sum = 0;
+          for (Key k : lookups) sum += tree.LowerBound(k);
+          return sum;
+        };
+        auto batched = [&] {
+          tree.LowerBoundBatch(lookups, out);
+          return out.empty() ? 0 : out.back();
+        };
+        const double hard = MinSeconds(r, scalar_probes);
+        const double generic = MinSeconds(r, [&] {
+          uint64_t sum = 0;
+          for (Key k : lookups) sum += tree.LowerBoundGeneric(k);
+          return sum;
+        });
+        report.AddRow("generic")
+            .Set("spec", spec)
+            .Set("hard_coded_s", hard, 6)
+            .Set("generic_loop_s", generic, 6)
+            .Set("slowdown_pct", 100.0 * (generic - hard) / hard, 1);
 
-  Table simd({"tree", "probe style", "scalar unrolled (s)", "simd (s)",
-              "speedup"});
-  RunSimd<8>(simd, keys, lookups, options.repeats, false);
-  RunSimd<16>(simd, keys, lookups, options.repeats, false);
-  RunSimd<32>(simd, keys, lookups, options.repeats, false);
-  RunSimd<16>(simd, keys, lookups, options.repeats, true);
-  RunSimd<32>(simd, keys, lookups, options.repeats, true);
-  simd.Print(
-      "SIMD node-search ablation (dispatch path: " +
-      std::string(
-          cssidx::NodeSearchPathName(cssidx::DetectedNodeSearchPath())) +
-      "), n = " + std::to_string(n));
-  cssidx::SetNodeSearchPath(cssidx::DetectedNodeSearchPath());
-  return 0;
+        SetNodeSearchPath(NodeSearchPath::kScalar);
+        const double scalar_probe = MinSeconds(r, scalar_probes);
+        const double scalar_batch = MinSeconds(r, batched);
+        SetNodeSearchPath(simd);
+        const double simd_probe = MinSeconds(r, scalar_probes);
+        const double simd_batch = MinSeconds(r, batched);
+        for (const auto& [style, scalar_s, simd_s] :
+             {std::tuple{"scalar probes", scalar_probe, simd_probe},
+              std::tuple{"batched", scalar_batch, simd_batch}}) {
+          report.AddRow("simd")
+              .Set("spec", spec)
+              .Set("probe_style", style)
+              .Set("scalar_unrolled_s", scalar_s, 6)
+              .Set("simd_s", simd_s, 6)
+              .Set("speedup", scalar_s / simd_s);
+        }
+      }
+    });
+  }
+  return report.Emit(options) ? 0 : 1;
 }

@@ -12,89 +12,76 @@
 //    multiplicative (Fibonacci) hashing, on uniform and on stride-aligned
 //    (low-bit-degenerate) keys.
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "baselines/chained_hash.h"
-#include "baselines/t_tree.h"
 #include "harness.h"
-#include "util/timer.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-template <int M>
-void TTreeVariantRow(Table& table, const std::vector<Key>& keys,
-                     const std::vector<Key>& lookups, int repeats) {
-  cssidx::TTreeIndex<M> tree(keys);
-  double improved = 1e300, basic = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    uint64_t sum = 0;
-    cssidx::Timer t1;
-    for (Key k : lookups) sum += tree.LowerBound(k);
-    improved = std::min(improved, t1.Seconds());
-    cssidx::Timer t2;
-    for (Key k : lookups) sum += tree.LowerBoundBasic(k);
-    basic = std::min(basic, t2.Seconds());
-    g_sink = g_sink + sum;
-  }
-  table.AddRow({std::to_string(M), Table::Num(improved), Table::Num(basic),
-                Table::Num(100.0 * (basic - improved) / improved, 3) + "%"});
-}
-
-void HashRow(Table& table, const std::string& label,
-             const std::vector<Key>& keys, const std::vector<Key>& lookups,
-             int dir_bits, cssidx::HashFunction fn, int repeats) {
-  cssidx::ChainedHashIndex<64> hash(keys.data(), keys.size(), dir_bits, fn);
-  double best = MinFindSeconds(hash, lookups, repeats);
-  table.AddRow({label, Table::Num(best),
-                std::to_string(hash.MaxChainBuckets()),
-                Table::Bytes(static_cast<double>(hash.SpaceBytes()))});
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Variant ablations",
-              "basic vs improved T-tree; hash function vs skew", options);
-  size_t n = options.n ? options.n : 2'000'000;
-  if (options.quick) n = 300'000;
+  const size_t n = options.N(300'000, 2'000'000);
+  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto lookups =
+      workload::MatchingLookups(keys, options.lookups, options.seed + 1);
+  Report report("ablation_variants", n);
+  report.header()
+      .Set("figure", "Variant ablations: basic vs improved T-tree; hash "
+                     "function vs skew")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
 
-  auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  auto lookups = cssidx::workload::MatchingLookups(keys, options.lookups,
-                                                   options.seed + 1);
-  Table ttree({"entries/node", "improved (s)", "basic (s)", "basic cost"});
-  TTreeVariantRow<8>(ttree, keys, lookups, options.repeats);
-  TTreeVariantRow<16>(ttree, keys, lookups, options.repeats);
-  TTreeVariantRow<32>(ttree, keys, lookups, options.repeats);
-  ttree.Print("T-tree: improved (LC86b) vs basic search, n = " +
-              std::to_string(n));
-
-  // Hash skew: stride-64 keys have constant low 6 bits.
-  std::vector<cssidx::Key> strided(n);
-  for (size_t i = 0; i < n; ++i) {
-    strided[i] = static_cast<cssidx::Key>(i) * 64;
+  for (const char* spec : {"ttree:8", "ttree:16", "ttree:32"}) {
+    Visit(spec, keys, [&](const auto& tree) {
+      if constexpr (requires { tree.LowerBoundBasic(Key{}); }) {
+        const double improved = MinSeconds(options.repeats, [&] {
+          uint64_t sum = 0;
+          for (Key k : lookups) sum += tree.LowerBound(k);
+          return sum;
+        });
+        const double basic = MinSeconds(options.repeats, [&] {
+          uint64_t sum = 0;
+          for (Key k : lookups) sum += tree.LowerBoundBasic(k);
+          return sum;
+        });
+        report.AddRow("ttree")
+            .Set("spec", spec)
+            .Set("improved_s", improved, 6)
+            .Set("basic_s", basic, 6)
+            .Set("basic_cost_pct", 100.0 * (basic - improved) / improved, 1);
+      }
+    });
   }
-  auto strided_lookups = cssidx::workload::MatchingLookups(
-      strided, options.lookups, options.seed + 2);
+
+  // Hash skew: stride-64 keys have constant low 6 bits. The spec grammar
+  // names no hash function, so these rows build the hash by template.
+  std::vector<Key> strided(n);
+  for (size_t i = 0; i < n; ++i) strided[i] = static_cast<Key>(i) * 64;
+  auto strided_lookups =
+      workload::MatchingLookups(strided, options.lookups, options.seed + 2);
   int bits = 4;
   while ((size_t{1} << bits) < n && bits < 22) ++bits;
-
-  Table hash({"config", "time (s)", "max chain", "space"});
-  HashRow(hash, "uniform keys, low-bits", keys, lookups, bits,
-          cssidx::HashFunction::kLowOrderBits, options.repeats);
-  HashRow(hash, "uniform keys, multiplicative", keys, lookups, bits,
-          cssidx::HashFunction::kMultiplicative, options.repeats);
-  HashRow(hash, "strided keys, low-bits", strided, strided_lookups, bits,
-          cssidx::HashFunction::kLowOrderBits, options.repeats);
-  HashRow(hash, "strided keys, multiplicative", strided, strided_lookups,
-          bits, cssidx::HashFunction::kMultiplicative, options.repeats);
-  hash.Print("Chained hash: function vs skew, n = " + std::to_string(n));
-  return 0;
+  for (bool stride : {false, true}) {
+    for (HashFunction fn :
+         {HashFunction::kLowOrderBits, HashFunction::kMultiplicative}) {
+      const std::vector<Key>& k = stride ? strided : keys;
+      ChainedHashIndex<64> hash(k.data(), k.size(), bits, fn);
+      const std::vector<Key>& probes = stride ? strided_lookups : lookups;
+      report.AddRow("hash")
+          .Set("keys", stride ? "strided" : "uniform")
+          .Set("function", fn == HashFunction::kLowOrderBits
+                               ? "low-bits"
+                               : "multiplicative")
+          .Set("seconds", MinSeconds(options.repeats,
+                                     [&] { return SumFinds(hash, probes); }),
+               6)
+          .Set("max_chain", hash.MaxChainBuckets())
+          .Set("space_bytes", hash.SpaceBytes());
+    }
+  }
+  return report.Emit(options) ? 0 : 1;
 }

@@ -43,20 +43,6 @@ const std::vector<std::string>& StaticMenu() {
   return menu;
 }
 
-struct MixResult {
-  std::string mix;
-  std::string picked_spec;
-  std::string best_static_spec;
-  double picked_ns = 0;
-  double best_static_ns = 0;
-  uint64_t probes = 0;
-
-  /// >= 1.0 when the pick ties or beats the best static spec.
-  double Ratio() const {
-    return picked_ns > 0 ? best_static_ns / picked_ns : 0.0;
-  }
-};
-
 // Best-of-`repeats` seconds replaying the mix (points through FindBlocked,
 // ranges through EqualRangeBlocked), after one untimed warmup pass.
 double ProbeSeconds(const AnyIndex& index, const std::vector<Key>& points,
@@ -64,22 +50,15 @@ double ProbeSeconds(const AnyIndex& index, const std::vector<Key>& points,
   constexpr size_t kBatch = 256;
   std::vector<int64_t> out(points.size());
   std::vector<PositionRange> rout(ranges.size());
-  double best = 1e300;
-  for (int r = 0; r <= repeats; ++r) {  // r == 0 warms up
-    Timer timer;
+  auto pass = [&] {
     FindBlocked(index, points, kBatch, out);
-    if (!ranges.empty()) {
-      EqualRangeBlocked<Key>(index, ranges, kBatch,
-                             std::span<PositionRange>(rout));
-    }
-    double sec = timer.Seconds();
-    uint64_t sum = 0;
-    for (int64_t v : out) sum += static_cast<uint64_t>(v);
-    for (const PositionRange& pr : rout) sum += pr.begin;
-    bench::g_sink = bench::g_sink + sum;
-    if (r > 0 && sec < best) best = sec;
-  }
-  return best;
+    EqualRangeBlocked<Key>(index, ranges, kBatch,
+                           std::span<PositionRange>(rout));
+    return (out.empty() ? 0 : out.back()) +
+           (rout.empty() ? 0 : rout.back().begin);
+  };
+  pass();
+  return bench::MinSeconds(repeats, pass);
 }
 
 // Best-of-`repeats` seconds for the update-heavy serve cycle: apply each
@@ -112,23 +91,32 @@ double UpdateCycleSeconds(const IndexSpec& spec, const std::vector<Key>& keys,
 int main(int argc, char** argv) {
   auto options = bench::Options::Parse(argc, argv);
   CliArgs args(argc, argv);
-  const size_t n = options.n != 0 ? options.n
-                                  : (options.quick ? 200'000 : 1'000'000);
+  const size_t n = options.N(200'000, 1'000'000);
   const size_t lookups = args.Has("lookups")
                              ? static_cast<size_t>(args.GetInt("lookups", 0))
                              : (options.quick ? size_t{1} << 15
                                               : size_t{1} << 17);
   const int repeats = options.repeats;
-  std::string json_path = args.GetString("json", "BENCH_advisor.json");
-
-  bench::PrintHeader(
-      "advisor",
-      "self-tuning advisor pick vs the static spec menu, n=" +
-          std::to_string(n),
-      options);
+  bench::Report report("advisor", n);
+  report.header().Set("lookups", lookups).Set("repeats", repeats);
+  // One row per mix. ratio = best_static / picked: >= 1.0 when the pick
+  // ties or beats the best static spec.
+  auto add_row = [&](const char* mix, const IndexSpec& picked,
+                     const std::string& best_static, double picked_sec,
+                     double best_sec, uint64_t probes) {
+    const double picked_ns = picked_sec / static_cast<double>(probes) * 1e9;
+    const double best_ns = best_sec / static_cast<double>(probes) * 1e9;
+    report.AddRow("advisor")
+        .Set("mix", mix)
+        .Set("picked_spec", picked.ToString())
+        .Set("best_static_spec", best_static)
+        .Set("picked_ns_per_probe", picked_ns, 2)
+        .Set("best_static_ns_per_probe", best_ns, 2)
+        .Set("ratio", picked_ns > 0 ? best_ns / picked_ns : 0.0, 4)
+        .Set("probes", probes);
+  };
 
   auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
-  std::vector<MixResult> results;
 
   // ---- probe-only mixes: uniform point, Zipf point+range ----------------
   struct ProbeMix {
@@ -165,25 +153,21 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    MixResult r;
-    r.mix = mix.name;
-    r.picked_spec = rec.spec.ToString();
-    r.probes = mix.points.size() + mix.ranges.size();
     double best = 1e300;
+    std::string best_spec;
     for (const std::string& text : StaticMenu()) {
       AnyIndex index = BuildIndex(*IndexSpec::Parse(text), keys);
       if (!index) continue;
       double sec = ProbeSeconds(index, mix.points, mix.ranges, repeats);
       if (sec < best) {
         best = sec;
-        r.best_static_spec = text;
+        best_spec = text;
       }
     }
     AnyIndex picked = BuildIndex(rec.spec, keys);
-    double pick_sec = ProbeSeconds(picked, mix.points, mix.ranges, repeats);
-    r.picked_ns = pick_sec / static_cast<double>(r.probes) * 1e9;
-    r.best_static_ns = best / static_cast<double>(r.probes) * 1e9;
-    results.push_back(std::move(r));
+    add_row(mix.name, rec.spec, best_spec,
+            ProbeSeconds(picked, mix.points, mix.ranges, repeats), best,
+            mix.points.size() + mix.ranges.size());
   }
 
   // ---- update-heavy mix -------------------------------------------------
@@ -218,48 +202,20 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    MixResult r;
-    r.mix = "update_heavy";
-    r.picked_spec = rec.spec.ToString();
-    r.probes = probes.size() * ups.size();
     double best = 1e300;
+    std::string best_spec;
     int cycle_repeats = std::max(repeats / 2, 1);
     for (const std::string& text : StaticMenu()) {
       double sec = UpdateCycleSeconds(*IndexSpec::Parse(text), keys, ups,
                                       probes, cycle_repeats);
       if (sec >= 0 && sec < best) {
         best = sec;
-        r.best_static_spec = text;
+        best_spec = text;
       }
     }
-    double pick_sec =
-        UpdateCycleSeconds(rec.spec, keys, ups, probes, cycle_repeats);
-    r.picked_ns = pick_sec / static_cast<double>(r.probes) * 1e9;
-    r.best_static_ns = best / static_cast<double>(r.probes) * 1e9;
-    results.push_back(std::move(r));
+    add_row("update_heavy", rec.spec, best_spec,
+            UpdateCycleSeconds(rec.spec, keys, ups, probes, cycle_repeats),
+            best, probes.size() * ups.size());
   }
-
-  bench::Table table({"mix", "picked", "best static", "picked ns/probe",
-                      "best ns/probe", "ratio"});
-  for (const MixResult& r : results) {
-    table.AddRow({r.mix, r.picked_spec, r.best_static_spec,
-                  bench::Table::Num(r.picked_ns, 1),
-                  bench::Table::Num(r.best_static_ns, 1),
-                  bench::Table::Num(r.Ratio(), 3)});
-  }
-  table.Print("advisor pick vs static menu, n=" + std::to_string(n));
-
-  bench::Report report("advisor", n);
-  report.header().Set("lookups", lookups).Set("repeats", repeats);
-  for (const MixResult& r : results) {
-    report.AddRow("advisor")
-        .Set("mix", r.mix)
-        .Set("picked_spec", r.picked_spec)
-        .Set("best_static_spec", r.best_static_spec)
-        .Set("picked_ns_per_probe", r.picked_ns, 2)
-        .Set("best_static_ns_per_probe", r.best_static_ns, 2)
-        .Set("ratio", r.Ratio(), 4)
-        .Set("probes", r.probes);
-  }
-  return report.Write(json_path) ? 0 : 1;
+  return report.Emit(options) ? 0 : 1;
 }

@@ -7,7 +7,7 @@
 //
 // Sweeps batch sizes 1..1024 for every method (threads = 1, the PR-1
 // table), then sweeps thread counts over the whole lookup set as a single
-// batch, and emits the standard table/CSV plus a JSON file (default
+// batch, and prints and writes its report (default
 // BENCH_batch_lookup.json) so the perf trajectory can track both batch
 // throughput and thread scaling run over run.
 //
@@ -40,8 +40,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,17 +75,6 @@ void AddSpeedupRow(bench::Report& report, std::string_view block,
       .Set("speedup", scalar_ns / batched_ns);
 }
 
-/// The same row, also shown in a table whose columns are exactly the
-/// row's: spec, batch, scalar ns, batched ns, speedup.
-void AddSpeedupRow(bench::Table& table, bench::Report& report,
-                   std::string_view block, const std::string& spec,
-                   size_t batch, double scalar_ns, double batched_ns) {
-  table.AddRow({spec, std::to_string(batch), bench::Table::Num(scalar_ns, 4),
-                bench::Table::Num(batched_ns, 4),
-                bench::Table::Num(scalar_ns / batched_ns, 3)});
-  AddSpeedupRow(report, block, spec, batch, scalar_ns, batched_ns);
-}
-
 std::vector<int> ParseThreadList(const std::string& text) {
   std::vector<int> threads;
   size_t pos = 0;
@@ -104,26 +91,42 @@ std::vector<int> ParseThreadList(const std::string& text) {
   return threads;
 }
 
+/// Best-of-`repeats` ns per probe of `lookups` through scalar Find.
+template <typename KeyT, typename IndexT>
+double ScalarNs(const IndexT& index, const std::vector<KeyT>& lookups,
+                int repeats) {
+  return bench::MinSeconds(repeats,
+                           [&] { return bench::SumFinds(index, lookups); }) /
+         static_cast<double>(lookups.size()) * 1e9;
+}
+
+/// Best-of-`repeats` ns per probe of `lookups` through FindBatch in blocks
+/// of `batch` probes, each block run per `opts`.
+template <typename KeyT, typename IndexT>
+double BatchedNs(const IndexT& index, const std::vector<KeyT>& lookups,
+                 size_t batch, int repeats, const ProbeOptions& opts = {}) {
+  std::vector<int64_t> out(lookups.size());
+  return bench::MinSeconds(repeats,
+                           [&] {
+                             FindBlocked<KeyT>(index, lookups, batch,
+                                               std::span<int64_t>(out), opts);
+                             return out.empty() ? 0 : out.back();
+                           }) /
+         static_cast<double>(lookups.size()) * 1e9;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   auto options = bench::Options::Parse(argc, argv);
   CliArgs args(argc, argv);
-  size_t n = options.n != 0 ? options.n
-                            : (options.quick ? 1'000'000 : 10'000'000);
-  std::string json_path =
-      args.GetString("json", "BENCH_batch_lookup.json");
+  const size_t n = options.N(1'000'000, 10'000'000);
   std::vector<int> thread_sweep = ParseThreadList(
       args.GetString("threads", options.quick ? "1,4" : "1,2,4,8"));
   bool range_mode = args.GetBool("range");
   bool part_mode = args.GetBool("part");
   bool update_mode = args.GetBool("update");
-
-  bench::PrintHeader(
-      "batch_lookup",
-      "scalar Find loop vs FindBatch (group probing + prefetch) vs "
-      "thread-sharded FindBatch, n=" + std::to_string(n),
-      options);
+  const int repeats = options.repeats;
 
   auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
   auto lookups = workload::MatchingLookups(keys, options.lookups,
@@ -131,7 +134,7 @@ int main(int argc, char** argv) {
   bench::Report report("batch_lookup", n);
   report.header()
       .Set("lookups", lookups.size())
-      .Set("repeats", options.repeats);
+      .Set("repeats", repeats);
 
   // Hash directory sized the paper's way: ~n / pairs-per-bucket buckets.
   int hash_bits = std::clamp(CeilLog2(n / 4), 4, 24);
@@ -149,27 +152,14 @@ int main(int argc, char** argv) {
                                       thread_sweep.end());
   ThreadPool pool(max_threads - 1);
 
-  bench::Table table({"spec", "batch", "scalar ns/probe", "batched ns/probe",
-                      "speedup"});
-  bench::Table range_table({"spec", "batch", "scalar ns/probe",
-                            "batched ns/probe", "speedup"});
-  bench::Table scaling_table({"spec", "threads", "batch", "ns/probe",
-                              "Mprobes/s", "Mprobes/s/thread", "scaling"});
   for (const std::string& text : spec_texts) {
     IndexSpec spec = *IndexSpec::Parse(text);
     AnyIndex index = BuildIndex(spec, keys);
     // Scalar baseline: one virtual probe per key, no miss overlap.
-    double scalar_sec =
-        bench::MinFindSeconds(index, lookups, options.repeats);
-    double scalar_ns =
-        scalar_sec / static_cast<double>(lookups.size()) * 1e9;
+    const double scalar_ns = ScalarNs(index, lookups, repeats);
     for (size_t batch : batches) {
-      double batch_sec =
-          bench::MinFindBatchSeconds(index, lookups, batch, options.repeats);
-      double batch_ns =
-          batch_sec / static_cast<double>(lookups.size()) * 1e9;
-      AddSpeedupRow(table, report, "results", spec.ToString(), batch,
-                    scalar_ns, batch_ns);
+      AddSpeedupRow(report, "results", spec.ToString(), batch, scalar_ns,
+                    BatchedNs(index, lookups, batch, repeats));
     }
 
     if (range_mode) {
@@ -179,17 +169,26 @@ int main(int argc, char** argv) {
       // the group-probing kernel, so the batched-vs-scalar ratio measures
       // the same miss overlap as the point-probe table, on twice the
       // descents per probe.
-      double range_scalar_sec =
-          bench::MinEqualRangeScalarSeconds(index, lookups, options.repeats);
-      double range_scalar_ns =
-          range_scalar_sec / static_cast<double>(lookups.size()) * 1e9;
+      auto ns_per_probe = [&](auto&& body) {
+        return bench::MinSeconds(repeats, body) /
+               static_cast<double>(lookups.size()) * 1e9;
+      };
+      const double range_scalar_ns = ns_per_probe([&] {
+        uint64_t sum = 0;
+        for (Key k : lookups) {
+          PositionRange range = index.EqualRange(k);
+          sum += range.begin + range.end;
+        }
+        return sum;
+      });
+      std::vector<PositionRange> out(lookups.size());
       for (size_t batch : batches) {
-        double range_batch_sec = bench::MinEqualRangeBatchSeconds(
-            index, lookups, batch, options.repeats);
-        double range_batch_ns =
-            range_batch_sec / static_cast<double>(lookups.size()) * 1e9;
-        AddSpeedupRow(range_table, report, "range_probes", spec.ToString(),
-                      batch, range_scalar_ns, range_batch_ns);
+        AddSpeedupRow(report, "range_probes", spec.ToString(), batch,
+                      range_scalar_ns, ns_per_probe([&] {
+                        EqualRangeBlocked<Key>(index, lookups, batch,
+                                               std::span<PositionRange>(out));
+                        return out.empty() ? 0 : out.back().end;
+                      }));
       }
     }
 
@@ -198,42 +197,27 @@ int main(int argc, char** argv) {
     // requested thread count, scaling relative to a genuine t=1 baseline
     // (measured even when 1 is not in the sweep, so "scaling_vs_t1" means
     // what it says for a --threads=2,4,8 run).
-    size_t big_batch = lookups.size();
-    bench::BatchTiming t1_timing = bench::MinFindBatchTiming(
-        index, lookups, big_batch, options.repeats,
-        ProbeOptions{.threads = 1, .pool = &pool});
-    double t1_aggregate = t1_timing.AggregateMProbesPerSec();
+    const size_t big_batch = lookups.size();
+    auto threaded_ns = [&](int threads) {
+      return BatchedNs(index, lookups, big_batch, repeats,
+                       ProbeOptions{.threads = threads, .pool = &pool});
+    };
+    const double t1_ns = threaded_ns(1);
     for (int threads : thread_sweep) {
-      ProbeOptions probe_opts{.threads = threads, .pool = &pool};
-      bench::BatchTiming timing =
-          threads == 1 ? t1_timing
-                       : bench::MinFindBatchTiming(index, lookups, big_batch,
-                                                   options.repeats,
-                                                   probe_opts);
-      double scaling =
-          t1_aggregate > 0 ? timing.AggregateMProbesPerSec() / t1_aggregate
-                           : 1.0;
+      const double ns = threads == 1 ? t1_ns : threaded_ns(threads);
+      const double mprobes = 1e3 / ns;
       report.AddRow("thread_scaling")
           .Set("spec", spec.ToString())
           .Set("threads", threads)
           .Set("batch", big_batch)
-          .Set("ns_per_probe", timing.NsPerProbe())
-          .Set("mprobes_per_sec", timing.AggregateMProbesPerSec())
-          .Set("mprobes_per_sec_per_thread", timing.PerThreadMProbesPerSec())
-          .Set("scaling_vs_t1", scaling);
-      scaling_table.AddRow(
-          {spec.ToString(), std::to_string(threads),
-           std::to_string(big_batch),
-           bench::Table::Num(timing.NsPerProbe(), 4),
-           bench::Table::Num(timing.AggregateMProbesPerSec(), 4),
-           bench::Table::Num(timing.PerThreadMProbesPerSec(), 4),
-           bench::Table::Num(scaling, 3)});
+          .Set("ns_per_probe", ns)
+          .Set("mprobes_per_sec", mprobes)
+          .Set("mprobes_per_sec_per_thread", mprobes / threads)
+          .Set("scaling_vs_t1", t1_ns / ns);
     }
   }
   // Partitioned sweep: the composite's fence routing + per-shard kernels
   // under the same scalar-vs-batched comparison as the main table.
-  bench::Table part_table({"spec", "batch", "scalar ns/probe",
-                           "batched ns/probe", "speedup"});
   if (part_mode) {
     std::vector<std::string> part_texts{"part:2/css:16", "part:4/css:16",
                                         "part:8/css:16", "part:16/css:16"};
@@ -241,17 +225,10 @@ int main(int argc, char** argv) {
     for (const std::string& text : part_texts) {
       IndexSpec spec = *IndexSpec::Parse(text);
       AnyIndex index = BuildIndex(spec, keys);
-      double scalar_sec =
-          bench::MinFindSeconds(index, lookups, options.repeats);
-      double scalar_ns =
-          scalar_sec / static_cast<double>(lookups.size()) * 1e9;
+      const double scalar_ns = ScalarNs(index, lookups, repeats);
       for (size_t batch : batches) {
-        double batch_sec = bench::MinFindBatchSeconds(index, lookups, batch,
-                                                      options.repeats);
-        double batch_ns =
-            batch_sec / static_cast<double>(lookups.size()) * 1e9;
-        AddSpeedupRow(part_table, report, "partitioned", spec.ToString(),
-                      batch, scalar_ns, batch_ns);
+        AddSpeedupRow(report, "partitioned", spec.ToString(), batch,
+                      scalar_ns, BatchedNs(index, lookups, batch, repeats));
       }
     }
   }
@@ -263,8 +240,6 @@ int main(int argc, char** argv) {
   // "batched" the SIMD batched descent, so "speedup" is SIMD-vs-scalar at
   // identical probe plans. On a scalar-only detection (CSSIDX_FORCE_SCALAR
   // or non-x86) both measurements take the same path and speedup pins ~1.
-  bench::Table simd_table({"spec", "batch", "scalar-unrolled ns/probe",
-                           "simd ns/probe", "speedup"});
   {
     const NodeSearchPath widest = DetectedNodeSearchPath();
     std::vector<std::string> simd_texts{"css:16", "css:32", "lcss:16",
@@ -276,16 +251,11 @@ int main(int argc, char** argv) {
       IndexSpec spec = *IndexSpec::Parse(text);
       AnyIndex index = BuildIndex(spec, keys);
       SetNodeSearchPath(NodeSearchPath::kScalar);
-      double scalar_sec = bench::MinFindBatchSeconds(index, lookups,
-                                                     simd_batch,
-                                                     options.repeats);
+      const double scalar_ns = BatchedNs(index, lookups, simd_batch, repeats);
       SetNodeSearchPath(widest);
-      double simd_sec = bench::MinFindBatchSeconds(index, lookups, simd_batch,
-                                                   options.repeats);
-      double scalar_ns = scalar_sec / static_cast<double>(lookups.size()) * 1e9;
-      double simd_ns = simd_sec / static_cast<double>(lookups.size()) * 1e9;
-      AddSpeedupRow(simd_table, report, "simd", spec.ToString(), simd_batch,
-                    scalar_ns, simd_ns);
+      const double simd_ns = BatchedNs(index, lookups, simd_batch, repeats);
+      AddSpeedupRow(report, "simd", spec.ToString(), simd_batch, scalar_ns,
+                    simd_ns);
     }
   }
 
@@ -296,8 +266,6 @@ int main(int argc, char** argv) {
   // measured 8-byte/4-byte space ratio next to the analytic model's
   // (nK^2/sc, so (8/4)^2 = 4 exactly at fixed sc) — gated against each
   // other by the key_width_space_model gate.
-  bench::Table width_table({"spec", "K", "batch", "scalar ns/probe",
-                            "batched ns/probe", "speedup", "directory"});
   double width_space32 = 0, width_space64 = 0;
   {
     std::vector<uint64_t> keys64(keys.begin(), keys.end());
@@ -309,38 +277,16 @@ int main(int argc, char** argv) {
     IndexSpec spec32 = *IndexSpec::Parse("css:16");
     AnyIndex index32 = BuildIndex(spec32, keys);
     width_space32 = static_cast<double>(index32.SpaceBytes());
-    double scalar32 =
-        bench::MinFindSeconds(index32, lookups, options.repeats) /
-        static_cast<double>(lookups.size()) * 1e9;
-    double batched32 =
-        bench::MinFindBatchSeconds(index32, lookups, width_batch,
-                                   options.repeats) /
-        static_cast<double>(lookups.size()) * 1e9;
     AddSpeedupRow(report, "key_width", spec32.ToString(), width_batch,
-                  scalar32, batched32);
-    width_table.AddRow({spec32.ToString(), "4", std::to_string(width_batch),
-                        bench::Table::Num(scalar32, 4),
-                        bench::Table::Num(batched32, 4),
-                        bench::Table::Num(scalar32 / batched32, 3),
-                        bench::Table::Bytes(width_space32)});
+                  ScalarNs(index32, lookups, repeats),
+                  BatchedNs(index32, lookups, width_batch, repeats));
 
     IndexSpec spec64 = *IndexSpec::Parse("css64:8");
     AnyIndex64 index64 = BuildIndex64(spec64, keys64);
     width_space64 = static_cast<double>(index64.SpaceBytes());
-    double scalar64 =
-        bench::MinFindSeconds<Key64>(index64, lookups64, options.repeats) /
-        static_cast<double>(lookups64.size()) * 1e9;
-    double batched64 =
-        bench::MinFindBatchSeconds<Key64>(index64, lookups64, width_batch,
-                                          options.repeats) /
-        static_cast<double>(lookups64.size()) * 1e9;
     AddSpeedupRow(report, "key_width", spec64.ToString(), width_batch,
-                  scalar64, batched64);
-    width_table.AddRow({spec64.ToString(), "8", std::to_string(width_batch),
-                        bench::Table::Num(scalar64, 4),
-                        bench::Table::Num(batched64, 4),
-                        bench::Table::Num(scalar64 / batched64, 3),
-                        bench::Table::Bytes(width_space64)});
+                  ScalarNs(index64, lookups64, repeats),
+                  BatchedNs(index64, lookups64, width_batch, repeats));
   }
   // The analytic counterpart of the measured ratio, from the Figure 7
   // formula at this n: both widths fill one cache line, so the ratio is
@@ -364,11 +310,9 @@ int main(int argc, char** argv) {
            std::abs(width_measured_ratio / width_model_ratio - 1.0), 4);
 
   // Maintenance sweep: full rebuild vs shard-incremental refresh for a
-  // localized batch, in refreshed keys per second (the whole index is
-  // live again after each publish, so n / seconds is the service rate of
-  // the maintenance path).
-  bench::Table update_table({"spec", "batch keys", "full Mkeys/s",
-                             "incremental Mkeys/s", "speedup"});
+  // localized batch, in ns per live key (the whole index is live again
+  // after each publish, so n / seconds is the service rate of the
+  // maintenance path).
   if (update_mode) {
     std::vector<std::string> update_texts{"css:16", "part:16/css:16"};
     std::vector<double> fractions{0.0001, 0.001, 0.01};
@@ -388,7 +332,7 @@ int main(int argc, char** argv) {
         // paper's maintenance model, and what every spec paid before
         // MaintainedIndex.
         double full_best = 1e300;
-        for (int r = 0; r < options.repeats; ++r) {
+        for (int r = 0; r < repeats; ++r) {
           Timer timer;
           auto merged = workload::ApplyBatch(keys, batch);
           AnyIndex rebuilt = BuildIndex(spec, merged);
@@ -399,7 +343,7 @@ int main(int argc, char** argv) {
         // Incremental: one ApplyBatch on a maintained index (fresh per
         // repeat — the batch must always hit the pristine version).
         double incr_best = 1e300;
-        for (int r = 0; r < options.repeats; ++r) {
+        for (int r = 0; r < repeats; ++r) {
           MaintainedIndex maintained(spec, keys);
           Timer timer;
           maintained.ApplyBatch(batch);
@@ -408,47 +352,13 @@ int main(int argc, char** argv) {
               bench::g_sink + maintained.Snapshot()->index().SpaceBytes();
           if (sec < incr_best) incr_best = sec;
         }
-        double full_ns = full_best / static_cast<double>(n) * 1e9;
-        double incr_ns = incr_best / static_cast<double>(n) * 1e9;
         // "scalar" is the full rebuild and "batched" the incremental
         // refresh, both in ns per live key; "batch" is the batch's keys.
         AddSpeedupRow(report, "maintenance", spec.ToString(), batch_keys,
-                      full_ns, incr_ns);
-        update_table.AddRow(
-            {spec.ToString(), std::to_string(batch_keys),
-             bench::Table::Num(static_cast<double>(n) / full_best / 1e6),
-             bench::Table::Num(static_cast<double>(n) / incr_best / 1e6),
-             bench::Table::Num(full_best / incr_best, 3)});
+                      full_best / static_cast<double>(n) * 1e9,
+                      incr_best / static_cast<double>(n) * 1e9);
       }
     }
   }
-
-  table.Print("batched vs scalar probes, n=" + std::to_string(n));
-  if (range_mode) {
-    range_table.Print("batched vs scalar EqualRange probes, n=" +
-                      std::to_string(n));
-  }
-  if (part_mode) {
-    part_table.Print("range-partitioned specs, batched vs scalar, n=" +
-                     std::to_string(n));
-  }
-  simd_table.Print(
-      "SIMD vs scalar-unrolled node search, batched probes (dispatch "
-      "path: " +
-      std::string(NodeSearchPathName(DetectedNodeSearchPath())) +
-      "), n=" + std::to_string(n));
-  width_table.Print(
-      "key width at a fixed 64B node: measured space ratio " +
-      bench::Table::Num(width_measured_ratio, 3) + " vs model " +
-      bench::Table::Num(width_model_ratio, 3) + ", n=" + std::to_string(n));
-  if (update_mode) {
-    update_table.Print(
-        "batch maintenance: full rebuild vs incremental refresh "
-        "(localized batch), n=" + std::to_string(n));
-  }
-  scaling_table.Print(
-      "thread-sharded FindBatch scaling, n=" + std::to_string(n) +
-      ", hardware threads=" + std::to_string(ThreadPool::HardwareThreads()));
-
-  return report.Write(json_path) ? 0 : 1;
+  return report.Emit(options) ? 0 : 1;
 }

@@ -2,120 +2,73 @@
 // point per configuration (node size for trees, directory size for hash);
 // the "stepped line" of non-dominated points is printed at the end.
 //
-// Space is the paper's "direct" accounting (Figure 7): the structure
-// indexes records that cannot be rearranged, so T-trees are charged for
-// their embedded RIDs and hash for the full table, while binary search is
-// free. Expected result: CSS-trees dominate T-trees and B+-trees outright;
-// the frontier is binary search -> CSS-trees -> hash.
+// Space is the structure's own bytes (SpaceBytes). Hash cannot provide
+// ordered access, so Figure 7's direct accounting would also charge it
+// the table; its structure bytes alone already exceed every tree by an
+// order of magnitude. Expected result: CSS-trees dominate T-trees and
+// B+-trees outright; the frontier is binary search -> CSS-trees -> hash.
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "baselines/binary_search.h"
-#include "baselines/binary_tree.h"
-#include "baselines/bplus_tree.h"
-#include "baselines/chained_hash.h"
-#include "baselines/t_tree.h"
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
 #include "harness.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-struct Point {
-  std::string method;
-  double seconds;
-  double bytes;  // direct space
-};
-
-template <typename IndexT>
-Point Measure(const std::string& name, const IndexT& index,
-              const std::vector<Key>& lookups, int repeats,
-              double extra_direct_bytes = 0) {
-  return {name, MinFindSeconds(index, lookups, repeats),
-          static_cast<double>(index.SpaceBytes()) + extra_direct_bytes};
-}
-
-template <int M>
-void TreePoints(std::vector<Point>& points, const std::vector<Key>& keys,
-                const std::vector<Key>& lookups, int repeats) {
-  std::string suffix = "/m=" + std::to_string(M);
-  points.push_back(
-      Measure("T-tree" + suffix, TTreeIndex<M>(keys), lookups, repeats));
-  points.push_back(
-      Measure("B+-tree" + suffix, BPlusTree<M>(keys), lookups, repeats));
-  points.push_back(Measure("full CSS-tree" + suffix, FullCssTree<M>(keys),
-                           lookups, repeats));
-  if constexpr ((M & (M - 1)) == 0) {
-    points.push_back(Measure("level CSS-tree" + suffix,
-                             LevelCssTree<M>(keys), lookups, repeats));
-  }
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Figures 2 & 14", "space/time trade-off, direct space",
-              options);
-  size_t n = options.n ? options.n : 2'000'000;
-  if (options.full) n = 5'000'000;  // the paper's Figure 14 array size
-  if (options.quick) n = 300'000;
+  // 5M is the paper's Figure 14 array size.
+  const size_t n = options.N(300'000, options.full ? 5'000'000 : 2'000'000);
+  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto lookups =
+      workload::MatchingLookups(keys, options.lookups, options.seed + 1);
 
-  auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  auto lookups = cssidx::workload::MatchingLookups(keys, options.lookups,
-                                                   options.seed + 1);
-  const int r = options.repeats;
-
-  std::vector<Point> points;
-  points.push_back(Measure("array binary search", cssidx::BinarySearchIndex(keys),
-                           lookups, r));
-  points.push_back(
-      Measure("tree binary search", cssidx::BinaryTreeIndex(keys), lookups, r));
-  TreePoints<8>(points, keys, lookups, r);
-  TreePoints<16>(points, keys, lookups, r);
-  TreePoints<32>(points, keys, lookups, r);
-  if (!options.quick) {
-    TreePoints<64>(points, keys, lookups, r);
-    TreePoints<128>(points, keys, lookups, r);
-  }
-  for (int bits : {18, 20, 22}) {
-    if (options.quick && bits > 18) continue;
-    cssidx::ChainedHashIndex<64> hash(keys, bits);
-    // Direct space: hash cannot provide ordered access, so the sorted RID
-    // list (n * R bytes) remains a separate requirement... charged as the
-    // table itself in Figure 7; here we charge the structure bytes, which
-    // already exceed every tree by an order of magnitude.
-    points.push_back(Measure("hash/dir=2^" + std::to_string(bits), hash,
-                             lookups, r));
-  }
-
-  Table table({"method", "time (s)", "space (bytes)", "space"});
-  for (const auto& p : points) {
-    table.AddRow({p.method, Table::Num(p.seconds), Table::Num(p.bytes, 10),
-                  Table::Bytes(p.bytes)});
-  }
-  table.Print("Figure 2/14: all points, n = " + std::to_string(n));
-
-  // The stepped line: points not dominated in both time and space.
-  std::vector<Point> sorted = points;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Point& a, const Point& b) { return a.seconds < b.seconds; });
-  Table frontier({"method", "time (s)", "space"});
-  double best_space = 1e300;
-  for (const auto& p : sorted) {
-    if (p.bytes < best_space) {
-      best_space = p.bytes;
-      frontier.AddRow({p.method, Table::Num(p.seconds), Table::Bytes(p.bytes)});
+  std::vector<std::string> specs{"bin", "tbin"};
+  std::vector<int> node_sizes{8, 16, 32};
+  if (!options.quick) node_sizes.insert(node_sizes.end(), {64, 128});
+  for (int m : node_sizes) {
+    const std::string size = std::to_string(m);
+    for (const char* method : {"ttree:", "btree:", "css:", "lcss:"}) {
+      specs.push_back(method + size);
     }
   }
-  frontier.Print("Figure 14: non-dominated (stepped) frontier");
-  return 0;
+  for (int bits : {18, 20, 22}) {
+    if (!options.quick || bits == 18) {
+      specs.push_back("hash:" + std::to_string(bits));
+    }
+  }
+
+  Report report("fig02_14_space_time", n);
+  report.header()
+      .Set("figure", "Figures 2 & 14: space/time trade-off")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
+  std::vector<std::pair<std::string, FindTiming>> points;
+  for (const std::string& spec : specs) {
+    FindTiming t = TimeFinds(spec, keys, lookups, options.repeats);
+    points.emplace_back(spec, t);
+    report.AddRow("points")
+        .Set("spec", spec)
+        .Set("seconds", t.seconds, 6)
+        .Set("space_bytes", t.bytes);
+  }
+
+  // The stepped line: points not dominated in both time and space.
+  std::sort(points.begin(), points.end(), [](const auto& a, const auto& b) {
+    return a.second.seconds < b.second.seconds;
+  });
+  size_t best_space = SIZE_MAX;
+  for (const auto& [spec, t] : points) {
+    if (t.bytes < best_space) {
+      best_space = t.bytes;
+      report.AddRow("frontier")
+          .Set("spec", spec)
+          .Set("seconds", t.seconds, 6)
+          .Set("space_bytes", t.bytes);
+    }
+  }
+  return report.Emit(options) ? 0 : 1;
 }

@@ -7,54 +7,41 @@
 #include <vector>
 
 #include "analytic/ratio_model.h"
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
 #include "harness.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-template <int M>
-void MeasuredRow(Table& table, const std::vector<Key>& keys,
-                 const std::vector<Key>& lookups, int repeats) {
-  double full = MinFindSeconds(cssidx::FullCssTree<M>(keys), lookups, repeats);
-  double level =
-      MinFindSeconds(cssidx::LevelCssTree<M>(keys), lookups, repeats);
-  table.AddRow({std::to_string(M), Table::Num(full), Table::Num(level),
-                Table::Num(level / full, 3)});
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
-  namespace analytic = cssidx::analytic;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Figure 5", "level vs full CSS-trees: analytic ratios + measured",
-              options);
-
-  Table ratios({"m", "comparison ratio (level/full)",
-                "cache access ratio (level/full)"});
+  const size_t n = options.N(300'000, 2'000'000);
+  Report report("fig05_level_vs_full", n);
+  report.header()
+      .Set("figure", "Figure 5: level vs full CSS-trees")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
   for (int m = 4; m <= 64; m += 2) {
-    ratios.AddRow({std::to_string(m),
-                   Table::Num(analytic::ComparisonRatio(m), 5),
-                   Table::Num(analytic::CacheAccessRatio(m), 5)});
+    report.AddRow("analytic_ratios")
+        .Set("m", m)
+        .Set("comparison_ratio", analytic::ComparisonRatio(m), 5)
+        .Set("cache_access_ratio", analytic::CacheAccessRatio(m), 5);
   }
-  ratios.Print("Figure 5: analytic ratios vs m");
 
-  size_t n = options.n ? options.n : 2'000'000;
-  if (options.quick) n = 300'000;
-  auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  auto lookups = cssidx::workload::MatchingLookups(keys, options.lookups,
-                                                   options.seed + 1);
-  Table measured({"m", "full (s)", "level (s)", "level/full"});
-  MeasuredRow<8>(measured, keys, lookups, options.repeats);
-  MeasuredRow<16>(measured, keys, lookups, options.repeats);
-  MeasuredRow<32>(measured, keys, lookups, options.repeats);
-  MeasuredRow<64>(measured, keys, lookups, options.repeats);
-  measured.Print("Measured head-to-head, n = " + std::to_string(n));
-  return 0;
+  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto lookups =
+      workload::MatchingLookups(keys, options.lookups, options.seed + 1);
+  for (int m : {8, 16, 32, 64}) {
+    const std::string size = std::to_string(m);
+    const double full =
+        TimeFinds("css:" + size, keys, lookups, options.repeats).seconds;
+    const double level =
+        TimeFinds("lcss:" + size, keys, lookups, options.repeats).seconds;
+    report.AddRow("measured")
+        .Set("m", m)
+        .Set("full_s", full, 6)
+        .Set("level_s", level, 6)
+        .Set("level_vs_full", level / full);
+  }
+  return report.Emit(options) ? 0 : 1;
 }

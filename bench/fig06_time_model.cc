@@ -8,96 +8,61 @@
 
 #include "analytic/params.h"
 #include "analytic/time_model.h"
-#include "baselines/binary_search.h"
-#include "baselines/bplus_tree.h"
-#include "baselines/t_tree.h"
-#include "cachesim/cache_sim.h"
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
+#include "cachesim/cache_config.h"
 #include "harness.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-template <typename IndexT>
-double SimulatedColdMisses(const IndexT& index,
-                           const std::vector<Key>& lookups) {
-  cssidx::cachesim::CacheHierarchy h(cssidx::cachesim::ModernHierarchy());
-  cssidx::cachesim::SimTracer tracer{&h};
-  for (Key k : lookups) {
-    h.FlushContents();
-    index.LowerBoundTraced(k, tracer);
-  }
-  return static_cast<double>(h.Level(1).misses()) /
-         static_cast<double>(lookups.size());
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
-  namespace analytic = cssidx::analytic;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Figure 6 + Table 1", "analytic time model vs simulated misses",
-              options);
+  // The simulator costs ~1us per touched line, so the cross-check runs at
+  // a smaller n than the model's 1e7.
+  const size_t n = options.N(100'000, 1'000'000);
+  Report report("fig06_time_model", n);
+  report.header().Set("figure",
+                      "Figure 6 + Table 1: analytic time model vs simulated "
+                      "misses (64B lines)");
 
   analytic::Params p = analytic::Table1();
-  Table params({"parameter", "typical value"});
-  params.AddRow({"R (RID bytes)", Table::Num(p.R)});
-  params.AddRow({"K (key bytes)", Table::Num(p.K)});
-  params.AddRow({"P (pointer bytes)", Table::Num(p.P)});
-  params.AddRow({"n (records)", Table::Num(p.n)});
-  params.AddRow({"h (hash fudge)", Table::Num(p.h)});
-  params.AddRow({"c (line bytes)", Table::Num(p.c)});
-  params.AddRow({"s (node lines)", Table::Num(p.s)});
-  params.Print("Table 1: parameters");
-
-  for (double m : {16.0, 32.0}) {
-    Table model({"method", "branching", "levels", "comparisons",
-                 "cache misses (cold)"});
+  for (const auto& [name, value] :
+       {std::pair{"R (RID bytes)", p.R}, std::pair{"K (key bytes)", p.K},
+        std::pair{"P (pointer bytes)", p.P}, std::pair{"n (records)", p.n},
+        std::pair{"h (hash fudge)", p.h}, std::pair{"c (line bytes)", p.c},
+        std::pair{"s (node lines)", p.s}}) {
+    report.AddRow("table1_params").Set("parameter", name).Set("value", value, 1);
+  }
+  for (int m : {16, 32}) {
     for (const auto& row : analytic::TimeModel(p, m)) {
-      model.AddRow({row.method, Table::Num(row.branching, 4),
-                    Table::Num(row.levels, 4), Table::Num(row.comparisons, 4),
-                    Table::Num(row.cache_misses, 4)});
+      report.AddRow("time_model")
+          .Set("slots_per_node", m)
+          .Set("method", row.method)
+          .Set("branching", row.branching, 0)
+          .Set("levels", row.levels, 3)
+          .Set("comparisons", row.comparisons, 2)
+          .Set("cold_misses", row.cache_misses, 3);
     }
-    model.Print("Figure 6: analytic model, m = " + Table::Num(m, 3) +
-                " slots/node, n = 1e7");
   }
 
-  // Cross-check: measured cold misses per lookup at a smaller n (the
-  // software simulator costs ~1us per touched line).
-  size_t n = options.quick ? 100'000 : 1'000'000;
-  auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  auto lookups = cssidx::workload::MatchingLookups(
-      keys, options.quick ? 64 : 256, options.seed + 1);
-
+  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto lookups = workload::MatchingLookups(keys, options.quick ? 64 : 256,
+                                           options.seed + 1);
   analytic::Params pm = p;
   pm.n = static_cast<double>(n);
-  auto model_rows = analytic::TimeModel(pm, 16);
-  Table check({"method", "model misses", "simulated misses"});
-  check.AddRow({"binary search", Table::Num(model_rows[0].cache_misses, 4),
-                Table::Num(SimulatedColdMisses(cssidx::BinarySearchIndex(keys),
-                                               lookups),
-                           4)});
-  check.AddRow({"T-tree", Table::Num(model_rows[1].cache_misses, 4),
-                Table::Num(SimulatedColdMisses(cssidx::TTreeIndex<16>(keys),
-                                               lookups),
-                           4)});
-  check.AddRow({"B+-tree", Table::Num(model_rows[2].cache_misses, 4),
-                Table::Num(SimulatedColdMisses(cssidx::BPlusTree<16>(keys),
-                                               lookups),
-                           4)});
-  check.AddRow({"full CSS-tree", Table::Num(model_rows[3].cache_misses, 4),
-                Table::Num(SimulatedColdMisses(cssidx::FullCssTree<16>(keys),
-                                               lookups),
-                           4)});
-  check.AddRow({"level CSS-tree", Table::Num(model_rows[4].cache_misses, 4),
-                Table::Num(SimulatedColdMisses(cssidx::LevelCssTree<16>(keys),
-                                               lookups),
-                           4)});
-  check.Print("Model vs simulator (64B lines), n = " + std::to_string(n));
-  return 0;
+  // TimeModel's rows in order: binary search, T-tree, B+-tree, full and
+  // level CSS-tree.
+  const std::vector<analytic::TimeBreakdown> model = analytic::TimeModel(pm, 16);
+  const char* specs[] = {"bin", "ttree:16", "btree:16", "css:16", "lcss:16"};
+  for (size_t i = 0; i < std::size(specs); ++i) {
+    report.AddRow("model_vs_simulator")
+        .Set("spec", specs[i])
+        .Set("model_misses", model[i].cache_misses, 4)
+        .Set("simulated_misses",
+             SimulateMisses(specs[i], keys, lookups,
+                            cachesim::ModernHierarchy())
+                 .cold_l2,
+             4);
+  }
+  return report.Emit(options) ? 0 : 1;
 }

@@ -10,6 +10,7 @@
 // CSS variants; T-tree and hash deviate where the implementation pads
 // nodes/64-byte buckets the model's occupancy assumptions do not).
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -20,84 +21,58 @@
 #include "util/bits.h"
 #include "workload/key_gen.h"
 
-namespace {
-
-/// Indirect-accounting model bytes for one measured spec, n records.
-double ModelBytes(cssidx::Method method, cssidx::analytic::Params pn,
-                  double m) {
-  namespace analytic = cssidx::analytic;
-  switch (method) {
-    case cssidx::Method::kTTree:
-      return analytic::TTreeSpaceIndirect(pn, m);
-    case cssidx::Method::kBPlusTree:
-      return analytic::BPlusSpace(pn, m);
-    case cssidx::Method::kFullCss:
-      return analytic::FullCssSpace(pn, m);
-    case cssidx::Method::kLevelCss:
-      return analytic::LevelCssSpace(pn, m);
-    case cssidx::Method::kHash:
-      return analytic::HashSpaceIndirect(pn);
-    default:
-      return 0.0;  // bin/interp: search the array in place
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
-  namespace analytic = cssidx::analytic;
-  using cssidx::IndexSpec;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Figure 8", "space vs n, indirect and direct", options);
+  std::vector<size_t> sizes{1'000'000, 5'000'000, 10'000'000};
+  if (options.quick) sizes = {300'000, 1'000'000};
+  Report report("fig08_space_curves", sizes.back());
+  report.header().Set("figure", "Figure 8: space (bytes) vs n");
 
   analytic::Params p = analytic::Table1();
-  double m = p.SlotsPerNode();
-
+  const double m = p.SlotsPerNode();
   for (bool direct : {false, true}) {
-    Table table({"n", "binary/interp", "T-tree", "B+-tree", "full CSS",
-                 "level CSS", "hash"});
     for (double n = 1e7; n <= 9e7 + 1; n += 2e7) {
       analytic::Params pn = p;
       pn.n = n;
-      double ttree = direct ? analytic::TTreeSpaceDirect(pn, m)
-                            : analytic::TTreeSpaceIndirect(pn, m);
-      double hash = direct ? analytic::HashSpaceDirect(pn)
-                           : analytic::HashSpaceIndirect(pn);
-      table.AddRow({Table::Num(n, 3), "0", Table::Num(ttree, 6),
-                    Table::Num(analytic::BPlusSpace(pn, m), 6),
-                    Table::Num(analytic::FullCssSpace(pn, m), 6),
-                    Table::Num(analytic::LevelCssSpace(pn, m), 6),
-                    Table::Num(hash, 6)});
+      report.AddRow(direct ? "model_direct" : "model_indirect")
+          .Set("n", n, 0)
+          .Set("binary_interp", 0)
+          .Set("ttree", direct ? analytic::TTreeSpaceDirect(pn, m)
+                               : analytic::TTreeSpaceIndirect(pn, m), 0)
+          .Set("btree", analytic::BPlusSpace(pn, m), 0)
+          .Set("css", analytic::FullCssSpace(pn, m), 0)
+          .Set("lcss", analytic::LevelCssSpace(pn, m), 0)
+          .Set("hash", direct ? analytic::HashSpaceDirect(pn)
+                              : analytic::HashSpaceIndirect(pn), 0);
     }
-    table.Print(direct ? "Figure 8(b): direct space (bytes)"
-                       : "Figure 8(a): indirect space (bytes)");
   }
 
   // Measured: build each spec, read back SpaceBytes, compare to the
   // indirect model at the same n and node size.
-  std::vector<size_t> sizes{1'000'000, 5'000'000, 10'000'000};
-  if (options.quick) sizes = {300'000, 1'000'000};
-  Table measured({"spec", "n", "measured bytes", "model bytes",
-                  "measured/model"});
   for (size_t n : sizes) {
-    auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-    int hash_bits = std::clamp(cssidx::CeilLog2(n / 4), 4, 24);
-    for (const std::string& text :
-         {std::string("ttree:16"), std::string("btree:16"),
-          std::string("css:16"), std::string("lcss:16"),
-          "hash:" + std::to_string(hash_bits)}) {
-      IndexSpec spec = *IndexSpec::Parse(text);
-      cssidx::AnyIndex index = BuildIndex(spec, keys);
-      analytic::Params pn = p;
-      pn.n = static_cast<double>(n);
-      double model = ModelBytes(spec.method(), pn, m);
-      double bytes = static_cast<double>(index.SpaceBytes());
-      measured.AddRow({spec.ToString(), std::to_string(n),
-                       Table::Num(bytes, 6), Table::Num(model, 6),
-                       model > 0 ? Table::Num(bytes / model, 3) : "-"});
+    auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+    analytic::Params pn = p;
+    pn.n = static_cast<double>(n);
+    const int hash_bits = std::clamp(CeilLog2(n / 4), 4, 24);
+    for (const auto& [spec, model] :
+         {std::pair{std::string("ttree:16"),
+                    analytic::TTreeSpaceIndirect(pn, m)},
+          std::pair{std::string("btree:16"), analytic::BPlusSpace(pn, m)},
+          std::pair{std::string("css:16"), analytic::FullCssSpace(pn, m)},
+          std::pair{std::string("lcss:16"), analytic::LevelCssSpace(pn, m)},
+          std::pair{"hash:" + std::to_string(hash_bits),
+                    analytic::HashSpaceIndirect(pn)}}) {
+      const double bytes = static_cast<double>(
+          BuildIndex(*IndexSpec::Parse(spec), keys).SpaceBytes());
+      report.AddRow("measured_vs_indirect_model")
+          .Set("spec", spec)
+          .Set("n", n)
+          .Set("measured_bytes", bytes, 0)
+          .Set("model_bytes", model, 0)
+          .Set("measured_vs_model", bytes / model);
     }
   }
-  measured.Print("measured SpaceBytes via IndexSpec menu vs indirect model");
-  return 0;
+  return report.Emit(options) ? 0 : 1;
 }

@@ -23,58 +23,35 @@
 #include "workload/batch_update.h"
 #include "workload/key_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-double MinBuildSeconds(const IndexSpec& spec, const std::vector<Key>& keys,
-                       int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    Timer timer;
-    AnyIndex index = BuildIndex(spec, keys);
-    double sec = timer.Seconds();
-    g_sink = g_sink + index.SpaceBytes();
-    if (sec < best) best = sec;
-  }
-  return best;
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
-  using cssidx::IndexSpec;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Figure 9", "CSS-tree build time vs sorted array size",
-              options);
-
   std::vector<size_t> sizes{2'500'000, 5'000'000, 10'000'000, 15'000'000,
                             20'000'000, 25'000'000};
   if (options.quick) sizes = {1'000'000, 2'000'000, 4'000'000};
+  Report report("fig09_build_time", sizes.back());
+  report.header()
+      .Set("figure", "Figure 9: build time (s, min of repeats), 16 "
+                     "entries/node")
+      .Set("repeats", options.repeats);
 
-  const std::vector<std::string> spec_texts{"css:16", "lcss:16"};
-  std::vector<std::string> columns{"n"};
-  for (const std::string& text : spec_texts) columns.push_back(text + " build (s)");
-  columns.push_back("batch merge 1% (s)");
-
-  Table table(columns);
   for (size_t n : sizes) {
-    auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-    std::vector<std::string> row{std::to_string(n)};
-    for (const std::string& text : spec_texts) {
-      IndexSpec spec = *IndexSpec::Parse(text);
-      row.push_back(Table::Num(MinBuildSeconds(spec, keys, options.repeats)));
+    auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+    auto& row = report.AddRow("build").Set("n", n);
+    for (const char* text : {"css:16", "lcss:16"}) {
+      const IndexSpec spec = *IndexSpec::Parse(text);
+      row.Set(std::string(text) + "_build_s",
+              MinSeconds(options.repeats,
+                         [&] { return BuildIndex(spec, keys).SpaceBytes(); }),
+              6);
     }
     // The other half of the OLAP rebuild story: merging a 1% batch.
-    auto batch = cssidx::workload::RandomBatch(keys, 0.01, options.seed + 9);
-    cssidx::Timer timer;
-    auto merged = cssidx::workload::ApplyBatch(keys, batch);
-    double merge = timer.Seconds();
+    auto batch = workload::RandomBatch(keys, 0.01, options.seed + 9);
+    Timer timer;
+    auto merged = workload::ApplyBatch(keys, batch);
+    row.Set("batch_merge_1pct_s", timer.Seconds(), 6);
     g_sink = g_sink + merged.size();
-    row.push_back(Table::Num(merge));
-    table.AddRow(row);
   }
-  table.Print("Figure 9: build time (min of repeats), 16 entries/node");
-  return 0;
+  return report.Emit(options) ? 0 : 1;
 }

@@ -19,7 +19,6 @@
 // method (~2x faster than binary search), hash is ~3x faster than CSS but
 // pays ~20x space.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,10 @@
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
 namespace {
+
+using namespace cssidx;
+using namespace cssidx::bench;
 
 /// Paper: 4M-entry hash directory at n = 5M-10M; scale the directory to
 /// ~n so chains stay short at every point of the sweep.
@@ -40,76 +41,63 @@ int HashDirBits(size_t n) {
   return dir_bits;
 }
 
-/// The figure's eight methods at node size M, in legend order. Sized
-/// methods take M from the spec string; hash scales its directory with n.
-std::vector<std::string> MethodSpecs(int node_entries, size_t n) {
-  const std::string m = std::to_string(node_entries);
-  return {"bin",       "tbin",     "interp",   "ttree:" + m,
-          "btree:" + m, "css:" + m, "lcss:" + m,
-          "hash:" + std::to_string(HashDirBits(n))};
-}
-
-void RunSeries(int node_entries, const Options& options,
-               const std::vector<size_t>& sizes) {
-  Table table({"n", "array binary search", "tree binary search",
-               "interpolation", "T-tree", "B+-tree", "full CSS-tree",
-               "level CSS-tree", "hash"});
+/// One row per n of `block`: the seconds for the lookups' Finds through
+/// AnyIndex, one field per method (the spec's method token).
+/// `spec_texts(n)` names the specs.
+template <typename SpecsFn, typename KeysFn>
+void RunSeries(Report& report, const std::string& block,
+               const Options& options, const std::vector<size_t>& sizes,
+               KeysFn&& make_keys, SpecsFn&& spec_texts) {
   for (size_t n : sizes) {
-    auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+    auto keys = make_keys(n);
     auto lookups = workload::MatchingLookups(keys, options.lookups,
                                              options.seed + 1);
-    std::vector<std::string> row{std::to_string(n)};
-    for (const std::string& text : MethodSpecs(node_entries, n)) {
+    auto& row = report.AddRow(block).Set("n", n);
+    for (const std::string& text : spec_texts(n)) {
       AnyIndex index = BuildIndex(*IndexSpec::Parse(text), keys);
-      row.push_back(
-          Table::Num(MinFindSeconds(index, lookups, options.repeats)));
+      row.Set(text.substr(0, text.find(':')), MinSeconds(options.repeats,
+                               [&] { return SumFinds(index, lookups); }),
+              6);
     }
-    table.AddRow(row);
   }
-  table.Print("Figures 10/11: time (s) for " +
-              std::to_string(options.lookups) + " lookups, " +
-              std::to_string(node_entries) + " integers per node");
-}
-
-// §6.3: "we also did some tests on non-uniform data and interpolation
-// search performs even worse than binary search." On modern hardware
-// division is cheap, so interpolation looks good on uniform data; the
-// paper's negative verdict shows on skewed distributions.
-void RunSkewedSeries(const Options& options,
-                     const std::vector<size_t>& sizes) {
-  Table table({"n", "array binary search", "interpolation",
-               "full CSS-tree"});
-  for (size_t n : sizes) {
-    auto keys = workload::SkewedKeys(n, options.seed);
-    auto lookups = workload::MatchingLookups(keys, options.lookups,
-                                             options.seed + 1);
-    std::vector<std::string> row{std::to_string(n)};
-    for (const char* text : {"bin", "interp", "css:16"}) {
-      AnyIndex index = BuildIndex(*IndexSpec::Parse(text), keys);
-      row.push_back(
-          Table::Num(MinFindSeconds(index, lookups, options.repeats)));
-    }
-    table.AddRow(row);
-  }
-  table.Print(
-      "§6.3 aside: non-uniform (quadratically skewed) data breaks "
-      "interpolation search");
 }
 
 }  // namespace
-}  // namespace cssidx::bench
 
 int main(int argc, char** argv) {
-  using namespace cssidx::bench;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Figures 10 & 11",
-              "lookup time vs sorted array size, all methods", options);
   std::vector<size_t> sizes{100, 1'000, 10'000, 100'000, 1'000'000,
                             3'000'000};
   if (options.full) sizes.push_back(10'000'000);
   if (options.quick) sizes = {100, 10'000, 300'000};
-  RunSeries(8, options, sizes);
-  RunSeries(16, options, sizes);
-  RunSkewedSeries(options, sizes);
-  return 0;
+  Report report("fig10_11_vary_array_size", sizes.back());
+  report.header()
+      .Set("figure", "Figures 10 & 11: time (s) for the lookups vs sorted "
+                     "array size")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
+  auto uniform = [&](size_t n) {
+    return workload::DistinctSortedKeys(n, options.seed, 4);
+  };
+  // The figure's eight methods at 8 and 16 integers per node, in legend
+  // order. Sized methods take the node size from the spec string; hash
+  // scales its directory with n.
+  for (int node_entries : {8, 16}) {
+    const std::string m = std::to_string(node_entries);
+    RunSeries(report, "node_" + m, options, sizes, uniform, [&](size_t n) {
+      return std::vector<std::string>{
+          "bin",        "tbin",      "interp",    "ttree:" + m,
+          "btree:" + m, "css:" + m,  "lcss:" + m,
+          "hash:" + std::to_string(HashDirBits(n))};
+    });
+  }
+  // §6.3: "we also did some tests on non-uniform data and interpolation
+  // search performs even worse than binary search." On modern hardware
+  // division is cheap, so interpolation looks good on uniform data; the
+  // paper's negative verdict shows on skewed (quadratic) distributions.
+  RunSeries(
+      report, "skewed_data", options, sizes,
+      [&](size_t n) { return workload::SkewedKeys(n, options.seed); },
+      [](size_t) { return std::vector<std::string>{"bin", "interp", "css:16"}; });
+  return report.Emit(options) ? 0 : 1;
 }

@@ -8,112 +8,60 @@
 // (misalignment + div/mul child arithmetic) shows against m=16/32; T-trees
 // are flat and slow at every node size.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "baselines/bplus_tree.h"
-#include "baselines/chained_hash.h"
-#include "baselines/t_tree.h"
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
 #include "harness.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-struct Row {
-  int m;
-  double t_tree = -1, bplus = -1, full = -1, level = -1;
-};
-
-template <int M>
-void FillRow(Row& row, const std::vector<Key>& keys,
-             const std::vector<Key>& lookups, int repeats) {
-  row.t_tree = MinFindSeconds(TTreeIndex<M>(keys), lookups, repeats);
-  row.bplus = MinFindSeconds(BPlusTree<M>(keys), lookups, repeats);
-  row.full = MinFindSeconds(FullCssTree<M>(keys), lookups, repeats);
-  if constexpr ((M & (M - 1)) == 0) {
-    row.level = MinFindSeconds(LevelCssTree<M>(keys), lookups, repeats);
+int main(int argc, char** argv) {
+  using namespace cssidx;
+  using namespace cssidx::bench;
+  Options options = Options::Parse(argc, argv);
+  std::vector<size_t> sizes{options.N(300'000, 2'000'000)};
+  if (options.full && options.n == 0 && !options.quick) {
+    sizes = {5'000'000, 10'000'000};  // the paper's sizes
   }
-}
-
-void RunForArraySize(size_t n, const Options& options) {
-  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
-  auto lookups =
-      workload::MatchingLookups(keys, options.lookups, options.seed + 1);
-  const int r = options.repeats;
-
-  Table table({"entries/node", "T-tree", "B+-tree", "full CSS-tree",
-               "level CSS-tree"});
-  std::vector<Row> rows;
-  {
-    Row row{8};
-    FillRow<8>(row, keys, lookups, r);
-    rows.push_back(row);
-  }
-  {
-    Row row{16};
-    FillRow<16>(row, keys, lookups, r);
-    rows.push_back(row);
-  }
-  {
-    Row row{24};
-    FillRow<24>(row, keys, lookups, r);
-    rows.push_back(row);
-  }
-  {
-    Row row{32};
-    FillRow<32>(row, keys, lookups, r);
-    rows.push_back(row);
-  }
-  {
-    Row row{64};
-    FillRow<64>(row, keys, lookups, r);
-    rows.push_back(row);
-  }
-  if (!options.quick) {
-    Row row{128};
-    FillRow<128>(row, keys, lookups, r);
-    rows.push_back(row);
-  }
-  for (const Row& row : rows) {
-    table.AddRow({std::to_string(row.m), Table::Num(row.t_tree),
-                  Table::Num(row.bplus), Table::Num(row.full),
-                  row.level < 0 ? "-" : Table::Num(row.level)});
-  }
-  table.Print("Figures 12/13: time (s) vs node size, n = " +
-              std::to_string(n));
-
+  Report report("fig12_13_vary_node_size", sizes.back());
+  report.header()
+      .Set("figure", "Figures 12 & 13: lookup time (s) vs node size")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
+  std::vector<int> node_sizes{8, 16, 24, 32, 64};
+  if (!options.quick) node_sizes.push_back(128);
   // Figure 12's hash series: each point is a directory size 2^18..2^23
   // (largest first, like the paper's leftmost point).
-  Table hash_table({"dir_bits", "hash time (s)", "space"});
   std::vector<int> bits = options.quick ? std::vector<int>{18, 20}
                                         : std::vector<int>{23, 22, 21, 20,
                                                            19, 18};
-  for (int b : bits) {
-    ChainedHashIndex<64> hash(keys, b);
-    double t = MinFindSeconds(hash, lookups, r);
-    hash_table.AddRow({std::to_string(b), Table::Num(t),
-                       Table::Bytes(static_cast<double>(hash.SpaceBytes()))});
+  for (size_t n : sizes) {
+    auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+    auto lookups =
+        workload::MatchingLookups(keys, options.lookups, options.seed + 1);
+    auto seconds = [&](const std::string& spec) {
+      return TimeFinds(spec, keys, lookups, options.repeats).seconds;
+    };
+    for (int m : node_sizes) {
+      const std::string size = std::to_string(m);
+      auto& row = report.AddRow("node_size")
+                      .Set("n", n)
+                      .Set("entries_per_node", m)
+                      .Set("ttree_s", seconds("ttree:" + size), 6)
+                      .Set("btree_s", seconds("btree:" + size), 6)
+                      .Set("css_s", seconds("css:" + size), 6);
+      // Level trees take power-of-two node sizes only.
+      if ((m & (m - 1)) == 0) row.Set("lcss_s", seconds("lcss:" + size), 6);
+    }
+    for (int b : bits) {
+      FindTiming hash = TimeFinds("hash:" + std::to_string(b), keys, lookups,
+                                  options.repeats);
+      report.AddRow("hash_dir_size")
+          .Set("n", n)
+          .Set("dir_bits", b)
+          .Set("hash_s", hash.seconds, 6)
+          .Set("space_bytes", hash.bytes);
+    }
   }
-  hash_table.Print("Figure 12 inset: chained hash vs directory size, n = " +
-                   std::to_string(n));
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
-int main(int argc, char** argv) {
-  using namespace cssidx::bench;
-  Options options = Options::Parse(argc, argv);
-  PrintHeader("Figures 12 & 13", "lookup time vs node size (entries/node)",
-              options);
-  std::vector<size_t> sizes{2'000'000};
-  if (options.full) sizes = {5'000'000, 10'000'000};  // the paper's sizes
-  if (options.quick) sizes = {300'000};
-  for (size_t n : sizes) RunForArraySize(n, options);
-  return 0;
+  return report.Emit(options) ? 0 : 1;
 }

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
+#include "cachesim/cache_sim.h"
 #include "core/simd_node_search.h"
 #include "util/thread_pool.h"
 
@@ -20,70 +20,38 @@ Options Options::Parse(int argc, char** argv) {
   o.quick = args.GetBool("quick", false);
   o.full = args.GetBool("full", false);
   o.seed = static_cast<uint64_t>(args.GetInt("seed", 17));
+  o.json = args.GetString("json", "");
   return o;
 }
 
-Table::Table(std::vector<std::string> columns) : columns_(std::move(columns)) {}
-
-void Table::AddRow(const std::vector<std::string>& cells) {
-  rows_.push_back(cells);
-}
-
-std::string Table::Num(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-  return buf;
-}
-
-std::string Table::Bytes(double bytes) {
-  char buf[64];
-  if (bytes >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2f MB", bytes / 1e6);
-  } else if (bytes >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1f KB", bytes / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f B", bytes);
-  }
-  return buf;
-}
-
-void Table::Print(const std::string& title) const {
-  std::vector<size_t> widths(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
-      if (row[c].size() > widths[c]) widths[c] = row[c].size();
+MissCounts SimulateMisses(std::string_view spec, const std::vector<Key>& keys,
+                          const std::vector<Key>& lookups,
+                          const std::vector<cachesim::CacheConfig>& configs) {
+  MissCounts mc;
+  Visit(spec, keys, [&](const auto& index) {
+    if constexpr (requires(cachesim::SimTracer t) {
+                    index.LowerBoundTraced(Key{}, t);
+                  }) {
+      for (bool cold : {true, false}) {
+        cachesim::CacheHierarchy h(configs);
+        cachesim::SimTracer tracer{&h};
+        for (Key k : lookups) {
+          if (cold) h.FlushContents();
+          index.LowerBoundTraced(k, tracer);
+        }
+        const auto per_lookup = [&](int level) {
+          return static_cast<double>(h.Level(level).misses()) /
+                 static_cast<double>(lookups.size());
+        };
+        (cold ? mc.cold_l1 : mc.warm_l1) = per_lookup(0);
+        (cold ? mc.cold_l2 : mc.warm_l2) = per_lookup(1);
+      }
+    } else {
+      throw std::invalid_argument("no traced lookup for spec " +
+                                  std::string(spec));
     }
-  }
-  std::printf("\n== %s ==\n", title.c_str());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    std::printf("%-*s  ", static_cast<int>(widths[c]), columns_[c].c_str());
-  }
-  std::printf("\n");
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    std::printf("%s  ", std::string(widths[c], '-').c_str());
-  }
-  std::printf("\n");
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      std::printf("%-*s  ", static_cast<int>(widths[c]), row[c].c_str());
-    }
-    std::printf("\n");
-  }
-  // CSV block for plotting.
-  std::ostringstream csv;
-  csv << "csv,";
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    csv << columns_[c] << (c + 1 < columns_.size() ? "," : "\n");
-  }
-  for (const auto& row : rows_) {
-    csv << "csv,";
-    for (size_t c = 0; c < row.size(); ++c) {
-      csv << row[c] << (c + 1 < row.size() ? "," : "\n");
-    }
-  }
-  std::printf("%s", csv.str().c_str());
-  std::fflush(stdout);
+  });
+  return mc;
 }
 
 namespace {
@@ -118,14 +86,15 @@ std::string Join(std::string_view open, const std::vector<std::string>& parts,
 }  // namespace
 
 Report::Fields& Report::Fields::SetJson(std::string_view name,
-                                        std::string_view json) {
-  fields_.push_back(JsonString(name) + ": " + std::string(json));
+                                        std::string json, std::string text) {
+  if (text.empty()) text = json;
+  fields_.push_back({std::string(name), std::move(json), std::move(text)});
   return *this;
 }
 
 Report::Fields& Report::Fields::Set(std::string_view name,
                                     std::string_view value) {
-  return SetJson(name, JsonString(value));
+  return SetJson(name, JsonString(value), std::string(value));
 }
 
 Report::Fields& Report::Fields::Set(std::string_view name, bool value) {
@@ -140,7 +109,7 @@ Report::Fields& Report::Fields::Set(std::string_view name, double value,
   return SetJson(name, buf);
 }
 
-Report::Report(std::string_view bench, size_t n) {
+Report::Report(std::string_view bench, size_t n) : bench_(bench) {
   header_.Set("bench", bench)
       .Set("n", n)
       .Set("hardware_threads", ThreadPool::HardwareThreads())
@@ -157,16 +126,67 @@ Report::Fields& Report::AddRow(std::string_view block) {
 }
 
 std::string Report::Json() const {
-  std::vector<std::string> entries = header_.fields_;
+  auto members = [](const Fields& fields) {
+    std::vector<std::string> out;
+    for (const auto& f : fields.fields_) {
+      out.push_back(JsonString(f.name) + ": " + f.json);
+    }
+    return out;
+  };
+  std::vector<std::string> entries = members(header_);
   for (const auto& [name, rows] : blocks_) {
     std::vector<std::string> lines;
     for (const Fields& row : rows) {
-      lines.push_back(Join("{", row.fields_, ", ", "}"));
+      lines.push_back(Join("{", members(row), ", ", "}"));
     }
     entries.push_back(JsonString(name) +
                       Join(": [\n    ", lines, ",\n    ", "\n  ]"));
   }
   return Join("{\n  ", entries, ",\n  ", "\n}\n");
+}
+
+void Report::Print() const {
+  for (const auto& f : header_.fields_) {
+    std::printf("# %s: %s\n", f.name.c_str(), f.text.c_str());
+  }
+  for (const auto& [name, rows] : blocks_) {
+    std::vector<std::string> columns;
+    for (const Fields& row : rows) {
+      for (const auto& f : row.fields_) {
+        if (std::find(columns.begin(), columns.end(), f.name) ==
+            columns.end()) {
+          columns.push_back(f.name);
+        }
+      }
+    }
+    // The column names, then one line per row; a missing field prints "-".
+    std::vector<std::vector<std::string>> lines{columns};
+    for (const Fields& row : rows) {
+      std::vector<std::string>& line = lines.emplace_back();
+      for (const std::string& column : columns) {
+        auto it = std::find_if(row.fields_.begin(), row.fields_.end(),
+                               [&](const auto& f) { return f.name == column; });
+        line.push_back(it == row.fields_.end() ? "-" : it->text);
+      }
+    }
+    std::vector<size_t> widths(columns.size());
+    for (const auto& line : lines) {
+      for (size_t c = 0; c < line.size(); ++c) {
+        widths[c] = std::max(widths[c], line[c].size());
+      }
+    }
+    std::printf("\n== %s ==\n", name.c_str());
+    for (const auto& line : lines) {
+      std::string text;
+      for (size_t c = 0; c < line.size(); ++c) {
+        if (c > 0) text += "  ";
+        text += line[c];
+        if (c + 1 < line.size()) text.append(widths[c] - line[c].size(), ' ');
+      }
+      std::printf("%s\n", text.c_str());
+    }
+  }
+  std::fflush(stdout);
 }
 
 bool Report::Write(const std::string& path) const {
@@ -179,15 +199,10 @@ bool Report::Write(const std::string& path) const {
   return ok;
 }
 
-void PrintHeader(const std::string& figure, const std::string& description,
-                 const Options& options) {
-  std::printf("######################################################\n");
-  std::printf("# %s\n# %s\n", figure.c_str(), description.c_str());
-  std::printf("# lookups=%zu repeats=%d%s%s\n", options.lookups,
-              options.repeats, options.quick ? " (quick)" : "",
-              options.full ? " (full paper scale)" : "");
-  std::printf("######################################################\n");
-  std::fflush(stdout);
+bool Report::Emit(const Options& options) const {
+  Print();
+  return Write(options.json.empty() ? "BENCH_" + bench_ + ".json"
+                                    : options.json);
 }
 
 }  // namespace cssidx::bench

@@ -4,18 +4,23 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <span>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "cachesim/cache_config.h"
 #include "core/any_index.h"
 #include "core/index.h"
+#include "core/index_spec.h"
+#include "core/visit_index.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
-// Shared scaffolding for the figure-reproduction benches.
+// Shared scaffolding for the benches.
 //
 // Measurement protocol follows §6.1: lookup keys are generated in advance,
 // each timing is the wall-clock for the whole batch of successful random
@@ -29,181 +34,101 @@ extern volatile uint64_t g_sink;
 
 /// Common command-line knobs. Every bench accepts:
 ///   --n=<rows> --lookups=<count> --repeats=<r> --quick --seed=<s> --full
+///   --json=<path>
 struct Options {
-  size_t n = 0;          // 0 = bench-specific default
+  size_t n = 0;          // 0 = not given
   size_t lookups = 100'000;
   int repeats = 3;
   bool quick = false;    // trim sweeps for smoke runs
   bool full = false;     // paper-scale sweeps (minutes)
   uint64_t seed = 17;
+  std::string json;      // empty = BENCH_<bench>.json
 
   static Options Parse(int argc, char** argv);
+
+  /// An explicit --n, else `quick_n` under --quick, else `default_n`.
+  size_t N(size_t quick_n, size_t default_n) const {
+    return n != 0 ? n : quick ? quick_n : default_n;
+  }
 };
 
-/// Minimum wall-clock seconds over `repeats` runs of the full lookup batch
-/// using Find (successful exact-match lookups, the paper's workload).
-/// KeyT is non-deduced (defaults to Key), matching FindBlocked: 8-byte
-/// callers write MinFindSeconds<Key64>(index64, ...).
-template <typename KeyT = Key, typename IndexT>
-double MinFindSeconds(const IndexT& index, const std::vector<KeyT>& lookups,
-                      int repeats) {
-  double best = 1e300;
+/// Minimum wall-clock seconds over `repeats` runs of `body`. The body
+/// returns a value derived from its results, which feeds g_sink after the
+/// clock stops.
+template <typename Body>
+double MinSeconds(int repeats, Body&& body) {
+  double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
-    uint64_t sum = 0;
     Timer timer;
-    for (KeyT k : lookups) {
-      sum += static_cast<uint64_t>(index.Find(k));
-    }
-    double sec = timer.Seconds();
-    g_sink = g_sink + sum;
-    if (sec < best) best = sec;
+    const auto result = body();
+    const double sec = timer.Seconds();
+    g_sink = g_sink + static_cast<uint64_t>(result);
+    best = std::min(best, sec);
   }
   return best;
 }
 
-/// Minimum wall-clock seconds over `repeats` runs of the full lookup set
-/// issued through FindBatch in blocks of `batch` probes. Works for AnyIndex
-/// and for any template with a span-based FindBatch.
-template <typename KeyT = Key, typename IndexT>
-double MinFindBatchSeconds(const IndexT& index,
-                           const std::vector<KeyT>& lookups, size_t batch,
-                           int repeats) {
-  std::vector<int64_t> out(lookups.size());
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    Timer timer;
-    FindBlocked<KeyT>(index, lookups, batch, out);
-    double sec = timer.Seconds();
-    uint64_t sum = 0;
-    for (int64_t v : out) sum += static_cast<uint64_t>(v);
-    g_sink = g_sink + sum;
-    if (sec < best) best = sec;
-  }
-  return best;
+/// The paper's workload: one exact-match Find per lookup key, one probe at
+/// a time. Returns the sum of the positions for the sink.
+template <typename IndexT, typename KeyT>
+uint64_t SumFinds(const IndexT& index, const std::vector<KeyT>& lookups) {
+  uint64_t sum = 0;
+  for (KeyT k : lookups) sum += static_cast<uint64_t>(index.Find(k));
+  return sum;
 }
 
-/// Minimum wall-clock seconds over `repeats` runs of the full lookup set
-/// probed one scalar EqualRange at a time (a batch of one through the
-/// virtual hop) — the pre-batch duplicate-expansion path.
-template <typename KeyT = Key, typename IndexT>
-double MinEqualRangeScalarSeconds(const IndexT& index,
-                                  const std::vector<KeyT>& lookups,
-                                  int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    uint64_t sum = 0;
-    Timer timer;
-    for (KeyT k : lookups) {
-      PositionRange range = index.EqualRange(k);
-      sum += range.begin + range.end;
-    }
-    double sec = timer.Seconds();
-    g_sink = g_sink + sum;
-    if (sec < best) best = sec;
+/// VisitIndex over `keys` for a spec string. Throws std::invalid_argument
+/// when no structure is visited: a text the grammar rejects, or a spec
+/// off the menu, partitioned or of the other key width.
+template <typename KeyT, typename Fn>
+void Visit(std::string_view spec_text, const std::vector<KeyT>& keys,
+           Fn&& fn) {
+  const std::optional<IndexSpec> spec = IndexSpec::Parse(spec_text);
+  if (!spec || !VisitIndex<KeyT>(*spec, keys.data(), keys.size(), fn)) {
+    throw std::invalid_argument("no structure for spec " +
+                                std::string(spec_text));
   }
-  return best;
 }
 
-/// Minimum wall-clock seconds over `repeats` runs of the full lookup set
-/// issued through EqualRangeBatch in blocks of `batch` probes.
-template <typename KeyT = Key, typename IndexT>
-double MinEqualRangeBatchSeconds(const IndexT& index,
-                                 const std::vector<KeyT>& lookups,
-                                 size_t batch, int repeats) {
-  std::vector<PositionRange> out(lookups.size());
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    Timer timer;
-    EqualRangeBlocked<KeyT>(index, lookups, batch,
-                           std::span<PositionRange>(out));
-    double sec = timer.Seconds();
-    uint64_t sum = 0;
-    for (const PositionRange& range : out) sum += range.begin + range.end;
-    g_sink = g_sink + sum;
-    if (sec < best) best = sec;
-  }
-  return best;
-}
-
-/// One batched-probe measurement, carrying the thread count it ran with so
-/// reports can show both views: aggregate throughput (what the machine
-/// delivered) and per-thread throughput (what each executor delivered).
-/// Multi-thread rows are only comparable to threads=1 rows through the
-/// per-thread number — aggregate alone hides oversubscription losses.
-struct BatchTiming {
+/// The structure a spec names, timed on the paper's workload (the best of
+/// `repeats` SumFinds over `lookups`, non-virtual), and its bytes.
+struct FindTiming {
   double seconds = 0;
-  size_t probes = 0;
-  int threads = 1;
-
-  double NsPerProbe() const {
-    return probes == 0 ? 0 : seconds / static_cast<double>(probes) * 1e9;
-  }
-  double AggregateMProbesPerSec() const {
-    return seconds == 0 ? 0 : static_cast<double>(probes) / seconds / 1e6;
-  }
-  double PerThreadMProbesPerSec() const {
-    int t = threads > 0 ? threads : 1;
-    return AggregateMProbesPerSec() / t;
-  }
+  size_t bytes = 0;
 };
-
-/// MinFindBatchSeconds with an explicit execution policy: minimum
-/// wall-clock over `repeats` runs of the lookup set through FindBatch in
-/// `batch`-probe blocks, each block sharded per `opts`. The returned
-/// timing records the *effective* executor count (opts.threads, with 0
-/// resolved to the pool's width) for per-thread throughput.
-template <typename KeyT = Key, typename IndexT>
-BatchTiming MinFindBatchTiming(const IndexT& index,
-                               const std::vector<KeyT>& lookups, size_t batch,
-                               int repeats, const ProbeOptions& opts) {
-  std::vector<int64_t> out(lookups.size());
-  BatchTiming timing;
-  timing.probes = lookups.size();
-  ThreadPool& pool =
-      opts.pool != nullptr ? *opts.pool : ThreadPool::Shared();
-  timing.threads = opts.threads > 0 ? opts.threads : pool.workers() + 1;
-  timing.seconds = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    Timer timer;
-    FindBlocked<KeyT>(index, lookups, batch, std::span<int64_t>(out),
-                      opts);
-    double sec = timer.Seconds();
-    uint64_t sum = 0;
-    for (int64_t v : out) sum += static_cast<uint64_t>(v);
-    g_sink = g_sink + sum;
-    if (sec < timing.seconds) timing.seconds = sec;
-  }
+template <typename KeyT>
+FindTiming TimeFinds(std::string_view spec, const std::vector<KeyT>& keys,
+                     const std::vector<KeyT>& lookups, int repeats) {
+  FindTiming timing;
+  Visit(spec, keys, [&](const auto& index) {
+    timing.seconds =
+        MinSeconds(repeats, [&] { return SumFinds(index, lookups); });
+    timing.bytes = index.SpaceBytes();
+  });
   return timing;
 }
 
-/// Fixed-width text table writer that prints both a human-readable table
-/// and machine-readable CSV (prefixed "csv,") so EXPERIMENTS.md and plots
-/// can be produced from the same run.
-class Table {
- public:
-  explicit Table(std::vector<std::string> columns);
-
-  void AddRow(const std::vector<std::string>& cells);
-  /// Prints the aligned table to stdout, then the CSV block.
-  void Print(const std::string& title) const;
-
-  static std::string Num(double v, int precision = 4);
-  static std::string Bytes(double bytes);
-
- private:
-  std::vector<std::string> columns_;
-  std::vector<std::vector<std::string>> rows_;
+/// Misses per lookup of each simulated cache level over `lookups`, replayed
+/// through the structure's LowerBoundTraced. Cold flushes the hierarchy
+/// before every lookup (the §5 model's assumption); warm keeps it across
+/// lookups (§5.1's "top levels stay cached").
+struct MissCounts {
+  double cold_l1 = 0, cold_l2 = 0, warm_l1 = 0, warm_l2 = 0;
 };
+MissCounts SimulateMisses(std::string_view spec, const std::vector<Key>& keys,
+                          const std::vector<Key>& lookups,
+                          const std::vector<cachesim::CacheConfig>& configs);
 
-/// A gated bench's machine-readable output, the one JSON schema that
-/// tools/check_bench_regression.py reads: a header of scalar fields, then
-/// named blocks of flat rows. The constructor writes the header fields
-/// every bench shares (bench, n, hardware_threads, node_search_path). The
-/// gates select rows by block and field name only, so a value a gate needs
-/// must be a row field (see tools/bench_gates.json).
+/// A bench's output, printed as text tables and written as the one JSON
+/// schema tools/check_bench_regression.py reads: a header of scalar fields,
+/// then named blocks of flat rows. The constructor writes the header
+/// fields every bench shares (bench, n, hardware_threads,
+/// node_search_path). The gates select rows by block and field name only,
+/// so a value a gate needs must be a row field (see
+/// tools/bench_gates.json).
 class Report {
  public:
-  /// One flat JSON object; fields are written in the order they are set.
+  /// One flat row; fields are kept in the order they are set.
   class Fields {
    public:
     Fields& Set(std::string_view name, std::string_view value);
@@ -221,30 +146,38 @@ class Report {
 
    private:
     friend class Report;
-    Fields& SetJson(std::string_view name, std::string_view json);
-    std::vector<std::string> fields_;  // each `"name": value`
+    struct Field {
+      std::string name;
+      std::string json;
+      std::string text;  // as printed: the value without JSON quoting
+    };
+    Fields& SetJson(std::string_view name, std::string json,
+                    std::string text = "");
+    std::vector<Field> fields_;
   };
 
   Report(std::string_view bench, size_t n);
 
   Fields& header() { return header_; }
-  /// Appends an empty row to `block`. Blocks are written in the order of
+  /// Appends an empty row to `block`. Blocks are kept in the order of
   /// their first row. The reference is valid until the next AddRow.
   Fields& AddRow(std::string_view block);
 
   std::string Json() const;
+  /// Prints the header as `# name: value` lines, then each block as an
+  /// aligned table with one column per field, in first-seen order.
+  void Print() const;
   /// Writes Json() to `path` and prints "wrote PATH"; prints "cannot
   /// write PATH" and returns false when the file cannot be written.
   bool Write(const std::string& path) const;
+  /// Print(), then Write() to --json (default BENCH_<bench>.json).
+  bool Emit(const Options& options) const;
 
  private:
+  std::string bench_;
   Fields header_;
   std::vector<std::pair<std::string, std::vector<Fields>>> blocks_;
 };
-
-/// Prints the standard bench header (what figure, what parameters).
-void PrintHeader(const std::string& figure, const std::string& description,
-                 const Options& options);
 
 }  // namespace cssidx::bench
 

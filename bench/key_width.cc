@@ -12,60 +12,57 @@
 
 #include "core/builder.h"
 #include "harness.h"
-#include "util/rng.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
 namespace {
 
-/// Scalar LowerBound loop (the paper's one-lookup-at-a-time workload).
-template <typename IndexT, typename KeyT>
-double TimeScalar(const IndexT& index, const std::vector<KeyT>& lookups,
-                  int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    uint64_t sum = 0;
-    cssidx::Timer timer;
-    for (KeyT k : lookups) sum += index.LowerBound(k);
-    double sec = timer.Seconds();
-    g_sink = g_sink + sum;
-    if (sec < best) best = sec;
-  }
-  return best;
-}
+using namespace cssidx;
+using namespace cssidx::bench;
 
-template <typename IndexT, typename KeyT>
-void AddRow(Table& table, const IndexSpec& spec, const IndexT& index,
-            const std::vector<KeyT>& lookups, int repeats) {
-  double t = TimeScalar(index, lookups, repeats);
-  double batched =
-      MinFindBatchSeconds<KeyT>(index, lookups, 256, repeats);
-  table.AddRow({spec.ToString(), std::to_string(spec.key_width()),
-                spec.sized() ? std::to_string(spec.node_entries()) : "-",
-                Table::Num(t), Table::Num(batched),
-                Table::Bytes(index.SpaceBytes())});
+/// One row: the scalar LowerBound loop (the paper's one-lookup-at-a-time
+/// workload) and FindBatch in blocks of 256, best of `repeats` each.
+template <typename KeyT>
+void AddRow(Report& report, const IndexSpec& spec,
+            const BasicAnyIndex<KeyT>& index, const std::vector<KeyT>& lookups,
+            int repeats) {
+  const double scalar = MinSeconds(repeats, [&] {
+    uint64_t sum = 0;
+    for (KeyT k : lookups) sum += index.LowerBound(k);
+    return sum;
+  });
+  std::vector<int64_t> out(lookups.size());
+  const double batched = MinSeconds(repeats, [&] {
+    FindBlocked<KeyT>(index, lookups, 256, out);
+    return out.empty() ? 0 : out.back();
+  });
+  auto& row = report.AddRow("key_width")
+                  .Set("spec", spec.ToString())
+                  .Set("key_bytes", spec.key_width());
+  if (spec.sized()) row.Set("keys_per_node", spec.node_entries());
+  row.Set("scalar_s", scalar, 6)
+      .Set("batched_s", batched, 6)
+      .Set("directory_bytes", index.SpaceBytes());
 }
 
 }  // namespace
-}  // namespace cssidx::bench
 
 int main(int argc, char** argv) {
-  using namespace cssidx::bench;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Key-width sweep (§5's K parameter)",
-              "4-byte vs 8-byte keys at a fixed 64B node budget, via the "
-              "IndexSpec grammar", options);
-  size_t n = options.n ? options.n : 2'000'000;
-  if (options.quick) n = 300'000;
-
-  auto keys32 = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  auto lookups32 = cssidx::workload::MatchingLookups(keys32, options.lookups,
-                                                     options.seed + 1);
+  const size_t n = options.N(300'000, 2'000'000);
+  auto keys32 = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto lookups32 =
+      workload::MatchingLookups(keys32, options.lookups, options.seed + 1);
   std::vector<uint64_t> keys64(keys32.begin(), keys32.end());
   for (auto& k : keys64) k |= (1ull << 40);  // force genuinely wide keys
   std::vector<uint64_t> lookups64(lookups32.begin(), lookups32.end());
   for (auto& k : lookups64) k |= (1ull << 40);
+  Report report("key_width", n);
+  report.header()
+      .Set("figure", "Key width (§5's K) at a fixed 64B node budget, via the "
+                     "IndexSpec grammar")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
 
   // Each pair holds the node byte budget fixed: 16 4-byte keys or 8
   // 8-byte keys per cache line (bin carries no node, so its pair shows
@@ -75,17 +72,13 @@ int main(int argc, char** argv) {
       {"lcss:16", "lcss64:8"},
       {"btree:16", "btree64:8"},
       {"bin", "bin64"}};
-
-  Table table({"spec", "K", "keys/node", "time (s)", "batched (s)",
-               "directory"});
   for (const auto& [narrow_text, wide_text] : pairs) {
-    cssidx::IndexSpec narrow = *cssidx::IndexSpec::Parse(narrow_text);
-    cssidx::AnyIndex index32 = cssidx::BuildIndex(narrow, keys32);
-    AddRow(table, narrow, index32, lookups32, options.repeats);
-    cssidx::IndexSpec wide = *cssidx::IndexSpec::Parse(wide_text);
-    cssidx::AnyIndex64 index64 = cssidx::BuildIndex64(wide, keys64);
-    AddRow(table, wide, index64, lookups64, options.repeats);
+    IndexSpec narrow = *IndexSpec::Parse(narrow_text);
+    AddRow(report, narrow, BuildIndex(narrow, keys32), lookups32,
+           options.repeats);
+    IndexSpec wide = *IndexSpec::Parse(wide_text);
+    AddRow(report, wide, BuildIndex64(wide, keys64), lookups64,
+           options.repeats);
   }
-  table.Print("Key width at fixed node bytes, n = " + std::to_string(n));
-  return 0;
+  return report.Emit(options) ? 0 : 1;
 }

@@ -6,16 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
-#include "baselines/binary_search.h"
-#include "baselines/binary_tree.h"
-#include "baselines/bplus_tree.h"
-#include "baselines/chained_hash.h"
-#include "baselines/interpolation_search.h"
-#include "baselines/t_tree.h"
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
+#include "core/visit_index.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
@@ -39,72 +33,36 @@ const Workload& GetWorkload(size_t n) {
   return it->second;
 }
 
-template <typename IndexT>
-void RunLookups(benchmark::State& state, const IndexT& index,
-                const Workload& w) {
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Find(w.lookups[i]));
-    i = (i + 1) & 4095;
+/// Per-lookup Find latency of the structure `spec` names. A "hash" spec
+/// sizes its directory to ~n.
+void BM_Lookup(benchmark::State& state, std::string spec) {
+  const Workload& w = GetWorkload(static_cast<size_t>(state.range(0)));
+  if (spec == "hash") {
+    int bits = 4;
+    while ((size_t{1} << bits) < w.keys.size() && bits < 22) ++bits;
+    spec = "hash:" + std::to_string(bits);
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  const bool built = VisitIndex<Key>(
+      *IndexSpec::Parse(spec), w.keys.data(), w.keys.size(),
+      [&](const auto& index) {
+        size_t i = 0;
+        for (auto _ : state) {
+          benchmark::DoNotOptimize(index.Find(w.lookups[i]));
+          i = (i + 1) & 4095;
+        }
+        state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+      });
+  if (!built) state.SkipWithError("no structure for spec");
 }
 
-void BM_BinarySearch(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  BinarySearchIndex index(w.keys);
-  RunLookups(state, index, w);
-}
-
-void BM_TreeBinarySearch(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  BinaryTreeIndex index(w.keys);
-  RunLookups(state, index, w);
-}
-
-void BM_Interpolation(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  InterpolationSearchIndex index(w.keys);
-  RunLookups(state, index, w);
-}
-
-void BM_TTree(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  TTreeIndex<16> index(w.keys);
-  RunLookups(state, index, w);
-}
-
-void BM_BPlusTree(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  BPlusTree<16> index(w.keys);
-  RunLookups(state, index, w);
-}
-
-void BM_FullCss(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  FullCssTree<16> index(w.keys);
-  RunLookups(state, index, w);
-}
-
-void BM_LevelCss(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  LevelCssTree<16> index(w.keys);
-  RunLookups(state, index, w);
-}
-
-void BM_Hash(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
-  int bits = 4;
-  while ((size_t{1} << bits) < w.keys.size() && bits < 22) ++bits;
-  ChainedHashIndex<64> index(w.keys, bits);
-  RunLookups(state, index, w);
-}
-
-void BM_FullCssBuild(benchmark::State& state) {
-  const auto& w = GetWorkload(static_cast<size_t>(state.range(0)));
+void BM_Build(benchmark::State& state, const char* spec) {
+  const Workload& w = GetWorkload(static_cast<size_t>(state.range(0)));
+  const IndexSpec parsed = *IndexSpec::Parse(spec);
   for (auto _ : state) {
-    FullCssTree<16> index(w.keys);
-    benchmark::DoNotOptimize(index.SpaceBytes());
+    VisitIndex<Key>(parsed, w.keys.data(), w.keys.size(),
+                    [](const auto& index) {
+                      benchmark::DoNotOptimize(index.SpaceBytes());
+                    });
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
@@ -113,15 +71,15 @@ void BM_FullCssBuild(benchmark::State& state) {
 constexpr int64_t kSmall = 100'000;
 constexpr int64_t kLarge = 4'000'000;
 
-BENCHMARK(BM_BinarySearch)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_TreeBinarySearch)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_Interpolation)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_TTree)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_BPlusTree)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_FullCss)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_LevelCss)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_Hash)->Arg(kSmall)->Arg(kLarge);
-BENCHMARK(BM_FullCssBuild)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, bin, "bin")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, tbin, "tbin")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, interp, "interp")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, ttree16, "ttree:16")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, btree16, "btree:16")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, css16, "css:16")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, lcss16, "lcss:16")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Lookup, hash, "hash")->Arg(kSmall)->Arg(kLarge);
+BENCHMARK_CAPTURE(BM_Build, css16, "css:16")->Arg(kLarge);
 
 }  // namespace
 }  // namespace cssidx

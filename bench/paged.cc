@@ -34,19 +34,16 @@
 #include "harness.h"
 #include "util/cli.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 using namespace cssidx;
 
 int main(int argc, char** argv) {
   auto options = bench::Options::Parse(argc, argv);
   CliArgs args(argc, argv);
-  const size_t n =
-      options.n != 0 ? options.n : (options.quick ? 200'000 : 1'000'000);
+  const size_t n = options.N(200'000, 1'000'000);
   const auto page_bytes =
       static_cast<size_t>(args.GetInt("page-bytes", 1 << 16));
   const std::string spec_text = args.GetString("spec", "css:16");
-  const std::string json_path = args.GetString("json", "BENCH_paged.json");
   const auto parsed = IndexSpec::Parse(spec_text);
   if (!parsed) {
     std::printf("bad --spec: %s\n", IndexSpec::GrammarHelp());
@@ -57,6 +54,7 @@ int main(int argc, char** argv) {
     std::printf("--repeats must be >= 1\n");
     return 1;
   }
+  const int repeats = options.repeats;
 
   Pcg32 rng(options.seed);
   std::vector<uint32_t> data(n);
@@ -67,14 +65,21 @@ int main(int argc, char** argv) {
   // In-RAM baseline, the denominator of every gated ratio: the
   // stable_sort build straight from a plain vector, with no pages.
   std::optional<engine::SortIndex> inram;
-  double inram_build = 1e300;
-  for (int r = 0; r < options.repeats; ++r) {
-    Timer timer;
+  const double inram_build = bench::MinSeconds(repeats, [&] {
     inram.emplace(data, spec);  // drops the previous build, as a rebuild does
-    inram_build = std::min(inram_build, timer.Seconds());
-  }
-  const double inram_probe =
-      bench::MinFindBatchSeconds(*inram, lookups, 256, options.repeats);
+    return 0;
+  });
+  // Best-of-`repeats` FindBatch throughput of `index` over the lookups, in
+  // blocks of 256.
+  std::vector<int64_t> found(lookups.size());
+  auto probe_mkeys = [&](const auto& index) {
+    const double seconds = bench::MinSeconds(repeats, [&] {
+      FindBlocked(index, lookups, 256, found);
+      return found.empty() ? 0 : found.back();
+    });
+    return static_cast<double>(lookups.size()) / seconds / 1e6;
+  };
+  const double inram_probe_mkeys = probe_mkeys(*inram);
 
   const size_t values_per_page = std::max<size_t>(page_bytes / 4, 1);
   const size_t column_pages = (n + values_per_page - 1) / values_per_page;
@@ -89,8 +94,6 @@ int main(int argc, char** argv) {
       budgets.push_back(b);
     }
   }
-  const double inram_probe_mkeys =
-      static_cast<double>(lookups.size()) / inram_probe / 1e6;
   bench::Report report("paged", n);
   report.header()
       .Set("page_bytes", page_bytes)
@@ -99,9 +102,6 @@ int main(int argc, char** argv) {
       .Set("lookups", lookups.size())
       .Set("inram_build_seconds", inram_build, 6)
       .Set("inram_probe_mkeys_per_sec", inram_probe_mkeys);
-  bench::Table table({"buffer_pages", "fraction", "external", "runs",
-                      "build s", "slowdown", "probe Mk/s", "faults",
-                      "spill_rd", "spill_wr"});
   for (size_t budget : budgets) {
     engine::TableOptions topts;
     topts.page_bytes = page_bytes;
@@ -115,31 +115,18 @@ int main(int argc, char** argv) {
                     : static_cast<double>(budget) /
                           static_cast<double>(column_pages);
     const store::BufferStats before = paged.PoolStats();
-    double build_seconds = 1e300;
-    for (int r = 0; r < options.repeats; ++r) {
-      Timer timer;
+    const double build_seconds = bench::MinSeconds(repeats, [&] {
       paged.BuildSortIndex("k", spec);
-      build_seconds = std::min(build_seconds, timer.Seconds());
-    }
+      return 0;
+    });
     const store::BufferStats after = paged.PoolStats();
     const engine::SortIndex& index = paged.GetSortIndex("k");
     const double build_slowdown = build_seconds / inram_build;
     const size_t faults = after.faults - before.faults;
     const size_t spill_reads = after.spill_reads - before.spill_reads;
     const size_t spill_writes = after.spill_writes - before.spill_writes;
-    const double probe_sec =
-        bench::MinFindBatchSeconds(index, lookups, 256, options.repeats);
-    const double probe_mkeys =
-        static_cast<double>(lookups.size()) / probe_sec / 1e6;
+    const double probe_mkeys_per_sec = probe_mkeys(index);
 
-    table.AddRow({budget == 0 ? "unbounded" : std::to_string(budget),
-                  bench::Table::Num(budget_fraction, 3),
-                  index.external_build() ? "yes" : "no",
-                  std::to_string(index.external_runs()),
-                  bench::Table::Num(build_seconds, 4),
-                  bench::Table::Num(build_slowdown, 2),
-                  bench::Table::Num(probe_mkeys, 2), std::to_string(faults),
-                  std::to_string(spill_reads), std::to_string(spill_writes)});
     report.AddRow("paged")
         .Set("buffer_pages", budget)
         .Set("budget_fraction", budget_fraction, 4)
@@ -147,16 +134,11 @@ int main(int argc, char** argv) {
         .Set("runs", index.external_runs())
         .Set("build_seconds", build_seconds, 6)
         .Set("build_slowdown_vs_inram", build_slowdown)
-        .Set("probe_mkeys_per_sec", probe_mkeys)
+        .Set("probe_mkeys_per_sec", probe_mkeys_per_sec)
         .Set("faults", faults)
         .Set("spill_reads", spill_reads)
         .Set("spill_writes", spill_writes);
   }
-  table.Print("paged build + probe, n=" + std::to_string(n) + ", spec=" +
-              spec_text + ", page_bytes=" + std::to_string(page_bytes) +
-              ", inram_build=" + bench::Table::Num(inram_build, 4) + "s" +
-              ", inram_probe=" + bench::Table::Num(inram_probe_mkeys, 2) +
-              " Mk/s");
 
   // Gathers: the same RIDs aggregated off the paged column and off the
   // plain vector. Each timing is the best of `repeats` passes of
@@ -164,21 +146,18 @@ int main(int argc, char** argv) {
   constexpr size_t kGatherRids = 10'000;
   constexpr int kGatherCalls = 20;
   auto time_per_call = [&](auto&& call) {
-    double best = 1e300;
-    for (int r = 0; r < options.repeats; ++r) {
-      Timer timer;
-      for (int c = 0; c < kGatherCalls; ++c) call();
-      best = std::min(best, timer.Seconds() / kGatherCalls);
-    }
-    return best;
+    return bench::MinSeconds(repeats,
+                             [&] {
+                               for (int c = 0; c < kGatherCalls; ++c) call();
+                               return 0;
+                             }) /
+           kGatherCalls;
   };
   std::vector<engine::Rid> random_rids(kGatherRids);
   for (auto& r : random_rids) r = rng.Below(static_cast<uint32_t>(n));
   std::vector<engine::Rid> sorted_rids = random_rids;
   std::sort(sorted_rids.begin(), sorted_rids.end());
   report.header().Set("gather_rids", kGatherRids);
-  bench::Table gathers({"buffer_pages", "rids", "paged us", "vector us",
-                        "slowdown", "faults"});
   for (size_t budget : {size_t{0}, std::max<size_t>(column_pages / 4, 2)}) {
     engine::TableOptions topts;
     topts.page_bytes = page_bytes;
@@ -199,10 +178,6 @@ int main(int argc, char** argv) {
       });
       const size_t faults = paged.PoolStats().faults - before.faults;
       const double slowdown = paged_sec / vector_sec;
-      gathers.AddRow({budget == 0 ? "unbounded" : std::to_string(budget),
-                      scenario, bench::Table::Num(paged_sec * 1e6, 4),
-                      bench::Table::Num(vector_sec * 1e6, 4),
-                      bench::Table::Num(slowdown, 2), std::to_string(faults)});
       report.AddRow("gather")
           .Set("buffer_pages", budget)
           .Set("scenario", scenario)
@@ -213,7 +188,5 @@ int main(int argc, char** argv) {
           .Set("faults", faults);
     }
   }
-  gathers.Print("Aggregate over " + std::to_string(kGatherRids) +
-                " RIDs, paged column vs std::vector, n=" + std::to_string(n));
-  return report.Write(json_path) ? 0 : 1;
+  return report.Emit(options) ? 0 : 1;
 }

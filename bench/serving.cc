@@ -56,39 +56,16 @@ namespace {
 using namespace cssidx;
 
 struct ScenarioResult {
-  std::string scenario;
   bool pressure = false;
-  std::string spec;
-  int readers = 0;
   uint64_t statements = 0;
-  uint64_t probes = 0;
   double seconds = 0;
   double p50_us = 0;
   double p99_us = 0;
   serve::QueueStats queue;
   serve::ServerStats writer;
 
-  double MProbesPerSec() const {
-    return seconds > 0 ? static_cast<double>(probes) / seconds / 1e6 : 0;
-  }
   double StatementsPerSec() const {
     return seconds > 0 ? static_cast<double>(statements) / seconds : 0;
-  }
-  double CoalesceRatio() const {
-    return queue.enqueued_batches == 0
-               ? 0.0
-               : static_cast<double>(writer.groups_published) /
-                     static_cast<double>(queue.enqueued_batches);
-  }
-  /// Accepted batches never applied, or applied batches never accepted.
-  uint64_t LostOrPhantomBatches() const {
-    return std::max(queue.enqueued_batches, writer.batches_applied) -
-           std::min(queue.enqueued_batches, writer.batches_applied);
-  }
-  /// A coalesced group publishes one version, so this must stay 0.
-  uint64_t PublishesBeyondApplied() const {
-    return writer.groups_published -
-           std::min(writer.groups_published, writer.batches_applied);
   }
 };
 
@@ -190,10 +167,7 @@ ScenarioResult RunScenario(const std::string& scenario, const IndexSpec& spec,
   server.Stop();  // drains every accepted write
 
   ScenarioResult result;
-  result.scenario = scenario;
   result.pressure = pressure;
-  result.spec = spec.ToString();
-  result.readers = readers;
   result.seconds = seconds;
   std::vector<double> all_latencies;
   for (const ReaderTally& tally : tallies) {
@@ -202,7 +176,6 @@ ScenarioResult RunScenario(const std::string& scenario, const IndexSpec& spec,
     all_latencies.insert(all_latencies.end(), tally.latencies.begin(),
                          tally.latencies.end());
   }
-  result.probes = result.statements * find_batch;
   std::sort(all_latencies.begin(), all_latencies.end());
   result.p50_us = Percentile(all_latencies, 0.50);
   result.p99_us = Percentile(all_latencies, 0.99);
@@ -217,8 +190,6 @@ constexpr int kDomainRepeats = 5;
 constexpr size_t kDomainBatch = 32;  // rw_fresh's string batch
 
 struct DomainResult {
-  size_t values = 0;
-  size_t batch = 0;
   double build_ms = 0;
   double add_ms = 0;
 };
@@ -240,7 +211,7 @@ DomainResult RunDomain(size_t values) {
   for (uint64_t q = 0; q < kDomainBatch; ++q) {
     fresh.push_back(DomainValue(2 * (values / 2 + q) + 1));
   }
-  DomainResult result{values, kDomainBatch, 1e300, 1e300};
+  DomainResult result{1e300, 1e300};
   for (int r = 0; r < kDomainRepeats; ++r) {
     std::vector<std::string> input = column;
     Timer build;
@@ -259,49 +230,63 @@ DomainResult RunDomain(size_t values) {
 int main(int argc, char** argv) {
   auto options = bench::Options::Parse(argc, argv);
   CliArgs args(argc, argv);
-  size_t n = options.n != 0 ? options.n
-                            : (options.quick ? 500'000 : 2'000'000);
+  const size_t n = options.N(500'000, 2'000'000);
   int readers = static_cast<int>(args.GetInt("readers", 2));
   size_t find_batch = static_cast<size_t>(args.GetInt("find-batch", 256));
   size_t update_keys = static_cast<size_t>(args.GetInt("update-keys", 256));
   int duration_ms =
       static_cast<int>(args.GetInt("duration-ms", options.quick ? 250 : 500));
   std::string spec_text = args.GetString("spec", "css:16");
-  std::string json_path = args.GetString("json", "BENCH_serving.json");
   auto spec = IndexSpec::Parse(spec_text);
   if (!spec) {
     std::printf("bad --spec: %s\n", IndexSpec::GrammarHelp());
     return 1;
   }
 
-  bench::PrintHeader(
-      "serving",
-      "concurrent sessions vs writer pressure through src/serve, n=" +
-          std::to_string(n) + ", spec=" + spec_text,
-      options);
-
-  std::vector<ScenarioResult> results;
+  bench::Report report("serving", n);
+  report.header()
+      .Set("readers", readers)
+      .Set("find_batch", find_batch)
+      .Set("update_keys", update_keys)
+      .Set("duration_ms", duration_ms)
+      .Set("reader_scaling_gated", ThreadPool::HardwareThreads() >= 4);
   for (const char* scenario : {"read_only", "mixed", "pressure"}) {
-    results.push_back(RunScenario(scenario, *spec, n, readers, find_batch,
-                                  update_keys, duration_ms, options.seed));
+    const ScenarioResult r =
+        RunScenario(scenario, *spec, n, readers, find_batch, update_keys,
+                    duration_ms, options.seed);
+    const serve::QueueStats& queue = r.queue;
+    const serve::ServerStats& writer = r.writer;
+    const double coalesce =
+        queue.enqueued_batches == 0
+            ? 0.0
+            : static_cast<double>(writer.groups_published) /
+                  static_cast<double>(queue.enqueued_batches);
+    report.AddRow("serving")
+        .Set("scenario", scenario)
+        .Set("pressure", r.pressure)
+        .Set("spec", spec->ToString())
+        .Set("readers", readers)
+        .Set("statements", r.statements)
+        .Set("probes", r.statements * find_batch)
+        .Set("mprobes_per_sec", r.StatementsPerSec() * find_batch / 1e6)
+        .Set("p50_us", r.p50_us, 1)
+        .Set("p99_us", r.p99_us, 1)
+        .Set("enqueued_batches", queue.enqueued_batches)
+        .Set("batches_applied", writer.batches_applied)
+        .Set("groups_published", writer.groups_published)
+        .Set("coalesce_ratio", coalesce, 4)
+        .Set("queue_high_water", queue.depth_high_water)
+        .Set("rejected_batches", queue.rejected_batches)
+        // Accepted batches never applied, or applied batches never
+        // accepted.
+        .Set("lost_or_phantom_batches",
+             std::max(queue.enqueued_batches, writer.batches_applied) -
+                 std::min(queue.enqueued_batches, writer.batches_applied))
+        // A coalesced group publishes one version, so this must stay 0.
+        .Set("publishes_beyond_applied",
+             writer.groups_published -
+                 std::min(writer.groups_published, writer.batches_applied));
   }
-
-  bench::Table table({"scenario", "spec", "readers", "Mprobes/s", "p50 us",
-                      "p99 us", "enqueued", "published", "coalesce",
-                      "hi-water"});
-  for (const ScenarioResult& r : results) {
-    table.AddRow({r.scenario, r.spec, std::to_string(r.readers),
-                  bench::Table::Num(r.MProbesPerSec(), 3),
-                  bench::Table::Num(r.p50_us, 1),
-                  bench::Table::Num(r.p99_us, 1),
-                  std::to_string(r.queue.enqueued_batches),
-                  std::to_string(r.writer.groups_published),
-                  bench::Table::Num(r.CoalesceRatio(), 3),
-                  std::to_string(r.queue.depth_high_water)});
-  }
-  table.Print("serving throughput, n=" + std::to_string(n) +
-              ", hardware threads=" +
-              std::to_string(ThreadPool::HardwareThreads()));
 
   // Aggregate read throughput against the reader count: short statements,
   // so a shared cache line written per statement would show as lost
@@ -312,100 +297,43 @@ int main(int argc, char** argv) {
   constexpr size_t kScalingBatch = 8;
   constexpr int kScalingRounds = 5;
   constexpr int kMaxReaders = 3;
-  struct ScalingRow {
-    int readers = 0;
-    std::vector<double> per_sec;  // one per round
-    std::vector<double> vs_1;     // per_sec / the same round's 1-reader rate
-  };
-  std::vector<ScalingRow> scaling(kMaxReaders);
+  // [readers - 1][round]: statements/s, and its ratio to the same round's
+  // 1-reader rate.
+  std::vector<std::vector<double>> per_sec(kMaxReaders), vs_1(kMaxReaders);
   for (int round = 0; round < kScalingRounds; ++round) {
     double one_reader = 0;
     for (int r = 1; r <= kMaxReaders; ++r) {
-      ScenarioResult run = RunScenario("read_only", *spec, n, r, kScalingBatch,
-                                       update_keys, duration_ms, options.seed);
-      if (r == 1) one_reader = run.StatementsPerSec();
-      ScalingRow& row = scaling[r - 1];
-      row.readers = r;
-      row.per_sec.push_back(run.StatementsPerSec());
-      row.vs_1.push_back(run.StatementsPerSec() / one_reader);
+      const double rate =
+          RunScenario("read_only", *spec, n, r, kScalingBatch, update_keys,
+                      duration_ms, options.seed)
+              .StatementsPerSec();
+      if (r == 1) one_reader = rate;
+      per_sec[r - 1].push_back(rate);
+      vs_1[r - 1].push_back(rate / one_reader);
     }
   }
   auto median = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
     return v[v.size() / 2];
   };
-  auto [min_it, max_it] = std::minmax_element(scaling.back().vs_1.begin(),
-                                              scaling.back().vs_1.end());
-  bench::Table scaling_table({"readers", "Mstatements/s", "scaling_vs_1"});
-  for (const ScalingRow& r : scaling) {
-    scaling_table.AddRow({std::to_string(r.readers),
-                          bench::Table::Num(median(r.per_sec) / 1e6, 3),
-                          bench::Table::Num(median(r.vs_1), 2)});
-  }
-  scaling_table.Print("reader scaling, read_only, " +
-                      std::to_string(kScalingBatch) + "-key FINDs, median of " +
-                      std::to_string(kScalingRounds) + " rounds (" +
-                      std::to_string(kMaxReaders) + " readers: " +
-                      bench::Table::Num(*min_it, 2) + "-" +
-                      bench::Table::Num(*max_it, 2) + ")");
-
-  std::vector<DomainResult> domains;
-  for (size_t values : {50'000, 500'000}) {
-    domains.push_back(RunDomain(values));
-  }
-  bench::Table domain_table({"values", "batch", "FromValues ms",
-                             "AddBatch ms", "add/build"});
-  for (const DomainResult& d : domains) {
-    domain_table.AddRow({std::to_string(d.values), std::to_string(d.batch),
-                         bench::Table::Num(d.build_ms, 3),
-                         bench::Table::Num(d.add_ms, 3),
-                         bench::Table::Num(d.add_ms / d.build_ms, 3)});
-  }
-  domain_table.Print("string dictionary growth vs rebuild");
-
-  bench::Report report("serving", n);
-  report.header()
-      .Set("readers", readers)
-      .Set("find_batch", find_batch)
-      .Set("update_keys", update_keys)
-      .Set("duration_ms", duration_ms)
-      .Set("reader_scaling_gated", ThreadPool::HardwareThreads() >= 4);
-  for (const ScenarioResult& r : results) {
-    report.AddRow("serving")
-        .Set("scenario", r.scenario)
-        .Set("pressure", r.pressure)
-        .Set("spec", r.spec)
-        .Set("readers", r.readers)
-        .Set("statements", r.statements)
-        .Set("probes", r.probes)
-        .Set("mprobes_per_sec", r.MProbesPerSec())
-        .Set("p50_us", r.p50_us, 1)
-        .Set("p99_us", r.p99_us, 1)
-        .Set("enqueued_batches", r.queue.enqueued_batches)
-        .Set("batches_applied", r.writer.batches_applied)
-        .Set("groups_published", r.writer.groups_published)
-        .Set("coalesce_ratio", r.CoalesceRatio(), 4)
-        .Set("queue_high_water", r.queue.depth_high_water)
-        .Set("rejected_batches", r.queue.rejected_batches)
-        .Set("lost_or_phantom_batches", r.LostOrPhantomBatches())
-        .Set("publishes_beyond_applied", r.PublishesBeyondApplied());
-  }
-  for (const ScalingRow& r : scaling) {
+  for (int r = 1; r <= kMaxReaders; ++r) {
     report.AddRow("reader_scaling")
         .Set("scenario", "read_only")
-        .Set("readers", r.readers)
+        .Set("readers", r)
         .Set("find_batch", kScalingBatch)
         .Set("rounds", kScalingRounds)
-        .Set("statements_per_sec", median(r.per_sec), 0)
-        .Set("scaling_vs_1", median(r.vs_1));
+        .Set("statements_per_sec", median(per_sec[r - 1]), 0)
+        .Set("scaling_vs_1", median(vs_1[r - 1]));
   }
-  for (const DomainResult& d : domains) {
+
+  for (size_t values : {50'000, 500'000}) {
+    const DomainResult d = RunDomain(values);
     report.AddRow("domain")
-        .Set("values", d.values)
-        .Set("batch", d.batch)
+        .Set("values", values)
+        .Set("batch", kDomainBatch)
         .Set("build_ms", d.build_ms)
         .Set("add_ms", d.add_ms)
         .Set("add_vs_build", d.add_ms / d.build_ms, 4);
   }
-  return report.Write(json_path) ? 0 : 1;
+  return report.Emit(options) ? 0 : 1;
 }

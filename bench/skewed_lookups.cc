@@ -8,52 +8,39 @@
 #include <string>
 #include <vector>
 
-#include "baselines/binary_search.h"
-#include "baselines/bplus_tree.h"
-#include "baselines/t_tree.h"
-#include "core/full_css_tree.h"
 #include "harness.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-template <typename IndexT>
-void Run(Table& table, const std::string& name, const IndexT& index,
-         const std::vector<Key>& uniform, const std::vector<Key>& skewed,
-         int repeats) {
-  double u = MinFindSeconds(index, uniform, repeats);
-  double s = MinFindSeconds(index, skewed, repeats);
-  table.AddRow({name, Table::Num(u), Table::Num(s),
-                Table::Num(100.0 * (u - s) / u, 3) + "%"});
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Warm-cache / skew benefit (§5.1)",
-              "uniform vs Zipf(0.99) lookup streams", options);
-  size_t n = options.n ? options.n : 2'000'000;
-  if (options.quick) n = 300'000;
-  auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  auto uniform = cssidx::workload::MatchingLookups(keys, options.lookups,
-                                                   options.seed + 1);
-  auto skewed = cssidx::workload::SkewedLookups(keys, options.lookups, 0.99,
-                                                options.seed + 2);
+  const size_t n = options.N(300'000, 2'000'000);
+  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto uniform =
+      workload::MatchingLookups(keys, options.lookups, options.seed + 1);
+  auto skewed = workload::SkewedLookups(keys, options.lookups, 0.99,
+                                        options.seed + 2);
 
-  Table table({"method", "uniform (s)", "zipf 0.99 (s)", "skew speedup"});
-  Run(table, "array binary search", cssidx::BinarySearchIndex(keys), uniform,
-      skewed, options.repeats);
-  Run(table, "T-tree", cssidx::TTreeIndex<16>(keys), uniform, skewed,
-      options.repeats);
-  Run(table, "B+-tree", cssidx::BPlusTree<16>(keys), uniform, skewed,
-      options.repeats);
-  Run(table, "full CSS-tree", cssidx::FullCssTree<16>(keys), uniform, skewed,
-      options.repeats);
-  table.Print("Uniform vs skewed lookups, n = " + std::to_string(n));
-  return 0;
+  Report report("skewed_lookups", n);
+  report.header()
+      .Set("figure", "Warm-cache benefit of skew (§5.1): uniform vs "
+                     "Zipf(0.99) lookups")
+      .Set("lookups", options.lookups)
+      .Set("repeats", options.repeats);
+  for (const char* spec : {"bin", "ttree:16", "btree:16", "css:16"}) {
+    Visit(spec, keys, [&](const auto& index) {
+      const double u = MinSeconds(options.repeats,
+                                  [&] { return SumFinds(index, uniform); });
+      const double s = MinSeconds(options.repeats,
+                                  [&] { return SumFinds(index, skewed); });
+      report.AddRow("skew")
+          .Set("spec", spec)
+          .Set("uniform_s", u, 6)
+          .Set("zipf_s", s, 6)
+          .Set("skew_speedup_pct", 100.0 * (u - s) / u, 1);
+    });
+  }
+  return report.Emit(options) ? 0 : 1;
 }

@@ -11,107 +11,51 @@
 #include <string>
 #include <vector>
 
-#include "baselines/binary_search.h"
-#include "baselines/binary_tree.h"
-#include "baselines/bplus_tree.h"
-#include "baselines/interpolation_search.h"
-#include "baselines/t_tree.h"
-#include "cachesim/cache_sim.h"
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
+#include "cachesim/cache_config.h"
 #include "harness.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
-namespace cssidx::bench {
-namespace {
-
-using cssidx::cachesim::CacheConfig;
-using cssidx::cachesim::CacheHierarchy;
-using cssidx::cachesim::SimTracer;
-
-struct MissCounts {
-  double cold_l1 = 0, cold_l2 = 0, warm_l1 = 0, warm_l2 = 0;
-};
-
-template <typename IndexT>
-MissCounts Simulate(const IndexT& index, const std::vector<Key>& lookups,
-                    const std::vector<CacheConfig>& configs) {
-  MissCounts mc;
-  {
-    CacheHierarchy h(configs);
-    SimTracer tracer{&h};
-    for (Key k : lookups) {
-      h.FlushContents();
-      index.LowerBoundTraced(k, tracer);
-    }
-    mc.cold_l1 = static_cast<double>(h.Level(0).misses()) / lookups.size();
-    mc.cold_l2 = static_cast<double>(h.Level(1).misses()) / lookups.size();
-  }
-  {
-    CacheHierarchy h(configs);
-    SimTracer tracer{&h};
-    for (Key k : lookups) index.LowerBoundTraced(k, tracer);
-    mc.warm_l1 = static_cast<double>(h.Level(0).misses()) / lookups.size();
-    mc.warm_l2 = static_cast<double>(h.Level(1).misses()) / lookups.size();
-  }
-  return mc;
-}
-
-template <int M>
-void RunMachine(const std::string& name,
-                const std::vector<CacheConfig>& configs,
-                const std::vector<Key>& keys,
-                const std::vector<Key>& lookups) {
-  Table table({"method", "cold L1 miss/lookup", "cold L2 miss/lookup",
-               "warm L1 miss/lookup", "warm L2 miss/lookup"});
-  auto add = [&](const std::string& method, const MissCounts& mc) {
-    table.AddRow({method, Table::Num(mc.cold_l1, 4), Table::Num(mc.cold_l2, 4),
-                  Table::Num(mc.warm_l1, 4), Table::Num(mc.warm_l2, 4)});
-  };
-  add("array binary search",
-      Simulate(cssidx::BinarySearchIndex(keys), lookups, configs));
-  add("tree binary search",
-      Simulate(cssidx::BinaryTreeIndex(keys), lookups, configs));
-  add("interpolation search",
-      Simulate(cssidx::InterpolationSearchIndex(keys), lookups, configs));
-  add("T-tree", Simulate(cssidx::TTreeIndex<M>(keys), lookups, configs));
-  add("B+-tree", Simulate(cssidx::BPlusTree<M>(keys), lookups, configs));
-  add("full CSS-tree",
-      Simulate(cssidx::FullCssTree<M>(keys), lookups, configs));
-  add("level CSS-tree",
-      Simulate(cssidx::LevelCssTree<M>(keys), lookups, configs));
-  table.Print(name + ", node = " + std::to_string(M) +
-              " ints, n = " + std::to_string(keys.size()));
-}
-
-}  // namespace
-}  // namespace cssidx::bench
-
 int main(int argc, char** argv) {
+  using namespace cssidx;
   using namespace cssidx::bench;
-  namespace cs = cssidx::cachesim;
   Options options = Options::Parse(argc, argv);
-  PrintHeader("Cache-miss table (simulated hardware)",
-              "misses/lookup on simulated Ultra Sparc II and Pentium II",
-              options);
-
-  size_t n = options.n ? options.n : 1'000'000;
-  if (options.quick) n = 100'000;
-  auto keys = cssidx::workload::DistinctSortedKeys(n, options.seed, 4);
-  size_t probes = options.quick ? 64 : 256;
-  auto lookups =
-      cssidx::workload::MatchingLookups(keys, probes, options.seed + 1);
+  const size_t n = options.N(100'000, 1'000'000);
+  auto keys = workload::DistinctSortedKeys(n, options.seed, 4);
+  auto lookups = workload::MatchingLookups(keys, options.quick ? 64 : 256,
+                                           options.seed + 1);
+  Report report("tbl_cache_misses", n);
+  report.header()
+      .Set("figure", "Simulated misses per lookup on the paper's machines")
+      .Set("lookups", lookups.size());
 
   // Paper pairing: 8-int (32B) nodes on the 32B-line machines, 16-int
   // nodes on the 64B L2 of the Ultra; plus the modern 64B geometry.
-  RunMachine<8>("Ultra Sparc II (simulated)", cs::UltraSparcHierarchy(), keys,
-                lookups);
-  RunMachine<16>("Ultra Sparc II (simulated)", cs::UltraSparcHierarchy(),
-                 keys, lookups);
-  RunMachine<8>("Pentium II (simulated)", cs::PentiumIIHierarchy(), keys,
-                lookups);
-  RunMachine<16>("Modern x86-64 (simulated)", cs::ModernHierarchy(), keys,
-                 lookups);
-  return 0;
+  struct Machine {
+    const char* name;
+    std::vector<cachesim::CacheConfig> configs;
+    int node_entries;
+  };
+  const std::vector<Machine> machines{
+      {"Ultra Sparc II", cachesim::UltraSparcHierarchy(), 8},
+      {"Ultra Sparc II", cachesim::UltraSparcHierarchy(), 16},
+      {"Pentium II", cachesim::PentiumIIHierarchy(), 8},
+      {"Modern x86-64", cachesim::ModernHierarchy(), 16}};
+  for (const Machine& machine : machines) {
+    const std::string size = std::to_string(machine.node_entries);
+    for (const std::string& spec :
+         {std::string("bin"), std::string("tbin"), std::string("interp"),
+          "ttree:" + size, "btree:" + size, "css:" + size, "lcss:" + size}) {
+      const MissCounts mc = SimulateMisses(spec, keys, lookups, machine.configs);
+      report.AddRow("misses")
+          .Set("machine", machine.name)
+          .Set("node_entries", machine.node_entries)
+          .Set("spec", spec)
+          .Set("cold_l1", mc.cold_l1, 4)
+          .Set("cold_l2", mc.cold_l2, 4)
+          .Set("warm_l1", mc.warm_l1, 4)
+          .Set("warm_l2", mc.warm_l2, 4);
+    }
+  }
+  return report.Emit(options) ? 0 : 1;
 }

@@ -50,9 +50,12 @@ struct Candidate {
 double TimeLookups(const AnyIndex& index, const std::vector<Key>& lookups,
                    size_t batch, int repeats) {
   std::vector<int64_t> out(lookups.size());
-  FindBlocked(index, lookups, batch, out);
-  for (int64_t v : out) bench::g_sink = bench::g_sink + static_cast<uint64_t>(v);
-  return bench::MinFindBatchSeconds(index, lookups, batch, repeats);
+  auto pass = [&] {
+    FindBlocked(index, lookups, batch, out);
+    return out.empty() ? 0 : out.back();
+  };
+  pass();
+  return bench::MinSeconds(repeats, pass);
 }
 
 [[noreturn]] void Die(const char* fmt, const std::string& arg) {

@@ -28,8 +28,8 @@
 // probes with group probing and software prefetch (see the batch kernels
 // in css_tree.h, bplus_tree.h, chained_hash.h). Scalar Find/LowerBound/
 // EqualRange/CountEqual are convenience wrappers over a batch of one.
-// Timing benches that sweep node sizes still use the templates directly,
-// as before.
+// Timing benches that need the structure without the virtual hop get the
+// concrete template from the same spec through VisitIndex (visit_index.h).
 //
 // Beneath every batch kernel, the intra-node search itself is
 // SIMD-dispatched (simd_node_search.h: SSE2/AVX2 compare+count with the

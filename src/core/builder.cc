@@ -1,47 +1,11 @@
 #include "core/builder.h"
 
-#include <type_traits>
+#include <utility>
 
-#include "baselines/binary_search.h"
-#include "baselines/binary_tree.h"
-#include "baselines/bplus_tree.h"
-#include "baselines/chained_hash.h"
-#include "baselines/interpolation_search.h"
-#include "baselines/t_tree.h"
-#include "core/full_css_tree.h"
-#include "core/level_css_tree.h"
 #include "core/partitioned_index.h"
-#include "util/macros.h"
+#include "core/visit_index.h"
 
 namespace cssidx {
-
-namespace {
-
-/// Calls `fn.template operator()<M>()` for the menu entry matching
-/// `entries`, or returns an empty handle.
-template <typename KeyT, typename Fn>
-BasicAnyIndex<KeyT> DispatchNodeSize(int entries, Fn&& fn) {
-  switch (entries) {
-    case 4:
-      return fn.template operator()<4>();
-    case 8:
-      return fn.template operator()<8>();
-    case 16:
-      return fn.template operator()<16>();
-    case 24:
-      return fn.template operator()<24>();
-    case 32:
-      return fn.template operator()<32>();
-    case 64:
-      return fn.template operator()<64>();
-    case 128:
-      return fn.template operator()<128>();
-    default:
-      return {};
-  }
-}
-
-}  // namespace
 
 template <typename KeyT>
 BasicAnyIndex<KeyT> BuildIndexT(const IndexSpec& spec, const KeyT* keys,
@@ -53,51 +17,15 @@ BasicAnyIndex<KeyT> BuildIndexT(const IndexSpec& spec, const KeyT* keys,
   // Partitioned specs recurse: the composite builds one inner index per
   // key-range shard through this same entry point.
   if (spec.partitioned()) return BuildPartitionedIndexT<KeyT>(spec, keys, n);
-  const int m = spec.node_entries();
-  switch (spec.method()) {
-    case Method::kBinarySearch:
-      return MakeOrderedAnyIndexFor<KeyT>(
-          spec, BasicBinarySearchIndex<KeyT>(keys, n));
-    case Method::kTreeBinarySearch:
-      return MakeOrderedAnyIndexFor<KeyT>(spec,
-                                          BasicBinaryTreeIndex<KeyT>(keys, n));
-    case Method::kInterpolation:
-      return MakeOrderedAnyIndexFor<KeyT>(
-          spec, BasicInterpolationSearchIndex<KeyT>(keys, n));
-    case Method::kTTree:
-      return DispatchNodeSize<KeyT>(m, [&]<int M>() {
-        return MakeOrderedAnyIndexFor<KeyT>(spec, TTreeIndex<M, KeyT>(keys, n));
-      });
-    case Method::kBPlusTree:
-      return DispatchNodeSize<KeyT>(m, [&]<int M>() {
-        return MakeOrderedAnyIndexFor<KeyT>(spec, BPlusTree<M, KeyT>(keys, n));
-      });
-    case Method::kFullCss:
-      return DispatchNodeSize<KeyT>(m, [&]<int M>() {
-        return MakeOrderedAnyIndexFor<KeyT>(
-            spec, BasicCssTree<KeyT, M, M + 1>(keys, n));
-      });
-    case Method::kLevelCss:
-      return DispatchNodeSize<KeyT>(m, [&]<int M>() -> BasicAnyIndex<KeyT> {
-        if constexpr (IsPowerOfTwo(M)) {
-          return MakeOrderedAnyIndexFor<KeyT>(
-              spec, BasicCssTree<KeyT, M, M>(keys, n));
-        } else {
-          return {};
-        }
-      });
-    case Method::kHash:
-      // The chained-hash bucket layout is 4-byte only; OnMenu rejects
-      // hash at width 8, so the 64-bit instantiation never reaches here.
-      if constexpr (std::is_same_v<KeyT, Key>) {
-        return MakeUnorderedAnyIndex(
-            spec, ChainedHashIndex<kCacheLineBytes>(keys, n,
-                                                    spec.hash_dir_bits()));
-      } else {
-        return {};
-      }
-  }
-  return {};
+  BasicAnyIndex<KeyT> index;
+  VisitIndex<KeyT>(spec, keys, n, [&]<typename IndexT>(IndexT&& built) {
+    if constexpr (requires { built.LowerBound(KeyT{}); }) {
+      index = MakeOrderedAnyIndexFor<KeyT>(spec, std::move(built));
+    } else {
+      index = MakeUnorderedAnyIndex(spec, std::move(built));
+    }
+  });
+  return index;
 }
 
 template AnyIndex BuildIndexT<Key>(const IndexSpec&, const Key*, size_t);

@@ -7,14 +7,14 @@
 #include "core/index.h"
 #include "core/index_spec.h"
 
-// Runtime construction of any index in the suite, keyed by IndexSpec. Node
-// sizes are template parameters (the paper specializes per node size,
-// §6.2), so the builder dispatches over a fixed menu of instantiations —
-// the sizes swept in Figures 12/13 — and returns an empty AnyIndex for
-// specs off the menu. The spec's key-width dimension picks the facade: a
-// "css:16" builds through BuildIndex (4-byte keys), a "css64:16" through
-// BuildIndex64 — a spec whose width disagrees with the entry point is
-// off-menu for that entry point and yields a falsy handle.
+// Runtime construction of any index in the suite, keyed by IndexSpec. The
+// spec-to-template dispatch is VisitIndex (visit_index.h): node sizes are
+// template parameters, so only the menu of instantiations it names can be
+// built, and a spec off the menu yields an empty AnyIndex. The spec's
+// key-width dimension picks the facade: a "css:16" builds through
+// BuildIndex (4-byte keys), a "css64:16" through BuildIndex64 — a spec
+// whose width disagrees with the entry point is off-menu for that entry
+// point and yields a falsy handle.
 
 namespace cssidx {
 

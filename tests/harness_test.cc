@@ -1,17 +1,17 @@
 // The bench harness is part of the reproduction deliverable (it defines
 // the measurement protocol), so its pieces get the same test treatment:
-// option parsing, the min-of-repeats timer contract, table rendering, and
-// the JSON report the bench gates read.
+// option parsing, the min-of-repeats timer contract, and the report: its
+// text tables and the JSON the bench gates read.
 
 #include "../bench/harness.h"
 
+#include <chrono>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "baselines/binary_search.h"
 #include "gtest/gtest.h"
-#include "workload/key_gen.h"
 
 namespace cssidx::bench {
 namespace {
@@ -28,49 +28,62 @@ TEST(Harness, OptionDefaultsMatchPaperProtocol) {
   EXPECT_EQ(o.repeats, 3);
   EXPECT_FALSE(o.quick);
   EXPECT_FALSE(o.full);
+  EXPECT_EQ(o.json, "");  // BENCH_<bench>.json
 }
 
 TEST(Harness, OptionOverrides) {
   Options o = ParseArgs({"--n=500", "--lookups=10", "--repeats=5", "--quick",
-                         "--seed=9"});
+                         "--seed=9", "--json=out.json"});
   EXPECT_EQ(o.n, 500u);
   EXPECT_EQ(o.lookups, 10u);
   EXPECT_EQ(o.repeats, 5);
   EXPECT_TRUE(o.quick);
   EXPECT_EQ(o.seed, 9u);
+  EXPECT_EQ(o.json, "out.json");
 }
 
-TEST(Harness, MinFindSecondsReturnsPositiveTime) {
-  auto keys = workload::DistinctSortedKeys(10'000, 1, 4);
-  BinarySearchIndex index(keys);
-  std::vector<Key> lookups(keys.begin(), keys.begin() + 1000);
+TEST(Harness, NPrefersExplicitThenQuickThenDefault) {
+  EXPECT_EQ(ParseArgs({}).N(10, 20), 20u);
+  EXPECT_EQ(ParseArgs({"--quick"}).N(10, 20), 10u);
+  EXPECT_EQ(ParseArgs({"--quick", "--n=7"}).N(10, 20), 7u);
+}
+
+TEST(Harness, MinSecondsReturnsTheMinimumAndFeedsTheSink) {
+  // Only the first run sleeps, so the minimum is a later one.
+  int run = 0;
   uint64_t sink_before = g_sink;
-  double sec = MinFindSeconds(index, lookups, 2);
-  EXPECT_GT(sec, 0.0);
-  EXPECT_LT(sec, 5.0);
-  // The sink must have absorbed results (anti-DCE contract).
-  EXPECT_NE(g_sink, sink_before);
+  double sec = MinSeconds(3, [&] {
+    if (run == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    return ++run * 1000;
+  });
+  EXPECT_EQ(run, 3);
+  EXPECT_GE(sec, 0.0);
+  EXPECT_LT(sec, 0.05);
+  // The sink absorbed the three results (anti-DCE contract).
+  EXPECT_EQ(g_sink - sink_before, uint64_t{6000});
 }
 
-TEST(Harness, TableFormatsNumbersAndBytes) {
-  EXPECT_EQ(Table::Num(0.123456, 3), "0.123");
-  EXPECT_EQ(Table::Num(2.0), "2");
-  EXPECT_EQ(Table::Bytes(512), "512 B");
-  EXPECT_EQ(Table::Bytes(2048), "2.0 KB");
-  EXPECT_EQ(Table::Bytes(2.5e6), "2.50 MB");
-}
-
-TEST(Harness, TablePrintsHumanAndCsvBlocks) {
-  Table t({"a", "b"});
-  t.AddRow({"1", "x"});
-  t.AddRow({"2", "y"});
+TEST(Harness, ReportPrintsHeaderThenOneColumnPerFieldInFirstSeenOrder) {
+  Report report("demo", 42);
+  report.header().Set("spec", "css:16");
+  report.AddRow("rows").Set("a", 1).Set("name", "x");
+  report.AddRow("other").Set("s", "q");
+  report.AddRow("rows").Set("wide_field", 0.5, 2).Set("a", 22);
   testing::internal::CaptureStdout();
-  t.Print("demo");
-  std::string out = testing::internal::GetCapturedStdout();
-  EXPECT_NE(out.find("== demo =="), std::string::npos);
-  EXPECT_NE(out.find("csv,a,b"), std::string::npos);
-  EXPECT_NE(out.find("csv,1,x"), std::string::npos);
-  EXPECT_NE(out.find("csv,2,y"), std::string::npos);
+  report.Print();
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(out.find("# bench: demo\n# n: 42\n# hardware_threads: "), 0u)
+      << out;
+  EXPECT_NE(out.find("\n# node_search_path: "), std::string::npos) << out;
+  EXPECT_NE(out.find("\n# spec: css:16\n\n== rows ==\n"
+                     "a   name  wide_field\n"
+                     "1   x     -\n"
+                     "22  -     0.50\n"
+                     "\n== other ==\n"
+                     "s\n"
+                     "q\n"),
+            std::string::npos)
+      << out;
 }
 
 TEST(Harness, ReportWritesHeaderThenBlocksOfRows) {

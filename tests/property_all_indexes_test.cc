@@ -13,10 +13,13 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/builder.h"
 #include "core/range.h"
+#include "core/visit_index.h"
 #include "gtest/gtest.h"
 #include "spec_menu.h"
 #include "util/macros.h"
@@ -248,6 +251,73 @@ void CheckBatchesOnOffsetArray(const IndexSpec& spec,
   }
 }
 
+/// The method and node entries a concrete index type instantiates (0 for
+/// unsized methods), read off the type itself: an oracle for VisitIndex's
+/// dispatch that does not go through it.
+template <typename T>
+constexpr std::pair<Method, int> kInstantiated{};
+template <typename K>
+constexpr std::pair<Method, int> kInstantiated<BasicBinarySearchIndex<K>>{
+    Method::kBinarySearch, 0};
+template <typename K>
+constexpr std::pair<Method, int> kInstantiated<BasicBinaryTreeIndex<K>>{
+    Method::kTreeBinarySearch, 0};
+template <typename K>
+constexpr std::pair<Method, int>
+    kInstantiated<BasicInterpolationSearchIndex<K>>{Method::kInterpolation, 0};
+template <int M, typename K>
+constexpr std::pair<Method, int> kInstantiated<TTreeIndex<M, K>>{
+    Method::kTTree, M};
+template <int M, typename K>
+constexpr std::pair<Method, int> kInstantiated<BPlusTree<M, K>>{
+    Method::kBPlusTree, M};
+template <typename K, int M, int Fanout>
+constexpr std::pair<Method, int> kInstantiated<BasicCssTree<K, M, Fanout>>{
+    Fanout == M ? Method::kLevelCss : Method::kFullCss, M};
+template <int LineBytes>
+constexpr std::pair<Method, int> kInstantiated<ChainedHashIndex<LineBytes>>{
+    Method::kHash, 0};
+
+/// VisitIndex hands an unpartitioned spec exactly the instantiation it
+/// names, which answers LowerBound, Find and SpaceBytes as BuildIndex's
+/// AnyIndex does; a partitioned spec, the other key width and an off-menu
+/// node size never reach `fn`.
+template <typename KeyT>
+void CheckVisitAgreesWithBuild(const IndexSpec& spec,
+                               const std::vector<KeyT>& keys,
+                               const std::vector<KeyT>& probes) {
+  int calls = 0;
+  const bool visited = VisitIndex<KeyT>(
+      spec, keys.data(), keys.size(), [&]<typename IndexT>(const IndexT& index) {
+        ++calls;
+        ASSERT_EQ(kInstantiated<IndexT>,
+                  std::pair(spec.method(),
+                            spec.sized() ? spec.node_entries() : 0))
+            << spec.ToString();
+        BasicAnyIndex<KeyT> any =
+            BuildIndexT<KeyT>(spec, keys.data(), keys.size());
+        ASSERT_EQ(index.SpaceBytes(), any.SpaceBytes()) << spec.ToString();
+        for (KeyT k : probes) {
+          ASSERT_EQ(index.Find(k), any.Find(k)) << spec.ToString();
+          if constexpr (requires { index.LowerBound(k); }) {
+            ASSERT_EQ(index.LowerBound(k), any.LowerBound(k))
+                << spec.ToString();
+          }
+        }
+      });
+  EXPECT_EQ(visited, !spec.partitioned()) << spec.ToString();
+  using OtherKeyT = std::conditional_t<sizeof(KeyT) == 4, Key64, Key>;
+  EXPECT_FALSE(VisitIndex<OtherKeyT>(spec, nullptr, 0,
+                                     [&](const auto&) { ++calls; }))
+      << spec.ToString();
+  if (spec.sized()) {
+    EXPECT_FALSE(VisitIndex<KeyT>(spec.WithNodeEntries(12), keys.data(),
+                                  keys.size(), [&](const auto&) { ++calls; }))
+        << spec.ToString();
+  }
+  EXPECT_EQ(calls, visited ? 1 : 0) << spec.ToString();
+}
+
 TEST(BatchKernels, AgreeWithStlOnOffsetArraysAtEveryGroupSize) {
   const size_t n = 10007;  // several levels at every menu node size
   const size_t probe_count = 2 * kGroupProbes + 1;
@@ -264,6 +334,7 @@ TEST(BatchKernels, AgreeWithStlOnOffsetArraysAtEveryGroupSize) {
     for (size_t offset : {4, 16, 36, 60}) {
       CheckBatchesOnOffsetArray(spec, keys, probes, offset);
     }
+    CheckVisitAgreesWithBuild(spec, keys, probes);
   }
   // 8-byte keys: a 16-key node or leaf is 128 bytes, two or three lines.
   // The widening is order-preserving, so hits stay hits.
@@ -278,6 +349,7 @@ TEST(BatchKernels, AgreeWithStlOnOffsetArraysAtEveryGroupSize) {
     for (size_t offset : {8, 16, 40, 56}) {
       CheckBatchesOnOffsetArray(wide, keys64, probes64, offset);
     }
+    CheckVisitAgreesWithBuild(wide, keys64, probes64);
   }
 }
 
