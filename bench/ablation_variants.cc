@@ -12,6 +12,8 @@
 //    multiplicative (Fibonacci) hashing, on uniform and on stride-aligned
 //    (low-bit-degenerate) keys.
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,16 +40,26 @@ int main(int argc, char** argv) {
   for (const char* spec : {"ttree:8", "ttree:16", "ttree:32"}) {
     Visit(spec, keys, [&](const auto& tree) {
       if constexpr (requires { tree.LowerBoundBasic(Key{}); }) {
-        const double improved = MinSeconds(options.repeats, [&] {
+        auto improved_loop = [&] {
           uint64_t sum = 0;
           for (Key k : lookups) sum += tree.LowerBound(k);
           return sum;
-        });
-        const double basic = MinSeconds(options.repeats, [&] {
+        };
+        auto basic_loop = [&] {
           uint64_t sum = 0;
           for (Key k : lookups) sum += tree.LowerBoundBasic(k);
           return sum;
-        });
+        };
+        // One untimed pass warms the tree, and the loops swap places every
+        // repeat, so neither search always meets the colder cache.
+        g_sink = g_sink + improved_loop();
+        double improved = std::numeric_limits<double>::infinity();
+        double basic = improved;
+        for (int r = 0; r < options.repeats; ++r) {
+          if (r % 2 == 1) basic = std::min(basic, MinSeconds(1, basic_loop));
+          improved = std::min(improved, MinSeconds(1, improved_loop));
+          if (r % 2 == 0) basic = std::min(basic, MinSeconds(1, basic_loop));
+        }
         report.AddRow("ttree")
             .Set("spec", spec)
             .Set("improved_s", improved, 6)

@@ -32,6 +32,14 @@
 // ratio: a batch merges into the dictionary and must cost a small
 // fraction of rebuilding it.
 //
+// A "load" block last times a table load: Server::CreateTable of n keys
+// that arrive already in order against BuildIndex of the same keys, best
+// of 5. A load checks the keys' order in one pass and sorts only when the
+// check fails, so loading sorted keys should cost little more than the
+// directory build (§2.2's one-pass bottom-up build); gate
+// serving_load_vs_build caps the css:16 ratio. The part:16/css:16 row is
+// not gated: its load also copies every shard's keys into the shard.
+//
 //   $ ./bench_serving [--n=2000000] [--readers=2] [--find-batch=256]
 //                     [--update-keys=256] [--duration-ms=500]
 //                     [--spec=css:16] [--json=BENCH_serving.json] [--quick]
@@ -44,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/builder.h"
 #include "domain/domain.h"
 #include "harness.h"
 #include "serve/server.h"
@@ -225,6 +234,34 @@ DomainResult RunDomain(size_t values) {
   return result;
 }
 
+constexpr int kLoadRepeats = 5;
+
+struct LoadResult {
+  double load_ms = 1e300;
+  double build_ms = 1e300;
+};
+
+/// CreateTable of n ascending keys, the input moved in, against BuildIndex
+/// over the same keys. Building the input vector is not timed.
+LoadResult RunLoad(const IndexSpec& spec, size_t n) {
+  std::vector<uint32_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = static_cast<uint32_t>(2 * i);
+  LoadResult result;
+  for (int r = 0; r < kLoadRepeats; ++r) {
+    Timer build;
+    const AnyIndex index = BuildIndex(spec, keys);
+    result.build_ms = std::min(result.build_ms, build.Millis());
+    bench::g_sink = bench::g_sink + index.SpaceBytes();
+
+    std::vector<uint32_t> input = keys;
+    serve::Server server;
+    Timer load;
+    server.CreateTable("t", std::move(input), spec);
+    result.load_ms = std::min(result.load_ms, load.Millis());
+  }
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -334,6 +371,16 @@ int main(int argc, char** argv) {
         .Set("build_ms", d.build_ms)
         .Set("add_ms", d.add_ms)
         .Set("add_vs_build", d.add_ms / d.build_ms, 4);
+  }
+
+  for (const char* load_spec : {"css:16", "part:16/css:16"}) {
+    const LoadResult l = RunLoad(*IndexSpec::Parse(load_spec), n);
+    report.AddRow("load")
+        .Set("spec", load_spec)
+        .Set("keys", n)
+        .Set("load_ms", l.load_ms)
+        .Set("build_ms", l.build_ms)
+        .Set("load_vs_build", l.load_ms / l.build_ms, 4);
   }
   return report.Emit(options) ? 0 : 1;
 }

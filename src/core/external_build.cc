@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/sort.h"
+
 namespace cssidx {
 
 namespace {
@@ -89,7 +91,7 @@ ExternalBuildResult ExternalSortKeys(const store::PagedColumn& column,
         pairs.push_back({block[i], static_cast<uint32_t>(base + i)});
       }
     }
-    std::sort(pairs.begin(), pairs.end());
+    SortUnlessOrdered(pairs.begin(), pairs.end());
     result.sorted_keys.reserve(n);
     result.rids.reserve(n);
     for (const KeyRid& p : pairs) {
@@ -116,7 +118,7 @@ ExternalBuildResult ExternalSortKeys(const store::PagedColumn& column,
   size_t next_rid = 0;
   store::ColumnCursor cursor(column);
   auto flush_run = [&]() {
-    std::sort(pairs.begin(), pairs.end());
+    SortUnlessOrdered(pairs.begin(), pairs.end());
     if (std::fwrite(pairs.data(), sizeof(KeyRid), pairs.size(), file) !=
         pairs.size()) {
       throw std::runtime_error("external sort: run write failed");

@@ -35,8 +35,10 @@ struct ExternalBuildResult {
 /// in-RAM pairs at a time. A column of <= run_values values sorts in one
 /// in-RAM run and never touches disk; larger columns spill ceil(n /
 /// run_values) runs under `spill_dir` (which must exist) and merge them
-/// in one pass. run_values is clamped to at least one page of values so
-/// degenerate budgets still make progress.
+/// in one pass. A run whose pairs are already in order (a column that
+/// arrives sorted, or a sorted stretch of one) skips its in-RAM sort; the
+/// runs and the merge are the same either way. run_values is clamped to
+/// at least one page of values so degenerate budgets still make progress.
 ExternalBuildResult ExternalSortKeys(const store::PagedColumn& column,
                                      size_t run_values,
                                      const std::string& spill_dir);

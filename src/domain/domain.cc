@@ -1,12 +1,32 @@
 #include "domain/domain.h"
 
+#include <cassert>
+
 namespace cssidx::domain {
 
 template <typename V>
 Domain<V> Domain<V>::FromValues(std::vector<V> values) {
   std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  return Domain(std::move(values));
+  return FromSortedColumn(std::move(values), nullptr);
+}
+
+template <typename V>
+Domain<V> Domain<V>::FromSortedColumn(std::vector<V> sorted_column,
+                                      std::vector<uint32_t>* ids) {
+  assert(std::is_sorted(sorted_column.begin(), sorted_column.end()));
+  if (ids != nullptr) ids->resize(sorted_column.size());
+  // The first cell of each run moves down to slot `distinct`, in place;
+  // every cell's ID is the number of runs before its own.
+  size_t distinct = 0;
+  for (size_t i = 0; i < sorted_column.size(); ++i) {
+    if (distinct == 0 || sorted_column[i] != sorted_column[distinct - 1]) {
+      if (i != distinct) sorted_column[distinct] = std::move(sorted_column[i]);
+      ++distinct;
+    }
+    if (ids != nullptr) (*ids)[i] = static_cast<uint32_t>(distinct - 1);
+  }
+  sorted_column.erase(sorted_column.begin() + distinct, sorted_column.end());
+  return Domain(std::move(sorted_column));
 }
 
 template <typename V>

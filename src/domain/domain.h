@@ -39,8 +39,16 @@ inline constexpr uint32_t kAbsentId = UINT32_MAX;
 template <typename V>
 class Domain {
  public:
-  /// Builds from raw (unsorted, possibly duplicated) values.
+  /// Builds from raw (unsorted, possibly duplicated) values. Sorts them
+  /// whatever their order, then dedups through FromSortedColumn.
   static Domain FromValues(std::vector<V> values);
+
+  /// Builds from a column already in ascending order (duplicates allowed),
+  /// taking its storage. If `ids` is non-null it receives the column
+  /// encoded, cell for cell: each distinct value's ID repeated by its
+  /// multiplicity. One run-length pass, no dictionary search per cell.
+  static Domain FromSortedColumn(std::vector<V> sorted_column,
+                                 std::vector<uint32_t>* ids);
 
   Domain(const Domain& other) : Domain(other.values_) {}
   Domain(Domain&&) noexcept = default;

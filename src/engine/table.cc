@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/external_build.h"
+#include "util/sort.h"
 
 namespace cssidx::engine {
 
@@ -27,9 +28,11 @@ SortIndex::SortIndex(const std::vector<uint32_t>& column_values,
   std::iota(rids_.begin(), rids_.end(), 0);
   // Stable sort keeps equal-valued rows in RID order, which is what makes
   // Equal()'s output deterministic and the leftmost-match semantics of the
-  // index line up with the smallest RID.
-  std::stable_sort(rids_.begin(), rids_.end(),
-                   [&](Rid a, Rid b) { return column_values[a] < column_values[b]; });
+  // index line up with the smallest RID. A column already in value order
+  // keeps RIDs 0..n-1 unsorted: the stable sort would leave them so.
+  StableSortUnlessOrdered(
+      rids_.begin(), rids_.end(),
+      [&](Rid a, Rid b) { return column_values[a] < column_values[b]; });
   std::vector<uint32_t> sorted(n);
   for (size_t i = 0; i < n; ++i) sorted[i] = column_values[rids_[i]];
   maintained_ = std::make_unique<MaintainedIndex>(spec, std::move(sorted));

@@ -104,6 +104,8 @@ class ColumnView {
 /// the sorted key list.
 class SortIndex {
  public:
+  /// Stably sorts the column's RIDs by value; a column already in value
+  /// order keeps RIDs 0..n-1 after one order check, with no sort.
   explicit SortIndex(const std::vector<uint32_t>& column_values,
                      const IndexSpec& spec = IndexSpec());
 

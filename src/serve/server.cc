@@ -5,6 +5,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "util/sort.h"
+
 namespace cssidx::serve {
 
 Server::Server() : Server(Options()) {}
@@ -26,7 +28,7 @@ uint32_t Server::AddTable(
   if (table_ids_.count(name) != 0) {
     throw std::invalid_argument("duplicate table name " + name);
   }
-  std::sort(keys.begin(), keys.end());
+  SortUnlessOrdered(keys.begin(), keys.end());
   Keyed<KeyT> table;
   table.strings = dictionary != nullptr;
   table.index = std::make_unique<BasicMaintainedIndex<KeyT>>(
@@ -58,11 +60,14 @@ uint32_t Server::CreateStringTable(const std::string& name,
                                    std::vector<std::string> values,
                                    const IndexSpec& spec) {
   // The dictionary stores each distinct value once; the key column keeps
-  // every occurrence, encoded (one domain lookup per cell — §2.1's load
-  // path, and the workload CSS-trees were built for).
+  // every occurrence. A table's keys are stored sorted, so sorting the
+  // values first makes the ID column each distinct value's ID repeated by
+  // its multiplicity: one run-length pass yields both, with no copy of
+  // the values and no dictionary search per cell.
+  SortUnlessOrdered(values.begin(), values.end());
+  std::vector<uint32_t> ids;
   auto dictionary = std::make_shared<const domain::StringDomain>(
-      domain::StringDomain::FromValues(values));
-  std::vector<uint32_t> ids = dictionary->EncodeColumn(values, nullptr);
+      domain::StringDomain::FromSortedColumn(std::move(values), &ids));
   return AddTable(name, spec.WithKeyWidth(4), std::move(ids),
                   std::move(dictionary));
 }

@@ -146,11 +146,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Registers a key-column table (keys need not be sorted) and returns
-  /// its id. The table set is immutable once Start() is called — that is
-  /// what lets sessions resolve names lock-free. Throws std::logic_error
-  /// after Start, std::invalid_argument for off-menu specs or duplicate
-  /// names.
+  /// Registers a key-column table and returns its id. Keys may come in
+  /// any order: the load checks their order in one pass and sorts only
+  /// when the check fails, so keys already in ascending order load in
+  /// O(n) — one pass plus the index build. The table set is immutable
+  /// once Start() is called — that is what lets sessions resolve names
+  /// lock-free. Throws std::logic_error after Start,
+  /// std::invalid_argument for off-menu specs or duplicate names.
   uint32_t CreateTable(const std::string& name, std::vector<uint32_t> keys,
                        const IndexSpec& spec = IndexSpec());
 
@@ -164,8 +166,11 @@ class Server {
   /// StringDomain, the key column stores 4-byte domain IDs, and the index
   /// is built over the IDs — so statements probe on raw string tokens,
   /// range predicates map through LowerBoundId, and the index machinery
-  /// never sees a string. `values` is the key column (duplicates allowed;
-  /// the domain stores each distinct value once).
+  /// never sees a string. `values` is the key column in any order
+  /// (duplicates allowed; the domain stores each distinct value once). It
+  /// is sorted in place only when out of order, and one run-length pass
+  /// over the sorted values yields both the dictionary and the ID column,
+  /// so values already in order load in O(n) string comparisons.
   uint32_t CreateStringTable(const std::string& name,
                              std::vector<std::string> values,
                              const IndexSpec& spec = IndexSpec());

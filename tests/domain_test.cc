@@ -22,6 +22,38 @@ TEST(IntDomain, BuildSortsAndDedups) {
   EXPECT_EQ(d.values(), (std::vector<uint32_t>{1, 3, 5, 9}));
 }
 
+TEST(Domain, FromSortedColumnYieldsTheDictionaryAndTheColumnIds) {
+  // A load sorts its column, then one run-length pass must give what
+  // FromValues and EncodeColumn give: the same dictionary, and each cell
+  // encoded. Empty, all-equal, unsorted and empty-string columns.
+  const std::vector<std::vector<std::string>> columns = {
+      {},
+      {"x", "x", "x"},
+      {"pear", "", "fig", "", "pear", "apple", "fig"},
+      {""},
+      {"", "", "b", "a"}};
+  for (const std::vector<std::string>& column : columns) {
+    std::vector<std::string> sorted = column;
+    std::sort(sorted.begin(), sorted.end());
+    const StringDomain oracle = StringDomain::FromValues(column);
+    const std::vector<uint32_t> want_ids = oracle.EncodeColumn(sorted, nullptr);
+    std::vector<uint32_t> ids = {7, 7};  // stale contents are replaced
+    const StringDomain d = StringDomain::FromSortedColumn(sorted, &ids);
+    EXPECT_EQ(d.values(), oracle.values());
+    EXPECT_EQ(ids, want_ids);
+    for (const std::string& v : column) EXPECT_EQ(d.Encode(v), oracle.Encode(v));
+  }
+
+  std::vector<uint32_t> column = {9, 1, 4, 1, 9, 9};
+  std::sort(column.begin(), column.end());
+  std::vector<uint32_t> ids;
+  const IntDomain d = IntDomain::FromSortedColumn(column, &ids);
+  EXPECT_EQ(d.values(), (std::vector<uint32_t>{1, 4, 9}));
+  EXPECT_EQ(ids, (std::vector<uint32_t>{0, 0, 1, 2, 2, 2}));
+  EXPECT_EQ(d.Encode(4), std::optional<uint32_t>(1));  // directory built
+  EXPECT_EQ(IntDomain::FromSortedColumn({}, nullptr).size(), 0u);
+}
+
 TEST(IntDomain, EncodeDecodeRoundTrip) {
   auto values = workload::DistinctSortedKeys(10'000, 3, 8);
   auto d = IntDomain::FromValues(values);

@@ -185,6 +185,43 @@ TEST(PagedTable, ExternalBuildKicksInAboveBudgetAndMatches) {
                       "unbounded");
 }
 
+TEST(PagedTable, OrderedColumnsIndexLikeStableSortAtEveryBudget) {
+  // A column already in value order skips the sort: the whole column in
+  // RAM (budget 0), each run on the external path. Columns: in order, reverse, equal values straddling
+  // every run boundary, and a sawtooth of in-order runs that interleave.
+  // 8 pages = 512 values, so external runs hold 256 pairs: 16 runs.
+  constexpr size_t kBudgetPages = 8;
+  constexpr size_t kRunPairs = kBudgetPages * kPageBytes / sizeof(uint32_t) / 2;
+  std::vector<uint32_t> in_order(kRows), reverse(kRows), straddle(kRows),
+      sawtooth(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    in_order[i] = static_cast<uint32_t>(i / 3);
+    reverse[i] = static_cast<uint32_t>((kRows - i) / 3);
+    straddle[i] = static_cast<uint32_t>(i / 300);
+    sawtooth[i] = static_cast<uint32_t>((i % kRunPairs) / 4);
+  }
+  for (const auto& [name, column] :
+       std::vector<std::pair<std::string, std::vector<uint32_t>>>{
+           {"in_order", in_order},
+           {"reverse", reverse},
+           {"straddle", straddle},
+           {"sawtooth", sawtooth}}) {
+    for (size_t budget : {size_t{0}, kBudgetPages}) {
+      TableOptions options;
+      options.page_bytes = kPageBytes;
+      options.buffer_pages = budget;
+      Table t(options);
+      t.AddColumn("k", column);
+      const SortIndex& index = t.BuildSortIndex("k");
+      const std::string label = name + " @budget=" + std::to_string(budget);
+      EXPECT_EQ(index.external_build(), budget != 0) << label;
+      EXPECT_EQ(index.external_runs(), budget != 0 ? kRows / kRunPairs : 0)
+          << label;
+      ExpectMatchesOracle(index, column, label);
+    }
+  }
+}
+
 TEST(PagedTable, IndexedJoinMatchesAcrossBudgets) {
   const TableData data = MakeData(14);
   Table ref = MakeTable(data, 0);

@@ -420,6 +420,136 @@ TEST(Server, SixtyFourBitTableEndToEnd) {
   EXPECT_EQ(after.positions, (std::vector<int64_t>{2}));
 }
 
+// ------------------------------------------------------------ bulk load
+
+/// Key ranks in every order a bulk load must accept: sorted, reverse,
+/// shuffled, all equal, sorted runs of duplicates, and a single key.
+std::vector<std::pair<std::string, std::vector<uint32_t>>> LoadOrders() {
+  constexpr uint32_t kN = 1500;
+  std::vector<uint32_t> sorted(kN), runs(kN);
+  for (uint32_t i = 0; i < kN; ++i) {
+    sorted[i] = i;
+    runs[i] = i / 7;
+  }
+  std::vector<uint32_t> reverse(sorted.rbegin(), sorted.rend());
+  std::vector<uint32_t> shuffled = runs;
+  Pcg32 rng(24);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Below(static_cast<uint32_t>(i))]);
+  }
+  return {{"sorted", sorted},
+          {"reverse", reverse},
+          {"shuffled", shuffled},
+          {"all_equal", std::vector<uint32_t>(kN, 11)},
+          {"duplicate_runs", runs},
+          {"single", {42}}};
+}
+
+/// Odd keys from the ranks, so the even ones between them probe as absent.
+/// The 8-byte table's keys sit above 2^32.
+template <typename KeyT>
+KeyT LoadKey(uint32_t rank) {
+  const KeyT key = 2 * KeyT{rank} + 1;
+  if constexpr (sizeof(KeyT) == 8) return key + (uint64_t{1} << 32);
+  return key;
+}
+template <>
+std::string LoadKey<std::string>(uint32_t rank) {
+  return "v" + std::to_string(2 * uint64_t{rank} + 1);  // not numeric order
+}
+
+/// FIND, COUNT and RANGE on a freshly loaded table against a serial oracle
+/// on `want`, the table's keys sorted: every loaded key, the absent keys
+/// beside each, and ranges between neighbouring probes.
+template <typename KeyT>
+void ExpectReadsMatchSortedOracle(Session& session, const std::string& table,
+                                  const std::vector<KeyT>& want,
+                                  const std::vector<uint32_t>& ranks) {
+  std::vector<KeyT> probes;
+  for (uint32_t rank : ranks) {
+    for (uint32_t r : {rank, rank + 1}) {
+      probes.push_back(LoadKey<KeyT>(r));
+      if constexpr (std::is_same_v<KeyT, std::string>) {
+        probes.push_back(LoadKey<KeyT>(r) + "0");  // absent, sorts after
+      } else {
+        probes.push_back(LoadKey<KeyT>(r) - 1);  // absent
+      }
+    }
+  }
+  std::sort(probes.begin(), probes.end());
+  probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+
+  StatementResult find =
+      session.Execute(KeysStatement("FIND", table.c_str(), probes));
+  ASSERT_TRUE(find.ok()) << find.error;
+  StatementResult count =
+      session.Execute(KeysStatement("COUNT", table.c_str(), probes));
+  ASSERT_TRUE(count.ok()) << count.error;
+  ASSERT_EQ(find.positions.size(), probes.size());
+  ASSERT_EQ(count.counts.size(), probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const auto [lo, hi] = std::equal_range(want.begin(), want.end(), probes[i]);
+    const int64_t position = lo == hi ? -1 : lo - want.begin();
+    ASSERT_EQ(find.positions[i], position) << table << " FIND " << Token(probes[i]);
+    ASSERT_EQ(count.counts[i], static_cast<size_t>(hi - lo))
+        << table << " COUNT " << Token(probes[i]);
+  }
+  for (size_t i = 0; i + 1 < probes.size(); i += 3) {
+    const size_t j = std::min(i + 5, probes.size() - 1);
+    StatementResult range = session.Execute(
+        "RANGE " + table + " " + Token(probes[i]) + " " + Token(probes[j]));
+    ASSERT_TRUE(range.ok()) << range.error;
+    const auto begin = static_cast<size_t>(
+        std::lower_bound(want.begin(), want.end(), probes[i]) - want.begin());
+    const auto end = static_cast<size_t>(
+        std::lower_bound(want.begin(), want.end(), probes[j]) - want.begin());
+    ASSERT_EQ(range.range_begin, begin) << table << " RANGE " << i;
+    ASSERT_EQ(range.range_end, end) << table << " RANGE " << i;
+  }
+}
+
+TEST(Server, LoadInAnyKeyOrderMatchesSortedOracle) {
+  // Every load path checks its input's order and sorts only when the
+  // check fails; whatever the input order, the loaded table must be the
+  // sorted input, and answer reads like it.
+  for (const auto& [order, ranks] : LoadOrders()) {
+    SCOPED_TRACE(order);
+    std::vector<uint32_t> keys32;
+    std::vector<uint64_t> keys64;
+    std::vector<std::string> values;
+    for (uint32_t rank : ranks) {
+      keys32.push_back(LoadKey<uint32_t>(rank));
+      keys64.push_back(LoadKey<uint64_t>(rank));
+      values.push_back(LoadKey<std::string>(rank));
+    }
+    std::vector<uint32_t> want32 = keys32;
+    std::sort(want32.begin(), want32.end());
+    std::vector<uint64_t> want64 = keys64;
+    std::sort(want64.begin(), want64.end());
+    std::vector<std::string> want_values = values;
+    std::sort(want_values.begin(), want_values.end());
+    const domain::StringDomain oracle_dictionary =
+        domain::StringDomain::FromValues(values);
+    std::vector<uint32_t> want_ids =
+        oracle_dictionary.EncodeColumn(values, nullptr);
+    std::sort(want_ids.begin(), want_ids.end());
+
+    Server server;
+    server.CreateTable("u", keys32);
+    server.CreateTable64("w", keys64);
+    server.CreateStringTable("s", values);
+    EXPECT_EQ(server.TableSnapshot("u")->keys(), want32);
+    EXPECT_EQ(server.TableSnapshot64("w")->keys(), want64);
+    EXPECT_EQ(server.TableDomain("s")->values(), oracle_dictionary.values());
+    EXPECT_EQ(server.TableSnapshot("s")->keys(), want_ids);
+
+    Session session = server.OpenSession();
+    ExpectReadsMatchSortedOracle(session, "u", want32, ranks);
+    ExpectReadsMatchSortedOracle(session, "w", want64, ranks);
+    ExpectReadsMatchSortedOracle(session, "s", want_values, ranks);
+  }
+}
+
 // ------------------------------------------------------- string tables
 
 TEST(Server, StringTableEndToEnd) {

@@ -256,6 +256,50 @@ TEST(ExternalSort, MatchesStableSortOracle) {
   EXPECT_EQ(ram.rids, oracle_rids);
 }
 
+TEST(ExternalSort, OrderedRunsSkipTheSortAndMergeLikeStableSort) {
+  // Runs already in (key, RID) order skip their sort; the run files, run
+  // count and merge must not change. Columns: in order, reverse, equal
+  // keys straddling every run boundary, and a sawtooth whose runs are each
+  // in order but interleave, so the merge breaks ties across runs.
+  constexpr size_t kN = 3 * 1024 + 500;
+  constexpr size_t kRun = 1024;
+  std::vector<uint32_t> in_order(kN), reverse(kN), straddle(kN), sawtooth(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    in_order[i] = static_cast<uint32_t>(i / 3);
+    reverse[i] = static_cast<uint32_t>((kN - i) / 3);
+    straddle[i] = static_cast<uint32_t>(i / 700);
+    sawtooth[i] = static_cast<uint32_t>((i % kRun) / 4);
+  }
+  for (const std::vector<uint32_t>* reference :
+       {&in_order, &reverse, &straddle, &sawtooth}) {
+    std::vector<uint32_t> oracle_rids(kN);
+    std::iota(oracle_rids.begin(), oracle_rids.end(), 0u);
+    std::stable_sort(oracle_rids.begin(), oracle_rids.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       return (*reference)[a] < (*reference)[b];
+                     });
+    std::vector<uint32_t> oracle_keys(kN);
+    for (size_t i = 0; i < kN; ++i) {
+      oracle_keys[i] = (*reference)[oracle_rids[i]];
+    }
+
+    BufferManager bm(StoreOptions{256, 4, ""});
+    PagedColumn col(&bm);
+    col.Append(*reference);
+    ExternalBuildResult ext = ExternalSortKeys(col, kRun, bm.spill_path());
+    EXPECT_TRUE(ext.spilled);
+    EXPECT_EQ(ext.runs, 4u);
+    EXPECT_EQ(ext.sorted_keys, oracle_keys);
+    EXPECT_EQ(ext.rids, oracle_rids);
+
+    ExternalBuildResult ram = ExternalSortKeys(col, kN, bm.spill_path());
+    EXPECT_FALSE(ram.spilled);
+    EXPECT_EQ(ram.runs, 1u);
+    EXPECT_EQ(ram.sorted_keys, oracle_keys);
+    EXPECT_EQ(ram.rids, oracle_rids);
+  }
+}
+
 TEST(ExternalSort, EmptyAndTinyColumns) {
   BufferManager bm(StoreOptions{64, 2, ""});
   PagedColumn empty(&bm);
