@@ -19,11 +19,11 @@
 //
 // --part additionally sweeps range-partitioned specs (part:K/css:16 for
 // K in {2,4,8,16}): the same scalar-vs-batched comparison through the
-// composite's fence routing and per-shard kernels, recorded in a
-// "partitioned" JSON block under the same regression gate. Comparing a
-// part:K row against the css:16 row of the main table shows the routing
-// overhead directly; the per-row speedup shows the group-probing payoff
-// surviving the composite.
+// composite's lockstep descent, recorded in a "partitioned" JSON block
+// under the same regression gate. Each row's "vs_bare" divides its
+// batched ns by the css:16 row's at the same batch, so the routing tax is
+// a within-run ratio (gate partitioned_routing_tax); the per-row speedup
+// shows the group-probing payoff surviving the composite.
 //
 // --update measures the maintenance path: applying a LOCALIZED update
 // batch (confined to ~1/16 of the key range, so a part:16 spec touches
@@ -63,10 +63,12 @@ using namespace cssidx;
 /// Every speedup block (results, range_probes, partitioned, simd,
 /// key_width, maintenance) shares this row schema: the baseline gate keys
 /// rows on (block, spec, batch, threads) and compares their "speedup".
-void AddSpeedupRow(bench::Report& report, std::string_view block,
-                   const std::string& spec, size_t batch, double scalar_ns,
-                   double batched_ns) {
-  report.AddRow(block)
+/// Returns the row, for a block that adds fields of its own.
+bench::Report::Fields& AddSpeedupRow(bench::Report& report,
+                                     std::string_view block,
+                                     const std::string& spec, size_t batch,
+                                     double scalar_ns, double batched_ns) {
+  return report.AddRow(block)
       .Set("spec", spec)
       .Set("batch", batch)
       .Set("threads", 1)
@@ -152,14 +154,19 @@ int main(int argc, char** argv) {
                                       thread_sweep.end());
   ThreadPool pool(max_threads - 1);
 
+  // css:16's batched ns per probe at each batch size, the bare tree the
+  // partitioned rows are read against.
+  std::vector<double> bare_css_ns(batches.size());
   for (const std::string& text : spec_texts) {
     IndexSpec spec = *IndexSpec::Parse(text);
     AnyIndex index = BuildIndex(spec, keys);
     // Scalar baseline: one virtual probe per key, no miss overlap.
     const double scalar_ns = ScalarNs(index, lookups, repeats);
-    for (size_t batch : batches) {
-      AddSpeedupRow(report, "results", spec.ToString(), batch, scalar_ns,
-                    BatchedNs(index, lookups, batch, repeats));
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const double batched_ns = BatchedNs(index, lookups, batches[b], repeats);
+      if (text == "css:16") bare_css_ns[b] = batched_ns;
+      AddSpeedupRow(report, "results", spec.ToString(), batches[b], scalar_ns,
+                    batched_ns);
     }
 
     if (range_mode) {
@@ -216,8 +223,10 @@ int main(int argc, char** argv) {
           .Set("scaling_vs_t1", t1_ns / ns);
     }
   }
-  // Partitioned sweep: the composite's fence routing + per-shard kernels
-  // under the same scalar-vs-batched comparison as the main table.
+  // Partitioned sweep: the composite's lockstep descent (fence level, then
+  // the shards' directories) under the same scalar-vs-batched comparison
+  // as the main table. "vs_bare" is the routing tax: part:K batched ns
+  // over css:16 batched ns at the same batch, in this run.
   if (part_mode) {
     std::vector<std::string> part_texts{"part:2/css:16", "part:4/css:16",
                                         "part:8/css:16", "part:16/css:16"};
@@ -226,9 +235,12 @@ int main(int argc, char** argv) {
       IndexSpec spec = *IndexSpec::Parse(text);
       AnyIndex index = BuildIndex(spec, keys);
       const double scalar_ns = ScalarNs(index, lookups, repeats);
-      for (size_t batch : batches) {
-        AddSpeedupRow(report, "partitioned", spec.ToString(), batch,
-                      scalar_ns, BatchedNs(index, lookups, batch, repeats));
+      for (size_t b = 0; b < batches.size(); ++b) {
+        const double batched_ns =
+            BatchedNs(index, lookups, batches[b], repeats);
+        AddSpeedupRow(report, "partitioned", spec.ToString(), batches[b],
+                      scalar_ns, batched_ns)
+            .Set("vs_bare", batched_ns / bare_css_ns[b]);
       }
     }
   }

@@ -157,15 +157,14 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
   DescentCost point = MethodDescent(spec, inner_n, width, opts);
   double point_ns = Ns(point, opts);
   if (K > 0) {
-    // Fence routing (binary search over K fences) plus the batch
-    // scatter/gather: each probe is bucketed to its shard and its result
-    // written back through an index map, and the per-shard sub-batches
-    // are too small to overlap misses as well as one big group probe.
-    // Together that costs about one extra line fetch per probe — more
-    // than the ~log_m(K) descent levels the smaller shards save, which
-    // is why part:K must earn its keep on update locality, not probes.
-    point_ns += std::log2(std::max(2, K)) * opts.comparison_ns +
-                1.0 * opts.miss_ns;
+    // The fence table is the first level of one lockstep descent: a
+    // branch-free count over K - 1 cached fences, then the probe joins
+    // the same group probe a bare tree runs, over a shard's smaller tree
+    // (inner_n above). So the tax is the fence level's comparisons
+    // alone: bench_batch_lookup's part:K rows read a median 0.97-1.22x
+    // the bare css:16 batched ns ("vs_bare", 25 runs of the CI command),
+    // not the extra line fetch the old per-shard sub-batches cost.
+    point_ns += std::log2(std::max(2, K)) * opts.comparison_ns;
   }
   // A range probe is a LowerBound descent plus an adjacency scan (ordered)
   // or a Find + bucket re-walk (hash).
@@ -270,11 +269,10 @@ Recommendation Advise(const WorkloadProfile& profile, size_t n,
     std::erase_if(menu, [](const IndexSpec& s) { return !s.ordered(); });
   }
   if (profile.UpdateRate() < 0.001) {
-    // part:K pays a routing + batch-fragmentation tax on every probe and
-    // earns it back only through shard-incremental maintenance. With no
-    // observed update traffic the tax is a pure loss — and the modeled
-    // probe margins between K values sit below measurement noise, so
-    // keep composites off a probe-only menu entirely.
+    // part:K earns its keep through shard-incremental maintenance. With
+    // no observed update traffic the modeled probe margins between K
+    // values, and between part:K and the bare tree, sit below
+    // measurement noise, so keep composites off a probe-only menu.
     std::erase_if(menu, [](const IndexSpec& s) { return s.partitioned(); });
   }
   for (const IndexSpec& spec : menu) {

@@ -388,6 +388,9 @@ class OrderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
   size_t size() const override { return index_.size(); }
   bool SupportsOrderedAccess() const override { return true; }
 
+  /// The wrapped structure, for a builder that keeps a view of it.
+  const IndexT& index() const { return index_; }
+
  private:
   IndexT index_;
 };

@@ -41,6 +41,22 @@
 
 namespace cssidx {
 
+/// What a descent reads of one CSS-tree: its directory, the sorted keys
+/// its leaves are, and where those keys start in a larger array. A bare
+/// tree's view has base 0; a part:K shard's view carries the shard's
+/// global offset, so one group of probes can descend many shards' trees
+/// at once (BasicCssTree::LowerBoundLanes). The view owns nothing: the
+/// tree that made it keeps the directory, its builder the keys.
+template <typename KeyT>
+struct CssTreeView {
+  const KeyT* dir = nullptr;   // internal nodes, Stride slots each
+  const KeyT* keys = nullptr;  // the sorted array, chopped into leaves
+  size_t n = 0;                // keys in the array
+  uint64_t internal = 0;       // CssLayout::internal_nodes
+  uint64_t mark = 0;           // CssLayout::mark: first deep-leaf number
+  size_t base = 0;             // global position of keys[0]
+};
+
 template <typename KeyT, int Stride, int Fanout>
 class BasicCssTree {
   static_assert(Stride >= 2, "a node must hold at least two keys");
@@ -49,6 +65,7 @@ class BasicCssTree {
 
  public:
   using key_type = KeyT;
+  using View = CssTreeView<KeyT>;
   static constexpr int kStride = Stride;
   static constexpr int kFanout = Fanout;
   static constexpr int kInternalKeys = Fanout - 1;
@@ -74,18 +91,7 @@ class BasicCssTree {
 
   /// First position p with a_[p] >= k, or size() if none (oracle-equivalent
   /// to std::lower_bound on the array).
-  size_t LowerBound(KeyT k) const {
-    if (CSSIDX_UNLIKELY(n_ == 0)) return 0;
-    uint64_t d = 0;
-    const uint64_t internal = layout_.internal_nodes;
-    const KeyT* dir = dir_keys_;
-    while (d < internal) {
-      const KeyT* node = dir + d * Stride;
-      int j = DispatchedLowerBound<kInternalKeys, 1, KeyT>(node, k);
-      d = d * Fanout + 1 + static_cast<uint64_t>(j);
-    }
-    return SearchLeaf(d, k);
-  }
+  size_t LowerBound(KeyT k) const { return LowerBoundIn(view(), k); }
 
   /// Position of the leftmost occurrence of `k`, or kNotFound.
   int64_t Find(KeyT k) const {
@@ -102,56 +108,75 @@ class BasicCssTree {
     return count;
   }
 
-  /// Batched LowerBound: group probing with software prefetch. Probes are
-  /// processed kGroupProbes (32) at a time, descending level-synchronously;
-  /// as soon as a probe's next node or leaf is known every cache line it
-  /// spans is prefetched, so the misses it would stall on overlap the
-  /// intra-node searches of the other probes in the group. The leaf ranges
-  /// need that most: a served `std::vector` key array sits 16 bytes off a
-  /// line, so a full 16-key u32 leaf spans two lines, and the vector
-  /// compare reads both. The last group may be partial and descends the
-  /// same way; only a whole batch of at most kScalarBatchMax probes runs
-  /// the scalar descent. On `bulk_cold` this kernel cut the index's cost
-  /// per probe from 136 to 82 ns (width sweep: see kGroupProbes). Results
-  /// are identical to scalar LowerBound.
+  /// Batched LowerBound: the group kernel (LowerBoundLanes) with every
+  /// probe descending this one tree.
   void LowerBoundBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const {
     assert(out.size() >= keys.size());
+    const View tree = view();
+    LowerBoundLanes(
+        keys, [&](size_t) -> const View& { return tree; },
+        [&](size_t i, const View&, size_t pos) { out[i] = pos; });
+  }
+
+  /// The group-probing kernel behind every CSS batch, over per-probe tree
+  /// views: probe i descends the tree `lane_of(i)` names, and `emit(i,
+  /// view, pos)` receives its lower bound as a position in that view's
+  /// keys. A bare tree names itself for every probe; a part:K index names
+  /// the shard each probe routes to, so one group descends many shards'
+  /// directories in lockstep. `lane_of` is called at every level, so it
+  /// must be a lookup, not a computation.
+  ///
+  /// Probes are processed kGroupProbes (32) at a time, descending
+  /// level-synchronously; as soon as a probe's next node or leaf is known
+  /// every cache line it spans is prefetched, so the misses it would stall
+  /// on overlap the intra-node searches of the other probes in the group.
+  /// The leaf ranges need that most: a served `std::vector` key array sits
+  /// 16 bytes off a line, so a full 16-key u32 leaf spans two lines, and
+  /// the vector compare reads both. The last group may be partial and
+  /// descends the same way; only a whole batch of at most kScalarBatchMax
+  /// probes runs the scalar descent. On `bulk_cold` this kernel cut the
+  /// index's cost per probe from 136 to 82 ns (width sweep: see
+  /// kGroupProbes). Results are identical to scalar LowerBound.
+  template <typename LaneOf, typename Emit>
+  static void LowerBoundLanes(std::span<const KeyT> keys, LaneOf&& lane_of,
+                              Emit&& emit) {
     const size_t count = keys.size();
     if (count <= kScalarBatchMax) {
-      for (size_t i = 0; i < count; ++i) out[i] = LowerBound(keys[i]);
+      for (size_t i = 0; i < count; ++i) {
+        emit(i, lane_of(i), LowerBoundIn(lane_of(i), keys[i]));
+      }
       return;
     }
-    if (CSSIDX_UNLIKELY(n_ == 0)) {
-      for (size_t i = 0; i < count; ++i) out[i] = 0;
-      return;
-    }
-    const uint64_t internal = layout_.internal_nodes;
-    const KeyT* dir = dir_keys_;
     for (size_t i = 0; i < count; i += kGroupProbes) {
       const size_t width = std::min(count - i, kGroupProbes);
       const KeyT* probe = keys.data() + i;
       uint64_t d[kGroupProbes];
-      std::fill_n(d, width, uint64_t{0});
-      bool descending = internal > 0;
+      bool descending = false;
+      for (size_t g = 0; g < width; ++g) {
+        d[g] = 0;
+        descending |= lane_of(i + g).internal > 0;
+      }
       while (descending) {
         descending = false;
         for (size_t g = 0; g < width; ++g) {
-          if (d[g] >= internal) continue;
-          const KeyT* node = dir + d[g] * Stride;
+          const View& tree = lane_of(i + g);
+          if (d[g] >= tree.internal) continue;
+          const KeyT* node = tree.dir + d[g] * Stride;
           int j = DispatchedLowerBound<kInternalKeys, 1, KeyT>(node, probe[g]);
           d[g] = d[g] * Fanout + 1 + static_cast<uint64_t>(j);
-          if (d[g] < internal) {
-            PrefetchLines(dir + d[g] * Stride, kNodeBytes);
+          if (d[g] < tree.internal) {
+            PrefetchLines(tree.dir + d[g] * Stride, kNodeBytes);
             descending = true;
           } else {
-            auto [lo, hi] = LeafRange(d[g]);
-            PrefetchLines(a_ + lo, (hi - lo) * sizeof(KeyT));
+            auto [lo, hi] = LeafRange(tree, d[g]);
+            PrefetchLines(tree.keys + lo, (hi - lo) * sizeof(KeyT));
           }
         }
       }
       for (size_t g = 0; g < width; ++g) {
-        out[i + g] = SearchLeaf(d[g], probe[g]);
+        const View& tree = lane_of(i + g);
+        emit(i + g, tree, SearchLeaf(tree, d[g], probe[g]));
       }
     }
   }
@@ -192,7 +217,7 @@ class BasicCssTree {
       int j = GenericLowerBound(node, kInternalKeys, k);
       d = d * Fanout + 1 + static_cast<uint64_t>(j);
     }
-    auto [lo, hi] = LeafRange(d);
+    auto [lo, hi] = LeafRange(view(), d);
     int j = GenericLowerBound(a_ + lo, static_cast<int>(hi - lo), k);
     return lo + static_cast<size_t>(j);
   }
@@ -211,7 +236,7 @@ class BasicCssTree {
       int j = TracedLowerBound(node, kInternalKeys, k, tracer);
       d = d * Fanout + 1 + static_cast<uint64_t>(j);
     }
-    auto [lo, hi] = LeafRange(d);
+    auto [lo, hi] = LeafRange(view(), d);
     int j = TracedLowerBound(a_ + lo, static_cast<int>(hi - lo), k, tracer);
     return lo + static_cast<size_t>(j);
   }
@@ -224,6 +249,11 @@ class BasicCssTree {
   size_t size() const { return n_; }
   const CssLayout& layout() const { return layout_; }
   const KeyT* directory() const { return dir_keys_; }
+  /// This tree as a view whose keys start at global position `base`.
+  View view(size_t base = 0) const {
+    return View{dir_keys_, a_, n_, layout_.internal_nodes, layout_.mark,
+                base};
+  }
 
  private:
   void Build() {
@@ -278,23 +308,41 @@ class BasicCssTree {
     return a_[end - 1];
   }
 
-  /// [lo, hi) array range of a (possibly partial or dangling) leaf.
-  std::pair<size_t, size_t> LeafRange(uint64_t leaf) const {
-    int64_t pos = layout_.LeafArrayPos(leaf);
-    auto limit = static_cast<int64_t>(n_);
+  /// Scalar descent of one tree view.
+  static size_t LowerBoundIn(const View& tree, KeyT k) {
+    if (CSSIDX_UNLIKELY(tree.n == 0)) return 0;
+    uint64_t d = 0;
+    while (d < tree.internal) {
+      const KeyT* node = tree.dir + d * Stride;
+      int j = DispatchedLowerBound<kInternalKeys, 1, KeyT>(node, k);
+      d = d * Fanout + 1 + static_cast<uint64_t>(j);
+    }
+    return SearchLeaf(tree, d, k);
+  }
+
+  /// [lo, hi) array range of a (possibly partial or dangling) leaf: the
+  /// region switch of CssLayout::LeafArrayPos, clamped to the array.
+  static std::pair<size_t, size_t> LeafRange(const View& tree,
+                                             uint64_t leaf) {
+    const int64_t diff =
+        (static_cast<int64_t>(leaf) - static_cast<int64_t>(tree.mark)) *
+        Stride;
+    const auto limit = static_cast<int64_t>(tree.n);
+    const int64_t pos = diff >= 0 ? diff : limit + diff;
     int64_t lo = pos < limit ? pos : limit;
     int64_t hi = pos + Stride < limit ? pos + Stride : limit;
     return {static_cast<size_t>(lo), static_cast<size_t>(hi)};
   }
 
-  CSSIDX_ALWAYS_INLINE size_t SearchLeaf(uint64_t leaf, KeyT k) const {
-    auto [lo, hi] = LeafRange(leaf);
+  CSSIDX_ALWAYS_INLINE static size_t SearchLeaf(const View& tree,
+                                                uint64_t leaf, KeyT k) {
+    auto [lo, hi] = LeafRange(tree, leaf);
     int j;
     if (CSSIDX_LIKELY(hi - lo == Stride)) {
-      j = DispatchedLowerBound<Stride, 1, KeyT>(a_ + lo, k);
+      j = DispatchedLowerBound<Stride, 1, KeyT>(tree.keys + lo, k);
     } else {
       // Partial trailing leaf: runtime length, same dispatched contract.
-      j = DispatchedLowerBoundN(a_ + lo, static_cast<int>(hi - lo), k);
+      j = DispatchedLowerBoundN(tree.keys + lo, static_cast<int>(hi - lo), k);
     }
     return lo + static_cast<size_t>(j);
   }
@@ -324,6 +372,12 @@ class BasicCssTree {
   AlignedBuffer dir_buf_;
   KeyT* dir_keys_ = nullptr;
 };
+
+/// True for the CSS-tree instantiations: both variants, both key widths.
+template <typename T>
+inline constexpr bool kIsCssTree = false;
+template <typename KeyT, int Stride, int Fanout>
+inline constexpr bool kIsCssTree<BasicCssTree<KeyT, Stride, Fanout>> = true;
 
 /// The paper's configuration: 4-byte keys (domain IDs, §2.1).
 template <int Stride, int Fanout>

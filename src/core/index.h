@@ -27,7 +27,10 @@ using Key64 = uint64_t;
 inline constexpr int64_t kNotFound = -1;
 
 /// Probes every tree batch kernel (CSS, record CSS, B+-tree, T-tree)
-/// descends in lockstep. Each probe's next node is prefetched as soon as
+/// descends in lockstep. A part:K batch over CSS shards fills its groups
+/// the same way, each lane descending the tree of the shard its probe
+/// routes to, so a 64-key FIND is two full groups, not one narrow
+/// sub-batch per shard. Each probe's next node is prefetched as soon as
 /// it is known, so a group of G probes keeps up to G misses in flight and
 /// the compares of the other G - 1 probes cover each one's latency. A DRAM
 /// miss needs more cover than 8 probes give. Width sweep on the end-to-end

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <type_traits>
 
 #include "core/builder.h"
+#include "core/visit_index.h"
 #include "util/thread_pool.h"
 #include "workload/batch_update.h"
 
@@ -51,7 +54,83 @@ void ComputeCuts(const KeyT* keys, size_t n, size_t k,
   }
 }
 
+/// The fence level of a part:K descent: the number of fences at or below
+/// `key`, which is std::upper_bound's index and so the shard the key
+/// routes to (see ShardOf). Branch-free: the loop runs a fixed
+/// ceil(log2(count)) steps whatever the key, each a conditional move.
+template <typename KeyT>
+CSSIDX_ALWAYS_INLINE size_t FencesAtOrBelow(const KeyT* fences, size_t count,
+                                            KeyT key) {
+  if (count == 0) return 0;
+  const KeyT* base = fences;
+  while (count > 1) {
+    const size_t half = count / 2;
+    base = base[half] <= key ? base + half : base;
+    count -= half;
+  }
+  return static_cast<size_t>(base - fences) + (*base <= key);
+}
+
+bool CssInner(const IndexSpec& inner) {
+  return inner.method() == Method::kFullCss ||
+         inner.method() == Method::kLevelCss;
+}
+
 }  // namespace
+
+template <typename KeyT>
+BasicAnyIndex<KeyT> BasicPartitionedIndex<KeyT>::BuildShard(
+    const IndexSpec& inner, const KeyT* keys, size_t n, View* view) {
+  if (!CssInner(inner)) return BuildIndexT<KeyT>(inner, keys, n);
+  BasicAnyIndex<KeyT> shard;
+  VisitIndex<KeyT>(inner, keys, n, [&]<typename IndexT>(IndexT&& built) {
+    if constexpr (kIsCssTree<IndexT>) {
+      auto impl = std::make_shared<const OrderedBatchImpl<IndexT, KeyT>>(
+          std::move(built));
+      *view = impl->index().view();
+      lockstep_lower_bound_ = &LockstepBatch<IndexT, size_t>;
+      lockstep_find_ = &LockstepBatch<IndexT, int64_t>;
+      shard = BasicAnyIndex<KeyT>(inner, std::move(impl));
+    }
+  });
+  return shard;
+}
+
+template <typename KeyT>
+template <typename Tree, typename Out>
+void BasicPartitionedIndex<KeyT>::LockstepBatch(
+    const BasicPartitionedIndex& index, std::span<const KeyT> keys,
+    std::span<Out> out) {
+  const View* views = index.views_.data();
+  const KeyT* fences = index.fences_.data();
+  const size_t num_fences = index.fences_.size();
+  // Route a chunk of probes (the fence level), then descend it: a whole
+  // number of groups, routed on the stack.
+  constexpr size_t kChunk = 8 * kGroupProbes;
+  for (size_t begin = 0; begin < keys.size(); begin += kChunk) {
+    const std::span<const KeyT> chunk =
+        keys.subspan(begin, std::min(kChunk, keys.size() - begin));
+    uint32_t shard[kChunk];
+    for (size_t j = 0; j < chunk.size(); ++j) {
+      shard[j] = static_cast<uint32_t>(
+          FencesAtOrBelow(fences, num_fences, chunk[j]));
+    }
+    Tree::LowerBoundLanes(
+        chunk, [&](size_t j) -> const View& { return views[shard[j]]; },
+        // Routing puts the global lower bound inside the shard (everything
+        // before it is below the probe's fence range), so base + local
+        // position is exact, insertion points included.
+        [&](size_t j, const View& tree, size_t pos) {
+          if constexpr (std::is_same_v<Out, int64_t>) {
+            out[begin + j] = pos < tree.n && tree.keys[pos] == chunk[j]
+                                 ? static_cast<int64_t>(tree.base + pos)
+                                 : kNotFound;
+          } else {
+            out[begin + j] = tree.base + pos;
+          }
+        });
+  }
+}
 
 template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::Init(const IndexSpec& spec,
@@ -65,17 +144,23 @@ void BasicPartitionedIndex<KeyT>::Init(const IndexSpec& spec,
   ComputeCuts(keys, n, k, bases_, fences_);
   shards_.reserve(k);
   if (own_keys) owned_.reserve(k);
+  if (CssInner(inner)) views_.reserve(k);
   for (size_t s = 0; s < k; ++s) {
     const KeyT* base = keys + bases_[s];
     const size_t len = bases_[s + 1] - bases_[s];
+    View view;
     if (own_keys) {
       auto buffer =
           std::make_shared<const std::vector<KeyT>>(base, base + len);
-      shards_.push_back(BuildIndexT<KeyT>(inner, buffer->data(),
-                                          buffer->size()));
+      shards_.push_back(
+          BuildShard(inner, buffer->data(), buffer->size(), &view));
       owned_.push_back(std::move(buffer));
     } else {
-      shards_.push_back(BuildIndexT<KeyT>(inner, base, len));
+      shards_.push_back(BuildShard(inner, base, len, &view));
+    }
+    if (lockstep_find_ != nullptr) {
+      view.base = bases_[s];
+      views_.push_back(view);
     }
   }
 }
@@ -178,13 +263,25 @@ BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
   fresh->spec_ = spec_;
   fresh->fences_ = fences_;  // unchanged: what makes shard reuse sound
   fresh->bases_ = std::move(bases);
+  // An untouched shard keeps its view (its directory and keys are shared
+  // with the successor); every view is rebased on the new bases.
+  fresh->views_ = views_;
+  fresh->lockstep_lower_bound_ = lockstep_lower_bound_;
+  fresh->lockstep_find_ = lockstep_find_;
   const IndexSpec inner = spec_.Inner();
   fresh->shards_.reserve(k);
   for (size_t s = 0; s < k; ++s) {
-    fresh->shards_.push_back(
-        touched[s] ? BuildIndexT<KeyT>(inner, buffers[s]->data(),
-                                       buffers[s]->size())
-                   : shards_[s]);
+    if (!touched[s]) {
+      fresh->shards_.push_back(shards_[s]);
+      continue;
+    }
+    View view;
+    fresh->shards_.push_back(fresh->BuildShard(inner, buffers[s]->data(),
+                                               buffers[s]->size(), &view));
+    if (!fresh->views_.empty()) fresh->views_[s] = view;
+  }
+  for (size_t s = 0; s < fresh->views_.size(); ++s) {
+    fresh->views_[s].base = fresh->bases_[s];
   }
   fresh->owned_ = std::move(buffers);
   out.index = std::move(fresh);
@@ -206,9 +303,7 @@ size_t BasicPartitionedIndex<KeyT>::ShardOf(KeyT key) const {
   // starts with that key. A key at or above the last REAL fence lands on
   // shard fences_.size() — the last nonempty shard — because trailing
   // empty shards have no fence entry to route past (see fences()).
-  return static_cast<size_t>(
-      std::upper_bound(fences_.begin(), fences_.end(), key) -
-      fences_.begin());
+  return FencesAtOrBelow(fences_.data(), fences_.size(), key);
 }
 
 template <typename KeyT>
@@ -294,6 +389,9 @@ void BasicPartitionedIndex<KeyT>::LowerBoundBatch(
     for (size_t i = 0; i < keys.size(); ++i) out[i] = n_;
     return;
   }
+  if (Lockstep(keys.size(), opts)) {
+    return lockstep_lower_bound_(*this, keys, out);
+  }
   Route(
       keys, out, opts,
       [&](size_t s, std::span<const KeyT> in, std::span<size_t> local) {
@@ -309,6 +407,7 @@ template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::FindBatch(std::span<const KeyT> keys,
                                             std::span<int64_t> out,
                                             const ProbeOptions& opts) const {
+  if (Lockstep(keys.size(), opts)) return lockstep_find_(*this, keys, out);
   Route(
       keys, out, opts,
       [&](size_t s, std::span<const KeyT> in, std::span<int64_t> local) {
@@ -324,6 +423,11 @@ template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::EqualRangeBatch(
     std::span<const KeyT> keys, std::span<PositionRange> out,
     const ProbeOptions& opts) const {
+  // Two lockstep LowerBound passes: a run never straddles a fence, and a
+  // probe's successor routes to whichever shard holds the run's end.
+  if (Lockstep(keys.size(), opts)) {
+    return EqualRangeBatchViaLowerBound(*this, n_, keys, out);
+  }
   Route(
       keys, out, opts,
       [&](size_t s, std::span<const KeyT> in,
@@ -343,6 +447,9 @@ template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::CountEqualBatch(
     std::span<const KeyT> keys, std::span<size_t> out,
     const ProbeOptions& opts) const {
+  if (Lockstep(keys.size(), opts)) {
+    return CountEqualBatchViaEqualRange(*this, keys, out);
+  }
   Route(
       keys, out, opts,
       [&](size_t s, std::span<const KeyT> in, std::span<size_t> local) {
@@ -379,7 +486,8 @@ template <typename KeyT>
 size_t BasicPartitionedIndex<KeyT>::SpaceBytes() const {
   size_t total = fences_.capacity() * sizeof(KeyT) +
                  bases_.capacity() * sizeof(size_t) +
-                 shards_.capacity() * sizeof(BasicAnyIndex<KeyT>);
+                 shards_.capacity() * sizeof(BasicAnyIndex<KeyT>) +
+                 views_.capacity() * sizeof(View);
   for (const BasicAnyIndex<KeyT>& shard : shards_) {
     total += shard.SpaceBytes();
   }

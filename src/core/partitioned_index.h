@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/any_index.h"
+#include "core/css_tree.h"
 #include "core/index.h"
 #include "core/index_spec.h"
 
@@ -19,11 +20,18 @@
 // prerequisite for NUMA placement: shard s's keys, directory, and probes
 // can all live on one node, with only the fence table shared.
 //
-// Every batch op routes by binary-searching the fence table, buckets the
-// probes per shard (a counting sort that also remembers each probe's
-// input slot), runs the inner group-probing kernels shard-local, and
-// scatters results back to input order translated to GLOBAL positions
-// (shard base offsets). The facade contract is preserved exactly: a
+// A batch over CSS shards (css or lcss inner, either key width) is one
+// level-synchronous CSS descent whose first level is the fence table:
+// each probe is routed once, by a branch-free count of the fences at or
+// below it, and joins a group of kGroupProbes probes that descends the
+// shards' directories in lockstep (BasicCssTree::LowerBoundLanes over
+// one CssTreeView per shard, built with the version). Results come back
+// as global positions (shard base + shard-local position); a Find is
+// hit-tested against the shard's own key buffer. Other inner methods
+// route through Route: the probes are bucketed per shard (a counting
+// sort that remembers each probe's input slot), the inner kernels run
+// shard-local, and results scatter back to input order as global
+// positions. The facade contract is preserved exactly: a
 // "part:K/css:16" index answers every probe with the same positions as a
 // bare "css:16" over the whole array — enforced differentially by
 // tests/partitioned_index_test.cc.
@@ -141,6 +149,13 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   bool owns_shard_keys() const { return !owned_.empty(); }
 
  private:
+  using View = CssTreeView<KeyT>;
+  /// A lockstep batch over the CSS shards, writing lower bounds
+  /// (Out = size_t) or finds (Out = int64_t).
+  template <typename Out>
+  using LockstepFn = void (*)(const BasicPartitionedIndex&,
+                              std::span<const KeyT>, std::span<Out>);
+
   /// Uninitialized shell for the factory/refresh paths.
   BasicPartitionedIndex() = default;
   /// The one setup sequence behind both build modes: equi-depth cuts plus
@@ -153,6 +168,21 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   template <typename Out, typename ProbeFn, typename MapFn>
   void Route(std::span<const KeyT> keys, std::span<Out> out,
              const ProbeOptions& opts, ProbeFn&& probe, MapFn&& map) const;
+  /// Builds one shard's inner index over keys[0..n). A CSS inner is built
+  /// through VisitIndex, so its tree view goes to `*view` and the
+  /// lockstep kernels for its node size are picked here, once per
+  /// version, never per batch.
+  BasicAnyIndex<KeyT> BuildShard(const IndexSpec& inner, const KeyT* keys,
+                                 size_t n, View* view);
+  /// True when a batch of `probes` takes the lockstep path: CSS shards,
+  /// probed inline (threaded batches above min_shard go through Route).
+  bool Lockstep(size_t probes, const ProbeOptions& opts) const {
+    return lockstep_find_ != nullptr &&
+           (opts.threads == 1 || probes <= opts.min_shard);
+  }
+  template <typename Tree, typename Out>
+  static void LockstepBatch(const BasicPartitionedIndex& index,
+                            std::span<const KeyT> keys, std::span<Out> out);
 
   size_t n_ = 0;
   bool ordered_ = true;
@@ -165,6 +195,12 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// path: shard s's inner index points into *owned_[s], so a refresh can
   /// pass both to the successor and the buffer dies with its last user.
   std::vector<std::shared_ptr<const std::vector<KeyT>>> owned_;
+  /// CSS inners only (empty otherwise): shard s's tree view, based at
+  /// bases_[s]. It points into shards_[s]'s directory and shard s's keys,
+  /// which this version holds, so it lives exactly as long as they do.
+  std::vector<View> views_;
+  LockstepFn<size_t> lockstep_lower_bound_ = nullptr;
+  LockstepFn<int64_t> lockstep_find_ = nullptr;
 };
 
 using PartitionedIndex = BasicPartitionedIndex<Key>;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/macros.h"
+
 namespace cssidx::domain {
 
 template <typename V>
@@ -34,6 +36,36 @@ std::optional<uint32_t> Domain<V>::Encode(Lookup value) const {
   const uint32_t id = LowerBoundId(value);
   if (id == values_.size() || values_[id] != value) return std::nullopt;
   return id;
+}
+
+template <typename V>
+void Domain<V>::EncodeBatch(std::span<const Lookup> lookups,
+                            std::span<uint32_t> ids) const {
+  assert(ids.size() >= lookups.size());
+  const V* values = values_.data();
+  const size_t n = values_.size();
+  for (size_t i = 0; i < lookups.size(); i += kGroupProbes) {
+    const size_t width = std::min(lookups.size() - i, kGroupProbes);
+    const Lookup* probe = lookups.data() + i;
+    // Lane g's lower bound lies in [lo[g], lo[g] + len].
+    size_t lo[kGroupProbes] = {};
+    for (size_t len = n; len > 1;) {
+      const size_t half = len / 2;
+      for (size_t g = 0; g < width; ++g) {
+        lo[g] = values[lo[g] + half] < probe[g] ? lo[g] + half : lo[g];
+      }
+      len -= half;
+      for (size_t g = 0; g < width; ++g) {
+        PrefetchLines(values + lo[g] + len / 2, sizeof(V));
+      }
+    }
+    for (size_t g = 0; g < width; ++g) {
+      const size_t pos = n == 0 ? 0 : lo[g] + (values[lo[g]] < probe[g]);
+      ids[i + g] = pos < n && values[pos] == probe[g]
+                       ? static_cast<uint32_t>(pos)
+                       : kAbsentId;
+    }
+  }
 }
 
 template <typename V>

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -66,6 +67,15 @@ class Domain {
 
   /// Value for an ID obtained from Encode. ID must be < size().
   const V& Decode(uint32_t id) const { return values_[id]; }
+
+  /// Encodes a batch of lookups: ids[i] is Encode(lookups[i]), or
+  /// kAbsentId for a value the domain lacks. A branch-free binary search
+  /// over the sorted values, run in lockstep across a group of lookups:
+  /// every lookup halves the same range length each step, and each one's
+  /// next probe is prefetched, so the misses of the group overlap. No
+  /// allocation.
+  void EncodeBatch(std::span<const Lookup> lookups,
+                   std::span<uint32_t> ids) const;
 
   /// Encodes a column. Positions of values absent from the domain go to
   /// `missing` (if given) and encode as kAbsentId.

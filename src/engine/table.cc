@@ -332,13 +332,26 @@ void Table::AddColumn(const std::string& name, std::vector<uint32_t> values) {
 
 void Table::AddStringColumn(const std::string& name,
                             std::vector<std::string> values) {
-  // One domain search per cell — §2.1's load path, and the workload the
-  // search structures exist for. Every value is in the dictionary by
-  // construction, so no cell encodes as absent.
+  // §2.1's load path without a dictionary search per cell: sort the row
+  // numbers by value, move the values into that order, and one
+  // run-length pass (FromSortedColumn) yields the dictionary and each
+  // sorted cell's ID, which scatters back to its row. No value is copied.
+  std::vector<uint32_t> order(values.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return values[a] < values[b];
+  });
+  std::vector<std::string> sorted(values.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    sorted[i] = std::move(values[order[i]]);
+  }
+  std::vector<uint32_t> sorted_ids;
   auto dom = std::make_unique<domain::StringDomain>(
-      domain::StringDomain::FromValues(values));
-  // AddColumn validates the row count first.
-  AddColumn(name, dom->EncodeColumn(values, nullptr));
+      domain::StringDomain::FromSortedColumn(std::move(sorted), &sorted_ids));
+  std::vector<uint32_t> ids(order.size());
+  for (size_t i = 0; i < order.size(); ++i) ids[order[i]] = sorted_ids[i];
+  // AddColumn validates the row count.
+  AddColumn(name, std::move(ids));
   domains_[name] = std::move(dom);
 }
 

@@ -67,10 +67,7 @@ std::span<const KeyT> ProbeKeys(const Statement& stmt,
       TypeKeys(stmt, scratch.data(), result);
       return scratch;
     }
-    for (size_t i = 0; i < scratch.size(); ++i) {
-      scratch[i] =
-          dictionary->Encode(stmt.key_tokens[i]).value_or(domain::kAbsentId);
-    }
+    dictionary->EncodeBatch(stmt.key_tokens, scratch);
     return scratch;
   }
 }

@@ -130,6 +130,39 @@ TEST(StringDomain, LooksUpViewsIntoALargerBufferWithoutAllocating) {
   EXPECT_EQ(ca_bound, 3u);    // below "cat"
 }
 
+TEST(StringDomain, EncodeBatchMatchesEncodeAtEveryBatchSize) {
+  // Dictionaries of 0, 1, 2, 3 and 50 values (the lockstep search runs a
+  // different number of halvings for each), probed by present tokens
+  // plus absent ones: empty, below the minimum, above the maximum, and
+  // between neighbors. Batch sizes 0-33 cover an empty batch, partial
+  // groups, a full group and a full group plus one.
+  std::vector<std::string> all;
+  for (int i = 0; i < 50; ++i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "v%06d", i * 2);
+    all.push_back(buf);
+  }
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{50}}) {
+    const auto d = StringDomain::FromValues(
+        std::vector<std::string>(all.begin(), all.begin() + n));
+    std::vector<std::string> tokens = {"", "a", "v", "v000001", "v000002",
+                                       "v000098", "v000099", "w", "zzz"};
+    for (size_t i = 0; i < n; ++i) tokens.push_back(all[i]);
+    Pcg32 gen(n);
+    for (size_t batch = 0; batch <= 33; ++batch) {
+      std::vector<std::string_view> views(batch);
+      for (auto& view : views) view = tokens[gen.Below(static_cast<uint32_t>(tokens.size()))];
+      std::vector<uint32_t> ids(batch, 7);
+      d.EncodeBatch(views, ids);
+      for (size_t i = 0; i < batch; ++i) {
+        EXPECT_EQ(ids[i], d.Encode(views[i]).value_or(kAbsentId))
+            << "n=" << n << " batch=" << batch << " token '" << views[i]
+            << "'";
+      }
+    }
+  }
+}
+
 TEST(StringDomain, RandomValuesRoundTripAgainstSortedDistinctOracle) {
   // Property test for the serving/engine string path: a dictionary built
   // from a random multiset of words must behave exactly like the STL

@@ -972,6 +972,33 @@ TEST(Table, StringColumnIsAnIdColumnWithAnOrderPreservingDictionary) {
   for (uint32_t id : ids) EXPECT_EQ(dom.Decode(id), "oslo");
 }
 
+TEST(Table, StringColumnLoadMatchesFromValuesPlusEncodeColumn) {
+  // The load sorts row numbers by value and encodes in one run-length
+  // pass; it must give the dictionary FromValues builds and the IDs
+  // EncodeColumn gives, on this file's string columns plus an all-equal
+  // and a reverse-ordered one.
+  constexpr const char* kVocab[] = {"ash", "birch", "cedar", "elm", "fir",
+                                    "hazel", "oak", "pine", "rowan", "yew"};
+  std::vector<std::string> reversed;
+  for (int i = 99; i >= 0; --i) reversed.push_back("r" + std::to_string(i));
+  const std::vector<std::vector<std::string>> columns = {
+      {"oslo", "bergen", "oslo", "tromso", "bergen"},
+      {"pear", "apple", "pear", "quince", "apple", "pear"},
+      {"apple", "pear", "quince"},
+      RandomWords(800, kVocab, 0x57f),
+      RandomWords(300, kVocab, 0x0117),
+      std::vector<std::string>(64, "same"),
+      reversed,
+      {"", "b", "", "a"}};
+  for (const std::vector<std::string>& column : columns) {
+    Table t;
+    t.AddStringColumn("s", column);
+    const auto oracle = domain::StringDomain::FromValues(column);
+    EXPECT_EQ(t.StringDomainOf("s").values(), oracle.values());
+    EXPECT_EQ(t.ReadColumn("s"), oracle.EncodeColumn(column, nullptr));
+  }
+}
+
 TEST(Query, StringPredicatesMatchScanOracleWithAndWithoutIndex) {
   constexpr const char* kVocab[] = {"ash",   "birch", "cedar", "elm",
                                     "fir",   "hazel", "oak",   "pine",

@@ -20,12 +20,14 @@
 #include <new>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "alloc_countdown.h"
 #include "core/builder.h"
 #include "core/partitioned_index.h"
+#include "domain/domain.h"
 #include "gtest/gtest.h"
 #include "spec_menu.h"
 #include "util/rng.h"
@@ -383,6 +385,49 @@ TEST(MaintainedIndex, FailedPublishBurnsNoSequenceAndCountsNoBatch) {
 // shards whose fence range intersects the batch, and the published
 // version is bit-identical — keys and every probe — to a from-scratch
 // build over the same merged array.
+
+TEST(MaintainedIndex, ServedProbeBatchesAndTokenEncodingAllocateNothing) {
+  // A served FIND or COUNT encodes its tokens and probes a part:16/css:16
+  // version: the lockstep path and EncodeBatch run off the stack, so with
+  // the countdown armed at 0 (the first allocation throws) every call
+  // returns. Probed on a refreshed version too, whose shard views the
+  // refresh rebuilt.
+  auto keys = workload::KeysWithDuplicates(20000, 4000, /*seed=*/67);
+  MaintainedIndex index(*IndexSpec::Parse("part:16/css:16"), keys);
+  const AnyIndex bare = BuildIndex(*IndexSpec::Parse("css:16"), keys);
+  std::vector<Key> probes(64);
+  Pcg32 rng(71);
+  for (Key& probe : probes) probe = rng.Below(keys.back() + 2);
+  std::vector<std::string> values;
+  for (int i = 0; i < 1000; ++i) values.push_back(std::to_string(i * 3));
+  const auto dictionary = domain::StringDomain::FromValues(values);
+  std::vector<std::string_view> tokens;
+  for (int i = 0; i < 16; ++i) tokens.push_back(values[i * 37 % 1000]);
+  tokens[3] = "1";  // absent
+  std::vector<int64_t> found(64), want_found(64);
+  std::vector<size_t> lower(64), counts(64);
+  std::vector<PositionRange> ranges(64);
+  std::vector<uint32_t> ids(16);
+  bare.FindBatch(probes, want_found);
+  for (int version = 0; version < 2; ++version) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const auto snapshot = index.Snapshot();
+    const AnyIndex& served = snapshot->index();
+    g_allocs_left = 0;
+    EXPECT_NO_THROW({
+      served.FindBatch(probes, found);
+      served.LowerBoundBatch(probes, lower);
+      served.EqualRangeBatch(probes, ranges);
+      served.CountEqualBatch(probes, counts);
+      dictionary.EncodeBatch(tokens, ids);
+    });
+    g_allocs_left = -1;
+    if (version == 0) EXPECT_EQ(found, want_found);
+    EXPECT_EQ(ids[0], 0u);
+    EXPECT_EQ(ids[3], domain::kAbsentId);
+    index.ApplySortedBatch({keys.back() + 1}, {keys.front()});
+  }
+}
 
 TEST(MaintainedIndex, ShardIncrementalRefreshRebuildsOnlyTouchedShards) {
   Pcg32 rng(0x5a4d);

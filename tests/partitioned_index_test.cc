@@ -11,6 +11,9 @@
 // straddling the shard-dispatch threshold.
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,8 +33,10 @@ namespace {
 /// Asserts that `part` answers exactly like `bare` on every batch op.
 /// `opts` applies to the partitioned side only — the bare side always
 /// probes inline, so any thread count must reproduce the inline answers.
-void ExpectSameAnswers(const AnyIndex& part, const AnyIndex& bare,
-                       const std::vector<Key>& probes,
+template <typename KeyT>
+void ExpectSameAnswers(const BasicAnyIndex<KeyT>& part,
+                       const BasicAnyIndex<KeyT>& bare,
+                       const std::vector<KeyT>& probes,
                        const ProbeOptions& opts = ProbeOptions{},
                        const std::string& label = "") {
   const size_t n = probes.size();
@@ -317,6 +322,242 @@ TEST(PartitionedIndex, BuilderRejectsOffMenuPartitionedSpecs) {
       BuildIndex(IndexSpec().WithNodeEntries(12).WithPartitions(4), keys));
   // A valid partitioned spec still builds.
   EXPECT_TRUE(BuildIndex(IndexSpec().WithPartitions(4), keys));
+}
+
+// ------------------------------------------------------------------------
+// The lockstep CSS path: a part:K/<css or lcss> batch is one group descent
+// whose lanes name different shards' trees. Its hazards are a lane reading
+// the wrong shard (routing), a shard-local position mapped with the wrong
+// base, a Find hit-tested against the wrong buffer, and a view outliving
+// the directory or keys it points into (refresh).
+
+/// Every CSS spec on the node-size menu, both variants, at `width` bytes.
+std::vector<IndexSpec> CssMenu(int width) {
+  std::vector<IndexSpec> specs;
+  for (Method method : {Method::kFullCss, Method::kLevelCss}) {
+    for (int entries : NodeSizeMenu()) {
+      IndexSpec spec =
+          IndexSpec(method).WithNodeEntries(entries).WithKeyWidth(width);
+      if (spec.OnMenu()) specs.push_back(spec);
+    }
+  }
+  return specs;
+}
+
+/// `keys` mapped order-preservingly into KeyT; the 8-byte image sits past
+/// 2^32 so no key or probe fits in 32 bits.
+template <typename KeyT>
+std::vector<KeyT> Widen(const std::vector<Key>& keys) {
+  std::vector<KeyT> wide(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    wide[i] = sizeof(KeyT) == 4
+                  ? static_cast<KeyT>(keys[i])
+                  : static_cast<KeyT>((uint64_t{keys[i]} << 8) | (1ull << 40));
+  }
+  return wide;
+}
+
+/// Every key, its two neighbors, and the type's extremes.
+template <typename KeyT>
+std::vector<KeyT> NeighborProbes(const std::vector<KeyT>& keys) {
+  constexpr KeyT kMax = std::numeric_limits<KeyT>::max();
+  std::vector<KeyT> probes{0, 1, kMax - 1, kMax};
+  for (KeyT k : keys) {
+    probes.push_back(k);
+    if (k > 0) probes.push_back(k - 1);
+    if (k < kMax) probes.push_back(k + 1);
+  }
+  return probes;
+}
+
+/// The same answers as `bare` for the whole probe set and for batches cut
+/// at 1, 2 and 3 probes (the scalar descents), 33 (a full group plus one)
+/// and 64.
+template <typename KeyT>
+void ExpectSameAnswersAtEveryBatch(const BasicAnyIndex<KeyT>& part,
+                                   const BasicAnyIndex<KeyT>& bare,
+                                   const std::vector<KeyT>& probes,
+                                   const std::string& label) {
+  ExpectSameAnswers(part, bare, probes, ProbeOptions{}, label + " whole");
+  for (size_t batch : {size_t{1}, size_t{2}, size_t{3}, size_t{33},
+                       size_t{64}}) {
+    for (size_t i = 0; i < probes.size(); i += batch) {
+      std::vector<KeyT> slice(
+          probes.begin() + static_cast<std::ptrdiff_t>(i),
+          probes.begin() +
+              static_cast<std::ptrdiff_t>(std::min(probes.size(), i + batch)));
+      ExpectSameAnswers(part, bare, slice, ProbeOptions{},
+                        label + " batch=" + std::to_string(batch));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+template <typename KeyT>
+void LockstepMatchesBareOnTheCssMenu() {
+  constexpr KeyT kMax = std::numeric_limits<KeyT>::max();
+  // Duplicates (fences snap to run starts) plus a run of the maximum key.
+  auto keys = Widen<KeyT>(workload::KeysWithDuplicates(1200, 150, 47));
+  keys.insert(keys.end(), 5, kMax);
+  auto probes = NeighborProbes(keys);
+  for (const IndexSpec& inner : CssMenu(sizeof(KeyT))) {
+    const BasicAnyIndex<KeyT> bare =
+        BuildIndexT<KeyT>(inner, keys.data(), keys.size());
+    ASSERT_TRUE(bare) << inner.ToString();
+    for (int k : {1, 3, 16, 256}) {
+      const IndexSpec spec = inner.WithPartitions(k);
+      const BasicAnyIndex<KeyT> part =
+          BuildIndexT<KeyT>(spec, keys.data(), keys.size());
+      ASSERT_TRUE(part) << spec.ToString();
+      ExpectSameAnswers(part, bare, probes, ProbeOptions{}, spec.ToString());
+      // Small batches take the scalar descent; a few slices suffice.
+      for (size_t batch : {size_t{1}, size_t{2}, size_t{3}, size_t{33}}) {
+        std::vector<KeyT> slice(probes.end() - static_cast<long>(batch),
+                                probes.end());
+        ExpectSameAnswers(part, bare, slice, ProbeOptions{},
+                          spec.ToString() + " tail batch");
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(PartitionedLockstep, EveryCssSpecOnTheMenuAtBothKeyWidths) {
+  LockstepMatchesBareOnTheCssMenu<Key>();
+  LockstepMatchesBareOnTheCssMenu<Key64>();
+}
+
+/// A maintained part:16 version whose shard 5 (middle) and shard 15
+/// (last) lost every key to a refresh: their fences stay, so probes in
+/// their ranges route to empty shards.
+template <typename KeyT>
+std::shared_ptr<const BasicPartitionedIndex<KeyT>> WithEmptiedShards(
+    const IndexSpec& spec, const std::vector<KeyT>& keys,
+    std::vector<KeyT>* merged) {
+  auto index = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys.data(),
+                                                       keys.size());
+  std::vector<KeyT> deletes;
+  for (size_t s : {size_t{5}, size_t{15}}) {
+    deletes.insert(deletes.end(),
+                   keys.begin() + static_cast<long>(index->ShardBase(s)),
+                   keys.begin() + static_cast<long>(index->ShardBase(s + 1)));
+  }
+  auto refreshed = index->RefreshWithSortedBatch({}, deletes);
+  EXPECT_FALSE(refreshed.rebalanced);
+  *merged = *refreshed.merged_keys;
+  return refreshed.index;
+}
+
+TEST(PartitionedLockstep, OneGroupSpansEveryShardEmptyOnesIncluded) {
+  // 16 shards of 40 distinct keys. Two probes per shard make exactly one
+  // 32-probe group: the shard's first key, and a key absent from it.
+  auto keys = workload::DistinctSortedKeys(640, /*seed=*/53, /*mean_gap=*/8);
+  for (const char* text : {"part:16/css:16", "part:16/lcss:16"}) {
+    const IndexSpec spec = *IndexSpec::Parse(text);
+    std::vector<Key> merged;
+    auto index = WithEmptiedShards<Key>(spec, keys, &merged);
+    ASSERT_EQ(index->ShardBase(6) - index->ShardBase(5), 0u);
+    ASSERT_EQ(index->ShardBase(16) - index->ShardBase(15), 0u);
+    std::vector<Key> probes;
+    for (size_t s = 0; s < 16; ++s) {
+      // Shard s's key range starts at fence s - 1 (or 0).
+      const Key low = s == 0 ? 0 : index->fences()[s - 1];
+      probes.push_back(low);
+      probes.push_back(low + 1);
+    }
+    ASSERT_EQ(probes.size(), kGroupProbes);
+    for (size_t s = 0; s < 16; ++s) {
+      ASSERT_EQ(index->ShardOf(probes[2 * s]), s) << text;
+    }
+    const AnyIndex part(spec, index);
+    const AnyIndex bare = BuildIndex(spec.Inner(), merged);
+    ExpectSameAnswers(part, bare, probes, ProbeOptions{}, text);
+    ExpectSameAnswersAtEveryBatch(part, bare, NeighborProbes(merged), text);
+  }
+}
+
+TEST(PartitionedLockstep, LeadingEmptyShardsTakeProbesBelowTheFirstKey) {
+  // Three keys over 16 shards: the first cuts snap to position 0, so the
+  // leading shards are empty and a probe below every key routes to one.
+  const std::vector<Key> keys{100, 200, 300};
+  for (const char* text : {"part:16/css:4", "part:16/lcss:8"}) {
+    const IndexSpec spec = *IndexSpec::Parse(text);
+    const AnyIndex part = BuildIndex(spec, keys);
+    const AnyIndex bare = BuildIndex(spec.Inner(), keys);
+    ASSERT_TRUE(part) << text;
+    ExpectSameAnswersAtEveryBatch(part, bare, NeighborProbes(keys), text);
+  }
+}
+
+template <typename KeyT>
+void ProbesAtTheMaximumKey() {
+  constexpr KeyT kMax = std::numeric_limits<KeyT>::max();
+  // The maximum as a probe, absent and then present as a duplicate run
+  // that the last fence sits on.
+  std::vector<KeyT> keys = Widen<KeyT>(
+      workload::DistinctSortedKeys(300, /*seed=*/59, /*mean_gap=*/4));
+  const std::vector<KeyT> probes(40, kMax);
+  for (int copies : {0, 1, 200}) {
+    std::vector<KeyT> with_max = keys;
+    with_max.insert(with_max.end(), static_cast<size_t>(copies), kMax);
+    for (const char* inner : {"css:16", "lcss:8"}) {
+      IndexSpec spec =
+          IndexSpec::Parse(inner)->WithKeyWidth(sizeof(KeyT)).WithPartitions(
+              4);
+      const BasicAnyIndex<KeyT> part =
+          BuildIndexT<KeyT>(spec, with_max.data(), with_max.size());
+      const BasicAnyIndex<KeyT> bare =
+          BuildIndexT<KeyT>(spec.Inner(), with_max.data(), with_max.size());
+      ASSERT_TRUE(part) << spec.ToString();
+      ExpectSameAnswers(part, bare, probes, ProbeOptions{},
+                        spec.ToString() + " copies=" + std::to_string(copies));
+      std::vector<size_t> counts(probes.size());
+      part.CountEqualBatch(probes, counts);
+      EXPECT_EQ(counts.front(), static_cast<size_t>(copies));
+    }
+  }
+}
+
+TEST(PartitionedLockstep, ProbeAtTheKeyTypesMaximum) {
+  ProbesAtTheMaximumKey<Key>();
+  ProbesAtTheMaximumKey<Key64>();
+}
+
+TEST(PartitionedLockstep, RefreshedSuccessorOutlivesItsPredecessor) {
+  // The successor shares its untouched shards with the predecessor and
+  // rebuilt the touched ones. Once the predecessor and every handle to its
+  // shards are gone, a lane view still pointing at a directory or key
+  // buffer only the predecessor owned is a use-after-free under ASan.
+  auto keys = workload::DistinctSortedKeys(4000, /*seed=*/61, /*mean_gap=*/8);
+  for (const char* text : {"part:16/css:16", "part:8/lcss:32"}) {
+    const IndexSpec spec = *IndexSpec::Parse(text);
+    auto current = PartitionedIndex::BuildOwned(spec, keys.data(), keys.size());
+    std::vector<Key> merged = keys;
+    for (int round = 0; round < 3; ++round) {
+      // Touch the first shard and one in the middle: insert the absent
+      // successor of each one's first key, delete a key of the middle one.
+      const size_t mid = current->num_shards() / 2;
+      std::vector<Key> inserts;
+      for (size_t s : {size_t{0}, mid}) {
+        Key candidate = merged[current->ShardBase(s)] + 1;
+        if (!std::binary_search(merged.begin(), merged.end(), candidate)) {
+          inserts.push_back(candidate);
+        }
+      }
+      std::sort(inserts.begin(), inserts.end());
+      const std::vector<Key> deletes{merged[current->ShardBase(mid) + 1]};
+      auto refreshed = current->RefreshWithSortedBatch(inserts, deletes);
+      ASSERT_FALSE(refreshed.rebalanced);
+      ASSERT_GE(refreshed.shards_rebuilt, 1u);
+      merged = *refreshed.merged_keys;
+      current = refreshed.index;  // drops the predecessor and its shards
+      const AnyIndex part(spec, current);
+      const AnyIndex bare = BuildIndex(spec.Inner(), merged);
+      ExpectSameAnswersAtEveryBatch(part, bare, NeighborProbes(merged),
+                                    std::string(text) + " round " +
+                                        std::to_string(round));
+    }
+  }
 }
 
 }  // namespace
