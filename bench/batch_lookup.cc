@@ -32,14 +32,19 @@
 // part:K, snapshot-published either way), in refreshed keys/s across
 // batch fractions. Recorded in a "maintenance" JSON block whose speedup
 // column is incremental-vs-full — in the baseline gate, plus an absolute
-// floor for part:* rows (gate maintenance_part_speedup).
+// floor for part:* rows (gate maintenance_part_speedup) — and whose
+// minor_faults_per_apply counts the pages the refresh first-touches
+// (getrusage, fewest over the repeats).
 //
 //   $ ./bench_batch_lookup [--n=10000000] [--lookups=1000000]
 //                          [--threads=1,2,4,8] [--json=...] [--quick]
 //                          [--range] [--part] [--update]
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,6 +80,13 @@ bench::Report::Fields& AddSpeedupRow(bench::Report& report,
       .Set("scalar_ns_per_probe", scalar_ns)
       .Set("batched_ns_per_probe", batched_ns)
       .Set("speedup", scalar_ns / batched_ns);
+}
+
+/// This process's minor page faults so far.
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
 }
 
 std::vector<int> ParseThreadList(const std::string& text) {
@@ -353,13 +365,18 @@ int main(int argc, char** argv) {
           if (sec < full_best) full_best = sec;
         }
         // Incremental: one ApplyBatch on a maintained index (fresh per
-        // repeat — the batch must always hit the pristine version).
+        // repeat — the batch must always hit the pristine version). Its
+        // minor page faults are the pages the refresh first-touches: the
+        // buffers it writes.
         double incr_best = 1e300;
+        long faults_best = std::numeric_limits<long>::max();
         for (int r = 0; r < repeats; ++r) {
           MaintainedIndex maintained(spec, keys);
+          const long faults = MinorFaults();
           Timer timer;
           maintained.ApplyBatch(batch);
           double sec = timer.Seconds();
+          faults_best = std::min(faults_best, MinorFaults() - faults);
           bench::g_sink =
               bench::g_sink + maintained.Snapshot()->index().SpaceBytes();
           if (sec < incr_best) incr_best = sec;
@@ -368,7 +385,8 @@ int main(int argc, char** argv) {
         // refresh, both in ns per live key; "batch" is the batch's keys.
         AddSpeedupRow(report, "maintenance", spec.ToString(), batch_keys,
                       full_best / static_cast<double>(n) * 1e9,
-                      incr_best / static_cast<double>(n) * 1e9);
+                      incr_best / static_cast<double>(n) * 1e9)
+            .Set("minor_faults_per_apply", faults_best);
       }
     }
   }

@@ -36,9 +36,10 @@
 // that arrive already in order against BuildIndex of the same keys, best
 // of 5. A load checks the keys' order in one pass and sorts only when the
 // check fails, so loading sorted keys should cost little more than the
-// directory build (§2.2's one-pass bottom-up build); gate
-// serving_load_vs_build caps the css:16 ratio. The part:16/css:16 row is
-// not gated: its load also copies every shard's keys into the shard.
+// directory build (§2.2's one-pass bottom-up build). Gates
+// serving_load_vs_build (css:16) and serving_part_load_vs_build
+// (part:16/css:16) cap the two rows' ratios; a part:16/css:16 load's
+// shards alias the loaded array, so it copies no key either.
 //
 //   $ ./bench_serving [--n=2000000] [--readers=2] [--find-batch=256]
 //                     [--update-keys=256] [--duration-ms=500]

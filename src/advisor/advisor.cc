@@ -11,6 +11,7 @@
 #include "analytic/time_model.h"
 #include "core/any_index.h"
 #include "core/builder.h"
+#include "core/simd_node_search.h"
 #include "util/rng.h"
 
 namespace cssidx::advisor {
@@ -142,6 +143,32 @@ double Ns(const DescentCost& d, const AdvisorOptions& opts) {
          d.moves * opts.move_ns;
 }
 
+/// How many times slower `method`'s descent runs when the node search
+/// dispatches to the scalar kernels (no SIMD path on this CPU, or
+/// CSSIDX_FORCE_SCALAR) than the SIMD kernels the weights above price:
+/// the search in each node becomes log2(m) dependent, mispredict-prone
+/// branches instead of one vector compare. Measured with FindBatch of
+/// 4,096 probes over 100K-10M u32 keys, AVX2 build against
+/// CSSIDX_FORCE_SCALAR=1, 4-vCPU VM: CSS descents read 2.3x at 10M keys
+/// and 3.3-5.5x in cache, and are charged the smallest reading; B+-tree
+/// and T-tree descents read 1.0-1.6x (1.3-1.6x on advisor_test's
+/// update-heavy cycle) and are charged 1.35x. Methods without a node
+/// search do not dispatch, and hash's bucket scan sits behind its two
+/// line misses.
+double ScalarNodeSearchSlowdown(Method method) {
+  if (ActiveNodeSearchPath() != NodeSearchPath::kScalar) return 1.0;
+  switch (method) {
+    case Method::kFullCss:
+    case Method::kLevelCss:
+      return 2.3;
+    case Method::kBPlusTree:
+    case Method::kTTree:
+      return 1.35;
+    default:
+      return 1.0;
+  }
+}
+
 }  // namespace
 
 ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
@@ -155,7 +182,7 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
   // --- Probe cost: descend the (inner) structure, weighted by the mix.
   double inner_n = K > 0 ? nn / K : nn;
   DescentCost point = MethodDescent(spec, inner_n, width, opts);
-  double point_ns = Ns(point, opts);
+  double point_ns = Ns(point, opts) * ScalarNodeSearchSlowdown(spec.method());
   if (K > 0) {
     // The fence table is the first level of one lockstep descent: a
     // branch-free count over K - 1 cached fences, then the probe joins

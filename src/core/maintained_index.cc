@@ -1,12 +1,68 @@
 #include "core/maintained_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <utility>
 
 #include "core/builder.h"
 
 namespace cssidx {
+
+namespace {
+
+std::atomic<uint64_t> g_key_array_materializations{0};
+
+}  // namespace
+
+uint64_t KeyArrayMaterializations() {
+  return g_key_array_materializations.load(std::memory_order_relaxed);
+}
+
+template <typename KeyT>
+BasicMaintainedIndex<KeyT>::Version::Version(
+    std::shared_ptr<const std::vector<KeyT>> keys,
+    std::shared_ptr<const BasicPartitionedIndex<KeyT>> part,
+    BasicAnyIndex<KeyT> index, uint64_t sequence,
+    std::shared_ptr<const void> payload)
+    : keys_(std::move(keys)), part_(std::move(part)),
+      index_(std::move(index)), sequence_(sequence),
+      payload_(std::move(payload)) {
+  assert(keys_ != nullptr || part_ != nullptr);
+  if (part_ != nullptr) {
+    size_ = part_->size();
+    segments_.reserve(part_->num_shards());
+    for (size_t s = 0; s < part_->num_shards(); ++s) {
+      segments_.push_back(part_->shard_keys(s));
+    }
+  } else {
+    size_ = keys_->size();
+    segments_.emplace_back(*keys_);
+  }
+}
+
+template <typename KeyT>
+const std::vector<KeyT>& BasicMaintainedIndex<KeyT>::Version::keys() const {
+  if (keys_ != nullptr) return *keys_;
+  std::call_once(materialize_once_, [this] {
+    materialized_ = part_->ConcatenatedKeys();
+    g_key_array_materializations.fetch_add(1, std::memory_order_relaxed);
+  });
+  return materialized_;
+}
+
+template <typename KeyT>
+size_t BasicMaintainedIndex<KeyT>::Version::LowerBound(KeyT k) const {
+  if (index_.SupportsOrderedAccess()) return index_.LowerBound(k);
+  // Everything before the routed shard is below k and everything after
+  // it at or above, so the answer lies inside it.
+  const size_t s = part_ != nullptr ? part_->ShardOf(k) : 0;
+  const std::span<const KeyT> segment = segments_[s];
+  return (part_ != nullptr ? part_->ShardBase(s) : 0) +
+         static_cast<size_t>(
+             std::lower_bound(segment.begin(), segment.end(), k) -
+             segment.begin());
+}
 
 template <typename KeyT>
 std::shared_ptr<const typename BasicMaintainedIndex<KeyT>::Version>
@@ -17,11 +73,14 @@ BasicMaintainedIndex<KeyT>::MakeVersion(
   BasicAnyIndex<KeyT> index;
   if (spec.partitioned() && spec.OnMenu() &&
       spec.key_width() == static_cast<int>(sizeof(KeyT))) {
-    // Owned build: each shard's keys in their own buffer, so a later
+    // Owned build: the shards alias the array, so a later
     // RefreshWithSortedBatch can reuse untouched shards by shared ownership.
-    part = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys->data(),
-                                                   keys->size());
-    if (part->ok()) index = BasicAnyIndex<KeyT>(spec, part);
+    part = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys);
+    if (part->ok()) {
+      index = BasicAnyIndex<KeyT>(spec, part);
+    } else {
+      part = nullptr;
+    }
   } else {
     index = BuildIndexT<KeyT>(spec, keys->data(), keys->size());
   }
@@ -55,7 +114,7 @@ void BasicMaintainedIndex<KeyT>::ApplyBatch(
 
 template <typename KeyT>
 void BasicMaintainedIndex<KeyT>::CommitBatch(
-    const std::vector<KeyT>& keys, const std::vector<KeyT>& sorted_inserts,
+    KeyT min_key, KeyT max_key, const std::vector<KeyT>& sorted_inserts,
     const std::vector<KeyT>& sorted_deletes,
     std::shared_ptr<const Version> fresh) {
   ++stats_.batches;
@@ -67,7 +126,7 @@ void BasicMaintainedIndex<KeyT>::CommitBatch(
     // extremes are at the ends. Feeds the advisor's part:K touched-shards
     // estimate (a narrow span touches few shards).
     double span_fraction = 0.0;
-    if (!keys.empty() && keys.back() > keys.front()) {
+    if (max_key > min_key) {
       KeyT lo = !sorted_inserts.empty() ? sorted_inserts.front()
                                         : sorted_deletes.front();
       KeyT hi = !sorted_inserts.empty() ? sorted_inserts.back()
@@ -77,7 +136,7 @@ void BasicMaintainedIndex<KeyT>::CommitBatch(
         hi = std::max(hi, sorted_deletes.back());
       }
       span_fraction = static_cast<double>(hi - lo) /
-                      static_cast<double>(keys.back() - keys.front());
+                      static_cast<double>(max_key - min_key);
     }
     stats_collector_->RecordUpdate(sorted_inserts.size(),
                                    sorted_deletes.size(), span_fraction);
@@ -102,9 +161,9 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
         part->RefreshWithSortedBatch(sorted_inserts, sorted_deletes);
     BasicAnyIndex<KeyT> facade(spec_, refreshed.index);
     facade.AttachStats(stats_collector_);
-    fresh = std::make_shared<const Version>(
-        std::move(refreshed.merged_keys), refreshed.index, std::move(facade),
-        sequence_ + 1, old->payload());
+    fresh = std::make_shared<const Version>(nullptr, refreshed.index,
+                                            std::move(facade), sequence_ + 1,
+                                            old->payload());
     if (refreshed.rebalanced) {
       ++stats_.full_rebuilds;
       ++stats_.rebalances;
@@ -116,12 +175,14 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
     fresh = MakeVersion(
         spec_,
         std::make_shared<const std::vector<KeyT>>(
-            workload::ApplySortedBatch<KeyT>(old->keys(), sorted_inserts,
+            workload::ApplySortedBatch<KeyT>(*old->keys_ptr(), sorted_inserts,
                                              sorted_deletes)),
         sequence_ + 1, old->payload());
     ++stats_.full_rebuilds;
   }
-  CommitBatch(old->keys(), sorted_inserts, sorted_deletes, std::move(fresh));
+  const bool empty = old->size() == 0;
+  CommitBatch(empty ? KeyT{} : old->front(), empty ? KeyT{} : old->back(),
+              sorted_inserts, sorted_deletes, std::move(fresh));
 }
 
 template <typename KeyT>
@@ -148,8 +209,11 @@ void BasicMaintainedIndex<KeyT>::RebuildWithSortedBatch(
                                    sorted_base, sorted_inserts,
                                    sorted_deletes)),
                            sequence_ + 1, std::move(payload));
+  const bool empty = sorted_base.empty();
   ++stats_.full_rebuilds;
-  CommitBatch(sorted_base, sorted_inserts, sorted_deletes, std::move(fresh));
+  CommitBatch(empty ? KeyT{} : sorted_base.front(),
+              empty ? KeyT{} : sorted_base.back(), sorted_inserts,
+              sorted_deletes, std::move(fresh));
 }
 
 template <typename KeyT>
@@ -157,8 +221,15 @@ bool BasicMaintainedIndex<KeyT>::RebuildWithSpec(const IndexSpec& new_spec) {
   IndexSpec forced = new_spec.WithKeyWidth(static_cast<int>(sizeof(KeyT)));
   if (!forced.OnMenu()) return false;
   auto old = Snapshot();
+  // A refreshed part:K version has no contiguous array: concatenate its
+  // shards once, as any whole-structure rebuild reads every key anyway.
+  std::shared_ptr<const std::vector<KeyT>> keys = old->keys_ptr();
+  if (keys == nullptr) {
+    keys = std::make_shared<const std::vector<KeyT>>(
+        old->partitioned()->ConcatenatedKeys());
+  }
   auto fresh =
-      MakeVersion(forced, old->keys_ptr(), sequence_ + 1, old->payload());
+      MakeVersion(forced, std::move(keys), sequence_ + 1, old->payload());
   if (!fresh->index()) return false;  // builder refused the spec
   spec_ = forced;
   ++stats_.full_rebuilds;

@@ -44,7 +44,7 @@
 //     such a reader takes no lock and writes nothing shared: neither the
 //     mutex nor the version's reference count.
 //   - A version may carry a payload the writer attaches and this class
-//     never reads (a string table's dictionary, whose IDs keys() holds).
+//     never reads (a string table's dictionary, whose IDs are its keys).
 //     It rides the same pointer swap as the keys, so a reader can never
 //     pair it with another version's keys. Refreshes, spec swaps and
 //     EnableStats carry the current payload forward; the constructor and
@@ -62,12 +62,19 @@
 // stay fixed across refreshes until equi-depth skew exceeds
 // kRebalanceSkew, which triggers one full rebuild with fresh cuts.
 //
-// Memory: every version publishes a contiguous merged key array (what
-// keys() returns and what the engine's RID lists align to); partitioned
-// versions additionally hold the per-shard buffers their inner indexes
-// point into, so a maintained part:K index carries ~2x the key bytes of
-// a bare one — the price of capping old-version retention at the shard
-// granularity instead of whole arrays.
+// Memory: a version holds its keys once. A version built from one
+// contiguous array (the initial load, Rebuild, RebuildWithSortedBatch, a
+// spec swap) holds that array, and a partitioned one's shards alias their
+// slices of it. A refreshed part:K version holds only its shard slices:
+// the touched shards' fresh buffers plus the untouched shards' slices,
+// shared with the version before. A loaded array therefore lives until
+// its last aliasing shard is refreshed away: a maintained part:K version
+// holds at most the loaded array plus one buffer per refreshed shard,
+// about twice the key bytes in the worst case — what every part:K
+// version held when it also carried a contiguous merged copy — and one
+// loaded array plus the few shards a local batch stream touches in the
+// common case. Version::keys() concatenates a refreshed version's shards
+// on demand, once; serving paths never ask.
 
 namespace cssidx {
 
@@ -89,31 +96,51 @@ struct MaintenanceStats {
 template <typename KeyT>
 class BasicMaintainedIndex {
  public:
-  /// An immutable published version: the merged sorted key array plus the
-  /// index built over it. For partitioned specs, partitioned() exposes
-  /// the composite for structural inspection (shard identity, fences).
+  /// An immutable published version: the sorted keys plus the index
+  /// built over them. The keys are read through Segments(): one span over
+  /// the contiguous array the version was built from, or for partitioned
+  /// specs one span per shard — a refreshed part:K version holds only its
+  /// shards. partitioned() exposes the composite for structural
+  /// inspection (shard identity, fences).
   class Version {
    public:
+    /// `keys` is the contiguous sorted array the version was built from;
+    /// it may be null only for a partitioned version, whose keys are
+    /// then its shards'.
     Version(std::shared_ptr<const std::vector<KeyT>> keys,
             std::shared_ptr<const BasicPartitionedIndex<KeyT>> part,
             BasicAnyIndex<KeyT> index, uint64_t sequence = 0,
-            std::shared_ptr<const void> payload = nullptr)
-        : keys_(std::move(keys)), part_(std::move(part)),
-          index_(std::move(index)), sequence_(sequence),
-          payload_(std::move(payload)) {}
+            std::shared_ptr<const void> payload = nullptr);
     Version(const Version&) = delete;
     Version& operator=(const Version&) = delete;
 
     const BasicAnyIndex<KeyT>& index() const { return index_; }
-    const std::vector<KeyT>& keys() const { return *keys_; }
+    size_t size() const { return size_; }
+    /// The sorted keys as consecutive spans: global position i is the
+    /// i-th key of their concatenation. Per shard for partitioned specs
+    /// (empty shards included), one span otherwise. Loops over every key
+    /// iterate these, not KeyAt.
+    std::span<const std::span<const KeyT>> Segments() const {
+      return segments_;
+    }
+    /// The key at position i (< size()).
+    KeyT KeyAt(size_t i) const {
+      return keys_ ? (*keys_)[i] : part_->KeyAt(i);
+    }
+    /// Smallest and largest key; the version must not be empty.
+    KeyT front() const { return KeyAt(0); }
+    KeyT back() const { return KeyAt(size_ - 1); }
+    /// The keys as one contiguous array: the array the version was built
+    /// from, or — for a refreshed part:K version — its shards
+    /// concatenated on the first call (at most once per version, safe
+    /// from any number of threads; KeyArrayMaterializations() counts
+    /// these). For tools and tests; serving paths read Segments().
+    const std::vector<KeyT>& keys() const;
     /// First position whose key is >= k, for every spec on the menu:
     /// ordered methods descend their structure; hash, which has no
-    /// ordered access, binary-searches this version's sorted key array.
-    size_t LowerBound(KeyT k) const {
-      if (index_.SupportsOrderedAccess()) return index_.LowerBound(k);
-      return static_cast<size_t>(
-          std::lower_bound(keys_->begin(), keys_->end(), k) - keys_->begin());
-    }
+    /// ordered access, binary-searches the one segment the key routes
+    /// to (by fence for part:K/hash, the whole array otherwise).
+    size_t LowerBound(KeyT k) const;
     /// Non-null only for partitioned specs.
     const BasicPartitionedIndex<KeyT>* partitioned() const {
       return part_.get();
@@ -123,8 +150,9 @@ class BasicMaintainedIndex {
     /// version, so a reader can report which state its results are
     /// consistent-as-of — the serving layer's versioning contract.
     uint64_t sequence() const { return sequence_; }
-    /// Shared ownership of the merged key array — lets a spec swap rebuild
-    /// onto the same keys without copying them.
+    /// Shared ownership of the contiguous array the version was built
+    /// from — lets a spec swap rebuild onto the same keys without copying
+    /// them. Null for a refreshed part:K version.
     const std::shared_ptr<const std::vector<KeyT>>& keys_ptr() const {
       return keys_;
     }
@@ -138,6 +166,11 @@ class BasicMaintainedIndex {
     BasicAnyIndex<KeyT> index_;
     uint64_t sequence_ = 0;
     std::shared_ptr<const void> payload_;
+    size_t size_ = 0;
+    std::vector<std::span<const KeyT>> segments_;
+    /// keys() of a version without keys_: the shards, concatenated once.
+    mutable std::once_flag materialize_once_;
+    mutable std::vector<KeyT> materialized_;
   };
 
   /// Nested alias for the shared counters type, kept so existing
@@ -272,7 +305,7 @@ class BasicMaintainedIndex {
     return Snapshot()->index().CountEqual(k);
   }
 
-  size_t size() const { return Snapshot()->keys().size(); }
+  size_t size() const { return Snapshot()->size(); }
   bool SupportsOrderedAccess() const {
     return Snapshot()->index().SupportsOrderedAccess();
   }
@@ -288,9 +321,11 @@ class BasicMaintainedIndex {
       uint64_t sequence, std::shared_ptr<const void> payload) const;
 
   /// Commits a batch whose version `fresh` (at sequence_ + 1) is built:
-  /// counts it against `keys` (the key array it applied to) in stats_ and
-  /// the probe-stats collector, then publishes. Throws nothing.
-  void CommitBatch(const std::vector<KeyT>& keys,
+  /// counts it against [min_key, max_key] (the key range of the array it
+  /// applied to; equal bounds when that array held fewer than two
+  /// distinct keys) in stats_ and the probe-stats collector, then
+  /// publishes. Throws nothing.
+  void CommitBatch(KeyT min_key, KeyT max_key,
                    const std::vector<KeyT>& sorted_inserts,
                    const std::vector<KeyT>& sorted_deletes,
                    std::shared_ptr<const Version> fresh);
@@ -320,6 +355,11 @@ class BasicMaintainedIndex {
   /// polling it share the line with nothing the writer or a re-pin writes.
   alignas(64) std::atomic<uint64_t> publish_epoch_{0};
 };
+
+/// Process-wide count of Version::keys() calls that concatenated a
+/// version's shards (every key width). Serving and engine paths read
+/// Segments(), so they never move it.
+uint64_t KeyArrayMaterializations();
 
 using MaintainedIndex = BasicMaintainedIndex<Key>;
 using MaintainedIndex64 = BasicMaintainedIndex<Key64>;

@@ -133,9 +133,9 @@ void BasicPartitionedIndex<KeyT>::LockstepBatch(
 }
 
 template <typename KeyT>
-void BasicPartitionedIndex<KeyT>::Init(const IndexSpec& spec,
-                                       const KeyT* keys, size_t n,
-                                       bool own_keys) {
+void BasicPartitionedIndex<KeyT>::Init(
+    const IndexSpec& spec, const KeyT* keys, size_t n,
+    const std::shared_ptr<const void>& owner) {
   n_ = n;
   spec_ = spec;
   const size_t k = static_cast<size_t>(std::max(spec.partitions(), 1));
@@ -143,21 +143,13 @@ void BasicPartitionedIndex<KeyT>::Init(const IndexSpec& spec,
   ordered_ = inner.ordered();
   ComputeCuts(keys, n, k, bases_, fences_);
   shards_.reserve(k);
-  if (own_keys) owned_.reserve(k);
+  slices_.reserve(k);
   if (CssInner(inner)) views_.reserve(k);
   for (size_t s = 0; s < k; ++s) {
-    const KeyT* base = keys + bases_[s];
-    const size_t len = bases_[s + 1] - bases_[s];
+    const Slice& slice = slices_.emplace_back(
+        Slice{owner, keys + bases_[s], bases_[s + 1] - bases_[s]});
     View view;
-    if (own_keys) {
-      auto buffer =
-          std::make_shared<const std::vector<KeyT>>(base, base + len);
-      shards_.push_back(
-          BuildShard(inner, buffer->data(), buffer->size(), &view));
-      owned_.push_back(std::move(buffer));
-    } else {
-      shards_.push_back(BuildShard(inner, base, len, &view));
-    }
+    shards_.push_back(BuildShard(inner, slice.data, slice.len, &view));
     if (lockstep_find_ != nullptr) {
       view.base = bases_[s];
       views_.push_back(view);
@@ -169,16 +161,16 @@ template <typename KeyT>
 BasicPartitionedIndex<KeyT>::BasicPartitionedIndex(const IndexSpec& spec,
                                                    const KeyT* keys,
                                                    size_t n) {
-  Init(spec, keys, n, /*own_keys=*/false);
+  Init(spec, keys, n, /*owner=*/nullptr);
 }
 
 template <typename KeyT>
 std::shared_ptr<const BasicPartitionedIndex<KeyT>>
-BasicPartitionedIndex<KeyT>::BuildOwned(const IndexSpec& spec,
-                                        const KeyT* keys, size_t n) {
+BasicPartitionedIndex<KeyT>::BuildOwned(
+    const IndexSpec& spec, std::shared_ptr<const std::vector<KeyT>> keys) {
   auto built =
       std::shared_ptr<BasicPartitionedIndex>(new BasicPartitionedIndex());
-  built->Init(spec, keys, n, /*own_keys=*/true);
+  built->Init(spec, keys->data(), keys->size(), keys);
   return built;
 }
 
@@ -214,43 +206,37 @@ BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
   const std::vector<size_t> ins_cut = split(inserts);
   const std::vector<size_t> del_cut = split(deletes);
 
+  // Only a touched shard gets a buffer of its own; every other slice
+  // (and whatever array it aliases) is shared with the successor.
   Refreshed out;
-  std::vector<std::shared_ptr<const std::vector<KeyT>>> buffers(k);
+  std::vector<Slice> slices = slices_;
   std::vector<bool> touched(k, false);
   for (size_t s = 0; s < k; ++s) {
     touched[s] = ins_cut[s + 1] > ins_cut[s] || del_cut[s + 1] > del_cut[s];
-    if (!touched[s]) {
-      buffers[s] = owned_[s];
-      continue;
-    }
-    buffers[s] = std::make_shared<const std::vector<KeyT>>(
+    if (!touched[s]) continue;
+    auto buffer = std::make_shared<const std::vector<KeyT>>(
         workload::ApplySortedBatch<KeyT>(
-            *owned_[s],
+            slices_[s].keys(),
             inserts.subspan(ins_cut[s], ins_cut[s + 1] - ins_cut[s]),
             deletes.subspan(del_cut[s], del_cut[s + 1] - del_cut[s])));
+    slices[s] = Slice{buffer, buffer->data(), buffer->size()};
     ++out.shards_rebuilt;
   }
 
-  // New layout, plus the contiguous merged array snapshots publish.
   std::vector<size_t> bases(k + 1, 0);
   size_t max_len = 0;
   for (size_t s = 0; s < k; ++s) {
-    bases[s + 1] = bases[s] + buffers[s]->size();
-    max_len = std::max(max_len, buffers[s]->size());
+    bases[s + 1] = bases[s] + slices[s].len;
+    max_len = std::max(max_len, slices[s].len);
   }
   const size_t total = bases[k];
-  auto merged = std::make_shared<std::vector<KeyT>>();
-  merged->reserve(total);
-  for (const auto& buffer : buffers) {
-    merged->insert(merged->end(), buffer->begin(), buffer->end());
-  }
-  out.merged_keys = merged;
 
   // Equi-depth skew gate: a drifting workload (e.g. append-heavy inserts
   // all landing in one shard) eventually concentrates the array behind a
   // few fences; rebuild with fresh cuts before routing degenerates.
   if (total > 0 && max_len * k > kRebalanceSkew * total) {
-    out.index = BuildOwned(spec_, merged->data(), merged->size());
+    out.index = BuildOwned(spec_, std::make_shared<const std::vector<KeyT>>(
+                                      Concatenate(slices, total)));
     out.shards_rebuilt = k;
     out.rebalanced = true;
     return out;
@@ -276,16 +262,43 @@ BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
       continue;
     }
     View view;
-    fresh->shards_.push_back(fresh->BuildShard(inner, buffers[s]->data(),
-                                               buffers[s]->size(), &view));
+    fresh->shards_.push_back(
+        fresh->BuildShard(inner, slices[s].data, slices[s].len, &view));
     if (!fresh->views_.empty()) fresh->views_[s] = view;
   }
   for (size_t s = 0; s < fresh->views_.size(); ++s) {
     fresh->views_[s].base = fresh->bases_[s];
   }
-  fresh->owned_ = std::move(buffers);
+  fresh->slices_ = std::move(slices);
   out.index = std::move(fresh);
   return out;
+}
+
+template <typename KeyT>
+KeyT BasicPartitionedIndex<KeyT>::KeyAt(size_t i) const {
+  assert(i < n_);
+  // The last shard starting at or before i; empty shards share their
+  // base with the next one, so this lands on the shard holding i.
+  const size_t s = static_cast<size_t>(
+      std::upper_bound(bases_.begin() + 1, bases_.end() - 1, i) -
+      (bases_.begin() + 1));
+  return slices_[s].data[i - bases_[s]];
+}
+
+template <typename KeyT>
+std::vector<KeyT> BasicPartitionedIndex<KeyT>::Concatenate(
+    std::span<const Slice> slices, size_t n) {
+  std::vector<KeyT> keys;
+  keys.reserve(n);
+  for (const Slice& slice : slices) {
+    keys.insert(keys.end(), slice.data, slice.data + slice.len);
+  }
+  return keys;
+}
+
+template <typename KeyT>
+std::vector<KeyT> BasicPartitionedIndex<KeyT>::ConcatenatedKeys() const {
+  return Concatenate(slices_, n_);
 }
 
 template <typename KeyT>
@@ -491,10 +504,8 @@ size_t BasicPartitionedIndex<KeyT>::SpaceBytes() const {
   for (const BasicAnyIndex<KeyT>& shard : shards_) {
     total += shard.SpaceBytes();
   }
-  // Owned (maintained-path) indexes hold a per-shard copy of the keys on
-  // top of whatever contiguous array the snapshot publishes.
-  for (const auto& buffer : owned_) {
-    total += buffer->capacity() * sizeof(KeyT);
+  if (owns_shard_keys()) {
+    for (const Slice& slice : slices_) total += slice.len * sizeof(KeyT);
   }
   return total;
 }

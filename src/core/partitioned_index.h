@@ -27,7 +27,7 @@
 // shards' directories in lockstep (BasicCssTree::LowerBoundLanes over
 // one CssTreeView per shard, built with the version). Results come back
 // as global positions (shard base + shard-local position); a Find is
-// hit-tested against the shard's own key buffer. Other inner methods
+// hit-tested against the shard's own keys. Other inner methods
 // route through Route: the probes are bucketed per shard (a counting
 // sort that remembers each probe's input slot), the inner kernels run
 // shard-local, and results scatter back to input order as global
@@ -46,10 +46,14 @@
 // Maintenance: the fence structure is also what makes the paper's
 // rebuild-on-batch model cheap. An update batch routes through the same
 // fence table as probes, so only the shards whose key range the batch
-// touches need re-merging and rebuilding; BuildOwned gives each shard its
-// own key buffer so RefreshWithSortedBatch can share every untouched
-// shard — buffer and inner index — with the refreshed successor (see
-// core/maintained_index.h for the snapshot lifecycle around this).
+// touches need re-merging and rebuilding. Each shard reads its keys
+// through a slice (an owner, a pointer and a length): a BuildOwned index
+// holds the caller's sorted array and every shard aliases its part of
+// it, and RefreshWithSortedBatch gives each touched shard a fresh buffer
+// of its own while every untouched shard — slice and inner index — is
+// shared with the refreshed successor. No version keeps a second,
+// contiguous copy of its keys (see core/maintained_index.h for the
+// snapshot lifecycle around this).
 
 namespace cssidx {
 
@@ -71,28 +75,27 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   BasicPartitionedIndex(const IndexSpec& spec, const KeyT* keys, size_t n);
 
   /// Maintained-path factory: same structure as the non-owning
-  /// constructor, but every shard's keys are copied into a buffer the
-  /// index owns (a shared_ptr), so RefreshWithSortedBatch can hand
-  /// untouched shards — buffer and inner index both — to its successor by
-  /// shared ownership. `keys` may be freed after the call.
+  /// constructor over keys->data(), but the index holds `keys`: every
+  /// shard aliases its slice of the array, which is never copied and
+  /// lives until the last shard aliasing it is refreshed away. Untouched
+  /// shards — slice and inner index both — then pass to each
+  /// RefreshWithSortedBatch successor by shared ownership.
   static std::shared_ptr<const BasicPartitionedIndex> BuildOwned(
-      const IndexSpec& spec, const KeyT* keys, size_t n);
+      const IndexSpec& spec, std::shared_ptr<const std::vector<KeyT>> keys);
 
   /// One shard-incremental maintenance step (the paper's batch model on
   /// the fence structure), valid only for BuildOwned /
   /// RefreshWithSortedBatch products. The batch routes through the fence
   /// table exactly like probes do; only the shards whose key range the
   /// batch touches are re-merged (workload::ApplySortedBatch, shard-local)
-  /// and rebuilt, and every untouched shard is shared with the returned
-  /// successor. Fences are kept as-is unless the refresh leaves the
-  /// largest shard more than kRebalanceSkew times the equi-depth target,
-  /// in which case the whole structure is rebuilt with fresh equi-depth
-  /// fences.
+  /// into fresh buffers and rebuilt, and every untouched shard is shared
+  /// with the returned successor. Fences are kept as-is unless the
+  /// refresh leaves the largest shard more than kRebalanceSkew times the
+  /// equi-depth target, in which case the shards are concatenated once
+  /// and the whole structure is rebuilt over that array (BuildOwned)
+  /// with fresh equi-depth fences.
   struct Refreshed {
     std::shared_ptr<const BasicPartitionedIndex> index;
-    /// The full merged key array, contiguous, for callers that publish a
-    /// (keys, index) snapshot pair.
-    std::shared_ptr<const std::vector<KeyT>> merged_keys;
     size_t shards_rebuilt = 0;
     bool rebalanced = false;
   };
@@ -123,6 +126,10 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   void CountEqualBatch(std::span<const KeyT> keys, std::span<size_t> out,
                        const ProbeOptions& opts) const override;
 
+  /// The shard directories and routing tables, plus — when the index
+  /// holds its keys (owns_shard_keys()) — each shard's slice length in
+  /// key bytes. A shard aliasing a loaded array counts its own slice,
+  /// never the whole array.
   size_t SpaceBytes() const override;
   size_t size() const override { return n_; }
   bool SupportsOrderedAccess() const override { return ordered_; }
@@ -144,9 +151,16 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// width. (The old single-width scheme fenced them at 2^32, a sentinel
   /// no uint32 probe could reach but every 64-bit key above 2^32 could.)
   std::span<const KeyT> fences() const { return fences_; }
+  /// Shard s's keys: global positions [ShardBase(s), ShardBase(s + 1)).
+  std::span<const KeyT> shard_keys(size_t s) const { return slices_[s].keys(); }
+  /// The key at global position i (< size()): one search of the shard
+  /// bases, then a load from that shard's slice.
+  KeyT KeyAt(size_t i) const;
+  /// Every shard's keys, concatenated into one sorted array.
+  std::vector<KeyT> ConcatenatedKeys() const;
   /// True for BuildOwned/RefreshWithSortedBatch products (the refreshable
   /// kind).
-  bool owns_shard_keys() const { return !owned_.empty(); }
+  bool owns_shard_keys() const { return slices_.front().owner != nullptr; }
 
  private:
   using View = CssTreeView<KeyT>;
@@ -156,12 +170,27 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   using LockstepFn = void (*)(const BasicPartitionedIndex&,
                               std::span<const KeyT>, std::span<Out>);
 
+  /// A shard's keys: `len` keys at `data`, kept alive by `owner` — the
+  /// loaded array a shard aliases, or the buffer a refresh merged for it.
+  /// The owner is null when the index does not hold its keys (the
+  /// non-owning constructor).
+  struct Slice {
+    std::shared_ptr<const void> owner;
+    const KeyT* data = nullptr;
+    size_t len = 0;
+    std::span<const KeyT> keys() const { return {data, len}; }
+  };
+
+  /// The keys of `slices` (n in total), one after the other.
+  static std::vector<KeyT> Concatenate(std::span<const Slice> slices,
+                                       size_t n);
   /// Uninitialized shell for the factory/refresh paths.
   BasicPartitionedIndex() = default;
   /// The one setup sequence behind both build modes: equi-depth cuts plus
-  /// per-shard inner builds, over the caller's array (own_keys = false)
-  /// or per-shard owned copies of it (own_keys = true).
-  void Init(const IndexSpec& spec, const KeyT* keys, size_t n, bool own_keys);
+  /// per-shard inner builds over keys[0..n), every shard's slice aliasing
+  /// it under `owner` (null for the non-owning constructor).
+  void Init(const IndexSpec& spec, const KeyT* keys, size_t n,
+            const std::shared_ptr<const void>& owner);
   /// The shared router: bucket `keys` per shard, run `probe(s, in, out)`
   /// shard-local, scatter `map(s, result)` back to input order. Dispatches
   /// whole shards to the pool per `opts`.
@@ -191,10 +220,10 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   std::vector<KeyT> fences_;
   std::vector<size_t> bases_;  // K + 1 entries, bases_[K] == n
   std::vector<BasicAnyIndex<KeyT>> shards_;  // K entries, maybe empty
-  /// Per-shard key buffers, non-empty only on the owned (maintained)
-  /// path: shard s's inner index points into *owned_[s], so a refresh can
-  /// pass both to the successor and the buffer dies with its last user.
-  std::vector<std::shared_ptr<const std::vector<KeyT>>> owned_;
+  /// K entries: shard s's inner index points into slices_[s], so a
+  /// refresh passes both to the successor, and a buffer or loaded array
+  /// dies with the last slice that aliases it.
+  std::vector<Slice> slices_;
   /// CSS inners only (empty otherwise): shard s's tree view, based at
   /// bases_[s]. It points into shards_[s]'s directory and shard s's keys,
   /// which this version holds, so it lives exactly as long as they do.

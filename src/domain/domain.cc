@@ -72,9 +72,24 @@ template <typename V>
 std::vector<uint32_t> Domain<V>::EncodeColumn(
     const std::vector<V>& column, std::vector<size_t>* missing) const {
   std::vector<uint32_t> ids(column.size());
-  for (size_t i = 0; i < column.size(); ++i) {
-    ids[i] = Encode(column[i]).value_or(kAbsentId);
-    if (ids[i] == kAbsentId && missing != nullptr) missing->push_back(i);
+  if constexpr (std::is_same_v<Lookup, V>) {
+    EncodeBatch(column, ids);
+  } else {
+    // String lookups are views: stage the column a block at a time.
+    constexpr size_t kBlock = 1024;
+    std::vector<Lookup> lookups;
+    lookups.reserve(std::min(column.size(), kBlock));
+    for (size_t i = 0; i < column.size(); i += kBlock) {
+      const size_t len = std::min(column.size() - i, kBlock);
+      lookups.assign(column.begin() + static_cast<ptrdiff_t>(i),
+                     column.begin() + static_cast<ptrdiff_t>(i + len));
+      EncodeBatch(lookups, std::span<uint32_t>(ids).subspan(i, len));
+    }
+  }
+  if (missing != nullptr) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] == kAbsentId) missing->push_back(i);
+    }
   }
   return ids;
 }
@@ -125,9 +140,15 @@ template class Domain<std::string>;
 
 std::vector<uint32_t> TranslateIds(const StringDomain& from,
                                    const StringDomain& to) {
-  std::vector<uint32_t> ids(from.size());
-  for (uint32_t i = 0; i < ids.size(); ++i) {
-    ids[i] = to.Encode(from.Decode(i)).value_or(kAbsentId);
+  // One merge over the two sorted, distinct value lists.
+  const std::vector<std::string>& a = from.values();
+  const std::vector<std::string>& b = to.values();
+  std::vector<uint32_t> ids(a.size(), kAbsentId);
+  for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    const int order = a[i].compare(b[j]);
+    if (order == 0) ids[i] = static_cast<uint32_t>(j);
+    i += order <= 0;
+    j += order >= 0;
   }
   return ids;
 }

@@ -77,8 +77,8 @@ class Domain {
   void EncodeBatch(std::span<const Lookup> lookups,
                    std::span<uint32_t> ids) const;
 
-  /// Encodes a column. Positions of values absent from the domain go to
-  /// `missing` (if given) and encode as kAbsentId.
+  /// Encodes a column through EncodeBatch. Positions of values absent
+  /// from the domain go to `missing` (if given) and encode as kAbsentId.
   std::vector<uint32_t> EncodeColumn(const std::vector<V>& column,
                                      std::vector<size_t>* missing) const;
 
@@ -143,8 +143,8 @@ using StringDomain = Domain<std::string>;
 /// Translates every ID of `from` into `to`'s ID space (kAbsentId where
 /// `to` lacks the value): entry i is the `to` ID of from.Decode(i). Two
 /// string columns carry two dictionaries, so equal values need not have
-/// equal IDs; a join translates once, O(|from| log |to|), then probes
-/// translated IDs.
+/// equal IDs; a join translates once, in one O(|from| + |to|) merge of
+/// the two sorted dictionaries, then probes translated IDs.
 std::vector<uint32_t> TranslateIds(const StringDomain& from,
                                    const StringDomain& to);
 

@@ -230,13 +230,21 @@ std::vector<Aggregates> GroupBy(const Table& table,
     const SortIndex& index = table.GetSortIndex(group_column);
     const size_t covered = index.LowerBound(num_groups);
     if (covered <= table.NumRows() / 4) {
-      const std::vector<uint32_t>& keys = index.sorted_keys();
-      GatherBlocks(values, std::span(index.rids()).first(covered),
-                   [&](std::span<const uint32_t> block, size_t offset) {
-                     for (size_t k = 0; k < block.size(); ++k) {
-                       groups[keys[offset + k]].Accumulate(block[k]);
-                     }
-                   });
+      // One gather per key segment: positions [base, base + len) of the
+      // prefix pair the segment's keys with their RIDs.
+      const std::span<const Rid> rids = std::span(index.rids()).first(covered);
+      size_t base = 0;
+      for (std::span<const uint32_t> keys : index.KeySegments()) {
+        const size_t len = std::min(keys.size(), covered - base);
+        GatherBlocks(values, rids.subspan(base, len),
+                     [&](std::span<const uint32_t> block, size_t offset) {
+                       for (size_t k = 0; k < block.size(); ++k) {
+                         groups[keys[offset + k]].Accumulate(block[k]);
+                       }
+                     });
+        base += len;
+        if (base == covered) break;
+      }
       accumulated = true;
     }
   }

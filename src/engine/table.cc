@@ -7,6 +7,7 @@
 
 #include "core/external_build.h"
 #include "util/sort.h"
+#include "workload/batch_update.h"
 
 namespace cssidx::engine {
 
@@ -70,28 +71,6 @@ SortIndex SortIndex::FromSorted(std::vector<uint32_t> sorted_keys,
   return out;
 }
 
-namespace {
-
-/// First position in [from, keys.size()) whose key is > v, by galloping
-/// from `from`: O(log d) for an answer d positions on, so a sorted batch
-/// walks the old keys once in total.
-size_t GallopUpperBound(const std::vector<uint32_t>& keys, size_t from,
-                        uint32_t v) {
-  // Invariant: every key before lo is <= v.
-  size_t lo = from, hi = from;
-  for (size_t step = 1; hi < keys.size() && keys[hi] <= v; step *= 2) {
-    lo = hi + 1;
-    hi = lo + step;
-  }
-  hi = std::min(hi, keys.size());
-  return static_cast<size_t>(
-      std::upper_bound(keys.begin() + static_cast<ptrdiff_t>(lo),
-                       keys.begin() + static_cast<ptrdiff_t>(hi), v) -
-      keys.begin());
-}
-
-}  // namespace
-
 void SortIndex::ApplyAppend(std::span<const uint32_t> values, Rid first_rid) {
   const size_t m = values.size();
   if (m == 0) return;
@@ -108,11 +87,26 @@ void SortIndex::ApplyAppend(std::span<const uint32_t> values, Rid first_rid) {
   // Where each appended row lands in the old list: after every old key
   // <= its value — existing rows win ties, as in the key merge
   // ApplySortedBatch performs (their RIDs are smaller by construction).
-  const std::vector<uint32_t>& old_keys = head_->keys();
-  const size_t n = old_keys.size();
+  // One galloping walk over the old keys' segments, in order: segment s
+  // starts at global position base, and the cursor is `from` within it.
+  const auto segments = head_->Segments();
+  const size_t n = head_->size();
   std::vector<size_t> at(m);
-  for (size_t j = 0, from = 0; j < m; ++j) {
-    from = at[j] = GallopUpperBound(old_keys, from, sorted_values[j]);
+  for (size_t j = 0, s = 0, base = 0, from = 0; j < m; ++j) {
+    const uint32_t v = sorted_values[j];
+    for (;;) {
+      const std::span<const uint32_t> keys = segments[s];
+      from = static_cast<size_t>(
+          workload::GallopPartitionPoint(keys.data() + from,
+                                         keys.data() + keys.size(),
+                                         [v](uint32_t k) { return k <= v; }) -
+          keys.data());
+      if (from < keys.size() || s + 1 == segments.size()) break;
+      base += keys.size();
+      from = 0;
+      ++s;
+    }
+    at[j] = base + from;
   }
   // Everything that can throw runs before rids_ changes: the geometric
   // reserve, then the key merge and its new version.
@@ -139,9 +133,9 @@ void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,
                             std::span<const Rid> remap,
                             std::span<const uint32_t> appended,
                             Rid first_rid) {
-  const std::vector<uint32_t>& old_keys = head_->keys();
-  assert(deleted.size() == old_keys.size());
-  assert(remap.size() == old_keys.size());
+  const size_t n = head_->size();
+  assert(deleted.size() == n);
+  assert(remap.size() == n);
 
   // Stage the appended rows exactly as ApplyAppend does: stably
   // value-sorted, so equal appended values keep RID order.
@@ -160,30 +154,41 @@ void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,
   // a value never lands on both the survivor and the reinsert side.
   std::vector<uint32_t> survivor_keys, reinsert_keys, delete_keys;
   std::vector<Rid> survivor_rids, reinsert_rids;
-  survivor_keys.reserve(old_keys.size());
-  survivor_rids.reserve(old_keys.size());
-  size_t i = 0;
-  while (i < old_keys.size()) {
-    const uint32_t v = old_keys[i];
-    size_t end = i + 1;
-    while (end < old_keys.size() && old_keys[end] == v) ++end;
+  survivor_keys.reserve(n);
+  survivor_rids.reserve(n);
+  // The run of value v over old positions [begin, end).
+  const auto flush_run = [&](uint32_t v, size_t begin, size_t end) {
     bool touched = false;
-    for (size_t p = i; p < end && !touched; ++p) touched = deleted[rids_[p]];
+    for (size_t p = begin; p < end && !touched; ++p) {
+      touched = deleted[rids_[p]];
+    }
     if (!touched) {
-      for (size_t p = i; p < end; ++p) {
+      for (size_t p = begin; p < end; ++p) {
         survivor_keys.push_back(v);
         survivor_rids.push_back(remap[rids_[p]]);
       }
-    } else {
-      delete_keys.push_back(v);
-      for (size_t p = i; p < end; ++p) {
-        if (deleted[rids_[p]]) continue;
-        reinsert_keys.push_back(v);
-        reinsert_rids.push_back(remap[rids_[p]]);
-      }
+      return;
     }
-    i = end;
+    delete_keys.push_back(v);
+    for (size_t p = begin; p < end; ++p) {
+      if (deleted[rids_[p]]) continue;
+      reinsert_keys.push_back(v);
+      reinsert_rids.push_back(remap[rids_[p]]);
+    }
+  };
+  size_t pos = 0, run_begin = 0;
+  uint32_t run_value = 0;
+  for (std::span<const uint32_t> segment : head_->Segments()) {
+    for (uint32_t v : segment) {
+      if (pos > run_begin && v != run_value) {
+        flush_run(run_value, run_begin, pos);
+        run_begin = pos;
+      }
+      run_value = v;
+      ++pos;
+    }
   }
+  if (pos > run_begin) flush_run(run_value, run_begin, pos);
 
   // Merge reinserted survivors with the sorted appends into one insert
   // list. Both sides are value-sorted; on ties the reinserts go first —
@@ -255,16 +260,9 @@ void SortIndex::LowerBoundBatch(std::span<const uint32_t> keys,
 }
 
 std::vector<Rid> SortIndex::Equal(uint32_t v) const {
-  std::vector<Rid> out;
-  int64_t found = head_->index().Find(v);
-  if (found == kNotFound) return out;
-  const std::vector<uint32_t>& keys = head_->keys();
-  auto pos = static_cast<size_t>(found);
-  while (pos < keys.size() && keys[pos] == v) {
-    out.push_back(rids_[pos]);
-    ++pos;
-  }
-  return out;
+  const PositionRange run = head_->index().EqualRange(v);
+  return std::vector<Rid>(rids_.begin() + static_cast<ptrdiff_t>(run.begin),
+                          rids_.begin() + static_cast<ptrdiff_t>(run.end));
 }
 
 std::vector<Rid> SortIndex::Range(uint32_t lo, uint32_t hi) const {
@@ -304,12 +302,16 @@ size_t SortIndex::SpaceBytes() const {
   // Size-based, not capacity-based: what the contents occupy, which is
   // the quantity the §5 space model predicts. Capacity slack (e.g. from
   // push_back-grown external-merge output) belongs to ReservedBytes().
-  return head_->keys().size() * sizeof(uint32_t) +
-         rids_.size() * sizeof(Rid) + head_->index().SpaceBytes();
+  return head_->size() * sizeof(uint32_t) + rids_.size() * sizeof(Rid) +
+         head_->index().SpaceBytes();
 }
 
 size_t SortIndex::ReservedBytes() const {
-  return head_->keys().capacity() * sizeof(uint32_t) +
+  // A refreshed part:K version has no contiguous array; its shard
+  // buffers are exactly sized.
+  const auto& array = head_->keys_ptr();
+  return (array != nullptr ? array->capacity() : head_->size()) *
+             sizeof(uint32_t) +
          rids_.capacity() * sizeof(Rid) + head_->index().SpaceBytes();
 }
 

@@ -232,6 +232,13 @@ class SortIndex {
     head_->index().EqualRangeBatch(keys, out, opts);
   }
 
+  /// The sorted key list as consecutive spans (one per shard for a
+  /// part:K spec): position i of their concatenation pairs with rids()[i].
+  std::span<const std::span<const uint32_t>> KeySegments() const {
+    return head_->Segments();
+  }
+  /// The sorted key list as one array; a refreshed part:K index
+  /// concatenates its shards on the first call. For tests and tools.
   const std::vector<uint32_t>& sorted_keys() const { return head_->keys(); }
   const std::vector<Rid>& rids() const { return rids_; }
   const IndexSpec& spec() const { return maintained_->spec(); }
@@ -262,7 +269,7 @@ class SortIndex {
   std::vector<Rid> rids_;
   /// Owns the sorted key array and the search structure, versioned. The
   /// head_ cache is the writer's view of the current version: position i
-  /// of head_->keys() pairs with rids_[i].
+  /// of its key segments pairs with rids_[i].
   std::unique_ptr<MaintainedIndex> maintained_;
   std::shared_ptr<const MaintainedIndex::Version> head_;
   bool external_build_ = false;

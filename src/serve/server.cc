@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -156,34 +158,47 @@ const Server::Table& Server::GetTable(std::string_view name) const {
 
 namespace {
 
+/// The IDs of `values` in `dictionary` (domain::kAbsentId where absent).
+std::vector<Key> EncodeAll(const domain::StringDomain& dictionary,
+                           const std::vector<std::string>& values) {
+  const std::vector<std::string_view> tokens(values.begin(), values.end());
+  std::vector<Key> ids(values.size());
+  dictionary.EncodeBatch(tokens, ids);
+  return ids;
+}
+
 /// Writer: one coalesced batch on a string table (§2.1), as one publish
 /// of the IDs together with the dictionary they are encoded in.
 void ApplyStringBatch(MaintainedIndex& index, const StringUpdateBatch& merged) {
   const auto snapshot = index.Snapshot();
   const auto& dictionary =
       *static_cast<const domain::StringDomain*>(snapshot->payload().get());
-  // Inserts of values the dictionary has never seen grow it and renumber
-  // its IDs (§2.1's batch-update model). Deletes never grow the domain: a
-  // value absent from the dictionary has no rows, so its delete is a
-  // no-op and is dropped at encode.
+  // Every token is encoded once, against the current dictionary. Deletes
+  // never grow the domain: a value absent from the dictionary has no
+  // rows, so its delete is a no-op and is dropped here.
+  std::vector<Key> inserts = EncodeAll(dictionary, merged.inserts);
+  std::vector<Key> deletes = EncodeAll(dictionary, merged.deletes);
+  std::erase(deletes, domain::kAbsentId);
   std::vector<std::string> fresh_values;
-  for (const std::string& v : merged.inserts) {
-    if (!dictionary.Encode(v)) fresh_values.push_back(v);
+  for (size_t i = 0; i < inserts.size(); ++i) {
+    if (inserts[i] == domain::kAbsentId) {
+      fresh_values.push_back(merged.inserts[i]);
+    }
   }
+  // Inserts of values the dictionary has never seen grow it and renumber
+  // its IDs (§2.1's batch-update model): present IDs map through the
+  // remap, and only the fresh values are encoded in the grown dictionary.
   std::vector<uint32_t> remap;
   std::shared_ptr<const domain::StringDomain> grown;
   if (!fresh_values.empty()) {
     grown = std::make_shared<const domain::StringDomain>(
         dictionary.Grown(fresh_values, &remap));
-  }
-  const domain::StringDomain& encoder = grown ? *grown : dictionary;
-  std::vector<Key> inserts, deletes;
-  inserts.reserve(merged.inserts.size());
-  for (const std::string& v : merged.inserts) {
-    inserts.push_back(*encoder.Encode(v));
-  }
-  for (const std::string& v : merged.deletes) {
-    if (auto id = encoder.Encode(v)) deletes.push_back(*id);
+    const std::vector<Key> fresh_ids = EncodeAll(*grown, fresh_values);
+    size_t f = 0;
+    for (Key& id : inserts) {
+      id = id == domain::kAbsentId ? fresh_ids[f++] : remap[id];
+    }
+    for (Key& id : deletes) id = remap[id];
   }
   std::sort(inserts.begin(), inserts.end());
   std::sort(deletes.begin(), deletes.end());
@@ -199,8 +214,10 @@ void ApplyStringBatch(MaintainedIndex& index, const StringUpdateBatch& merged) {
   // renumbering invalidates every shard anyway, so there is nothing
   // incremental to salvage.
   std::vector<Key> relabelled;
-  relabelled.reserve(snapshot->keys().size());
-  for (Key id : snapshot->keys()) relabelled.push_back(remap[id]);
+  relabelled.reserve(snapshot->size());
+  for (std::span<const Key> segment : snapshot->Segments()) {
+    for (Key id : segment) relabelled.push_back(remap[id]);
+  }
   index.RebuildWithSortedBatch(std::move(relabelled), std::move(inserts),
                                std::move(deletes), std::move(grown));
 }

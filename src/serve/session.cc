@@ -143,7 +143,7 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
       // "RANGE t 0 4294967296" covers a whole 32-bit table.
       const auto position = [&](uint64_t bound) {
         return bound > std::numeric_limits<KeyT>::max()
-                   ? version->keys().size()
+                   ? version->size()
                    : version->LowerBound(static_cast<KeyT>(bound));
       };
       if (ordered) {
@@ -169,11 +169,12 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
                         std::string(stmt.table2) + "' differ");
       }
       // Both sides pinned to one snapshot each; the outer's sorted keys
-      // stream through the inner's CountEqualBatch a block at a time, so
-      // the pair cardinality is consistent-as-of (version, version2). Two
-      // string tables have two dictionaries, so outer IDs are translated
-      // into the inner's ID space first. A self-join pins once: both
-      // sides share one cached pin, which a second Pin could replace.
+      // stream, segment by segment, through the inner's CountEqualBatch a
+      // block at a time, so the pair cardinality is consistent-as-of
+      // (version, version2). Two string tables have two dictionaries, so
+      // outer IDs are translated into the inner's ID space first. A
+      // self-join pins once: both sides share one cached pin, which a
+      // second Pin could replace.
       const auto inner_id =
           static_cast<uint32_t>(inner_table - server_->tables_.data());
       const auto [outer, outer_dictionary] = Pin(table, id);
@@ -184,24 +185,27 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
       if (outer_dictionary != nullptr) {
         translate = domain::TranslateIds(*outer_dictionary, *inner_dictionary);
       }
-      const std::vector<KeyT>& outer_keys = outer->keys();
       constexpr size_t kBlock = 4096;
-      std::vector<size_t> counts(std::min(outer_keys.size(), kBlock));
+      std::vector<size_t> counts(std::min(outer->size(), kBlock));
       std::vector<KeyT> translated(outer_dictionary ? counts.size() : 0);
-      for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-        const size_t len = std::min(outer_keys.size() - base, kBlock);
-        std::span<const KeyT> probes(&outer_keys[base], len);
-        if (outer_dictionary != nullptr) {
-          for (size_t i = 0; i < len; ++i) translated[i] = translate[probes[i]];
-          probes = std::span<const KeyT>(translated.data(), len);
+      for (std::span<const KeyT> segment : outer->Segments()) {
+        for (size_t base = 0; base < segment.size(); base += kBlock) {
+          std::span<const KeyT> probes =
+              segment.subspan(base, std::min(segment.size() - base, kBlock));
+          if (outer_dictionary != nullptr) {
+            for (size_t i = 0; i < probes.size(); ++i) {
+              translated[i] = translate[probes[i]];
+            }
+            probes = std::span<const KeyT>(translated.data(), probes.size());
+          }
+          const std::span<size_t> block(counts.data(), probes.size());
+          probed->index().CountEqualBatch(probes, block);
+          for (size_t c : block) result.count += c;
         }
-        probed->index().CountEqualBatch(probes,
-                                        std::span<size_t>(counts.data(), len));
-        for (size_t i = 0; i < len; ++i) result.count += counts[i];
       }
       result.version = outer->sequence();
       result.version2 = probed->sequence();
-      stats_.probes += outer_keys.size();
+      stats_.probes += outer->size();
       return;
     }
     case Verb::kAdvise: {
@@ -219,7 +223,7 @@ void Session::ExecuteOn(const Statement& stmt, uint32_t id,
           .key_width = static_cast<int>(sizeof(KeyT))};
       const auto* version = Pin(table, id).first;
       advisor::Recommendation rec =
-          advisor::Advise(collector->Profile(), version->keys().size(), opts);
+          advisor::Advise(collector->Profile(), version->size(), opts);
       if (!rec.ok) {
         return Fail(result, StatementStatus::kUnsupported, rec.error);
       }

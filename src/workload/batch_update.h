@@ -25,33 +25,84 @@ struct BasicUpdateBatch {
 using UpdateBatch = BasicUpdateBatch<uint32_t>;
 using UpdateBatch64 = BasicUpdateBatch<uint64_t>;
 
+/// First element of [first, last) that fails `before` (a predicate true
+/// on a prefix), searched from `first`: a short scan (an answer a few
+/// elements on is the common case in a dense batch), then galloping —
+/// O(log d) for an answer d elements on, so a pass of ascending searches
+/// walks the range once.
+template <typename KeyT, typename Before>
+const KeyT* GallopPartitionPoint(const KeyT* first, const KeyT* last,
+                                 Before before) {
+  constexpr size_t kScan = 8;
+  const size_t n = static_cast<size_t>(last - first);
+  // Invariant: every element before index lo satisfies `before`.
+  size_t lo = 0;
+  for (const size_t scan = std::min(n, kScan); lo < scan; ++lo) {
+    if (!before(first[lo])) return first + lo;
+  }
+  size_t hi = 2 * lo + 1;
+  while (hi < n && before(first[hi])) {
+    lo = hi + 1;
+    hi = 2 * hi + 1;
+  }
+  return std::partition_point(first + lo, first + std::min(hi, n), before);
+}
+
 /// ApplyBatch for callers that already hold SORTED insert/delete lists
 /// (a precondition, not checked): same semantics as ApplyBatch, no copies
 /// and no re-sort. The shard-incremental refresh path routes one globally
 /// sorted batch into per-shard sub-ranges and merges each through this.
-/// An insert-only batch is one merge into the result, O(n + |inserts|);
-/// with deletes, every key is first binary-searched in the delete list
-/// and the survivors copied, O(n log |deletes| + |inserts|), so the
-/// merge writes two n-sized arrays instead of one.
+/// An insert-only batch is one merge into the result, O(n + |inserts|).
+/// With deletes, the pass visits each distinct batch value in order:
+/// the keys below it copy as one block (found by galloping), its run of
+/// old keys is dropped if it is deleted, and its inserts follow — one
+/// write of the result, O(n + b log n) for a batch of b.
 template <typename KeyT>
 std::vector<KeyT> ApplySortedBatch(std::span<const KeyT> sorted_keys,
                                    std::span<const KeyT> inserts,
                                    std::span<const KeyT> deletes) {
-  // Without deletes every key survives: merge straight from the input.
-  std::span<const KeyT> kept = sorted_keys;
-  std::vector<KeyT> survivors;
-  if (!deletes.empty()) {
-    survivors.reserve(sorted_keys.size());
-    for (KeyT k : sorted_keys) {
-      if (!std::binary_search(deletes.begin(), deletes.end(), k)) {
-        survivors.push_back(k);
-      }
-    }
-    kept = survivors;
+  if (deletes.empty()) {
+    std::vector<KeyT> result(sorted_keys.size() + inserts.size());
+    std::merge(sorted_keys.begin(), sorted_keys.end(), inserts.begin(),
+               inserts.end(), result.begin());
+    return result;
   }
-  std::vector<KeyT> result(kept.size() + inserts.size());
-  std::merge(kept.begin(), kept.end(), inserts.begin(), inserts.end(),
-             result.begin());
+  const KeyT* const end = sorted_keys.data() + sorted_keys.size();
+  // Sized exactly first: every deleted value's run leaves (one galloping
+  // walk over the keys).
+  size_t removed = 0;
+  for (const KeyT* pos = sorted_keys.data(); const KeyT& v : deletes) {
+    const KeyT* lo = GallopPartitionPoint(pos, end, [&v](const KeyT& k) {
+      return k < v;
+    });
+    pos = GallopPartitionPoint(lo, end,
+                               [&v](const KeyT& k) { return !(v < k); });
+    removed += static_cast<size_t>(pos - lo);
+  }
+  std::vector<KeyT> result;
+  result.reserve(sorted_keys.size() - removed + inserts.size());
+  const KeyT* pos = sorted_keys.data();
+  size_t i = 0, j = 0;
+  while (i < inserts.size() || j < deletes.size()) {
+    // The next distinct batch value.
+    const KeyT& v = j == deletes.size() ||
+                            (i < inserts.size() && inserts[i] < deletes[j])
+                        ? inserts[i]
+                        : deletes[j];
+    const KeyT* lo = GallopPartitionPoint(pos, end, [&v](const KeyT& k) {
+      return k < v;
+    });
+    const KeyT* hi = GallopPartitionPoint(lo, end, [&v](const KeyT& k) {
+      return !(v < k);
+    });
+    result.insert(result.end(), pos, lo);
+    bool deleted = false;
+    for (; j < deletes.size() && deletes[j] == v; ++j) deleted = true;
+    if (!deleted) result.insert(result.end(), lo, hi);
+    for (; i < inserts.size() && inserts[i] == v; ++i) result.push_back(v);
+    pos = hi;
+  }
+  result.insert(result.end(), pos, end);
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/builder.h"
 #include "core/maintained_index.h"
 #include "core/probe_stats.h"
+#include "core/simd_node_search.h"
 #include "gtest/gtest.h"
 #include "spec_menu.h"
 #include "util/timer.h"
@@ -215,6 +217,42 @@ TEST(Advisor, SpaceBudgetPartitionsTheRanking) {
   // Every spec is scored exactly once, on one side or the other.
   EXPECT_GT(rec.ranked.size(), 0u);
   EXPECT_FALSE(rec.rationale.empty());
+}
+
+TEST(Advisor, ScalarNodeSearchRaisesOnlyNodeSearchedProbeCosts) {
+  const NodeSearchPath detected = DetectedNodeSearchPath();
+  if (detected == NodeSearchPath::kScalar) {
+    GTEST_SKIP() << "no SIMD node search to compare the scalar one with";
+  }
+  WorkloadProfile profile;
+  profile.point_probes = 100'000;
+  profile.probe_batches = 400;
+  profile.batch_hist[8] = 400;
+  advisor::AdvisorOptions opts;
+  const char* specs[] = {"css:16", "lcss:16", "btree:16", "part:16/css:16",
+                         "interp", "bin", "hash:16"};
+  std::vector<double> simd;
+  for (const char* text : specs) {
+    simd.push_back(
+        advisor::ScoreSpec(*IndexSpec::Parse(text), profile, 1'000'000, opts)
+            .probe_ns);
+  }
+  ASSERT_EQ(SetNodeSearchPath(NodeSearchPath::kScalar),
+            NodeSearchPath::kScalar);
+  for (size_t i = 0; i < std::size(specs); ++i) {
+    const IndexSpec spec = *IndexSpec::Parse(specs[i]);
+    const double scalar =
+        advisor::ScoreSpec(spec, profile, 1'000'000, opts).probe_ns;
+    const bool node_searched = spec.method() == Method::kFullCss ||
+                               spec.method() == Method::kLevelCss ||
+                               spec.method() == Method::kBPlusTree;
+    if (node_searched) {
+      EXPECT_GT(scalar, simd[i] * 1.2) << specs[i];
+    } else {
+      EXPECT_EQ(scalar, simd[i]) << specs[i];
+    }
+  }
+  SetNodeSearchPath(detected);
 }
 
 TEST(Advisor, RejectsBogusKeyWidth) {

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/rng.h"
 #include "workload/key_gen.h"
 
 namespace cssidx::workload {
@@ -154,6 +157,51 @@ TEST(BatchUpdate, InsertOnlyMergeEqualsSurvivorsThenMerge) {
     EXPECT_EQ(ApplySortedBatch(base, inserts, no_deletes), want);
     EXPECT_EQ(ApplySortedBatch(base, inserts, absent), want);
   }
+}
+
+/// The batch language on a multiset: every occurrence of a delete key
+/// leaves, then every insert lands.
+template <typename KeyT>
+std::vector<KeyT> MultisetReplay(const std::vector<KeyT>& keys,
+                                 const std::vector<KeyT>& inserts,
+                                 const std::vector<KeyT>& deletes) {
+  std::multiset<KeyT> bag(keys.begin(), keys.end());
+  for (KeyT k : deletes) bag.erase(k);
+  bag.insert(inserts.begin(), inserts.end());
+  return std::vector<KeyT>(bag.begin(), bag.end());
+}
+
+template <typename KeyT>
+void DeleteMergeMatchesMultisetReplay() {
+  // Random duplicate-heavy keys and batches over a small value range, so
+  // deletes and inserts hit runs, each other, absent values, both ends
+  // of the array, and the type's extremes.
+  constexpr KeyT kMax = std::numeric_limits<KeyT>::max();
+  Pcg32 rng(113);
+  for (int trial = 0; trial < 300; ++trial) {
+    const uint32_t range = 2 + rng.Below(60);
+    const auto value = [&] {
+      const uint32_t r = rng.Below(range + 2);
+      return r == range ? KeyT{0} : r == range + 1 ? kMax : KeyT{r};
+    };
+    std::vector<KeyT> keys(rng.Below(200)), inserts(rng.Below(12)),
+        deletes(1 + rng.Below(12));
+    for (KeyT& k : keys) k = value();
+    for (KeyT& k : inserts) k = value();
+    for (KeyT& k : deletes) k = value();
+    std::sort(keys.begin(), keys.end());
+    std::sort(inserts.begin(), inserts.end());
+    std::sort(deletes.begin(), deletes.end());
+    const std::vector<KeyT> got =
+        ApplySortedBatch<KeyT>(keys, inserts, deletes);
+    ASSERT_EQ(got, MultisetReplay(keys, inserts, deletes)) << trial;
+    ASSERT_EQ(got.capacity(), got.size()) << trial;  // sized exactly
+  }
+}
+
+TEST(BatchUpdate, DeleteMergeMatchesMultisetReplayAtBothWidths) {
+  DeleteMergeMatchesMultisetReplay<uint32_t>();
+  DeleteMergeMatchesMultisetReplay<uint64_t>();
 }
 
 }  // namespace

@@ -456,5 +456,58 @@ TEST(TranslateIds, EntryIsTheOtherDictionarysIdOrAbsent) {
             (std::vector<uint32_t>{kAbsentId, kAbsentId, kAbsentId}));
 }
 
+TEST(TranslateIds, RandomDictionariesMatchPerValueEncode) {
+  // Interleaved, nested and disjoint value sets of every relative size:
+  // the merge must land on exactly the per-value Encode answer.
+  Pcg32 rng(107);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::string> a(rng.Below(300)), b(rng.Below(300));
+    const uint32_t a_span = 1 + rng.Below(600), b_span = 1 + rng.Below(600);
+    for (std::string& v : a) v = "k" + std::to_string(rng.Below(a_span));
+    for (std::string& v : b) v = "k" + std::to_string(rng.Below(b_span));
+    ExpectTranslateMatchesEncode(StringDomain::FromValues(a),
+                                 StringDomain::FromValues(b));
+  }
+}
+
+/// EncodeColumn against Encode value by value, absent values and the
+/// `missing` positions included.
+template <typename V>
+void ExpectEncodeColumnMatchesEncode(const Domain<V>& d,
+                                     const std::vector<V>& column) {
+  std::vector<size_t> missing, want_missing;
+  const std::vector<uint32_t> ids = d.EncodeColumn(column, &missing);
+  ASSERT_EQ(ids.size(), column.size());
+  for (size_t i = 0; i < column.size(); ++i) {
+    ASSERT_EQ(ids[i], d.Encode(column[i]).value_or(kAbsentId)) << i;
+    if (ids[i] == kAbsentId) want_missing.push_back(i);
+  }
+  EXPECT_EQ(missing, want_missing);
+  EXPECT_EQ(d.EncodeColumn(column, nullptr), ids);
+}
+
+TEST(Domain, EncodeColumnMatchesPerValueEncode) {
+  // Dictionaries from empty to larger than the column; columns from empty
+  // to several string staging blocks, half their values absent.
+  Pcg32 rng(109);
+  for (uint32_t dictionary_size : {0u, 1u, 50u, 3000u}) {
+    SCOPED_TRACE("dictionary " + std::to_string(dictionary_size));
+    std::vector<uint32_t> int_values(dictionary_size);
+    for (uint32_t& v : int_values) v = 2 * rng.Below(4000);
+    std::vector<std::string> string_values;
+    for (uint32_t v : int_values) string_values.push_back(std::to_string(v));
+    const IntDomain ints = IntDomain::FromValues(int_values);
+    const StringDomain strings = StringDomain::FromValues(string_values);
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{2500}}) {
+      std::vector<uint32_t> int_column(rows);
+      for (uint32_t& v : int_column) v = rng.Below(8000);
+      std::vector<std::string> string_column;
+      for (uint32_t v : int_column) string_column.push_back(std::to_string(v));
+      ExpectEncodeColumnMatchesEncode(ints, int_column);
+      ExpectEncodeColumnMatchesEncode(strings, string_column);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cssidx::domain

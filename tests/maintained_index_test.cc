@@ -618,5 +618,34 @@ TEST(MaintainedIndexConcurrency, ReadersSeeOneCoherentVersionPerProbeBatch) {
   }
 }
 
+TEST(MaintainedIndexConcurrency, RacingFirstKeysCallsConcatenateOnce) {
+  // Two readers ask a refreshed part:16 version for its contiguous keys at
+  // the same moment: one concatenates the shards, the other waits for it,
+  // and both get the same array (the TSan lane checks the handoff).
+  auto keys = workload::DistinctSortedKeys(50'000, /*seed=*/103, 4);
+  MaintainedIndex index(*IndexSpec::Parse("part:16/css:16"), keys);
+  const std::vector<Key> inserts{keys.back() + 1}, deletes{keys.front()};
+  index.ApplySortedBatch(inserts, deletes);
+  const std::vector<Key> model =
+      workload::ApplySortedBatch(keys, inserts, deletes);
+  const auto version = index.Snapshot();
+  ASSERT_EQ(version->keys_ptr(), nullptr);  // shard-native
+  const uint64_t before = KeyArrayMaterializations();
+  std::atomic<int> ready{0};
+  const std::vector<Key>* seen[2] = {nullptr, nullptr};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      seen[t] = &version->keys();
+    });
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(*seen[0], model);
+  EXPECT_EQ(KeyArrayMaterializations(), before + 1);
+}
+
 }  // namespace
 }  // namespace cssidx

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "spec_menu.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/batch_update.h"
 #include "workload/key_gen.h"
 #include "workload/lookup_gen.h"
 
@@ -427,6 +429,18 @@ TEST(PartitionedLockstep, EveryCssSpecOnTheMenuAtBothKeyWidths) {
   LockstepMatchesBareOnTheCssMenu<Key64>();
 }
 
+/// The shards' key segments, concatenated in shard order.
+template <typename KeyT>
+std::vector<KeyT> ConcatenatedSegments(
+    const BasicPartitionedIndex<KeyT>& index) {
+  std::vector<KeyT> keys;
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    const std::span<const KeyT> shard = index.shard_keys(s);
+    keys.insert(keys.end(), shard.begin(), shard.end());
+  }
+  return keys;
+}
+
 /// A maintained part:16 version whose shard 5 (middle) and shard 15
 /// (last) lost every key to a refresh: their fences stay, so probes in
 /// their ranges route to empty shards.
@@ -434,8 +448,8 @@ template <typename KeyT>
 std::shared_ptr<const BasicPartitionedIndex<KeyT>> WithEmptiedShards(
     const IndexSpec& spec, const std::vector<KeyT>& keys,
     std::vector<KeyT>* merged) {
-  auto index = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys.data(),
-                                                       keys.size());
+  auto index = BasicPartitionedIndex<KeyT>::BuildOwned(
+      spec, std::make_shared<const std::vector<KeyT>>(keys));
   std::vector<KeyT> deletes;
   for (size_t s : {size_t{5}, size_t{15}}) {
     deletes.insert(deletes.end(),
@@ -444,7 +458,8 @@ std::shared_ptr<const BasicPartitionedIndex<KeyT>> WithEmptiedShards(
   }
   auto refreshed = index->RefreshWithSortedBatch({}, deletes);
   EXPECT_FALSE(refreshed.rebalanced);
-  *merged = *refreshed.merged_keys;
+  *merged = workload::ApplySortedBatch<KeyT>(keys, {}, deletes);
+  EXPECT_EQ(ConcatenatedSegments(*refreshed.index), *merged);
   return refreshed.index;
 }
 
@@ -531,7 +546,8 @@ TEST(PartitionedLockstep, RefreshedSuccessorOutlivesItsPredecessor) {
   auto keys = workload::DistinctSortedKeys(4000, /*seed=*/61, /*mean_gap=*/8);
   for (const char* text : {"part:16/css:16", "part:8/lcss:32"}) {
     const IndexSpec spec = *IndexSpec::Parse(text);
-    auto current = PartitionedIndex::BuildOwned(spec, keys.data(), keys.size());
+    auto current = PartitionedIndex::BuildOwned(
+        spec, std::make_shared<const std::vector<Key>>(keys));
     std::vector<Key> merged = keys;
     for (int round = 0; round < 3; ++round) {
       // Touch the first shard and one in the middle: insert the absent
@@ -549,7 +565,8 @@ TEST(PartitionedLockstep, RefreshedSuccessorOutlivesItsPredecessor) {
       auto refreshed = current->RefreshWithSortedBatch(inserts, deletes);
       ASSERT_FALSE(refreshed.rebalanced);
       ASSERT_GE(refreshed.shards_rebuilt, 1u);
-      merged = *refreshed.merged_keys;
+      merged = workload::ApplySortedBatch(merged, inserts, deletes);
+      ASSERT_EQ(ConcatenatedSegments(*refreshed.index), merged);
       current = refreshed.index;  // drops the predecessor and its shards
       const AnyIndex part(spec, current);
       const AnyIndex bare = BuildIndex(spec.Inner(), merged);

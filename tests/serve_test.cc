@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -650,6 +652,56 @@ TEST(Server, StringTableWriterMatchesSerialOracleUnderBacklog) {
     }
   }
   EXPECT_EQ(replayed, decoded);
+}
+
+TEST(Server, StringBatchesMatchTheSerialReplayTokenForToken) {
+  // The writer encodes each token once against the current dictionary,
+  // maps known IDs through the remap and encodes only fresh values in the
+  // grown one. One publish per batch, starting from an empty dictionary:
+  // all-new values, known values only, mixes with in-batch duplicates,
+  // and deletes of values the dictionary never held. After each, the
+  // column must be the serial multiset replay, and the dictionary every
+  // value ever inserted.
+  const std::vector<std::pair<bool, std::vector<std::string>>> batches = {
+      {true, {"d", "b", "d", "a"}},  {true, {"b", "b", "c"}},
+      {false, {"zz", "a"}},          {true, {"a", "e", "a", "zz", "aa"}},
+      {false, {"b", "e", "nope"}},   {true, {"c", "c"}},
+      {true, {"f", "0", "f"}}};
+  for (const char* spec_text : {"css:16", "part:4/css:16"}) {
+    SCOPED_TRACE(spec_text);
+    Server server;
+    server.CreateStringTable("t", {}, *IndexSpec::Parse(spec_text));
+    server.Start();
+    Session session = server.OpenSession();
+    std::vector<std::string> replayed;
+    std::set<std::string> inserted;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const auto& [insert, values] = batches[b];
+      ASSERT_TRUE(session
+                      .Execute(KeysStatement(insert ? "INSERT" : "DELETE",
+                                             "t", values))
+                      .ok());
+      while (server.writer_stats().batches_applied < b + 1) {
+        std::this_thread::yield();
+      }
+      StringUpdateBatch batch;
+      (insert ? batch.inserts : batch.deletes) = values;
+      replayed = workload::ApplyBatch(replayed, batch);
+      if (insert) inserted.insert(values.begin(), values.end());
+
+      const auto dictionary = server.TableDomain("t");
+      EXPECT_EQ(dictionary->values(),
+                std::vector<std::string>(inserted.begin(), inserted.end()))
+          << "batch " << b;
+      std::vector<std::string> decoded;
+      for (std::span<const uint32_t> segment :
+           server.TableSnapshot("t")->Segments()) {
+        for (uint32_t id : segment) decoded.push_back(dictionary->Decode(id));
+      }
+      EXPECT_EQ(decoded, replayed) << "batch " << b;
+    }
+    server.Stop();
+  }
 }
 
 TEST(Server, StringBatchThatGrowsTheDictionaryCountsLikeAnyBatch) {
