@@ -32,6 +32,14 @@
 // ratio: a batch merges into the dictionary and must cost a small
 // fraction of rebuilding it.
 //
+// A "parse" block times the statement front end alone: a reused
+// Statement::Parse, as a Session runs it, on FIND texts shaped like the
+// end-to-end point_hot (8 keys below 2^40) and bulk_cold (1024 keys below
+// 2^32) statements, in ns per key, beside a std::from_chars loop that
+// reads the same texts' keys. Gate statement_parse_vs_from_chars caps
+// their ratio: the parse reads each key once, so it should cost about
+// what the standard library's integer reader does.
+//
 // A "load" block last times a table load: Server::CreateTable of n keys
 // that arrive already in order against BuildIndex of the same keys, best
 // of 5. A load checks the keys' order in one pass and sorts only when the
@@ -47,16 +55,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/builder.h"
 #include "domain/domain.h"
 #include "harness.h"
 #include "serve/server.h"
+#include "serve/statement.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -235,6 +247,56 @@ DomainResult RunDomain(size_t values) {
   return result;
 }
 
+constexpr int kParseRepeats = 5;
+
+struct ParseResult {
+  double parse_ns_per_key = 1e300;
+  double from_chars_ns_per_key = 1e300;
+};
+
+/// A reused Statement::Parse over FIND texts of `keys` keys drawn below
+/// `bound`, against std::from_chars reading the same texts' keys, best of
+/// kParseRepeats passes over the texts; about 1M keys per pass.
+ParseResult RunParse(size_t keys, uint64_t bound, uint64_t seed) {
+  Pcg32 rng(seed);
+  const size_t texts = std::max<size_t>(1, (size_t{1} << 20) / keys);
+  std::vector<std::string> ring(texts);
+  for (std::string& text : ring) {
+    text = "FIND t";
+    for (size_t i = 0; i < keys; ++i) {
+      text += " " + std::to_string(rng.Next64() % bound);
+    }
+  }
+  const double total_keys = static_cast<double>(texts * keys);
+  ParseResult result;
+  serve::Statement statement;
+  for (int r = 0; r < kParseRepeats; ++r) {
+    uint64_t sink = 0;
+    Timer parse;
+    for (const std::string& text : ring) {
+      if (!statement.Parse(text)) std::abort();
+      sink += statement.max_key;
+    }
+    result.parse_ns_per_key =
+        std::min(result.parse_ns_per_key, parse.Nanos() / total_keys);
+
+    Timer from_chars;
+    for (const std::string& text : ring) {
+      const char* p = text.data() + 6;  // past "FIND t"
+      const char* end = text.data() + text.size();
+      while (p < end) {
+        uint64_t key = 0;
+        p = std::from_chars(p + 1, end, key).ptr;  // past the blank
+        sink = std::max(sink, key);
+      }
+    }
+    result.from_chars_ns_per_key =
+        std::min(result.from_chars_ns_per_key, from_chars.Nanos() / total_keys);
+    bench::g_sink = bench::g_sink + sink;
+  }
+  return result;
+}
+
 constexpr int kLoadRepeats = 5;
 
 struct LoadResult {
@@ -372,6 +434,20 @@ int main(int argc, char** argv) {
         .Set("build_ms", d.build_ms)
         .Set("add_ms", d.add_ms)
         .Set("add_vs_build", d.add_ms / d.build_ms, 4);
+  }
+
+  // point_hot's and bulk_cold's FIND shapes.
+  for (const auto& [keys, bound] :
+       {std::pair<size_t, uint64_t>{8, uint64_t{1} << 40},
+        std::pair<size_t, uint64_t>{1024, uint64_t{1} << 32}}) {
+    const ParseResult p = RunParse(keys, bound, options.seed);
+    report.AddRow("parse")
+        .Set("batch", keys)
+        .Set("key_bound", bound)
+        .Set("parse_ns_per_key", p.parse_ns_per_key, 2)
+        .Set("from_chars_ns_per_key", p.from_chars_ns_per_key, 2)
+        .Set("parse_vs_from_chars",
+             p.parse_ns_per_key / p.from_chars_ns_per_key, 4);
   }
 
   for (const char* load_spec : {"css:16", "part:16/css:16"}) {

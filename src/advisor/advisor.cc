@@ -138,6 +138,14 @@ double MethodSpace(const IndexSpec& spec, double n, double key_width,
   return 0.0;
 }
 
+/// Cost of one line of the fresh directory a hash rebuild allocates: the
+/// initializing writes plus a share of a first-touch page fault (about
+/// 2 us per 4 KB page of 64 lines on a VM). Replaying advisor_test's
+/// update-heavy refreshes, part:16/hash:16 less part:16/hash:12 (the
+/// directory difference) read 25-41x a part:16/css:16 refresh; this
+/// weight models it at 33x.
+constexpr double kDirectoryLineNs = 40.0;
+
 double Ns(const DescentCost& d, const AdvisorOptions& opts) {
   return d.misses * opts.miss_ns + d.comparisons * opts.comparison_ns +
          d.moves * opts.move_ns;
@@ -215,13 +223,13 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
   // touches n keys; part:K re-merges only the shards the batch span
   // touches (the whole point of the fence-table refresh path).
   if (profile.update_batches > 0) {
-    double touched_keys = nn;
+    double rebuilt = 1.0;  // structures rebuilt per batch
     if (K > 0) {
       double span = profile.MeanUpdateSpanFraction();
-      double touched_shards = std::clamp(std::ceil(span * K) + 1.0, 1.0,
-                                         static_cast<double>(K));
-      touched_keys = touched_shards * (nn / K);
+      rebuilt = std::clamp(std::ceil(span * K) + 1.0, 1.0,
+                           static_cast<double>(K));
     }
+    const double touched_keys = K > 0 ? rebuilt * (nn / K) : nn;
     double per_key = opts.rebuild_ns_per_key;
     // Hash rebuilds by re-inserting every key into random bucket lines
     // (~an order of magnitude over the sequential merge+rebuild path);
@@ -229,6 +237,14 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
     if (spec.method() == Method::kHash) per_key *= 8.0;
     if (spec.method() == Method::kTTree) per_key *= 4.0;
     double batch_ns = touched_keys * per_key;
+    // Every rebuilt hash table (each touched shard of a part:K/hash:b)
+    // also gets a fresh directory of 2^b bucket lines, whatever its key
+    // count: at b = 16 a 6,250-key shard's directory costs several times
+    // its keys.
+    if (spec.method() == Method::kHash) {
+      batch_ns += rebuilt * std::ldexp(1.0, spec.hash_dir_bits()) *
+                  kDirectoryLineNs;
+    }
     double probes = std::max<uint64_t>(profile.TotalProbes(), 1);
     s.update_ns = batch_ns * profile.update_batches / probes;
   }

@@ -330,13 +330,14 @@ class BasicMaintainedIndex {
                    const std::vector<KeyT>& sorted_deletes,
                    std::shared_ptr<const Version> fresh);
 
-  /// Swaps `fresh` in as the current version (sequence_ follows it).
+  /// Swaps `fresh` in as the current version (sequence_ follows it). The
+  /// epoch moves under the same lock, so a thread whose Snapshot() saw
+  /// `fresh` also sees the epoch it made: a Session cannot keep serving
+  /// its older cached pin once the new version is visible.
   void Publish(std::shared_ptr<const Version> fresh) {
     sequence_ = fresh->sequence();
-    {
-      std::lock_guard<std::mutex> lock(current_mu_);
-      current_ = std::move(fresh);
-    }
+    std::lock_guard<std::mutex> lock(current_mu_);
+    current_ = std::move(fresh);
     publish_epoch_.fetch_add(1, std::memory_order_release);
   }
 

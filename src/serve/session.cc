@@ -25,28 +25,35 @@ void Fail(StatementResult& result, StatementStatus status,
 /// them narrowed into `out` when it is non-null. Key typing happens here,
 /// at execute time, against the table the statement names — the grammar
 /// is width-agnostic — with one message per failure mode: non-numeric
-/// key on an integer table vs. a number past the table's width.
+/// key on an integer table vs. a number past the table's width. The
+/// parse's typing facts settle a statement that types in O(1); only a
+/// failing one walks its keys, to name the first key that fails.
 template <typename KeyT>
 bool TypeKeys(const Statement& stmt, KeyT* out, StatementResult& result) {
   constexpr uint64_t kMax = std::numeric_limits<KeyT>::max();
-  for (size_t i = 0; i < stmt.keys.size(); ++i) {
-    if (!stmt.keys_numeric[i]) {
-      Fail(result, StatementStatus::kBadKey,
-           "bad key '" + std::string(stmt.key_tokens[i]) + "': table '" +
-               std::string(stmt.table) + "' holds integer keys");
-      return false;
-    }
-    if (stmt.keys[i] > kMax) {
-      Fail(result, StatementStatus::kBadKey,
-           "key '" + std::string(stmt.key_tokens[i]) + "' out of range for " +
-               std::to_string(8 * sizeof(KeyT)) + "-bit table '" +
-               std::string(stmt.table) + "' (max " + std::to_string(kMax) +
-               ")");
-      return false;
-    }
-    if (out != nullptr) out[i] = static_cast<KeyT>(stmt.keys[i]);
+  const size_t n = stmt.keys.size();
+  if (stmt.first_non_numeric == n && stmt.max_key <= kMax) {
+    if (out != nullptr) std::copy(stmt.keys.begin(), stmt.keys.end(), out);
+    return true;
   }
-  return true;
+  // Keys before the first non-numeric one are all parsed values.
+  const size_t i = static_cast<size_t>(
+      std::find_if(stmt.keys.begin(),
+                   stmt.keys.begin() + stmt.first_non_numeric,
+                   [](uint64_t key) { return key > kMax; }) -
+      stmt.keys.begin());
+  const std::string token(stmt.key_tokens[i]);
+  if (i == stmt.first_non_numeric) {
+    Fail(result, StatementStatus::kBadKey,
+         "bad key '" + token + "': table '" + std::string(stmt.table) +
+             "' holds integer keys");
+  } else {
+    Fail(result, StatementStatus::kBadKey,
+         "key '" + token + "' out of range for " +
+             std::to_string(8 * sizeof(KeyT)) + "-bit table '" +
+             std::string(stmt.table) + "' (max " + std::to_string(kMax) + ")");
+  }
+  return false;
 }
 
 /// A FIND/COUNT's operands as KeyT keys (`result` set if one doesn't fit):

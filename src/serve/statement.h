@@ -47,21 +47,27 @@ struct Statement {
   std::string_view table;   // first table operand
   std::string_view table2;  // JOIN only: the inner table
   // FIND/COUNT/INSERT/DELETE operands, raw. String tables probe on the
-  // token itself; numeric tables use the parallel parsed form below.
+  // token itself; numeric tables use the parsed form below.
   std::vector<std::string_view> key_tokens;
-  // keys[i] is key_tokens[i] parsed as decimal uint64 where
-  // keys_numeric[i]; 0 (and not meaningful) otherwise.
+  // keys[i] is key_tokens[i] parsed as decimal uint64 when that token is a
+  // decimal number; 0 (and not meaningful) otherwise.
   std::vector<uint64_t> keys;
-  std::vector<bool> keys_numeric;
+  // The typing facts an integer table checks at execute time, recorded
+  // by the parse so that check is O(1): the index of the first key that
+  // is not a decimal number (keys.size() when every key is one), and the
+  // largest parsed value (0 when none parsed).
+  size_t first_non_numeric = 0;
+  uint64_t max_key = 0;
   std::string_view lo_token, hi_token;  // RANGE only, raw
   uint64_t lo = 0, hi = 0;  // parsed forms, valid iff bounds_numeric
   bool bounds_numeric = false;
   bool apply = false;  // ADVISE only: enqueue the recommended hot-swap
 
-  /// Parses `text` into this statement in place, in one pass over it.
-  /// Returns false on malformed input and, when `error` is non-null,
-  /// sets it to a one-line description of what went wrong; the fields
-  /// are then unspecified.
+  /// Parses `text` into this statement in place. A key list is read in
+  /// one pass: each key's bytes are scanned and converted together, eight
+  /// at a time where eight remain. Returns false on malformed input and,
+  /// when `error` is non-null, sets it to a one-line description of what
+  /// went wrong; the fields are then unspecified.
   bool Parse(std::string_view text, std::string* error = nullptr);
 };
 

@@ -320,6 +320,41 @@ double MeasureUpdateCycleSeconds(const IndexSpec& spec,
   return best;
 }
 
+// Update-heavy and localized: each batch deletes a narrow key window and
+// the next batch re-inserts it.
+std::vector<workload::UpdateBatch> LocalizedUpdateCycle(
+    const std::vector<Key>& keys) {
+  std::vector<workload::UpdateBatch> ups;
+  for (int b = 0; b < 8; ++b) {
+    size_t lo = 40'000 + static_cast<size_t>(b) * 500;
+    std::vector<Key> window(keys.begin() + lo, keys.begin() + lo + 500);
+    workload::UpdateBatch up;
+    if (b % 2 == 0) {
+      up.deletes = window;
+    } else {
+      std::vector<Key> prev(keys.begin() + lo - 500, keys.begin() + lo);
+      up.inserts = prev;
+    }
+    ups.push_back(std::move(up));
+  }
+  return ups;
+}
+
+// The cycle observed through a maintained incumbent, probes interleaved:
+// probes and updates both land in the collector.
+WorkloadProfile ObservedProfile(const std::vector<Key>& keys,
+                                const std::vector<workload::UpdateBatch>& ups,
+                                const std::vector<Key>& probes) {
+  MaintainedIndex incumbent(IndexSpec(), keys);
+  auto collector = incumbent.EnableStats();
+  std::vector<int64_t> out(probes.size());
+  for (const workload::UpdateBatch& up : ups) {
+    incumbent.ApplySortedBatch(up.inserts, up.deletes);
+    incumbent.FindBatch(probes, out);
+  }
+  return collector->Profile();
+}
+
 TEST(AdvisorProperty, PickNeverFarBehindMeasuredBestAcrossMixes) {
   if (CSSIDX_SANITIZED) {
     GTEST_SKIP() << "timing property is meaningless under sanitizers";
@@ -399,35 +434,11 @@ TEST(AdvisorProperty, UpdateHeavyPickNeverFarBehindMeasuredBest) {
   auto keys = workload::DistinctSortedKeys(n, 3, 4);
   const std::vector<IndexSpec> menu = test_menu::DefaultSpecs(16, 12);
 
-  // Update-heavy and localized: each batch deletes a narrow key window and
-  // the next batch re-inserts it, probes interleave.
-  std::vector<workload::UpdateBatch> ups;
-  for (int b = 0; b < 8; ++b) {
-    size_t lo = 40'000 + static_cast<size_t>(b) * 500;
-    std::vector<Key> window(keys.begin() + lo, keys.begin() + lo + 500);
-    workload::UpdateBatch up;
-    if (b % 2 == 0) {
-      up.deletes = window;
-    } else {
-      std::vector<Key> prev(keys.begin() + lo - 500, keys.begin() + lo);
-      up.inserts = prev;
-    }
-    ups.push_back(std::move(up));
-  }
+  const std::vector<workload::UpdateBatch> ups = LocalizedUpdateCycle(keys);
   auto probes = workload::MatchingLookups(keys, 4'096, 31);
 
-  // Observe through a maintained incumbent: probes and updates both land
-  // in the collector.
-  MaintainedIndex incumbent(IndexSpec(), keys);
-  auto collector = incumbent.EnableStats();
-  std::vector<int64_t> out(probes.size());
-  for (const workload::UpdateBatch& up : ups) {
-    incumbent.ApplySortedBatch(up.inserts, up.deletes);
-    incumbent.FindBatch(probes, out);
-  }
-
   advisor::AdvisorOptions opts;
-  auto rec = advisor::Advise(collector->Profile(), n, opts);
+  auto rec = advisor::Advise(ObservedProfile(keys, ups, probes), n, opts);
   ASSERT_TRUE(rec.ok) << rec.error;
 
   double best = 1e300;
@@ -451,6 +462,41 @@ TEST(AdvisorProperty, UpdateHeavyPickNeverFarBehindMeasuredBest) {
       << "advisor picked " << rec.spec.ToString() << " (" << pick
       << "s) vs measured best " << best_spec << " (" << best << "s)\n"
       << rec.rationale;
+}
+
+TEST(AdvisorProperty, HashRefreshPriceTracksReplayedDirectoryCost) {
+  if (CSSIDX_SANITIZED) {
+    GTEST_SKIP() << "timing property is meaningless under sanitizers";
+  }
+  // Each shard a part:K/hash:b refresh rebuilds gets a fresh 2^b-line
+  // directory, whatever its key count. Replay the update-heavy cycle's
+  // refreshes alone (no probes) and price what the larger directory adds,
+  // part:16/hash:16 over part:16/hash:12, in units of a part:16/css:16
+  // refresh of the same batches: the model's reading must lie within 4x
+  // of the replay's (model 33 here against a replayed 25-41 on a 4-vCPU
+  // VM; a model blind to the directory reads 0).
+  const size_t n = 100'000;
+  auto keys = workload::DistinctSortedKeys(n, 3, 4);
+  const std::vector<workload::UpdateBatch> ups = LocalizedUpdateCycle(keys);
+  const WorkloadProfile profile = ObservedProfile(
+      keys, ups, workload::MatchingLookups(keys, 4'096, 31));
+  const advisor::AdvisorOptions opts;
+  const auto replay = [&](const char* text) {
+    return MeasureUpdateCycleSeconds(*IndexSpec::Parse(text), keys, ups, {},
+                                     5);
+  };
+  const auto model = [&](const char* text) {
+    return advisor::ScoreSpec(*IndexSpec::Parse(text), profile, n, opts)
+        .update_ns;
+  };
+  const double css = replay("part:16/css:16");
+  const double replayed =
+      (replay("part:16/hash:16") - replay("part:16/hash:12")) / css;
+  const double modeled = (model("part:16/hash:16") - model("part:16/hash:12")) /
+                         model("part:16/css:16");
+  EXPECT_GT(replayed, 1.0) << "the larger directory should cost something";
+  EXPECT_GE(modeled, replayed / 4) << "replayed " << replayed;
+  EXPECT_LE(modeled, replayed * 4) << "replayed " << replayed;
 }
 
 }  // namespace

@@ -62,7 +62,8 @@ TEST(Statement, ParsesEveryVerb) {
   EXPECT_EQ(find->keys, (std::vector<uint64_t>{1, 2, 3}));
   EXPECT_EQ(find->key_tokens,
             (std::vector<std::string_view>{"1", "2", "3"}));
-  EXPECT_EQ(find->keys_numeric, (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(find->first_non_numeric, 3u);  // every key numeric
+  EXPECT_EQ(find->max_key, 3u);
 
   auto count = ParseStatement("COUNT orders 42");
   ASSERT_TRUE(count.has_value());
@@ -100,7 +101,8 @@ TEST(Statement, GrammarIsKeyWidthAgnostic) {
   auto wide = ParseStatement("FIND t 4294967296");
   ASSERT_TRUE(wide.has_value());
   EXPECT_EQ(wide->keys, (std::vector<uint64_t>{4294967296ull}));
-  ASSERT_TRUE(wide->keys_numeric[0]);
+  ASSERT_EQ(wide->first_non_numeric, 1u);
+  EXPECT_EQ(wide->max_key, 4294967296ull);
 
   auto max64 = ParseStatement("FIND t 18446744073709551615");
   ASSERT_TRUE(max64.has_value());
@@ -110,7 +112,8 @@ TEST(Statement, GrammarIsKeyWidthAgnostic) {
   auto raw = ParseStatement("FIND t alpha -1");
   ASSERT_TRUE(raw.has_value());
   EXPECT_EQ(raw->key_tokens, (std::vector<std::string_view>{"alpha", "-1"}));
-  EXPECT_EQ(raw->keys_numeric, (std::vector<bool>{false, false}));
+  EXPECT_EQ(raw->first_non_numeric, 0u);  // neither key numeric
+  EXPECT_EQ(raw->max_key, 0u);
 
   // RANGE keeps raw bound tokens for string tables.
   auto srange = ParseStatement("RANGE t aardvark zebra");
@@ -384,6 +387,58 @@ TEST(Server, ThirtyTwoBitTableChecksKeysAtTheWidthBoundary) {
   EXPECT_EQ(just_max.range_begin, 1u);
   EXPECT_EQ(just_max.range_end, 2u);
   EXPECT_EQ(session.Execute("RANGE t a b").status, StatementStatus::kBadKey);
+}
+
+TEST(Server, KeyTypingNamesTheFirstFailingKey) {
+  // A statement holding both a non-numeric key and one too wide for the
+  // table fails on whichever comes first, on every key verb; a string
+  // table takes both as tokens, and a digit string past 2^64-1 is a parse
+  // error on every table, wherever it sits.
+  Server server;
+  server.CreateTable("t", {1, 2});
+  server.CreateTable64("w", {1, 2});
+  server.CreateStringTable("s", {"a", "b"});
+  Session session = server.OpenSession();
+  const std::string kTooWide64 =
+      "key '18446744073709551616' out of range: exceeds "
+      "18446744073709551615 (2^64-1)";
+  struct Case {
+    const char* keys;
+    StatementStatus t, w, s;  // status on the 32-bit, 64-bit, string table
+    std::string t_error, w_error;
+  };
+  const Case cases[] = {
+      {"3 abc 4294967296", StatementStatus::kBadKey, StatementStatus::kBadKey,
+       StatementStatus::kOk, "bad key 'abc': table 't' holds integer keys",
+       "bad key 'abc': table 'w' holds integer keys"},
+      {"3 4294967296 abc", StatementStatus::kBadKey, StatementStatus::kBadKey,
+       StatementStatus::kOk,
+       "key '4294967296' out of range for 32-bit table 't' (max 4294967295)",
+       "bad key 'abc': table 'w' holds integer keys"},
+      {"abc 18446744073709551616", StatementStatus::kParseError,
+       StatementStatus::kParseError, StatementStatus::kParseError, kTooWide64,
+       kTooWide64},
+      {"18446744073709551616 abc", StatementStatus::kParseError,
+       StatementStatus::kParseError, StatementStatus::kParseError, kTooWide64,
+       kTooWide64},
+  };
+  for (const char* verb : {"FIND", "COUNT", "INSERT", "DELETE"}) {
+    for (const Case& c : cases) {
+      const std::string keys = std::string(" ") + c.keys;
+      const StatementResult t = session.Execute(verb + (" t" + keys));
+      EXPECT_EQ(t.status, c.t) << verb << keys;
+      EXPECT_EQ(t.error, c.t_error) << verb << keys;
+      const StatementResult w = session.Execute(verb + (" w" + keys));
+      EXPECT_EQ(w.status, c.w) << verb << keys;
+      EXPECT_EQ(w.error, c.w_error) << verb << keys;
+      const StatementResult s = session.Execute(verb + (" s" + keys));
+      EXPECT_EQ(s.status, c.s) << verb << keys;
+      EXPECT_EQ(s.error, c.s == StatementStatus::kOk ? "" : kTooWide64)
+          << verb << keys;
+    }
+  }
+  // Only the string-table writes were accepted (two verbs, two cases).
+  EXPECT_EQ(session.stats().writes_enqueued, 4u);
 }
 
 TEST(Server, SixtyFourBitTableEndToEnd) {
