@@ -7,7 +7,9 @@
 //
 // Sweeps batch sizes 1..1024 for every method (threads = 1, the PR-1
 // table), then sweeps thread counts over the whole lookup set as a single
-// batch, and prints and writes its report (default
+// batch (for every method and for part:16/css:16, whose threaded batch is
+// one lockstep descent per probe span), and prints and writes its report
+// (default
 // BENCH_batch_lookup.json) so the perf trajectory can track both batch
 // throughput and thread scaling run over run.
 //
@@ -166,6 +168,32 @@ int main(int argc, char** argv) {
                                       thread_sweep.end());
   ThreadPool pool(max_threads - 1);
 
+  // Thread scaling: the whole lookup set as one batch (every shard is
+  // then >= min_shard as long as lookups/threads allows), one row per
+  // requested thread count, scaling relative to a genuine t=1 baseline
+  // (measured even when 1 is not in the sweep, so "scaling_vs_t1" means
+  // what it says for a --threads=2,4,8 run).
+  auto add_thread_scaling = [&](const IndexSpec& spec, const AnyIndex& index) {
+    const size_t big_batch = lookups.size();
+    auto threaded_ns = [&](int threads) {
+      return BatchedNs(index, lookups, big_batch, repeats,
+                       ProbeOptions{.threads = threads, .pool = &pool});
+    };
+    const double t1_ns = threaded_ns(1);
+    for (int threads : thread_sweep) {
+      const double ns = threads == 1 ? t1_ns : threaded_ns(threads);
+      const double mprobes = 1e3 / ns;
+      report.AddRow("thread_scaling")
+          .Set("spec", spec.ToString())
+          .Set("threads", threads)
+          .Set("batch", big_batch)
+          .Set("ns_per_probe", ns)
+          .Set("mprobes_per_sec", mprobes)
+          .Set("mprobes_per_sec_per_thread", mprobes / threads)
+          .Set("scaling_vs_t1", t1_ns / ns);
+    }
+  };
+
   // css:16's batched ns per probe at each batch size, the bare tree the
   // partitioned rows are read against.
   std::vector<double> bare_css_ns(batches.size());
@@ -211,29 +239,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Thread scaling: the whole lookup set as one batch (every shard is
-    // then >= min_shard as long as lookups/threads allows), one row per
-    // requested thread count, scaling relative to a genuine t=1 baseline
-    // (measured even when 1 is not in the sweep, so "scaling_vs_t1" means
-    // what it says for a --threads=2,4,8 run).
-    const size_t big_batch = lookups.size();
-    auto threaded_ns = [&](int threads) {
-      return BatchedNs(index, lookups, big_batch, repeats,
-                       ProbeOptions{.threads = threads, .pool = &pool});
-    };
-    const double t1_ns = threaded_ns(1);
-    for (int threads : thread_sweep) {
-      const double ns = threads == 1 ? t1_ns : threaded_ns(threads);
-      const double mprobes = 1e3 / ns;
-      report.AddRow("thread_scaling")
-          .Set("spec", spec.ToString())
-          .Set("threads", threads)
-          .Set("batch", big_batch)
-          .Set("ns_per_probe", ns)
-          .Set("mprobes_per_sec", mprobes)
-          .Set("mprobes_per_sec_per_thread", mprobes / threads)
-          .Set("scaling_vs_t1", t1_ns / ns);
-    }
+    add_thread_scaling(spec, index);
+  }
+  // A threaded part:K batch over CSS shards splits its probe span and runs
+  // one lockstep descent per span, as a bare tree does.
+  {
+    const IndexSpec spec = *IndexSpec::Parse("part:16/css:16");
+    add_thread_scaling(spec, BuildIndex(spec, keys));
   }
   // Partitioned sweep: the composite's lockstep descent (fence level, then
   // the shards' directories) under the same scalar-vs-batched comparison

@@ -249,9 +249,11 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
     s.update_ns = batch_ns * profile.update_batches / probes;
   }
 
-  // --- Space, against the budget.
-  s.space_bytes = MethodSpace(spec, nn, width, opts);
-  if (K > 0) s.space_bytes += K * (width + 16.0);  // fences + shard headers
+  // --- Space, against the budget. Every part:K shard builds its own
+  // inner index over its inner_n keys, so a per-shard fixed cost (a
+  // hash directory) is paid K times.
+  s.space_bytes = MethodSpace(spec, inner_n, width, opts);
+  if (K > 0) s.space_bytes = K * (s.space_bytes + width + 16.0);  // + fences
   s.over_budget = opts.space_budget_bytes != 0 &&
                   s.space_bytes > static_cast<double>(opts.space_budget_bytes);
 

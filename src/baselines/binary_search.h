@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/index.h"
+#include "core/node_search.h"
 #include "util/macros.h"
 
 // Array binary search (§3.2): the zero-space baseline. Tuned the way the
@@ -52,19 +53,7 @@ class BasicBinarySearchIndex {
 
   template <typename Tracer>
   size_t LowerBoundTraced(KeyT k, const Tracer& tracer) const {
-    size_t lo = 0;
-    size_t len = n_;
-    while (len > 0) {
-      size_t half = len >> 1;
-      tracer.Touch(a_ + lo + half, sizeof(KeyT));
-      if (a_[lo + half] >= k) {
-        len = half;
-      } else {
-        lo += half + 1;
-        len -= half + 1;
-      }
-    }
-    return lo;
+    return TracedLowerBound(a_, n_, k, tracer);
   }
 
   /// No space beyond the sorted array itself.

@@ -1,7 +1,6 @@
 #ifndef CSSIDX_BASELINES_BPLUS_TREE_H_
 #define CSSIDX_BASELINES_BPLUS_TREE_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "core/index.h"
+#include "core/lockstep.h"
 #include "core/node_search.h"
 #include "core/simd_node_search.h"
 #include "util/aligned_buffer.h"
@@ -76,50 +76,39 @@ class BPlusTree {
     return ::cssidx::CountEqual(*this, a_, n_, k);
   }
 
-  /// Batched LowerBound: group probing with software prefetch. Every probe
-  /// descends the same number of levels (bulk-loaded tree), so the group
-  /// walks down in lockstep; each level's node fetches, and then every line
-  /// of each probe's leaf chunk, are prefetched one level ahead across the
-  /// whole group. The last group may be partial and descends the same way;
-  /// a whole batch of at most kScalarBatchMax probes runs the scalar
-  /// descent (see the CSS-tree kernel).
+  /// Batched LowerBound: the B+-tree step on LockstepDescend
+  /// (core/lockstep.h). A lane is a node and the levels left above its
+  /// leaf chunk; every probe descends the same number of levels
+  /// (bulk-loaded tree). Each lane prefetches its next node, and then
+  /// every line of its leaf chunk, as soon as it reads the child pointer.
   void LowerBoundBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const {
     assert(out.size() >= keys.size());
-    const size_t count = keys.size();
-    if (count <= kScalarBatchMax) {
-      for (size_t i = 0; i < count; ++i) out[i] = LowerBound(keys[i]);
-      return;
-    }
-    if (CSSIDX_UNLIKELY(n_ == 0)) {
-      for (size_t i = 0; i < count; ++i) out[i] = 0;
-      return;
-    }
-    for (size_t i = 0; i < count; i += kGroupProbes) {
-      const size_t width = std::min(count - i, kGroupProbes);
-      const KeyT* probe = keys.data() + i;
-      uint32_t node[kGroupProbes];
-      std::fill_n(node, width, root_);
-      for (int level = height_; level > 0; --level) {
-        for (size_t g = 0; g < width; ++g) {
+    struct Lane {
+      uint32_t node;
+      int level;
+    };
+    LockstepDescend(
+        keys, [&](size_t) { return Lane{root_, height_}; },
+        [&](size_t, Lane& lane, KeyT probe) CSSIDX_INLINE_LAMBDA {
+          if (lane.level == 0) return false;
           const KeyT* slots =
-              arena_ptr_ + static_cast<size_t>(node[g]) * Slots;
-          int j = DispatchedLowerBound<kRoutingKeys, 2, KeyT>(slots + 1,
-                                                              probe[g]);
-          node[g] = static_cast<uint32_t>(slots[2 * j]);
-          if (level > 1) {
-            PrefetchLines(arena_ptr_ + static_cast<size_t>(node[g]) * Slots,
+              arena_ptr_ + static_cast<size_t>(lane.node) * Slots;
+          int j = DispatchedLowerBound<kRoutingKeys, 2, KeyT>(slots + 1, probe);
+          lane.node = static_cast<uint32_t>(slots[2 * j]);
+          if (--lane.level > 0) {
+            PrefetchLines(arena_ptr_ + static_cast<size_t>(lane.node) * Slots,
                           kNodeBytes);
-          } else {
-            auto [start, end] = ChunkRange(node[g]);
-            PrefetchLines(a_ + start, (end - start) * sizeof(KeyT));
+            return true;
           }
-        }
-      }
-      for (size_t g = 0; g < width; ++g) {
-        out[i + g] = SearchChunk(node[g], probe[g]);
-      }
-    }
+          auto [start, end] = ChunkRange(lane.node);
+          PrefetchLines(a_ + start, (end - start) * sizeof(KeyT));
+          return false;
+        },
+        [&](size_t i, Lane lane, KeyT probe) CSSIDX_INLINE_LAMBDA {
+          out[i] = SearchChunk(lane.node, probe);
+        },
+        [&](size_t i, KeyT probe) { out[i] = LowerBound(probe); });
   }
 
   /// Batched Find over the same group-probing kernel.
@@ -149,36 +138,12 @@ class BPlusTree {
     uint32_t node = root_;
     for (int level = height_; level > 0; --level) {
       const KeyT* slots = arena_ptr_ + static_cast<size_t>(node) * Slots;
-      int lo = 0;
-      int len = kRoutingKeys;
-      while (len > 0) {
-        int half = len / 2;
-        tracer.Touch(slots + 1 + 2 * (lo + half), sizeof(KeyT));
-        if (slots[1 + 2 * (lo + half)] >= k) {
-          len = half;
-        } else {
-          lo += half + 1;
-          len -= half + 1;
-        }
-      }
-      tracer.Touch(slots + 2 * lo, sizeof(KeyT));
-      node = static_cast<uint32_t>(slots[2 * lo]);
+      size_t j = TracedLowerBound(slots + 1, kRoutingKeys, k, tracer, 2);
+      tracer.Touch(slots + 2 * j, sizeof(KeyT));
+      node = static_cast<uint32_t>(slots[2 * j]);
     }
-    size_t start = static_cast<size_t>(node) * Slots;
-    size_t end = start + Slots < n_ ? start + Slots : n_;
-    int lo = 0;
-    int len = static_cast<int>(end - start);
-    while (len > 0) {
-      int half = len / 2;
-      tracer.Touch(a_ + start + lo + half, sizeof(KeyT));
-      if (a_[start + lo + half] >= k) {
-        len = half;
-      } else {
-        lo += half + 1;
-        len -= half + 1;
-      }
-    }
-    return start + static_cast<size_t>(lo);
+    auto [start, end] = ChunkRange(node);
+    return start + TracedLowerBound(a_ + start, end - start, k, tracer);
   }
 
   /// Internal-node arena bytes (leaves are the array; cf. Figure 7).

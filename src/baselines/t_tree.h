@@ -1,7 +1,6 @@
 #ifndef CSSIDX_BASELINES_T_TREE_H_
 #define CSSIDX_BASELINES_T_TREE_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "core/index.h"
+#include "core/lockstep.h"
 #include "core/node_search.h"
 #include "core/simd_node_search.h"
 #include "util/macros.h"
@@ -89,53 +89,40 @@ class TTreeIndex {
   /// Batched LowerBound: the pointer-chasing descent that makes T-trees
   /// slow is also what kept this method on the scalar fallback path — a
   /// probe's next node is unknowable until the current header line
-  /// arrives. Group probing sidesteps that: kGroupProbes descents advance
-  /// in lockstep, and the lines holding each probe's next child refs and
-  /// min key are prefetched the moment its ref is read, so the miss
-  /// overlaps the other probes' compares exactly as in the CSS-tree kernel.
-  /// The last group may be partial and descends the same way; a whole batch
-  /// of at most kScalarBatchMax probes runs the scalar descent. Results are
-  /// identical to scalar LowerBound.
+  /// arrives. The T-tree step on LockstepDescend (core/lockstep.h)
+  /// sidesteps that: a lane is the improved search's state (current ref,
+  /// bounding and successor nodes), and the lines holding each lane's
+  /// next child refs and min key are prefetched the moment its ref is
+  /// read, so the miss overlaps the other lanes' compares exactly as in
+  /// the CSS-tree kernel. Results are identical to scalar LowerBound.
   void LowerBoundBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const {
     assert(out.size() >= keys.size());
-    const size_t count = keys.size();
-    if (count <= kScalarBatchMax) {
-      for (size_t i = 0; i < count; ++i) out[i] = LowerBound(keys[i]);
-      return;
-    }
-    for (size_t i = 0; i < count; i += kGroupProbes) {
-      const size_t width = std::min(count - i, kGroupProbes);
-      const KeyT* probe = keys.data() + i;
-      NodeRef cur[kGroupProbes];
-      const Node* bounding[kGroupProbes];
-      const Node* successor[kGroupProbes];
-      std::fill_n(cur, width, root_);
-      std::fill_n(bounding, width, nullptr);
-      std::fill_n(successor, width, nullptr);
-      bool descending = root_ != kNull;
-      while (descending) {
-        descending = false;
-        for (size_t g = 0; g < width; ++g) {
-          if (cur[g] == kNull) continue;
-          const Node& node = nodes_[cur[g]];
-          if (probe[g] <= node.keys[0]) {
-            successor[g] = &node;
-            cur[g] = node.left;
+    struct Lane {
+      NodeRef cur;
+      const Node* bounding;
+      const Node* successor;
+    };
+    LockstepDescend(
+        keys, [&](size_t) { return Lane{root_, nullptr, nullptr}; },
+        [&](size_t, Lane& lane, KeyT probe) CSSIDX_INLINE_LAMBDA {
+          if (lane.cur == kNull) return false;
+          const Node& node = nodes_[lane.cur];
+          if (probe <= node.keys[0]) {
+            lane.successor = &node;
+            lane.cur = node.left;
           } else {
-            bounding[g] = &node;
-            cur[g] = node.right;
+            lane.bounding = &node;
+            lane.cur = node.right;
           }
-          if (cur[g] != kNull) {
-            PrefetchLines(&nodes_[cur[g]], kHeaderBytes);
-            descending = true;
-          }
-        }
-      }
-      for (size_t g = 0; g < width; ++g) {
-        out[i + g] = ResolveLowerBound(bounding[g], successor[g], probe[g]);
-      }
-    }
+          if (lane.cur == kNull) return false;
+          PrefetchLines(&nodes_[lane.cur], kHeaderBytes);
+          return true;
+        },
+        [&](size_t i, const Lane& lane, KeyT probe) CSSIDX_INLINE_LAMBDA {
+          out[i] = ResolveLowerBound(lane.bounding, lane.successor, probe);
+        },
+        [&](size_t i, KeyT probe) { out[i] = LowerBound(probe); });
   }
 
   /// Batched Find over the same group-probing kernel.
@@ -195,21 +182,10 @@ class TTreeIndex {
       }
     }
     if (bounding != nullptr) {
-      int lo = 0;
-      int len = static_cast<int>(bounding->count);
-      while (len > 0) {
-        int half = len / 2;
-        tracer.Touch(&bounding->keys[lo + half], sizeof(KeyT));
-        if (bounding->keys[lo + half] >= k) {
-          len = half;
-        } else {
-          lo += half + 1;
-          len -= half + 1;
-        }
-      }
-      if (lo < static_cast<int>(bounding->count)) {
-        tracer.Touch(&bounding->rids[lo], sizeof(uint32_t));
-        return bounding->rids[lo];
+      size_t j = TracedLowerBound(bounding->keys, bounding->count, k, tracer);
+      if (j < bounding->count) {
+        tracer.Touch(&bounding->rids[j], sizeof(uint32_t));
+        return bounding->rids[j];
       }
     }
     if (successor != nullptr) {

@@ -143,10 +143,10 @@ class BasicAnyIndex {
 
     /// Policy-aware entry points. The default shards the probe span into
     /// contiguous chunks and runs the plain batch op per chunk — right
-    /// for every monolithic structure. Composite impls (the partitioned
-    /// index) override these instead: they already split work along a
-    /// structural axis (key-range shards), so they spend the thread
-    /// budget dispatching whole shards rather than re-sharding spans.
+    /// for every monolithic structure. The partitioned index overrides
+    /// these: over CSS shards it shards spans the same way, and over
+    /// other inners it spends the thread budget dispatching whole
+    /// key-range shards instead.
     virtual void LowerBoundBatch(std::span<const KeyT> keys,
                                  std::span<size_t> out,
                                  const ProbeOptions& opts) const {

@@ -1,15 +1,17 @@
 #ifndef CSSIDX_CORE_CSS_TREE_H_
 #define CSSIDX_CORE_CSS_TREE_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/css_layout.h"
 #include "core/index.h"
+#include "core/lockstep.h"
 #include "core/node_search.h"
 #include "core/simd_node_search.h"
 #include "util/aligned_buffer.h"
@@ -38,26 +40,32 @@
 // `KeyT` is any unsigned integer type; the §5 model treats the key width K
 // as a parameter, and wider keys simply mean fewer keys per cache line
 // (pick Stride = line_bytes / sizeof(KeyT)).
+//
+// The sorted array may hold records rather than bare keys (§4.1; see
+// core/record_css_tree.h): `Record` is the element type and `KeyOf`
+// reads a record's key. Only the directory build's leaf maxima and the
+// leaf search read through it; the directory itself is the same bytes.
 
 namespace cssidx {
 
-/// What a descent reads of one CSS-tree: its directory, the sorted keys
-/// its leaves are, and where those keys start in a larger array. A bare
+/// What a descent reads of one CSS-tree: its directory, the sorted array
+/// its leaves are, and where that array starts in a larger one. A bare
 /// tree's view has base 0; a part:K shard's view carries the shard's
 /// global offset, so one group of probes can descend many shards' trees
 /// at once (BasicCssTree::LowerBoundLanes). The view owns nothing: the
-/// tree that made it keeps the directory, its builder the keys.
-template <typename KeyT>
+/// tree that made it keeps the directory, its caller the array.
+template <typename KeyT, typename Record = KeyT>
 struct CssTreeView {
-  const KeyT* dir = nullptr;   // internal nodes, Stride slots each
-  const KeyT* keys = nullptr;  // the sorted array, chopped into leaves
-  size_t n = 0;                // keys in the array
-  uint64_t internal = 0;       // CssLayout::internal_nodes
-  uint64_t mark = 0;           // CssLayout::mark: first deep-leaf number
-  size_t base = 0;             // global position of keys[0]
+  const KeyT* dir = nullptr;     // internal nodes, Stride slots each
+  const Record* keys = nullptr;  // the sorted array, chopped into leaves
+  size_t n = 0;                  // elements in the array
+  uint64_t internal = 0;         // CssLayout::internal_nodes
+  uint64_t mark = 0;             // CssLayout::mark: first deep-leaf number
+  size_t base = 0;               // global position of keys[0]
 };
 
-template <typename KeyT, int Stride, int Fanout>
+template <typename KeyT, int Stride, int Fanout, typename Record = KeyT,
+          typename KeyOf = std::identity>
 class BasicCssTree {
   static_assert(Stride >= 2, "a node must hold at least two keys");
   static_assert(Fanout == Stride + 1 || Fanout == Stride,
@@ -65,7 +73,7 @@ class BasicCssTree {
 
  public:
   using key_type = KeyT;
-  using View = CssTreeView<KeyT>;
+  using View = CssTreeView<KeyT, Record>;
   static constexpr int kStride = Stride;
   static constexpr int kFanout = Fanout;
   static constexpr int kInternalKeys = Fanout - 1;
@@ -79,11 +87,11 @@ class BasicCssTree {
   /// `misalign_offset` shifts the directory off its cache-line alignment by
   /// that many bytes. It exists only for the alignment ablation bench
   /// (reproducing the Figure 12 bump analysis); leave it 0.
-  BasicCssTree(const KeyT* keys, size_t n, size_t misalign_offset = 0)
+  BasicCssTree(const Record* keys, size_t n, size_t misalign_offset = 0)
       : a_(keys), n_(n), misalign_offset_(misalign_offset) {
     Build();
   }
-  explicit BasicCssTree(const std::vector<KeyT>& keys)
+  explicit BasicCssTree(const std::vector<Record>& keys)
       : BasicCssTree(keys.data(), keys.size()) {}
 
   BasicCssTree(BasicCssTree&&) noexcept = default;
@@ -96,7 +104,7 @@ class BasicCssTree {
   /// Position of the leftmost occurrence of `k`, or kNotFound.
   int64_t Find(KeyT k) const {
     size_t pos = LowerBound(k);
-    if (pos < n_ && a_[pos] == k) return static_cast<int64_t>(pos);
+    if (pos < n_ && KeyOf{}(a_[pos]) == k) return static_cast<int64_t>(pos);
     return kNotFound;
   }
 
@@ -104,7 +112,7 @@ class BasicCssTree {
   size_t CountEqual(KeyT k) const {
     size_t pos = LowerBound(k);
     size_t count = 0;
-    while (pos + count < n_ && a_[pos + count] == k) ++count;
+    while (pos + count < n_ && KeyOf{}(a_[pos + count]) == k) ++count;
     return count;
   }
 
@@ -119,72 +127,56 @@ class BasicCssTree {
         [&](size_t i, const View&, size_t pos) { out[i] = pos; });
   }
 
-  /// The group-probing kernel behind every CSS batch, over per-probe tree
-  /// views: probe i descends the tree `lane_of(i)` names, and `emit(i,
-  /// view, pos)` receives its lower bound as a position in that view's
-  /// keys. A bare tree names itself for every probe; a part:K index names
-  /// the shard each probe routes to, so one group descends many shards'
-  /// directories in lockstep. `lane_of` is called at every level, so it
-  /// must be a lookup, not a computation.
+  /// The CSS step on LockstepDescend (core/lockstep.h), over
+  /// per-probe tree views: probe i descends the tree `lane_of(i)` names,
+  /// and `emit(i, view, pos)` receives its lower bound as a position in
+  /// that view's array. A bare tree names itself for every probe; a
+  /// part:K index names the shard each probe routes to, so one group
+  /// descends many shards' directories in lockstep. `lane_of` is called
+  /// at every level, so it must be a lookup, not a computation.
   ///
-  /// Probes are processed kGroupProbes (32) at a time, descending
-  /// level-synchronously; as soon as a probe's next node or leaf is known
-  /// every cache line it spans is prefetched, so the misses it would stall
-  /// on overlap the intra-node searches of the other probes in the group.
-  /// The leaf ranges need that most: a served `std::vector` key array sits
-  /// 16 bytes off a line, so a full 16-key u32 leaf spans two lines, and
-  /// the vector compare reads both. The last group may be partial and
-  /// descends the same way; only a whole batch of at most kScalarBatchMax
-  /// probes runs the scalar descent. On `bulk_cold` this kernel cut the
-  /// index's cost per probe from 136 to 82 ns (width sweep: see
-  /// kGroupProbes). Results are identical to scalar LowerBound.
+  /// A lane is its node number. As soon as a probe's next node or leaf
+  /// is known every cache line it spans is prefetched, so the miss
+  /// overlaps the intra-node searches of the other probes in the group.
+  /// The leaf ranges need that most: a served `std::vector` key array
+  /// sits 16 bytes off a line, so a full 16-key u32 leaf spans two
+  /// lines, and the vector compare reads both (a leaf of records spans
+  /// Stride records' bytes). On `bulk_cold` this kernel cut the index's
+  /// cost per probe from 136 to 82 ns (width sweep: see kGroupProbes).
+  /// Results are identical to scalar LowerBound.
   template <typename LaneOf, typename Emit>
   static void LowerBoundLanes(std::span<const KeyT> keys, LaneOf&& lane_of,
                               Emit&& emit) {
-    const size_t count = keys.size();
-    if (count <= kScalarBatchMax) {
-      for (size_t i = 0; i < count; ++i) {
-        emit(i, lane_of(i), LowerBoundIn(lane_of(i), keys[i]));
-      }
-      return;
-    }
-    for (size_t i = 0; i < count; i += kGroupProbes) {
-      const size_t width = std::min(count - i, kGroupProbes);
-      const KeyT* probe = keys.data() + i;
-      uint64_t d[kGroupProbes];
-      bool descending = false;
-      for (size_t g = 0; g < width; ++g) {
-        d[g] = 0;
-        descending |= lane_of(i + g).internal > 0;
-      }
-      while (descending) {
-        descending = false;
-        for (size_t g = 0; g < width; ++g) {
-          const View& tree = lane_of(i + g);
-          if (d[g] >= tree.internal) continue;
-          const KeyT* node = tree.dir + d[g] * Stride;
-          int j = DispatchedLowerBound<kInternalKeys, 1, KeyT>(node, probe[g]);
-          d[g] = d[g] * Fanout + 1 + static_cast<uint64_t>(j);
-          if (d[g] < tree.internal) {
-            PrefetchLines(tree.dir + d[g] * Stride, kNodeBytes);
-            descending = true;
-          } else {
-            auto [lo, hi] = LeafRange(tree, d[g]);
-            PrefetchLines(tree.keys + lo, (hi - lo) * sizeof(KeyT));
+    LockstepDescend(
+        keys, [](size_t) { return uint64_t{0}; },
+        [&](size_t i, uint64_t& d, KeyT probe) CSSIDX_INLINE_LAMBDA {
+          const View& tree = lane_of(i);
+          if (d >= tree.internal) return false;
+          const KeyT* node = tree.dir + d * Stride;
+          int j = DispatchedLowerBound<kInternalKeys, 1, KeyT>(node, probe);
+          d = d * Fanout + 1 + static_cast<uint64_t>(j);
+          if (d < tree.internal) {
+            PrefetchLines(tree.dir + d * Stride, kNodeBytes);
+            return true;
           }
-        }
-      }
-      for (size_t g = 0; g < width; ++g) {
-        const View& tree = lane_of(i + g);
-        emit(i + g, tree, SearchLeaf(tree, d[g], probe[g]));
-      }
-    }
+          auto [lo, hi] = LeafRange(tree, d);
+          PrefetchLines(tree.keys + lo, (hi - lo) * sizeof(Record));
+          return false;
+        },
+        [&](size_t i, uint64_t d, KeyT probe) CSSIDX_INLINE_LAMBDA {
+          const View& tree = lane_of(i);
+          emit(i, tree, SearchLeaf(tree, d, probe));
+        },
+        [&](size_t i, KeyT probe) {
+          const View& tree = lane_of(i);
+          emit(i, tree, LowerBoundIn(tree, probe));
+        });
   }
 
   /// Batched Find over the same group-probing kernel.
   void FindBatch(std::span<const KeyT> keys, std::span<int64_t> out) const {
     assert(out.size() >= keys.size());
-    FindBatchViaLowerBound(*this, a_, n_, keys, out);
+    FindBatchViaLowerBound(*this, a_, n_, keys, out, KeyOf{});
   }
 
   /// Batched EqualRange (§3.6 duplicate runs): both bounds of every run
@@ -218,7 +210,8 @@ class BasicCssTree {
       d = d * Fanout + 1 + static_cast<uint64_t>(j);
     }
     auto [lo, hi] = LeafRange(view(), d);
-    int j = GenericLowerBound(a_ + lo, static_cast<int>(hi - lo), k);
+    int j = GenericLowerBound(a_ + lo, static_cast<int>(hi - lo), k, 1,
+                              KeyOf{});
     return lo + static_cast<size_t>(j);
   }
 
@@ -233,12 +226,10 @@ class BasicCssTree {
     const uint64_t internal = layout_.internal_nodes;
     while (d < internal) {
       const KeyT* node = dir_keys_ + d * Stride;
-      int j = TracedLowerBound(node, kInternalKeys, k, tracer);
-      d = d * Fanout + 1 + static_cast<uint64_t>(j);
+      d = d * Fanout + 1 + TracedLowerBound(node, kInternalKeys, k, tracer);
     }
     auto [lo, hi] = LeafRange(view(), d);
-    int j = TracedLowerBound(a_ + lo, static_cast<int>(hi - lo), k, tracer);
-    return lo + static_cast<size_t>(j);
+    return lo + TracedLowerBound(a_ + lo, hi - lo, k, tracer);
   }
 
   /// Directory bytes (the structure's only space cost beyond the array).
@@ -298,14 +289,14 @@ class BasicCssTree {
     if (leaf >= layout_.mark) {
       // Deep leaf: front region of the array.
       auto deep_end = static_cast<int64_t>(layout_.deep_end);
-      if (pos >= deep_end) return a_[deep_end - 1];  // dangling subtree
+      if (pos >= deep_end) return KeyOf{}(a_[deep_end - 1]);  // dangling
       int64_t end = pos + Stride < deep_end ? pos + Stride : deep_end;
-      return a_[end - 1];
+      return KeyOf{}(a_[end - 1]);
     }
     // Shallow leaf: back region; always non-empty.
     auto limit = static_cast<int64_t>(n_);
     int64_t end = pos + Stride < limit ? pos + Stride : limit;
-    return a_[end - 1];
+    return KeyOf{}(a_[end - 1]);
   }
 
   /// Scalar descent of one tree view.
@@ -338,7 +329,12 @@ class BasicCssTree {
                                                 uint64_t leaf, KeyT k) {
     auto [lo, hi] = LeafRange(tree, leaf);
     int j;
-    if (CSSIDX_LIKELY(hi - lo == Stride)) {
+    if constexpr (!std::is_same_v<Record, KeyT>) {
+      // A leaf of records: the byte offsets scale with sizeof(Record),
+      // exactly as §4.1 notes; no SIMD kernel reads strided keys.
+      j = GenericLowerBound(tree.keys + lo, static_cast<int>(hi - lo), k, 1,
+                            KeyOf{});
+    } else if (CSSIDX_LIKELY(hi - lo == Stride)) {
       j = DispatchedLowerBound<Stride, 1, KeyT>(tree.keys + lo, k);
     } else {
       // Partial trailing leaf: runtime length, same dispatched contract.
@@ -347,25 +343,7 @@ class BasicCssTree {
     return lo + static_cast<size_t>(j);
   }
 
-  template <typename Tracer>
-  static int TracedLowerBound(const KeyT* keys, int count, KeyT k,
-                              const Tracer& tracer) {
-    int lo = 0;
-    int len = count;
-    while (len > 0) {
-      int half = len / 2;
-      tracer.Touch(keys + lo + half, sizeof(KeyT));
-      if (keys[lo + half] >= k) {
-        len = half;
-      } else {
-        lo += half + 1;
-        len -= half + 1;
-      }
-    }
-    return lo;
-  }
-
-  const KeyT* a_ = nullptr;
+  const Record* a_ = nullptr;
   size_t n_ = 0;
   size_t misalign_offset_ = 0;
   CssLayout layout_;

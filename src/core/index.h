@@ -5,6 +5,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 
@@ -27,19 +28,21 @@ using Key64 = uint64_t;
 inline constexpr int64_t kNotFound = -1;
 
 /// Probes every tree batch kernel (CSS, record CSS, B+-tree, T-tree)
-/// descends in lockstep. A part:K batch over CSS shards fills its groups
-/// the same way, each lane descending the tree of the shard its probe
-/// routes to, so a 64-key FIND is two full groups, not one narrow
-/// sub-batch per shard. Each probe's next node is prefetched as soon as
-/// it is known, so a group of G probes keeps up to G misses in flight and
-/// the compares of the other G - 1 probes cover each one's latency. A DRAM
-/// miss needs more cover than 8 probes give. Width sweep on the end-to-end
-/// `bulk_cold` workload (1024-key FINDs on 100M u32 keys, past the L3; a
-/// 4-vCPU Xeon VM, seeds 11-13), statements/s against the previous 8-wide
-/// kernel: 8 -> -3..+6%, 16 -> +8..+18%, 32 -> +24..+40%, 64 -> +30..+37%.
-/// `bench_batch_lookup` (css:16, n = 10M, which fits that VM's L3) read
-/// 43-86 ns per probe at batch 1024 across widths 8-64, one run each:
-/// spread, not a trend. 32 is kept: 64 was not faster on `bulk_cold`.
+/// descends in lockstep: the group width of LockstepDescend
+/// (core/lockstep.h), the one loop those kernels are steps on. A part:K
+/// batch over CSS shards fills its groups the same way, each lane
+/// descending the tree of the shard its probe routes to, so a 64-key FIND
+/// is two full groups, not one narrow sub-batch per shard. Each probe's
+/// next node is prefetched as soon as it is known, so a group of G probes
+/// keeps up to G misses in flight and the compares of the other G - 1
+/// probes cover each one's latency. A DRAM miss needs more cover than 8
+/// probes give. Width sweep on the end-to-end `bulk_cold` workload
+/// (1024-key FINDs on 100M u32 keys, past the L3; a 4-vCPU Xeon VM, seeds
+/// 11-13), statements/s against the previous 8-wide kernel: 8 -> -3..+6%,
+/// 16 -> +8..+18%, 32 -> +24..+40%, 64 -> +30..+37%. `bench_batch_lookup`
+/// (css:16, n = 10M, which fits that VM's L3) read 43-86 ns per probe at
+/// batch 1024 across widths 8-64, one run each: spread, not a trend. 32 is
+/// kept: 64 was not faster on `bulk_cold`.
 inline constexpr size_t kGroupProbes = 32;
 
 /// Batches of at most this many probes skip grouping and run the scalar
@@ -90,18 +93,20 @@ size_t CountEqual(const IndexT& index, const KeyT* keys, size_t n, KeyT k) {
 /// Shared FindBatch for tree structures whose Find is LowerBound + a
 /// compare against the backing array `a[0..n)`: run the structure's
 /// batched LowerBound kernel a chunk at a time (positions staged on the
-/// stack), then translate hits/misses.
-template <typename IndexT, typename KeyT>
-void FindBatchViaLowerBound(const IndexT& index, const KeyT* a, size_t n,
+/// stack), then translate hits/misses. `key_of` reads an element's key
+/// (the identity for a key array, a field for an array of records).
+template <typename IndexT, typename Element, typename KeyT,
+          typename KeyOf = std::identity>
+void FindBatchViaLowerBound(const IndexT& index, const Element* a, size_t n,
                             std::span<const KeyT> keys,
-                            std::span<int64_t> out) {
+                            std::span<int64_t> out, KeyOf key_of = {}) {
   constexpr size_t kChunk = 256;
   size_t pos[kChunk];
   for (size_t i = 0; i < keys.size(); i += kChunk) {
     size_t len = std::min(keys.size() - i, kChunk);
     index.LowerBoundBatch(keys.subspan(i, len), std::span<size_t>(pos, len));
     for (size_t j = 0; j < len; ++j) {
-      out[i + j] = pos[j] < n && a[pos[j]] == keys[i + j]
+      out[i + j] = pos[j] < n && key_of(a[pos[j]]) == keys[i + j]
                        ? static_cast<int64_t>(pos[j])
                        : kNotFound;
     }

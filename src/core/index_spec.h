@@ -26,7 +26,7 @@
 // "hash:22", "css:16@t8" (same tree, batch probes sharded across 8
 // threads), "part:8/css:16@t4" (sorted array split into 8 contiguous
 // key-range shards, one CSS-tree per shard, batch probes routed by key
-// and whole shards dispatched across 4 threads). The param defaults to
+// and probe spans sharded across 4 threads). The param defaults to
 // 16 keys/node (one 64-byte cache line) and a 2^22 hash directory when
 // omitted. A "64" suffix on the method token ("css64:16", "btree64:32",
 // "part:4/css64:16@t2") selects 8-byte keys — the paper's §5 key-width

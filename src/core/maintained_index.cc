@@ -161,7 +161,7 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
         part->RefreshWithSortedBatch(sorted_inserts, sorted_deletes);
     BasicAnyIndex<KeyT> facade(spec_, refreshed.index);
     facade.AttachStats(stats_collector_);
-    fresh = std::make_shared<const Version>(nullptr, refreshed.index,
+    fresh = std::make_shared<const Version>(refreshed.keys, refreshed.index,
                                             std::move(facade), sequence_ + 1,
                                             old->payload());
     if (refreshed.rebalanced) {

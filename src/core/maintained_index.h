@@ -73,8 +73,10 @@
 // about twice the key bytes in the worst case — what every part:K
 // version held when it also carried a contiguous merged copy — and one
 // loaded array plus the few shards a local batch stream touches in the
-// common case. Version::keys() concatenates a refreshed version's shards
-// on demand, once; serving paths never ask.
+// common case. A rebalanced refresh rebuilds over one concatenated array,
+// and its version holds that array like a load's. Version::keys()
+// concatenates an incrementally refreshed version's shards on demand,
+// once; serving paths never ask.
 
 namespace cssidx {
 
@@ -131,9 +133,9 @@ class BasicMaintainedIndex {
     KeyT front() const { return KeyAt(0); }
     KeyT back() const { return KeyAt(size_ - 1); }
     /// The keys as one contiguous array: the array the version was built
-    /// from, or — for a refreshed part:K version — its shards
-    /// concatenated on the first call (at most once per version, safe
-    /// from any number of threads; KeyArrayMaterializations() counts
+    /// from, or — for an incrementally refreshed part:K version — its
+    /// shards concatenated on the first call (at most once per version,
+    /// safe from any number of threads; KeyArrayMaterializations() counts
     /// these). For tools and tests; serving paths read Segments().
     const std::vector<KeyT>& keys() const;
     /// First position whose key is >= k, for every spec on the menu:
@@ -152,7 +154,7 @@ class BasicMaintainedIndex {
     uint64_t sequence() const { return sequence_; }
     /// Shared ownership of the contiguous array the version was built
     /// from — lets a spec swap rebuild onto the same keys without copying
-    /// them. Null for a refreshed part:K version.
+    /// them. Null for an incrementally refreshed part:K version.
     const std::shared_ptr<const std::vector<KeyT>>& keys_ptr() const {
       return keys_;
     }

@@ -1,7 +1,9 @@
 #ifndef CSSIDX_CORE_NODE_SEARCH_H_
 #define CSSIDX_CORE_NODE_SEARCH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "core/index.h"
 #include "util/macros.h"
@@ -60,16 +62,40 @@ CSSIDX_ALWAYS_INLINE int UnrolledLowerBound(const KeyT* keys, KeyT k) {
 }
 
 /// Generic (runtime-length) in-node lower bound: the "generic code" the
-/// paper measured 20-45% slower. Kept as the ablation baseline and for
-/// partial trailing leaves whose length is only known at run time.
-template <typename KeyT = Key>
-CSSIDX_ALWAYS_INLINE int GenericLowerBound(const KeyT* keys, int count, KeyT k,
-                                           int stride = 1) {
+/// paper measured 20-45% slower. Kept as the ablation baseline, for
+/// partial trailing leaves whose length is only known at run time, and
+/// for leaves of records, whose keys it reads through `key_of`.
+template <typename T, typename KeyT, typename KeyOf = std::identity>
+CSSIDX_ALWAYS_INLINE int GenericLowerBound(const T* elems, int count, KeyT k,
+                                           int stride = 1, KeyOf key_of = {}) {
   int lo = 0;
   int len = count;
   while (len > 0) {
     int half = len / 2;
-    if (keys[(lo + half) * stride] >= k) {
+    if (key_of(elems[(lo + half) * stride]) >= k) {
+      len = half;
+    } else {
+      lo += half + 1;
+      len -= half + 1;
+    }
+  }
+  return lo;
+}
+
+/// The same binary search with every compared key replayed into `tracer`
+/// (the cache simulator's reference stream): one Touch per compare, so a
+/// node larger than a line is read only where the search looks. Every
+/// traced descent searches its nodes and leaves through this.
+template <typename KeyT, typename Tracer>
+size_t TracedLowerBound(const KeyT* keys, size_t count, KeyT k,
+                        const Tracer& tracer, size_t stride = 1) {
+  size_t lo = 0;
+  size_t len = count;
+  while (len > 0) {
+    size_t half = len / 2;
+    const KeyT* key = keys + (lo + half) * stride;
+    tracer.Touch(key, sizeof(KeyT));
+    if (*key >= k) {
       len = half;
     } else {
       lo += half + 1;

@@ -14,8 +14,8 @@ namespace cssidx {
 
 namespace {
 
-/// Inner kernels always run inline within their shard task: the thread
-/// budget is spent dispatching shards, never nested re-sharding.
+/// Inner kernels always run inline within their span or shard task: the
+/// thread budget is spent once, never on nested re-sharding.
 constexpr ProbeOptions kInline{.threads = 1};
 
 /// Equi-depth cuts at s * n / K, each snapped LEFT to the start of the
@@ -69,6 +69,18 @@ CSSIDX_ALWAYS_INLINE size_t FencesAtOrBelow(const KeyT* fences, size_t count,
     count -= half;
   }
   return static_cast<size_t>(base - fences) + (*base <= key);
+}
+
+/// Runs `batch` over contiguous spans of the probes, split across the
+/// pool per `opts` exactly as a bare tree's batch is (ParallelProbe):
+/// each span's results land in place, so output is the same at every
+/// thread count.
+template <typename KeyT, typename Out, typename Batch>
+void SplitProbes(const ProbeOptions& opts, std::span<const KeyT> keys,
+                 std::span<Out> out, Batch&& batch) {
+  ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
+    batch(keys.subspan(begin, end - begin), out.subspan(begin, end - begin));
+  });
 }
 
 bool CssInner(const IndexSpec& inner) {
@@ -235,8 +247,9 @@ BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
   // all landing in one shard) eventually concentrates the array behind a
   // few fences; rebuild with fresh cuts before routing degenerates.
   if (total > 0 && max_len * k > kRebalanceSkew * total) {
-    out.index = BuildOwned(spec_, std::make_shared<const std::vector<KeyT>>(
-                                      Concatenate(slices, total)));
+    out.keys = std::make_shared<const std::vector<KeyT>>(
+        Concatenate(slices, total));
+    out.index = BuildOwned(spec_, out.keys);
     out.shards_rebuilt = k;
     out.rebalanced = true;
     return out;
@@ -402,8 +415,10 @@ void BasicPartitionedIndex<KeyT>::LowerBoundBatch(
     for (size_t i = 0; i < keys.size(); ++i) out[i] = n_;
     return;
   }
-  if (Lockstep(keys.size(), opts)) {
-    return lockstep_lower_bound_(*this, keys, out);
+  if (Lockstep()) {
+    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
+      lockstep_lower_bound_(*this, in, part);
+    });
   }
   Route(
       keys, out, opts,
@@ -420,7 +435,11 @@ template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::FindBatch(std::span<const KeyT> keys,
                                             std::span<int64_t> out,
                                             const ProbeOptions& opts) const {
-  if (Lockstep(keys.size(), opts)) return lockstep_find_(*this, keys, out);
+  if (Lockstep()) {
+    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
+      lockstep_find_(*this, in, part);
+    });
+  }
   Route(
       keys, out, opts,
       [&](size_t s, std::span<const KeyT> in, std::span<int64_t> local) {
@@ -438,8 +457,10 @@ void BasicPartitionedIndex<KeyT>::EqualRangeBatch(
     const ProbeOptions& opts) const {
   // Two lockstep LowerBound passes: a run never straddles a fence, and a
   // probe's successor routes to whichever shard holds the run's end.
-  if (Lockstep(keys.size(), opts)) {
-    return EqualRangeBatchViaLowerBound(*this, n_, keys, out);
+  if (Lockstep()) {
+    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
+      EqualRangeBatchViaLowerBound(*this, n_, in, part);
+    });
   }
   Route(
       keys, out, opts,
@@ -460,8 +481,10 @@ template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::CountEqualBatch(
     std::span<const KeyT> keys, std::span<size_t> out,
     const ProbeOptions& opts) const {
-  if (Lockstep(keys.size(), opts)) {
-    return CountEqualBatchViaEqualRange(*this, keys, out);
+  if (Lockstep()) {
+    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
+      CountEqualBatchViaEqualRange(*this, in, part);
+    });
   }
   Route(
       keys, out, opts,

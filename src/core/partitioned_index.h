@@ -36,12 +36,13 @@
 // bare "css:16" over the whole array — enforced differentially by
 // tests/partitioned_index_test.cc.
 //
-// Parallelism: ProbeOptions{threads} / the "@tN" spec suffix dispatches
-// whole shards to the ThreadPool (one task range over shard indexes)
-// instead of re-sharding probe spans — the shard is already a contiguous,
-// cache-friendly unit of work, and shard tasks scatter to disjoint output
-// slots, so there is no merge step and output is bit-identical at every
-// thread count.
+// Parallelism: ProbeOptions{threads} / the "@tN" spec suffix splits a
+// batch over CSS shards into contiguous probe spans (ParallelProbe), each
+// one lockstep descent, exactly as a bare tree's batch is split. Route
+// instead dispatches whole shards to the ThreadPool (one task range over
+// shard indexes): its shard tasks scatter to disjoint output slots. Either
+// way there is no merge step and output is bit-identical at every thread
+// count.
 //
 // Maintenance: the fence structure is also what makes the paper's
 // rebuild-on-batch model cheap. An update batch routes through the same
@@ -98,6 +99,9 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
     std::shared_ptr<const BasicPartitionedIndex> index;
     size_t shards_rebuilt = 0;
     bool rebalanced = false;
+    /// Rebalanced only: the concatenated array every shard aliases, so a
+    /// version can hand it out without concatenating the shards again.
+    std::shared_ptr<const std::vector<KeyT>> keys;
   };
   /// `inserts` and `deletes` must be SORTED (a precondition, not
   /// checked): the refresh neither copies nor re-sorts them.
@@ -191,9 +195,9 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// it under `owner` (null for the non-owning constructor).
   void Init(const IndexSpec& spec, const KeyT* keys, size_t n,
             const std::shared_ptr<const void>& owner);
-  /// The shared router: bucket `keys` per shard, run `probe(s, in, out)`
-  /// shard-local, scatter `map(s, result)` back to input order. Dispatches
-  /// whole shards to the pool per `opts`.
+  /// The router for inners without a lockstep path: bucket `keys` per
+  /// shard, run `probe(s, in, out)` shard-local, scatter `map(s, result)`
+  /// back to input order. Dispatches whole shards to the pool per `opts`.
   template <typename Out, typename ProbeFn, typename MapFn>
   void Route(std::span<const KeyT> keys, std::span<Out> out,
              const ProbeOptions& opts, ProbeFn&& probe, MapFn&& map) const;
@@ -203,12 +207,9 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// version, never per batch.
   BasicAnyIndex<KeyT> BuildShard(const IndexSpec& inner, const KeyT* keys,
                                  size_t n, View* view);
-  /// True when a batch of `probes` takes the lockstep path: CSS shards,
-  /// probed inline (threaded batches above min_shard go through Route).
-  bool Lockstep(size_t probes, const ProbeOptions& opts) const {
-    return lockstep_find_ != nullptr &&
-           (opts.threads == 1 || probes <= opts.min_shard);
-  }
+  /// True when batches take the lockstep path (CSS shards), at every
+  /// thread count; every other inner goes through Route.
+  bool Lockstep() const { return lockstep_find_ != nullptr; }
   template <typename Tree, typename Out>
   static void LockstepBatch(const BasicPartitionedIndex& index,
                             std::span<const KeyT> keys, std::span<Out> out);

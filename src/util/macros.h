@@ -13,12 +13,15 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define CSSIDX_ALWAYS_INLINE inline __attribute__((always_inline))
+// For a lambda, after its parameter list: [&](int i) CSSIDX_INLINE_LAMBDA.
+#define CSSIDX_INLINE_LAMBDA __attribute__((always_inline))
 #define CSSIDX_NOINLINE __attribute__((noinline))
 #define CSSIDX_LIKELY(x) __builtin_expect(!!(x), 1)
 #define CSSIDX_UNLIKELY(x) __builtin_expect(!!(x), 0)
 #define CSSIDX_PREFETCH(addr) __builtin_prefetch(addr)
 #else
 #define CSSIDX_ALWAYS_INLINE inline
+#define CSSIDX_INLINE_LAMBDA
 #define CSSIDX_NOINLINE
 #define CSSIDX_LIKELY(x) (x)
 #define CSSIDX_UNLIKELY(x) (x)

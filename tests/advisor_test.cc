@@ -5,6 +5,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder.h"
@@ -253,6 +254,41 @@ TEST(Advisor, ScalarNodeSearchRaisesOnlyNodeSearchedProbeCosts) {
     }
   }
   SetNodeSearchPath(detected);
+}
+
+TEST(Advisor, PartitionedSpaceIsPricedPerShard) {
+  // Every part:K shard builds its own inner index, so a hash directory is
+  // paid once per shard: the modeled space must track what the built
+  // composite reports, not one inner index over all n keys (which priced
+  // part:16/hash:16 at 9.1 MB against 67.1 MB built).
+  constexpr size_t kN = 1'000'000;
+  const std::vector<Key> keys = workload::DistinctSortedKeys(kN, 41, 4);
+  WorkloadProfile profile;
+  profile.point_probes = 1'000;
+  profile.probe_batches = 10;
+  profile.batch_hist[8] = 10;
+  auto space = [&](const char* text) {
+    const IndexSpec spec = *IndexSpec::Parse(text);
+    const AnyIndex built = BuildIndex(spec, keys.data(), keys.size());
+    EXPECT_TRUE(built) << text;
+    return std::pair<double, double>{
+        advisor::ScoreSpec(spec, profile, kN, advisor::AdvisorOptions{})
+            .space_bytes,
+        built ? static_cast<double>(built.SpaceBytes()) : 0.0};
+  };
+  constexpr double kDirectoryBytes = 65'536 * 64.0;  // 2^16 bucket lines
+  const auto [modeled16, built16] = space("part:16/hash:16");
+  EXPECT_NEAR(modeled16, built16, 0.1 * built16);
+  EXPECT_GE(modeled16, 16 * kDirectoryBytes);
+  // A 250K-key shard overflows some of its 2^16 bucket lines, and the
+  // bucket arena (a std::vector) then doubles its capacity, which
+  // SpaceBytes counts: the capacity gap a bare hash:b has too, which the
+  // model leaves out. Every shard's directory is priced; the gap is at
+  // most that doubling.
+  const auto [modeled4, built4] = space("part:4/hash:16");
+  EXPECT_GE(modeled4, 4 * kDirectoryBytes);
+  EXPECT_LE(modeled4, built4);
+  EXPECT_LE(built4, 2.1 * modeled4);
 }
 
 TEST(Advisor, RejectsBogusKeyWidth) {

@@ -222,9 +222,11 @@ TEST(PartitionedIndex, EmptyBatchAndEmptyIndex) {
 }
 
 TEST(PartitionedIndex, ThreadCountsStraddleTheShardDispatchThreshold) {
-  // Below min_shard the router runs shards inline; above it, whole shards
-  // dispatch to the pool. Both sides of the threshold, at thread counts
-  // {0, 1, 2, 8}, must reproduce the bare inner's answers bit-for-bit.
+  // Below min_shard every batch runs inline; above it, a batch over CSS
+  // shards splits its probe span across the pool (one lockstep descent
+  // per span) and the router dispatches the other inners' whole shards.
+  // Both sides of the threshold, at thread counts {0, 1, 2, 8}, must
+  // reproduce the bare inner's answers bit-for-bit.
   ThreadPool pool(3);  // real workers even on a 1-core CI machine
   auto keys = workload::KeysWithDuplicates(30000, 500, /*seed=*/19);
   const std::vector<size_t> probe_counts{

@@ -5,8 +5,10 @@
 #include "core/record_css_tree.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "core/full_css_tree.h"
 #include "core/range.h"
 
 #include "gtest/gtest.h"
@@ -33,6 +35,7 @@ struct Row32 {
 struct Row32Key {
   Key operator()(const Row32& r) const { return r.key; }
 };
+static_assert(sizeof(Row8) == 8 && sizeof(Row32) == 32);
 
 template <typename Row, typename GetKey, int M>
 void OracleCheck(const std::vector<Key>& keys,
@@ -105,14 +108,17 @@ TEST(RecordCssTree, BatchKernelsMatchScalarOverRecords) {
   // The group-probing kernels descend the same key directory as the plain
   // CSS-tree but finish with record-walking leaf searches; batched
   // results must equal the scalar calls probe for probe, duplicates and
-  // absent keys included, at batch sizes covering the full-group path,
-  // the sub-group remainder, and the 256-probe chunk boundary.
+  // absent keys included, at every batch size from 0 to two full groups
+  // plus one (the scalar-batch rule, partial groups, full groups) and at
+  // the 256-probe chunk boundary.
   auto keys = workload::KeysWithDuplicates(8000, 300, 9);
   auto rows = MakeRows<Row32, Row32Key>(keys);
   RecordCssTree<Row32, Row32Key, 16> tree(rows);
   Pcg32 rng(77);
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                       size_t{255}, size_t{256}, size_t{257}, size_t{2000}}) {
+  std::vector<size_t> batches;
+  for (size_t b = 0; b <= 2 * kGroupProbes + 1; ++b) batches.push_back(b);
+  for (size_t b : {255, 256, 257, 2000}) batches.push_back(b);
+  for (size_t batch : batches) {
     std::vector<Key> probes(batch);
     for (Key& k : probes) k = rng.Below(keys.back() + 3);
     std::vector<size_t> lower(batch);
@@ -136,6 +142,33 @@ TEST(RecordCssTree, BatchKernelsMatchScalarOverRecords) {
       ASSERT_EQ(counts[i], static_cast<size_t>(hi - lo))
           << "batch=" << batch << " i=" << i;
     }
+  }
+}
+
+template <typename Row, typename GetKey, int M>
+void ExpectDirectoryOfKeyColumn(const std::vector<Key>& keys) {
+  const std::vector<Row> rows = MakeRows<Row, GetKey>(keys);
+  RecordCssTree<Row, GetKey, M> records(rows);
+  FullCssTree<M> column(keys);
+  ASSERT_EQ(records.SpaceBytes(), column.SpaceBytes());
+  if (column.SpaceBytes() == 0) return;  // no directory: nothing to compare
+  EXPECT_EQ(std::memcmp(records.directory(), column.directory(),
+                        column.SpaceBytes()),
+            0)
+      << "n=" << keys.size() << " M=" << M << " record=" << sizeof(Row);
+}
+
+TEST(RecordCssTree, DirectoryIsTheKeyColumnsFullCssDirectory) {
+  // §4.1: a record tree's directory is the full CSS-tree's over the key
+  // column, byte for byte, whatever the record width.
+  for (size_t n : {0u, 1u, 16u, 17u, 300u, 5000u, 20'000u}) {
+    auto keys = workload::KeysWithDuplicates(n, 100, 3 + n);
+    ExpectDirectoryOfKeyColumn<Row8, Row8Key, 8>(keys);
+    ExpectDirectoryOfKeyColumn<Row8, Row8Key, 16>(keys);
+    ExpectDirectoryOfKeyColumn<Row8, Row8Key, 32>(keys);
+    ExpectDirectoryOfKeyColumn<Row32, Row32Key, 8>(keys);
+    ExpectDirectoryOfKeyColumn<Row32, Row32Key, 16>(keys);
+    ExpectDirectoryOfKeyColumn<Row32, Row32Key, 32>(keys);
   }
 }
 

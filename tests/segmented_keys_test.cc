@@ -267,6 +267,46 @@ TEST(SegmentedKeys, LoadAliasesTheCallersArrayAtBothWidths) {
   LoadAliasesTheArray<Key64>();
 }
 
+/// A rebalanced refresh rebuilds over one concatenated array; its version
+/// holds that array, so keys() and a spec swap read it instead of
+/// concatenating the shards a second time.
+template <typename KeyT>
+void RebalanceKeepsItsArray() {
+  const std::vector<KeyT> keys =
+      Widen<KeyT>(workload::DistinctSortedKeys(4000, 5, 4));
+  const IndexSpec spec = IndexSpec::Parse("part:16/css:16")->WithKeyWidth(
+      static_cast<int>(sizeof(KeyT)));
+  BasicMaintainedIndex<KeyT> index(spec, keys);
+  // A flood of the smallest key: shard 0 outgrows kRebalanceSkew times
+  // the equi-depth target.
+  const std::vector<KeyT> flood(keys.size(), keys.front());
+  index.ApplySortedBatch(flood, {});
+  ASSERT_EQ(index.stats().rebalances, 1u);
+  const auto version = index.Snapshot();
+  ASSERT_NE(version->keys_ptr(), nullptr);
+  const std::vector<KeyT>& array = *version->keys_ptr();
+  const auto* part = version->partitioned();
+  ASSERT_NE(part, nullptr);
+  for (size_t s = 0; s < part->num_shards(); ++s) {
+    EXPECT_EQ(part->shard_keys(s).data(), array.data() + part->ShardBase(s))
+        << "shard " << s;
+  }
+  const uint64_t materialized = KeyArrayMaterializations();
+  EXPECT_EQ(&version->keys(), &array);
+  EXPECT_EQ(version->keys(),
+            workload::ApplySortedBatch<KeyT>(keys, flood, {}));
+  EXPECT_EQ(KeyArrayMaterializations(), materialized);
+  // A spec swap builds over the same array.
+  ASSERT_TRUE(index.RebuildWithSpec(IndexSpec::Parse("css:16")->WithKeyWidth(
+      static_cast<int>(sizeof(KeyT)))));
+  EXPECT_EQ(index.Snapshot()->keys_ptr().get(), &array);
+}
+
+TEST(SegmentedKeys, RebalancedVersionHoldsTheArrayItsShardsAlias) {
+  RebalanceKeepsItsArray<Key>();
+  RebalanceKeepsItsArray<Key64>();
+}
+
 // ------------------------------------------------ materialization counter
 
 /// Spins until the writer has applied (and published) `batches` batches.
