@@ -75,7 +75,7 @@ double UpdateCycleSeconds(const IndexSpec& spec, const std::vector<Key>& keys,
     Timer timer;
     for (const workload::UpdateBatch& up : ups) {
       mi.ApplySortedBatch(up.inserts, up.deletes);
-      mi.FindBatch(probes, out);
+      mi.Snapshot()->index().FindBatch(probes, out);
     }
     double sec = timer.Seconds();
     uint64_t sum = 0;
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     std::vector<int64_t> out(probes.size());
     for (const workload::UpdateBatch& up : ups) {
       incumbent.ApplySortedBatch(up.inserts, up.deletes);
-      incumbent.FindBatch(probes, out);
+      incumbent.Snapshot()->index().FindBatch(probes, out);
     }
 
     advisor::AdvisorOptions opts;

@@ -7,11 +7,12 @@
 //
 // Sweeps batch sizes 1..1024 for every method (threads = 1, the PR-1
 // table), then sweeps thread counts over the whole lookup set as a single
-// batch (for every method and for part:16/css:16, whose threaded batch is
-// one lockstep descent per probe span), and prints and writes its report
-// (default
-// BENCH_batch_lookup.json) so the perf trajectory can track both batch
-// throughput and thread scaling run over run.
+// batch (for every method, and for part:16/css:16 and part:16/btree:16,
+// whose threaded batches the facade splits into probe spans like any
+// other: one lockstep descent or one Route per span), and prints and
+// writes its report (default BENCH_batch_lookup.json) so the perf
+// trajectory can track both batch throughput and thread scaling run over
+// run.
 //
 // --range additionally sweeps the batched range probes: scalar EqualRange
 // (the pre-batch duplicate-expansion path, one probe per virtual call) vs
@@ -168,8 +169,8 @@ int main(int argc, char** argv) {
                                       thread_sweep.end());
   ThreadPool pool(max_threads - 1);
 
-  // Thread scaling: the whole lookup set as one batch (every shard is
-  // then >= min_shard as long as lookups/threads allows), one row per
+  // Thread scaling: the whole lookup set as one batch (every span is then
+  // >= kParallelProbeMinShard as long as lookups/threads allows), one row per
   // requested thread count, scaling relative to a genuine t=1 baseline
   // (measured even when 1 is not in the sweep, so "scaling_vs_t1" means
   // what it says for a --threads=2,4,8 run).
@@ -241,10 +242,12 @@ int main(int argc, char** argv) {
 
     add_thread_scaling(spec, index);
   }
-  // A threaded part:K batch over CSS shards splits its probe span and runs
-  // one lockstep descent per span, as a bare tree does.
-  {
-    const IndexSpec spec = *IndexSpec::Parse("part:16/css:16");
+  // A threaded part:K batch is split into probe spans by the facade, as a
+  // bare tree's is: each span is one lockstep descent over CSS shards, or
+  // one Route (bucket per shard, inner kernels, scatter) over B+-tree
+  // shards.
+  for (const char* text : {"part:16/css:16", "part:16/btree:16"}) {
+    const IndexSpec spec = *IndexSpec::Parse(text);
     add_thread_scaling(spec, BuildIndex(spec, keys));
   }
   // Partitioned sweep: the composite's lockstep descent (fence level, then

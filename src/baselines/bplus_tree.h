@@ -117,21 +117,6 @@ class BPlusTree {
     FindBatchViaLowerBound(*this, a_, n_, keys, out);
   }
 
-  /// Batched EqualRange: both run bounds through the group-probing
-  /// LowerBound kernel (see EqualRangeBatchViaLowerBound).
-  void EqualRangeBatch(std::span<const KeyT> keys,
-                       std::span<PositionRange> out) const {
-    assert(out.size() >= keys.size());
-    EqualRangeBatchViaLowerBound(*this, n_, keys, out);
-  }
-
-  /// Batched CountEqual over the same range kernel.
-  void CountEqualBatch(std::span<const KeyT> keys,
-                       std::span<size_t> out) const {
-    assert(out.size() >= keys.size());
-    CountEqualBatchViaEqualRange(*this, keys, out);
-  }
-
   template <typename Tracer>
   size_t LowerBoundTraced(KeyT k, const Tracer& tracer) const {
     if (n_ == 0) return 0;

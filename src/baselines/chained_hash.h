@@ -1,6 +1,7 @@
 #ifndef CSSIDX_BASELINES_CHAINED_HASH_H_
 #define CSSIDX_BASELINES_CHAINED_HASH_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -66,6 +67,17 @@ class ChainedHashIndex {
                    HashFunction fn = HashFunction::kLowOrderBits)
       : n_(n), dir_bits_(dir_bits), mask_((1u << dir_bits) - 1), fn_(fn) {
     size_t dir_size = size_t{1} << dir_bits;
+    // A slot's chain holds max(1, ceil(keys in slot / kPairsPerBucket))
+    // buckets. Reserving exactly their sum leaves the arena no spare
+    // capacity, so SpaceBytes counts only buckets in use.
+    std::vector<uint32_t> in_slot(dir_size, 0);
+    for (size_t i = 0; i < n; ++i) ++in_slot[Slot(keys[i])];
+    size_t buckets = 0;
+    for (uint32_t c : in_slot) {
+      buckets +=
+          std::max<size_t>(1, (c + kPairsPerBucket - 1) / kPairsPerBucket);
+    }
+    arena_.reserve(buckets);
     arena_.resize(dir_size);
     for (Bucket& b : arena_) {
       b.count = 0;
@@ -125,13 +137,6 @@ class ChainedHashIndex {
         out[i + g] = EqualRangeInChain(slot[g], keys[i + g]);
       }
     }
-  }
-
-  /// Batched CountEqual, derived from the same single-scan chain kernel.
-  void CountEqualBatch(std::span<const Key> keys,
-                       std::span<size_t> out) const {
-    assert(out.size() >= keys.size());
-    CountEqualBatchViaEqualRange(*this, keys, out);
   }
 
   template <typename Tracer>

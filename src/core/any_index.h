@@ -31,6 +31,14 @@
 // Timing benches that need the structure without the virtual hop get the
 // concrete template from the same spec through VisitIndex (visit_index.h).
 //
+// One probe funnel. A structure supplies LowerBound and Find kernels (the
+// hash, which has no lower bound, an EqualRange kernel instead). The
+// adapters below are the only code that derives one probe verb from
+// another: EqualRange is two LowerBounds, CountEqual the size of an
+// EqualRange. This facade is the only code that reads ProbeOptions: its
+// explicit-policy methods are the one place a batch is split across
+// threads, each span one call of the plain batch virtual.
+//
 // Beneath every batch kernel, the intra-node search itself is
 // SIMD-dispatched (simd_node_search.h: SSE2/AVX2 compare+count with the
 // scalar unrolled search of §6.2 as fallback). That layer is invisible
@@ -55,24 +63,24 @@ inline constexpr size_t kParallelProbeMinShard = 4096;
 /// no post-merge — so output is bit-identical for every thread count.
 struct ProbeOptions {
   int threads = 1;
-  size_t min_shard = kParallelProbeMinShard;
   /// Pool to shard on; nullptr = ThreadPool::Shared(). Benches and tests
   /// pass their own pool to get real threads even when the machine is
   /// narrower than the requested width.
   ThreadPool* pool = nullptr;
 };
 
-/// Shards body(begin, end) over [0, n) according to `opts`. The inline
-/// fast path (threads == 1 or a span below min_shard) never touches the
-/// pool — scalar probes stay free of std::function and lock traffic.
+/// Shards body(begin, end) over [0, n) according to `opts`, in spans of at
+/// least kParallelProbeMinShard probes. The inline fast path (threads == 1
+/// or a span of at most kParallelProbeMinShard) never touches the pool —
+/// scalar probes stay free of std::function and lock traffic.
 template <typename Fn>
 void ParallelProbe(const ProbeOptions& opts, size_t n, Fn&& body) {
-  if (opts.threads == 1 || n <= opts.min_shard) {
+  if (opts.threads == 1 || n <= kParallelProbeMinShard) {
     body(size_t{0}, n);
     return;
   }
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::Shared();
-  pool.ParallelFor(n, opts.min_shard, opts.threads, body);
+  pool.ParallelFor(n, kParallelProbeMinShard, opts.threads, body);
 }
 
 /// An index type that provides its own group-probing LowerBound kernel.
@@ -87,21 +95,6 @@ template <typename T, typename KeyT = Key>
 concept HasFindBatch =
     requires(const T& t, std::span<const KeyT> in, std::span<int64_t> out) {
       t.FindBatch(in, out);
-    };
-
-/// An index type that provides its own batched EqualRange kernel.
-template <typename T, typename KeyT = Key>
-concept HasEqualRangeBatch =
-    requires(const T& t, std::span<const KeyT> in,
-             std::span<PositionRange> out) {
-      t.EqualRangeBatch(in, out);
-    };
-
-/// An index type that provides its own batched CountEqual kernel.
-template <typename T, typename KeyT = Key>
-concept HasCountEqualBatch =
-    requires(const T& t, std::span<const KeyT> in, std::span<size_t> out) {
-      t.CountEqualBatch(in, out);
     };
 
 /// Runtime facade over any index in the suite. Copyable and cheap to pass
@@ -141,44 +134,6 @@ class BasicAnyIndex {
     virtual void CountEqualBatch(std::span<const KeyT> keys,
                                  std::span<size_t> out) const = 0;
 
-    /// Policy-aware entry points. The default shards the probe span into
-    /// contiguous chunks and runs the plain batch op per chunk — right
-    /// for every monolithic structure. The partitioned index overrides
-    /// these: over CSS shards it shards spans the same way, and over
-    /// other inners it spends the thread budget dispatching whole
-    /// key-range shards instead.
-    virtual void LowerBoundBatch(std::span<const KeyT> keys,
-                                 std::span<size_t> out,
-                                 const ProbeOptions& opts) const {
-      ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
-        LowerBoundBatch(keys.subspan(begin, end - begin),
-                        out.subspan(begin, end - begin));
-      });
-    }
-    virtual void FindBatch(std::span<const KeyT> keys, std::span<int64_t> out,
-                           const ProbeOptions& opts) const {
-      ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
-        FindBatch(keys.subspan(begin, end - begin),
-                  out.subspan(begin, end - begin));
-      });
-    }
-    virtual void EqualRangeBatch(std::span<const KeyT> keys,
-                                 std::span<PositionRange> out,
-                                 const ProbeOptions& opts) const {
-      ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
-        EqualRangeBatch(keys.subspan(begin, end - begin),
-                        out.subspan(begin, end - begin));
-      });
-    }
-    virtual void CountEqualBatch(std::span<const KeyT> keys,
-                                 std::span<size_t> out,
-                                 const ProbeOptions& opts) const {
-      ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
-        CountEqualBatch(keys.subspan(begin, end - begin),
-                        out.subspan(begin, end - begin));
-      });
-    }
-
     /// Extra bytes beyond the sorted array.
     virtual size_t SpaceBytes() const = 0;
     virtual size_t size() const = 0;
@@ -215,15 +170,13 @@ class BasicAnyIndex {
     CountEqualBatch(keys, out, ProbeOptions{.threads = spec_.probe_threads()});
   }
 
-  /// Explicit-policy probes. Monolithic structures shard `keys` into
-  /// contiguous chunks across the pool, each chunk running the
-  /// structure's own group-probing + prefetch kernel; composite
-  /// structures (partitioned indexes) instead dispatch whole key-range
-  /// shards. Either way, results land in place in `out`.
+  /// Explicit-policy probes: the one place a batch is split across
+  /// threads. ParallelProbe cuts `keys` into contiguous spans, and each
+  /// span is one call of the structure's plain batch kernel, whose results
+  /// land in place in `out`. Stats are recorded once per batch.
   void FindBatch(std::span<const KeyT> keys, std::span<int64_t> out,
                  const ProbeOptions& opts) const {
-    assert(impl_ != nullptr);
-    impl_->FindBatch(keys, out, opts);
+    Split(opts, keys, out, &Impl::FindBatch);
     if (stats_) {
       size_t missed = 0;
       for (size_t i = 0; i < keys.size(); ++i) missed += out[i] == kNotFound;
@@ -232,14 +185,12 @@ class BasicAnyIndex {
   }
   void LowerBoundBatch(std::span<const KeyT> keys, std::span<size_t> out,
                        const ProbeOptions& opts) const {
-    assert(impl_ != nullptr);
-    impl_->LowerBoundBatch(keys, out, opts);
+    Split(opts, keys, out, &Impl::LowerBoundBatch);
     if (stats_) stats_->RecordLowerBound(keys.size());
   }
   void EqualRangeBatch(std::span<const KeyT> keys, std::span<PositionRange> out,
                        const ProbeOptions& opts) const {
-    assert(impl_ != nullptr);
-    impl_->EqualRangeBatch(keys, out, opts);
+    Split(opts, keys, out, &Impl::EqualRangeBatch);
     if (stats_) {
       size_t missed = 0;
       for (size_t i = 0; i < keys.size(); ++i) {
@@ -250,8 +201,7 @@ class BasicAnyIndex {
   }
   void CountEqualBatch(std::span<const KeyT> keys, std::span<size_t> out,
                        const ProbeOptions& opts) const {
-    assert(impl_ != nullptr);
-    impl_->CountEqualBatch(keys, out, opts);
+    Split(opts, keys, out, &Impl::CountEqualBatch);
     if (stats_) {
       size_t missed = 0;
       for (size_t i = 0; i < keys.size(); ++i) missed += out[i] == 0;
@@ -312,6 +262,20 @@ class BasicAnyIndex {
   const std::shared_ptr<ProbeStatsCollector>& stats() const { return stats_; }
 
  private:
+  /// Runs the plain batch kernel `verb` over `keys`, one call per span
+  /// ParallelProbe cuts under `opts`.
+  template <typename Out>
+  void Split(const ProbeOptions& opts, std::span<const KeyT> keys,
+             std::span<Out> out,
+             void (Impl::*verb)(std::span<const KeyT>, std::span<Out>)
+                 const) const {
+    assert(impl_ != nullptr);
+    ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
+      (impl_.get()->*verb)(keys.subspan(begin, end - begin),
+                           out.subspan(begin, end - begin));
+    });
+  }
+
   IndexSpec spec_{};
   std::string name_;
   std::shared_ptr<const Impl> impl_;
@@ -325,9 +289,9 @@ using AnyIndex64 = BasicAnyIndex<Key64>;
 /// Adapter for OrderedIndex templates. Uses the structure's own batch
 /// kernels when it has them; otherwise falls back to a plain probe loop
 /// (group probing without prefetch — dispatch still amortized). The range
-/// fallback derives each span from LowerBound + CountEqual, so every
-/// ordered method — T-tree and the array baselines included — satisfies
-/// the full range-batch contract whether or not it ships a kernel.
+/// probes are derived here, once, for every ordered method: both ends of
+/// a duplicate run (§3.6) are LowerBounds through this adapter's batch
+/// kernel, and a count is the run's size.
 template <typename IndexT, typename KeyT = Key>
 class OrderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
  public:
@@ -357,31 +321,12 @@ class OrderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
 
   void EqualRangeBatch(std::span<const KeyT> keys,
                        std::span<PositionRange> out) const override {
-    if constexpr (HasEqualRangeBatch<IndexT, KeyT>) {
-      index_.EqualRangeBatch(keys, out);
-    } else if constexpr (HasLowerBoundBatch<IndexT, KeyT>) {
-      // No range kernel, but a LowerBound kernel: both bounds still probe
-      // with group probing + prefetch (shared adapter of the contract).
-      EqualRangeBatchViaLowerBound(index_, index_.size(), keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        size_t lo = index_.LowerBound(keys[i]);
-        out[i] = PositionRange{lo, lo + index_.CountEqual(keys[i])};
-      }
-    }
+    EqualRangeBatchViaLowerBound(*this, index_.size(), keys, out);
   }
 
   void CountEqualBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const override {
-    if constexpr (HasCountEqualBatch<IndexT, KeyT>) {
-      index_.CountEqualBatch(keys, out);
-    } else if constexpr (HasLowerBoundBatch<IndexT, KeyT>) {
-      CountEqualBatchViaEqualRange(*this, keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out[i] = index_.CountEqual(keys[i]);
-      }
-    }
+    CountEqualBatchViaEqualRange(*this, keys, out);
   }
 
   size_t SpaceBytes() const override { return index_.SpaceBytes(); }
@@ -400,7 +345,8 @@ class OrderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
 /// range probes: the hash stores array positions, duplicates are adjacent
 /// in the sorted array, so {leftmost, leftmost + count} is a real span.
 /// Absent keys anchor their empty span at size() (no insertion point
-/// without ordered access).
+/// without ordered access). The hash's own EqualRange kernel scans each
+/// chain once; a count is that run's size.
 template <typename HashT, typename KeyT = Key>
 class UnorderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
  public:
@@ -413,39 +359,17 @@ class UnorderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
 
   void FindBatch(std::span<const KeyT> keys,
                  std::span<int64_t> out) const override {
-    if constexpr (HasFindBatch<HashT, KeyT>) {
-      index_.FindBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) out[i] = index_.Find(keys[i]);
-    }
+    index_.FindBatch(keys, out);
   }
 
   void EqualRangeBatch(std::span<const KeyT> keys,
                        std::span<PositionRange> out) const override {
-    if constexpr (HasEqualRangeBatch<HashT, KeyT>) {
-      index_.EqualRangeBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        int64_t found = index_.Find(keys[i]);
-        if (found == kNotFound) {
-          out[i] = PositionRange{index_.size(), index_.size()};
-        } else {
-          auto lo = static_cast<size_t>(found);
-          out[i] = PositionRange{lo, lo + index_.CountEqual(keys[i])};
-        }
-      }
-    }
+    index_.EqualRangeBatch(keys, out);
   }
 
   void CountEqualBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const override {
-    if constexpr (HasCountEqualBatch<HashT, KeyT>) {
-      index_.CountEqualBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out[i] = index_.CountEqual(keys[i]);
-      }
-    }
+    CountEqualBatchViaEqualRange(index_, keys, out);
   }
 
   size_t SpaceBytes() const override { return index_.SpaceBytes(); }

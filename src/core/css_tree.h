@@ -179,23 +179,6 @@ class BasicCssTree {
     FindBatchViaLowerBound(*this, a_, n_, keys, out, KeyOf{});
   }
 
-  /// Batched EqualRange (§3.6 duplicate runs): both bounds of every run
-  /// descend through the group-probing LowerBound kernel, so a batch of
-  /// range probes costs two prefetch-overlapped descents per probe instead
-  /// of a descent plus an O(duplicates) rightward scan.
-  void EqualRangeBatch(std::span<const KeyT> keys,
-                       std::span<PositionRange> out) const {
-    assert(out.size() >= keys.size());
-    EqualRangeBatchViaLowerBound(*this, n_, keys, out);
-  }
-
-  /// Batched CountEqual over the same range kernel.
-  void CountEqualBatch(std::span<const KeyT> keys,
-                       std::span<size_t> out) const {
-    assert(out.size() >= keys.size());
-    CountEqualBatchViaEqualRange(*this, keys, out);
-  }
-
   /// LowerBound with generic (runtime-loop) intra-node searches instead of
   /// the unrolled ones — the "generic code" §6.2 found 20-45% slower. Kept
   /// for the node-search ablation bench; results are identical.

@@ -109,8 +109,8 @@ class IndexSpec {
   int partitions() const { return partitions_; }
   bool partitioned() const { return partitions_ > 0; }
   /// The per-shard inner spec: same method and knobs, no part prefix, and
-  /// inline probes (parallelism lives at the shard-dispatch level, so the
-  /// inner kernels never re-shard their sub-spans).
+  /// inline probes (the outer facade splits a part:K batch across threads
+  /// once, and the shard kernels run inline within each span).
   IndexSpec Inner() const {
     return WithPartitions(0).WithProbeThreads(1);
   }

@@ -193,6 +193,8 @@ class BasicMaintainedIndex {
 
   /// Readers: one pointer copy; the snapshot stays valid (and immutable)
   /// for as long as the caller holds it, regardless of writer activity.
+  /// Probes go through the snapshot's facade, Snapshot()->index(), so
+  /// every probe of a batch sees one version.
   std::shared_ptr<const Version> Snapshot() const {
     std::lock_guard<std::mutex> lock(current_mu_);
     return current_;
@@ -255,56 +257,6 @@ class BasicMaintainedIndex {
   /// The collector, or nullptr when stats were never enabled.
   const std::shared_ptr<ProbeStatsCollector>& stats_collector() const {
     return stats_collector_;
-  }
-
-  // The full batch-probe surface, each call against one fresh snapshot
-  // (one atomic load per batch — amortized to nothing by the batch-first
-  // contract). Callers needing several ops against ONE coherent version
-  // hold a Snapshot() instead. The two-argument forms follow the spec's
-  // "@tN" probe-thread policy, as on AnyIndex.
-  void FindBatch(std::span<const KeyT> keys, std::span<int64_t> out) const {
-    Snapshot()->index().FindBatch(keys, out);
-  }
-  void LowerBoundBatch(std::span<const KeyT> keys,
-                       std::span<size_t> out) const {
-    Snapshot()->index().LowerBoundBatch(keys, out);
-  }
-  void EqualRangeBatch(std::span<const KeyT> keys,
-                       std::span<PositionRange> out) const {
-    Snapshot()->index().EqualRangeBatch(keys, out);
-  }
-  void CountEqualBatch(std::span<const KeyT> keys,
-                       std::span<size_t> out) const {
-    Snapshot()->index().CountEqualBatch(keys, out);
-  }
-  void FindBatch(std::span<const KeyT> keys, std::span<int64_t> out,
-                 const ProbeOptions& opts) const {
-    Snapshot()->index().FindBatch(keys, out, opts);
-  }
-  void LowerBoundBatch(std::span<const KeyT> keys, std::span<size_t> out,
-                       const ProbeOptions& opts) const {
-    Snapshot()->index().LowerBoundBatch(keys, out, opts);
-  }
-  void EqualRangeBatch(std::span<const KeyT> keys,
-                       std::span<PositionRange> out,
-                       const ProbeOptions& opts) const {
-    Snapshot()->index().EqualRangeBatch(keys, out, opts);
-  }
-  void CountEqualBatch(std::span<const KeyT> keys, std::span<size_t> out,
-                       const ProbeOptions& opts) const {
-    Snapshot()->index().CountEqualBatch(keys, out, opts);
-  }
-
-  /// Scalar probes: batches of one against the current version.
-  int64_t Find(KeyT k) const { return Snapshot()->index().Find(k); }
-  size_t LowerBound(KeyT k) const {
-    return Snapshot()->index().LowerBound(k);
-  }
-  PositionRange EqualRange(KeyT k) const {
-    return Snapshot()->index().EqualRange(k);
-  }
-  size_t CountEqual(KeyT k) const {
-    return Snapshot()->index().CountEqual(k);
   }
 
   size_t size() const { return Snapshot()->size(); }

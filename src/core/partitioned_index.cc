@@ -7,16 +7,11 @@
 
 #include "core/builder.h"
 #include "core/visit_index.h"
-#include "util/thread_pool.h"
 #include "workload/batch_update.h"
 
 namespace cssidx {
 
 namespace {
-
-/// Inner kernels always run inline within their span or shard task: the
-/// thread budget is spent once, never on nested re-sharding.
-constexpr ProbeOptions kInline{.threads = 1};
 
 /// Equi-depth cuts at s * n / K, each snapped LEFT to the start of the
 /// duplicate run containing it: a run that straddled a fence would make
@@ -69,18 +64,6 @@ CSSIDX_ALWAYS_INLINE size_t FencesAtOrBelow(const KeyT* fences, size_t count,
     count -= half;
   }
   return static_cast<size_t>(base - fences) + (*base <= key);
-}
-
-/// Runs `batch` over contiguous spans of the probes, split across the
-/// pool per `opts` exactly as a bare tree's batch is (ParallelProbe):
-/// each span's results land in place, so output is the same at every
-/// thread count.
-template <typename KeyT, typename Out, typename Batch>
-void SplitProbes(const ProbeOptions& opts, std::span<const KeyT> keys,
-                 std::span<Out> out, Batch&& batch) {
-  ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
-    batch(keys.subspan(begin, end - begin), out.subspan(begin, end - begin));
-  });
 }
 
 bool CssInner(const IndexSpec& inner) {
@@ -335,9 +318,8 @@ size_t BasicPartitionedIndex<KeyT>::ShardOf(KeyT key) const {
 template <typename KeyT>
 template <typename Out, typename ProbeFn, typename MapFn>
 void BasicPartitionedIndex<KeyT>::Route(std::span<const KeyT> keys,
-                                        std::span<Out> out,
-                                        const ProbeOptions& opts,
-                                        ProbeFn&& probe, MapFn&& map) const {
+                                        std::span<Out> out, ProbeFn&& probe,
+                                        MapFn&& map) const {
   const size_t n_probes = keys.size();
   if (n_probes == 0) return;
   const size_t k = shards_.size();
@@ -378,52 +360,33 @@ void BasicPartitionedIndex<KeyT>::Route(std::span<const KeyT> keys,
 
   // Run the inner group-probe kernel shard-local, then scatter back to
   // input order with global positions. Every input slot appears in
-  // exactly one shard's bucket, so shard tasks scatter to disjoint `out`
-  // entries — parallel dispatch needs no merge and no synchronization
-  // beyond the pool barrier.
+  // exactly one shard's bucket.
   std::vector<Out> local(n_probes);
-  auto run_shards = [&](size_t s_begin, size_t s_end) {
-    for (size_t s = s_begin; s < s_end; ++s) {
-      size_t len = seg[s + 1] - seg[s];
-      if (len == 0) continue;
-      probe(s, std::span<const KeyT>(routed.data() + seg[s], len),
-            std::span<Out>(local.data() + seg[s], len));
-      for (size_t j = 0; j < len; ++j) {
-        out[origin[seg[s] + j]] = map(s, local[seg[s] + j]);
-      }
+  for (size_t s = 0; s < k; ++s) {
+    size_t len = seg[s + 1] - seg[s];
+    if (len == 0) continue;
+    probe(s, std::span<const KeyT>(routed.data() + seg[s], len),
+          std::span<Out>(local.data() + seg[s], len));
+    for (size_t j = 0; j < len; ++j) {
+      out[origin[seg[s] + j]] = map(s, local[seg[s] + j]);
     }
-  };
-  // Whole shards are the dispatch unit. Small probe spans stay inline
-  // under the same threshold as ParallelProbe — a sub-threshold span
-  // cannot amortize a pool wakeup no matter how it is carved up.
-  if (opts.threads == 1 || n_probes <= opts.min_shard) {
-    run_shards(0, k);
-  } else {
-    ThreadPool& pool =
-        opts.pool != nullptr ? *opts.pool : ThreadPool::Shared();
-    pool.ParallelFor(k, 1, opts.threads, run_shards);
   }
 }
 
 template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::LowerBoundBatch(
-    std::span<const KeyT> keys, std::span<size_t> out,
-    const ProbeOptions& opts) const {
+    std::span<const KeyT> keys, std::span<size_t> out) const {
   if (!ordered_) {
     // Bare hash answers every LowerBound with size(); shard-local sizes
     // plus bases would fake positions the contract says do not exist.
     for (size_t i = 0; i < keys.size(); ++i) out[i] = n_;
     return;
   }
-  if (Lockstep()) {
-    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
-      lockstep_lower_bound_(*this, in, part);
-    });
-  }
+  if (Lockstep()) return lockstep_lower_bound_(*this, keys, out);
   Route(
-      keys, out, opts,
+      keys, out,
       [&](size_t s, std::span<const KeyT> in, std::span<size_t> local) {
-        shards_[s].LowerBoundBatch(in, local, kInline);
+        shards_[s].impl()->LowerBoundBatch(in, local);
       },
       // Routing guarantees the global lower bound lies inside shard s
       // (everything before it is strictly below the probe's shard range),
@@ -433,17 +396,12 @@ void BasicPartitionedIndex<KeyT>::LowerBoundBatch(
 
 template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::FindBatch(std::span<const KeyT> keys,
-                                            std::span<int64_t> out,
-                                            const ProbeOptions& opts) const {
-  if (Lockstep()) {
-    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
-      lockstep_find_(*this, in, part);
-    });
-  }
+                                            std::span<int64_t> out) const {
+  if (Lockstep()) return lockstep_find_(*this, keys, out);
   Route(
-      keys, out, opts,
+      keys, out,
       [&](size_t s, std::span<const KeyT> in, std::span<int64_t> local) {
-        shards_[s].FindBatch(in, local, kInline);
+        shards_[s].impl()->FindBatch(in, local);
       },
       [&](size_t s, int64_t pos) {
         return pos == kNotFound ? kNotFound
@@ -453,20 +411,15 @@ void BasicPartitionedIndex<KeyT>::FindBatch(std::span<const KeyT> keys,
 
 template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::EqualRangeBatch(
-    std::span<const KeyT> keys, std::span<PositionRange> out,
-    const ProbeOptions& opts) const {
+    std::span<const KeyT> keys, std::span<PositionRange> out) const {
   // Two lockstep LowerBound passes: a run never straddles a fence, and a
   // probe's successor routes to whichever shard holds the run's end.
-  if (Lockstep()) {
-    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
-      EqualRangeBatchViaLowerBound(*this, n_, in, part);
-    });
-  }
+  if (Lockstep()) return EqualRangeBatchViaLowerBound(*this, n_, keys, out);
   Route(
-      keys, out, opts,
+      keys, out,
       [&](size_t s, std::span<const KeyT> in,
           std::span<PositionRange> local) {
-        shards_[s].EqualRangeBatch(in, local, kInline);
+        shards_[s].impl()->EqualRangeBatch(in, local);
       },
       // Runs never straddle fences, so the shard-local span is the whole
       // run. Hash anchors absent keys at size(), which must stay the
@@ -479,43 +432,14 @@ void BasicPartitionedIndex<KeyT>::EqualRangeBatch(
 
 template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::CountEqualBatch(
-    std::span<const KeyT> keys, std::span<size_t> out,
-    const ProbeOptions& opts) const {
-  if (Lockstep()) {
-    return SplitProbes(opts, keys, out, [&](auto in, auto part) {
-      CountEqualBatchViaEqualRange(*this, in, part);
-    });
-  }
+    std::span<const KeyT> keys, std::span<size_t> out) const {
+  if (Lockstep()) return CountEqualBatchViaEqualRange(*this, keys, out);
   Route(
-      keys, out, opts,
+      keys, out,
       [&](size_t s, std::span<const KeyT> in, std::span<size_t> local) {
-        shards_[s].CountEqualBatch(in, local, kInline);
+        shards_[s].impl()->CountEqualBatch(in, local);
       },
       [](size_t, size_t count) { return count; });
-}
-
-template <typename KeyT>
-void BasicPartitionedIndex<KeyT>::LowerBoundBatch(
-    std::span<const KeyT> keys, std::span<size_t> out) const {
-  LowerBoundBatch(keys, out, kInline);
-}
-
-template <typename KeyT>
-void BasicPartitionedIndex<KeyT>::FindBatch(std::span<const KeyT> keys,
-                                            std::span<int64_t> out) const {
-  FindBatch(keys, out, kInline);
-}
-
-template <typename KeyT>
-void BasicPartitionedIndex<KeyT>::EqualRangeBatch(
-    std::span<const KeyT> keys, std::span<PositionRange> out) const {
-  EqualRangeBatch(keys, out, kInline);
-}
-
-template <typename KeyT>
-void BasicPartitionedIndex<KeyT>::CountEqualBatch(
-    std::span<const KeyT> keys, std::span<size_t> out) const {
-  CountEqualBatch(keys, out, kInline);
 }
 
 template <typename KeyT>

@@ -36,13 +36,13 @@
 // bare "css:16" over the whole array — enforced differentially by
 // tests/partitioned_index_test.cc.
 //
-// Parallelism: ProbeOptions{threads} / the "@tN" spec suffix splits a
-// batch over CSS shards into contiguous probe spans (ParallelProbe), each
-// one lockstep descent, exactly as a bare tree's batch is split. Route
-// instead dispatches whole shards to the ThreadPool (one task range over
-// shard indexes): its shard tasks scatter to disjoint output slots. Either
-// way there is no merge step and output is bit-identical at every thread
-// count.
+// Parallelism: this index never reads ProbeOptions. A threaded batch
+// ("@tN", or ProbeOptions{threads} through the facade) is split by the
+// AnyIndex facade into contiguous probe spans, as a bare tree's batch is,
+// and each span is one call of a plain batch method here: one lockstep
+// descent over CSS shards, or one inline Route over any other inner. Each
+// span's results land in place, so there is no merge step and output is
+// bit-identical at every thread count.
 //
 // Maintenance: the fence structure is also what makes the paper's
 // rebuild-on-batch model cheap. An update batch routes through the same
@@ -120,16 +120,6 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   void CountEqualBatch(std::span<const KeyT> keys,
                        std::span<size_t> out) const override;
 
-  void LowerBoundBatch(std::span<const KeyT> keys, std::span<size_t> out,
-                       const ProbeOptions& opts) const override;
-  void FindBatch(std::span<const KeyT> keys, std::span<int64_t> out,
-                 const ProbeOptions& opts) const override;
-  void EqualRangeBatch(std::span<const KeyT> keys,
-                       std::span<PositionRange> out,
-                       const ProbeOptions& opts) const override;
-  void CountEqualBatch(std::span<const KeyT> keys, std::span<size_t> out,
-                       const ProbeOptions& opts) const override;
-
   /// The shard directories and routing tables, plus — when the index
   /// holds its keys (owns_shard_keys()) — each shard's slice length in
   /// key bytes. A shard aliasing a loaded array counts its own slice,
@@ -197,10 +187,10 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
             const std::shared_ptr<const void>& owner);
   /// The router for inners without a lockstep path: bucket `keys` per
   /// shard, run `probe(s, in, out)` shard-local, scatter `map(s, result)`
-  /// back to input order. Dispatches whole shards to the pool per `opts`.
+  /// back to input order.
   template <typename Out, typename ProbeFn, typename MapFn>
-  void Route(std::span<const KeyT> keys, std::span<Out> out,
-             const ProbeOptions& opts, ProbeFn&& probe, MapFn&& map) const;
+  void Route(std::span<const KeyT> keys, std::span<Out> out, ProbeFn&& probe,
+             MapFn&& map) const;
   /// Builds one shard's inner index over keys[0..n). A CSS inner is built
   /// through VisitIndex, so its tree view goes to `*view` and the
   /// lockstep kernels for its node size are picked here, once per

@@ -65,6 +65,30 @@ TEST(ChainedHash, SpaceIsDirectoryPlusOverflow) {
   EXPECT_GT(big_dir.SpaceBytes(), small_dir.SpaceBytes());
 }
 
+TEST(ChainedHash, ArenaHoldsExactlyTheBucketsInUse) {
+  // No spare arena capacity: a slot's chain is max(1, ceil(keys in slot /
+  // kPairsPerBucket)) lines, and SpaceBytes is their sum at every load.
+  auto keys = workload::KeysWithDuplicates(20'000, 60, 5);
+  for (int bits : {0, 4, 10, 14}) {
+    std::vector<size_t> in_slot(size_t{1} << bits, 0);
+    for (Key k : keys) ++in_slot[k & ((1u << bits) - 1)];
+    auto buckets_in_use = [&](size_t pairs_per_bucket) {
+      size_t buckets = 0;
+      for (size_t c : in_slot) {
+        buckets += std::max<size_t>(
+            1, (c + pairs_per_bucket - 1) / pairs_per_bucket);
+      }
+      return buckets;
+    };
+    EXPECT_EQ(ChainedHashIndex<64>(keys, bits).SpaceBytes(),
+              buckets_in_use(ChainedHashIndex<64>::kPairsPerBucket) * 64)
+        << "dir_bits=" << bits;
+    EXPECT_EQ(ChainedHashIndex<32>(keys, bits).SpaceBytes(),
+              buckets_in_use(ChainedHashIndex<32>::kPairsPerBucket) * 32)
+        << "dir_bits=" << bits;
+  }
+}
+
 TEST(ChainedHash, SkewedKeysDegradeChains) {
   // Low-order-bit hashing on stride-64 keys wastes most of the directory:
   // the paper's skew warning (§3.5).

@@ -273,10 +273,11 @@ TEST(FuzzDifferential, MaintainedUpdateProbeInterleavingAcrossSpecMenu) {
       std::vector<size_t> lower(n_probes);
       std::vector<PositionRange> ranges(n_probes);
       std::vector<size_t> counts(n_probes);
-      index.FindBatch(probes, found);
-      index.LowerBoundBatch(probes, lower);
-      index.EqualRangeBatch(probes, ranges);
-      index.CountEqualBatch(probes, counts);
+      const AnyIndex& served = index.Snapshot()->index();
+      served.FindBatch(probes, found);
+      served.LowerBoundBatch(probes, lower);
+      served.EqualRangeBatch(probes, ranges);
+      served.CountEqualBatch(probes, counts);
       for (size_t p = 0; p < n_probes; ++p) {
         auto lo = std::lower_bound(model.begin(), model.end(), probes[p]);
         auto hi = std::upper_bound(model.begin(), model.end(), probes[p]);

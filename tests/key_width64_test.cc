@@ -196,9 +196,9 @@ TEST(KeyWidth64, MaintainedCyclesMatchTheOracleAtEveryVersion) {
       auto snap = maintained.Snapshot();
       ASSERT_EQ(snap->keys(), oracle) << "cycle " << cycle;
       for (uint64_t probe : {kMax64, kMax64 - 1, uint64_t{1} << 32}) {
-        ASSERT_EQ(maintained.CountEqual(probe), OracleCount(oracle, probe))
+        ASSERT_EQ(snap->index().CountEqual(probe), OracleCount(oracle, probe))
             << "cycle " << cycle << " probe " << probe;
-        ASSERT_EQ(maintained.LowerBound(probe),
+        ASSERT_EQ(snap->index().LowerBound(probe),
                   OracleLowerBound(oracle, probe))
             << "cycle " << cycle << " probe " << probe;
       }

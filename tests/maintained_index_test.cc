@@ -19,6 +19,7 @@
 #include <memory>
 #include <new>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -37,30 +38,28 @@
 namespace cssidx {
 namespace {
 
-/// Diffs every op against the sorted model: Find/LowerBound/EqualRange/
-/// CountEqual, scalar + batch + pool-sharded (threads=2 with a tiny
-/// min_shard so even small probe sets actually dispatch).
-void ExpectAllOpsMatchOracle(const MaintainedIndex& index,
+/// Diffs every op of the current version's facade against the sorted
+/// model: Find/LowerBound/EqualRange/CountEqual, scalar + batch +
+/// pool-sharded (threads=2 over the probes repeated past
+/// kParallelProbeMinShard, so the batch really dispatches).
+void ExpectAllOpsMatchOracle(const MaintainedIndex& maintained,
                              const std::vector<Key>& model,
                              const std::vector<Key>& probes,
                              const std::string& ctx) {
-  ASSERT_EQ(index.Snapshot()->keys(), model) << ctx;
-  ASSERT_EQ(index.size(), model.size()) << ctx;
+  const auto version = maintained.Snapshot();
+  const AnyIndex& index = version->index();
+  ASSERT_EQ(version->keys(), model) << ctx;
+  ASSERT_EQ(maintained.size(), model.size()) << ctx;
 
   const size_t m = probes.size();
-  std::vector<int64_t> found(m), found_mt(m);
-  std::vector<size_t> lower(m), lower_mt(m);
-  std::vector<PositionRange> ranges(m), ranges_mt(m);
-  std::vector<size_t> counts(m), counts_mt(m);
+  std::vector<int64_t> found(m);
+  std::vector<size_t> lower(m);
+  std::vector<PositionRange> ranges(m);
+  std::vector<size_t> counts(m);
   index.FindBatch(probes, found);
   index.LowerBoundBatch(probes, lower);
   index.EqualRangeBatch(probes, ranges);
   index.CountEqualBatch(probes, counts);
-  const ProbeOptions sharded{.threads = 2, .min_shard = 16};
-  index.FindBatch(probes, found_mt, sharded);
-  index.LowerBoundBatch(probes, lower_mt, sharded);
-  index.EqualRangeBatch(probes, ranges_mt, sharded);
-  index.CountEqualBatch(probes, counts_mt, sharded);
 
   for (size_t p = 0; p < m; ++p) {
     const Key k = probes[p];
@@ -76,21 +75,42 @@ void ExpectAllOpsMatchOracle(const MaintainedIndex& index,
     PositionRange want_range{want_begin, want_begin + want_count};
 
     ASSERT_EQ(found[p], want_find) << ctx << " k=" << k;
-    ASSERT_EQ(found_mt[p], want_find) << ctx << " k=" << k << " @t2";
     ASSERT_EQ(index.Find(k), want_find) << ctx << " k=" << k << " scalar";
     ASSERT_EQ(counts[p], want_count) << ctx << " k=" << k;
-    ASSERT_EQ(counts_mt[p], want_count) << ctx << " k=" << k << " @t2";
     ASSERT_EQ(index.CountEqual(k), want_count) << ctx << " k=" << k
                                                << " scalar";
     ASSERT_EQ(ranges[p], want_range) << ctx << " k=" << k;
-    ASSERT_EQ(ranges_mt[p], want_range) << ctx << " k=" << k << " @t2";
     ASSERT_EQ(index.EqualRange(k), want_range) << ctx << " k=" << k
                                                << " scalar";
     if (index.SupportsOrderedAccess()) {
       ASSERT_EQ(lower[p], want_lower) << ctx << " k=" << k;
-      ASSERT_EQ(lower_mt[p], want_lower) << ctx << " k=" << k << " @t2";
       ASSERT_EQ(index.LowerBound(k), want_lower) << ctx << " k=" << k
                                                  << " scalar";
+    }
+  }
+
+  if (m == 0) return;
+  std::vector<Key> wide;
+  while (wide.size() <= kParallelProbeMinShard) {
+    wide.insert(wide.end(), probes.begin(), probes.end());
+  }
+  const size_t w = wide.size();
+  std::vector<int64_t> found_mt(w);
+  std::vector<size_t> lower_mt(w);
+  std::vector<PositionRange> ranges_mt(w);
+  std::vector<size_t> counts_mt(w);
+  const ProbeOptions sharded{.threads = 2};
+  index.FindBatch(wide, found_mt, sharded);
+  index.LowerBoundBatch(wide, lower_mt, sharded);
+  index.EqualRangeBatch(wide, ranges_mt, sharded);
+  index.CountEqualBatch(wide, counts_mt, sharded);
+  for (size_t i = 0; i < w; ++i) {
+    const size_t p = i % m;
+    ASSERT_EQ(found_mt[i], found[p]) << ctx << " k=" << wide[i] << " @t2";
+    ASSERT_EQ(counts_mt[i], counts[p]) << ctx << " k=" << wide[i] << " @t2";
+    ASSERT_EQ(ranges_mt[i], ranges[p]) << ctx << " k=" << wide[i] << " @t2";
+    if (index.SupportsOrderedAccess()) {
+      ASSERT_EQ(lower_mt[i], lower[p]) << ctx << " k=" << wide[i] << " @t2";
     }
   }
 }
@@ -194,7 +214,7 @@ TEST(MaintainedIndex, InsertOnlyGrowthFromEmptyIndex) {
     MaintainedIndex index(spec, {});
     ASSERT_TRUE(index.ok()) << spec_text;
     ASSERT_EQ(index.size(), 0u);
-    ASSERT_EQ(index.Find(7), kNotFound) << spec_text;
+    ASSERT_EQ(index.Snapshot()->index().Find(7), kNotFound) << spec_text;
     for (int round = 0; round < 8; ++round) {
       workload::UpdateBatch batch;
       uint32_t ins = 50 + rng.Below(300);
@@ -259,7 +279,7 @@ TEST(MaintainedIndex, SnapshotSurvivesWriterChurn) {
   // The old snapshot still sees the pre-update world; the live index
   // does not.
   EXPECT_EQ(snapshot->index().Find(original_first), 0);
-  EXPECT_EQ(index.Find(original_first), kNotFound);
+  EXPECT_EQ(index.Snapshot()->index().Find(original_first), kNotFound);
   EXPECT_EQ(snapshot->keys().size(), keys.size());
 }
 
@@ -268,7 +288,7 @@ TEST(MaintainedIndex, RebuildReplacesDataset) {
   auto fresh = workload::DistinctSortedKeys(200, 2, 4);
   index.Rebuild(fresh);
   EXPECT_EQ(index.size(), 200u);
-  EXPECT_EQ(index.Find(fresh[50]), 50);
+  EXPECT_EQ(index.Snapshot()->index().Find(fresh[50]), 50);
 }
 
 TEST(MaintainedIndex, RebuildWithSortedBatchCountsLikeApplySortedBatch) {
@@ -486,11 +506,11 @@ TEST(MaintainedIndex, ShardIncrementalRefreshRebuildsOnlyTouchedShards) {
   AnyIndex fresh = BuildIndex(spec, merged);
   std::vector<Key> probes = MakeProbes(rng, merged, 400);
   std::vector<int64_t> got(probes.size()), want(probes.size());
-  index.FindBatch(probes, got);
+  index.Snapshot()->index().FindBatch(probes, got);
   fresh.FindBatch(probes, want);
   ASSERT_EQ(got, want);
   std::vector<PositionRange> got_r(probes.size()), want_r(probes.size());
-  index.EqualRangeBatch(probes, got_r);
+  index.Snapshot()->index().EqualRangeBatch(probes, got_r);
   fresh.EqualRangeBatch(probes, want_r);
   ASSERT_EQ(got_r, want_r);
 }
@@ -555,6 +575,12 @@ TEST(MaintainedIndexConcurrency, ReadersSeeOneCoherentVersionPerProbeBatch) {
         probes.push_back(marker(parity, j));
       }
     }
+    // The pool-sharded batch repeats both sets past
+    // kParallelProbeMinShard, so the facade really splits it.
+    std::vector<Key> wide;
+    while (wide.size() <= kParallelProbeMinShard) {
+      wide.insert(wide.end(), probes.begin(), probes.end());
+    }
     std::vector<Key> sorted = initial;
     for (uint32_t j = 0; j < kMarkers; ++j) sorted.push_back(marker(0, j));
     std::sort(sorted.begin(), sorted.end());
@@ -566,25 +592,30 @@ TEST(MaintainedIndexConcurrency, ReadersSeeOneCoherentVersionPerProbeBatch) {
     for (int t = 0; t < 4; ++t) {
       readers.emplace_back([&, t] {
         Pcg32 rng(0xace0 + static_cast<uint64_t>(t));
-        std::vector<int64_t> found(probes.size());
+        std::vector<int64_t> found(wide.size());
         while (!stop.load(std::memory_order_relaxed)) {
           auto snap = index.Snapshot();
+          size_t probed = probes.size();
           if (rng.Below(16) == 0) {
             // Occasionally shard the probe batch across the pool, so the
             // dispatch path also runs against a version mid-publish.
-            snap->index().FindBatch(probes, found,
-                                    ProbeOptions{.threads = 2,
-                                                 .min_shard = 8});
+            snap->index().FindBatch(wide, found, ProbeOptions{.threads = 2});
+            probed = wide.size();
           } else {
-            snap->index().FindBatch(probes, found);
+            snap->index().FindBatch(probes,
+                                    std::span<int64_t>(found).first(probed));
           }
-          uint32_t seen0 = 0, seen1 = 0;
-          for (uint32_t j = 0; j < kMarkers; ++j) {
-            if (found[j] != kNotFound) ++seen0;
-            if (found[kMarkers + j] != kNotFound) ++seen1;
+          // Entry j probes set (j / kMarkers) % 2; every copy of a set
+          // must be all found or all absent, and the other set the
+          // opposite.
+          const size_t copies = probed / probes.size();
+          size_t seen0 = 0, seen1 = 0;
+          for (size_t j = 0; j < probed; ++j) {
+            if (found[j] == kNotFound) continue;
+            ++((j / kMarkers) % 2 == 0 ? seen0 : seen1);
           }
-          bool coherent = (seen0 == kMarkers && seen1 == 0) ||
-                          (seen1 == kMarkers && seen0 == 0);
+          bool coherent = (seen0 == copies * kMarkers && seen1 == 0) ||
+                          (seen1 == copies * kMarkers && seen0 == 0);
           if (!coherent || snap->keys().size() != kBase + kMarkers) {
             incoherent.fetch_add(1);
           }

@@ -59,8 +59,7 @@ TEST(ParallelProbe, MatchesScalarLoopAcrossSpecsAndThreadCounts) {
         expected_lower[i] = index.LowerBound(probes[i]);
       }
       for (int threads : {1, 2, 3, 8, 0}) {
-        ProbeOptions opts{.threads = threads, .min_shard = 1024,
-                          .pool = &pool};
+        ProbeOptions opts{.threads = threads, .pool = &pool};
         std::vector<int64_t> got_find(probes.size(), -2);
         std::vector<size_t> got_lower(probes.size(), ~size_t{0});
         index.FindBatch(probes, got_find, opts);
@@ -102,7 +101,7 @@ TEST(ParallelProbe, RepeatedRunsAreDeterministic) {
   AnyIndex index = BuildIndex(*IndexSpec::Parse("css:16"), keys);
   ASSERT_TRUE(index);
   auto probes = TestProbes(keys, 30000, /*seed=*/29);
-  ProbeOptions opts{.threads = 4, .min_shard = 1024, .pool = &pool};
+  ProbeOptions opts{.threads = 4, .pool = &pool};
 
   std::vector<int64_t> first(probes.size());
   index.FindBatch(probes, first, opts);
@@ -125,7 +124,7 @@ TEST(ParallelProbe, FindBlockedWithOptionsCoversEveryBlock) {
     std::vector<int64_t> got(probes.size(), -2);
     FindBlocked(index, probes, block,
                 std::span<int64_t>(got),
-                ProbeOptions{.threads = 2, .min_shard = 1024, .pool = &pool});
+                ProbeOptions{.threads = 2, .pool = &pool});
     ASSERT_EQ(got, expected) << "block=" << block;
   }
 }

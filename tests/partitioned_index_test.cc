@@ -8,7 +8,7 @@
 // than the number of distinct keys (empty shards), heavy duplicates whose
 // runs must never straddle a fence, UINT32_MAX (whose fence comparison
 // would wrap a 32-bit sentinel), empty batches, and thread counts
-// straddling the shard-dispatch threshold.
+// straddling the facade's span-split threshold.
 
 #include <algorithm>
 #include <cstdint>
@@ -222,11 +222,11 @@ TEST(PartitionedIndex, EmptyBatchAndEmptyIndex) {
 }
 
 TEST(PartitionedIndex, ThreadCountsStraddleTheShardDispatchThreshold) {
-  // Below min_shard every batch runs inline; above it, a batch over CSS
-  // shards splits its probe span across the pool (one lockstep descent
-  // per span) and the router dispatches the other inners' whole shards.
-  // Both sides of the threshold, at thread counts {0, 1, 2, 8}, must
-  // reproduce the bare inner's answers bit-for-bit.
+  // Up to kParallelProbeMinShard probes every batch runs inline; above
+  // it the facade splits the probe span across the pool, and each span is
+  // one lockstep descent over CSS shards or one inline Route over any
+  // other inner. Both sides of the threshold, at thread counts
+  // {0, 1, 2, 8}, must reproduce the bare inner's answers bit-for-bit.
   ThreadPool pool(3);  // real workers even on a 1-core CI machine
   auto keys = workload::KeysWithDuplicates(30000, 500, /*seed=*/19);
   const std::vector<size_t> probe_counts{
@@ -255,36 +255,49 @@ TEST(PartitionedIndex, ThreadCountsStraddleTheShardDispatchThreshold) {
 
 TEST(PartitionedIndex, SpecSuffixDrivesShardDispatchThroughTheFacade) {
   // "@tN" on a partitioned spec parallelizes the two-argument facade
-  // calls with no caller changes — and changes nothing about the answers.
+  // calls with no caller changes — and changes nothing about the answers,
+  // whether a span is a lockstep descent (css) or a Route (btree, hash).
   auto keys = workload::KeysWithDuplicates(20000, 300, /*seed=*/23);
   auto probes = workload::MatchingLookups(keys, 10000, /*seed=*/29);
-  AnyIndex parallel_part =
-      BuildIndex(*IndexSpec::Parse("part:8/css:16@t3"), keys);
-  AnyIndex bare = BuildIndex(*IndexSpec::Parse("css:16"), keys);
-  ASSERT_TRUE(parallel_part);
-  EXPECT_EQ(parallel_part.spec().probe_threads(), 3);
-  EXPECT_EQ(parallel_part.spec().partitions(), 8);
-  std::vector<int64_t> got(probes.size()), want(probes.size());
-  parallel_part.FindBatch(probes, got);  // spec-driven shard dispatch
-  bare.FindBatch(probes, want);
-  EXPECT_EQ(got, want);
+  auto missing = workload::MissingLookups(keys, 2000, /*seed=*/30);
+  probes.insert(probes.end(), missing.begin(), missing.end());
+  for (const char* text :
+       {"part:8/css:16@t3", "part:8/btree:16@t3", "part:3/hash:10@t2"}) {
+    const IndexSpec spec = *IndexSpec::Parse(text);
+    AnyIndex parallel_part = BuildIndex(spec, keys);
+    AnyIndex bare = BuildIndex(spec.Inner(), keys);
+    ASSERT_TRUE(parallel_part) << text;
+    EXPECT_GT(parallel_part.spec().probe_threads(), 1) << text;
+    EXPECT_EQ(bare.spec().probe_threads(), 1) << text;
+    std::vector<int64_t> got(probes.size()), want(probes.size());
+    parallel_part.FindBatch(probes, got);  // spec-driven span split
+    bare.FindBatch(probes, want);
+    EXPECT_EQ(got, want) << text;
+    std::vector<PositionRange> got_r(probes.size()), want_r(probes.size());
+    parallel_part.EqualRangeBatch(probes, got_r);
+    bare.EqualRangeBatch(probes, want_r);
+    EXPECT_EQ(got_r, want_r) << text;
+  }
 }
 
 TEST(PartitionedIndex, RepeatedParallelRunsAreDeterministic) {
-  // The TSan lane leans on this: repeated identical shard dispatches give
-  // any racy scatter a window to corrupt a neighboring probe's slot.
+  // The TSan lane leans on this: repeated identical span splits give any
+  // write outside a span's own output slots — a lockstep lane's, or a
+  // Route scatter's — a window to corrupt a neighboring probe's slot.
   ThreadPool pool(3);
   auto keys = workload::KeysWithDuplicates(40000, 800, /*seed=*/31);
-  AnyIndex part = BuildIndex(*IndexSpec::Parse("part:8/css:16"), keys);
-  ASSERT_TRUE(part);
   auto probes = workload::MatchingLookups(keys, 30000, /*seed=*/37);
-  ProbeOptions opts{.threads = 4, .min_shard = 1024, .pool = &pool};
-  std::vector<PositionRange> first(probes.size());
-  part.EqualRangeBatch(probes, first, opts);
-  for (int run = 0; run < 10; ++run) {
-    std::vector<PositionRange> again(probes.size());
-    part.EqualRangeBatch(probes, again, opts);
-    ASSERT_EQ(again, first) << "run " << run;
+  ProbeOptions opts{.threads = 4, .pool = &pool};
+  for (const char* text : {"part:8/css:16", "part:8/btree:16"}) {
+    AnyIndex part = BuildIndex(*IndexSpec::Parse(text), keys);
+    ASSERT_TRUE(part) << text;
+    std::vector<PositionRange> first(probes.size());
+    part.EqualRangeBatch(probes, first, opts);
+    for (int run = 0; run < 10; ++run) {
+      std::vector<PositionRange> again(probes.size());
+      part.EqualRangeBatch(probes, again, opts);
+      ASSERT_EQ(again, first) << text << " run " << run;
+    }
   }
 }
 

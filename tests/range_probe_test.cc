@@ -197,7 +197,7 @@ TEST(RangeProbe, RepeatedParallelRunsAreDeterministic) {
   AnyIndex index = BuildIndex(*IndexSpec::Parse("css:16"), keys);
   ASSERT_TRUE(index);
   auto probes = ProbesFor(keys, 30000, /*seed=*/31);
-  ProbeOptions opts{.threads = 4, .min_shard = 1024, .pool = &pool};
+  ProbeOptions opts{.threads = 4, .pool = &pool};
 
   std::vector<PositionRange> first(probes.size());
   index.EqualRangeBatch(probes, first, opts);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/any_index.h"
 #include "core/full_css_tree.h"
 #include "core/range.h"
 
@@ -110,10 +111,13 @@ TEST(RecordCssTree, BatchKernelsMatchScalarOverRecords) {
   // results must equal the scalar calls probe for probe, duplicates and
   // absent keys included, at every batch size from 0 to two full groups
   // plus one (the scalar-batch rule, partial groups, full groups) and at
-  // the 256-probe chunk boundary.
+  // the 256-probe chunk boundary. The range verbs are derived by the
+  // facade's ordered adapter from this tree's LowerBound kernel.
   auto keys = workload::KeysWithDuplicates(8000, 300, 9);
   auto rows = MakeRows<Row32, Row32Key>(keys);
-  RecordCssTree<Row32, Row32Key, 16> tree(rows);
+  using Tree = RecordCssTree<Row32, Row32Key, 16>;
+  const OrderedBatchImpl<Tree> adapter{Tree(rows)};
+  const Tree& tree = adapter.index();
   Pcg32 rng(77);
   std::vector<size_t> batches;
   for (size_t b = 0; b <= 2 * kGroupProbes + 1; ++b) batches.push_back(b);
@@ -127,8 +131,8 @@ TEST(RecordCssTree, BatchKernelsMatchScalarOverRecords) {
     std::vector<size_t> counts(batch);
     tree.LowerBoundBatch(probes, lower);
     tree.FindBatch(probes, found);
-    tree.EqualRangeBatch(probes, ranges);
-    tree.CountEqualBatch(probes, counts);
+    adapter.EqualRangeBatch(probes, ranges);
+    adapter.CountEqualBatch(probes, counts);
     for (size_t i = 0; i < batch; ++i) {
       ASSERT_EQ(lower[i], tree.LowerBound(probes[i]))
           << "batch=" << batch << " i=" << i;
